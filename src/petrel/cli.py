@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .config import ConfigError, EdgeCloudConfig, build_topology, load_config
 from .engine import SimulationError, TaskRecord, simulate
 from .metrics import RunSummary, summarize
-from .schedulers import SCHEDULER_NAMES
+from .schedulers import SAMPLING_SCHEDULERS, SCHEDULER_NAMES
 from .seeding import derive_seed
 from .workload import TraceFormatError, format_number, generate_trace, load_trace, save_trace
 
@@ -36,6 +36,14 @@ SUMMARY_FIELDS = (
 )
 
 COMPARE_METRICS = ("awt", "avg_speedup", "makespan_min", "makespan_max", "makespan_avg")
+
+
+def _check_policy_fits(config: EdgeCloudConfig, scheduler: str) -> None:
+    if scheduler in SAMPLING_SCHEDULERS and config.cloudlet_count < 2:
+        raise ConfigError(
+            f"cloudlets.count: {scheduler} samples non-daemon cloudlets and needs at"
+            f" least 2 cloudlets, got {config.cloudlet_count}"
+        )
 
 
 def _record_row(r: TaskRecord) -> list[str]:
@@ -141,6 +149,7 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
             raise ConfigError(
                 f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULER_NAMES)}"
             )
+        _check_policy_fits(config, name)
     cells: list[ComparisonCell] = []
     grouped: dict[tuple[str, float], list[RunSummary]] = {}
     for lam in lambdas:
@@ -277,6 +286,7 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_cli_config(args)
+    _check_policy_fits(config, args.scheduler)
     seed = _resolve_seed(args, config)
     if args.trace is not None:
         trace = load_trace(args.trace)

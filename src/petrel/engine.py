@@ -13,7 +13,7 @@ bit-identical records.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 from typing import Sequence
@@ -25,8 +25,6 @@ from .model import (
     Task,
     TaskClass,
     completion_time_cloud,
-    completion_time_daemon,
-    completion_time_remote,
 )
 from .schedulers import (
     Assign,
@@ -63,19 +61,30 @@ class Event:
 class VmSchedule:
     """Per-VM next-free timestamps for one cloudlet.
 
-    The earliest ready time is the heap head.  Every commit is also
-    appended to a per-VM history so probes can be answered with the
-    state as of an earlier instant when probe staleness is configured.
+    The earliest ready time is the heap head.  Stale reads
+    (:meth:`earliest_ready_asof`) answer with the state as of an earlier
+    instant from a pruned commit log: each commit is logged as
+    ``(commit_time, vm_index, new_ready)`` and folded into a per-VM list
+    of ready times once the read horizon reaches its commit time, so the
+    log holds only the commits not yet visible to stale reads.  Reads
+    must not go back in time and commits must come in time order.  A
+    finite ``staleness`` (the engine's probe latency) also moves the
+    horizon to ``commit_time - staleness`` at each commit, since no later
+    read looks further back; the log then stays within that window even
+    when nothing reads it.
     """
 
-    def __init__(self, vm_count: int, initial_ready: float = 0.0):
+    def __init__(self, vm_count: int, initial_ready: float = 0.0, staleness: float = inf):
         if vm_count < 1:
             raise ValueError("vm_count must be >= 1")
         self._heap: list[tuple[float, int]] = [(initial_ready, i) for i in range(vm_count)]
         heapq.heapify(self._heap)
-        self._history: list[list[tuple[float, float]]] = [
-            [(-inf, initial_ready)] for _ in range(vm_count)
-        ]
+        self._staleness = staleness
+        self._log: deque[tuple[float, int, float]] = deque()
+        self._last_commit = -inf
+        self._horizon = -inf
+        self._stale = [initial_ready] * vm_count
+        self._stale_min = initial_ready
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -87,23 +96,44 @@ class VmSchedule:
         return self._heap[0][0]
 
     def earliest_ready_asof(self, when: float) -> float:
-        """Earliest ready time as it looked at instant ``when``."""
-        best = inf
-        for history in self._history:
-            idx = bisect_right(history, (when, inf)) - 1
-            best = min(best, history[idx][1])
-        return best
+        """Earliest ready time as it looked at instant ``when``.
+
+        Commits made at exactly ``when`` are visible.  ``when`` must not
+        be earlier than the previous read or the pruning horizon.
+        """
+        if when < self._horizon:
+            raise ValueError(
+                f"stale read at {when} is older than the pruned horizon {self._horizon}"
+            )
+        self._advance(when)
+        return self._stale_min
+
+    def _advance(self, horizon: float) -> None:
+        # the last commit per VM at or before the horizon wins
+        if horizon > self._horizon:
+            self._horizon = horizon
+        log = self._log
+        if log and log[0][0] <= horizon:
+            stale = self._stale
+            while log and log[0][0] <= horizon:
+                _, vm_index, ready = log.popleft()
+                stale[vm_index] = ready
+            self._stale_min = min(stale)
 
     def has_idle_vm(self, now: float) -> bool:
         return self.earliest_ready() <= now
 
     def commit(self, now: float, exec_time: float) -> tuple[float, int]:
         """Occupy the earliest-ready VM; returns (start, vm_index)."""
+        if now < self._last_commit:
+            raise ValueError(f"commit at {now} before the previous commit at {self._last_commit}")
+        self._last_commit = now
         ready, vm_index = heapq.heappop(self._heap)
         start = max(now, ready)
         new_ready = start + exec_time
         heapq.heappush(self._heap, (new_ready, vm_index))
-        self._history[vm_index].append((now, new_ready))
+        self._log.append((now, vm_index, new_ready))
+        self._advance(now - self._staleness)
         return start, vm_index
 
 
@@ -147,10 +177,50 @@ class SimulationResult:
     topology: EdgeCloud
 
 
-def _placement_breakdown(task: Task, daemon: Cloudlet, executor: Cloudlet):
-    if executor.id == daemon.id:
-        return completion_time_daemon(task, executor, 0.0)
-    return completion_time_remote(task, daemon, executor, 0.0)
+_Route = tuple[float, float, float, float | None]
+
+
+def _placement_route(daemon: Cloudlet, executor: Cloudlet) -> _Route:
+    """What a placement's cost depends on besides the task.
+
+    ``(speed_factor, cloudlet_bandwidth, daemon_rtt, redirect_rtt)``;
+    the redirect RTT is None when the executor is the daemon itself.
+    """
+    redirect = None if executor.id == daemon.id else daemon.net.rtt_to(executor.id)
+    return (executor.speed_factor, executor.net.cloudlet_bandwidth, daemon.net.daemon_rtt,
+            redirect)
+
+
+def _placement_times(task: Task, route: _Route) -> tuple[float, float]:
+    """(exec, comm) of ``task`` on a route; the model's daemon/remote formulas.
+
+    Callers add ``start + exec + comm`` left to right: the sums are kept
+    apart because floating-point addition in another order can move the
+    last bit of a completion time.
+    """
+    speed_factor, bandwidth, daemon_rtt, redirect = route
+    comm = task.data_volume / bandwidth + daemon_rtt
+    if redirect is not None:
+        comm = comm + redirect
+    return task.base_service_time / speed_factor, comm
+
+
+class _RouteCache(dict):
+    """(daemon_id, executor_id) -> :func:`_placement_route`, filled on first use.
+
+    A missing redirect RTT raises at the first use of that pair and is
+    not cached, so every later use raises again.
+    """
+
+    def __init__(self, topology: EdgeCloud):
+        super().__init__()
+        self._topology = topology
+
+    def __missing__(self, key: tuple[int, int]) -> _Route:
+        daemon_id, executor_id = key
+        route = _placement_route(self._topology.get(daemon_id), self._topology.get(executor_id))
+        self[key] = route
+        return route
 
 
 def expected_completion_time(
@@ -169,8 +239,8 @@ def expected_completion_time(
     """
     effective = now if commit_at is None else commit_at
     start = max(effective, vms.earliest_ready())
-    bd = _placement_breakdown(task, daemon, executor)
-    return (start + bd.exec + bd.comm) - now
+    exec_time, comm = _placement_times(task, _placement_route(daemon, executor))
+    return (start + exec_time + comm) - now
 
 
 def commit_assignment(
@@ -181,10 +251,9 @@ def commit_assignment(
     Returns (start, completion, vm_index); completion includes the
     communication charge for the placement.
     """
-    bd = _placement_breakdown(task, daemon, executor)
-    start, vm_index = vms.commit(now, bd.exec)
-    completion = start + bd.exec + bd.comm
-    return start, completion, vm_index
+    exec_time, comm = _placement_times(task, _placement_route(daemon, executor))
+    start, vm_index = vms.commit(now, exec_time)
+    return start, start + exec_time + comm, vm_index
 
 
 def schedule_delay(task: Task, delay: float, now: float, sequence: int) -> Event:
@@ -217,31 +286,22 @@ class ClusterView:
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
         sim = self._sim
-        task = self._task
-        daemon = sim.topology.get(task.daemon_id)
-        executor = sim.topology.get(cloudlet_id)
+        now = self.now
         vms = sim.vm_schedules[cloudlet_id]
-        if cloudlet_id == task.daemon_id or sim.probe_latency <= 0:
+        if cloudlet_id == self.daemon_id or sim.probe_latency <= 0:
             ready = vms.earliest_ready()
         else:
-            ready = vms.earliest_ready_asof(max(0.0, self.now - sim.probe_latency))
-        start = max(self.now, ready)
-        bd = _placement_breakdown(task, daemon, executor)
-        return ProbeResult(
-            cloudlet_id=cloudlet_id,
-            expected_completion=start + bd.exec + bd.comm,
-            has_idle_vm=ready <= self.now,
-        )
+            ready = vms.earliest_ready_asof(max(0.0, now - sim.probe_latency))
+        exec_time, comm = _placement_times(self._task, sim.routes[self.daemon_id, cloudlet_id])
+        return ProbeResult(cloudlet_id, max(now, ready) + exec_time + comm, ready <= now)
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
         sim = self._sim
-        task = self._task
-        daemon = sim.topology.get(task.daemon_id)
-        vms = sim.vm_schedules[task.daemon_id]
-        start = max(self.now + delay, vms.earliest_ready())
-        bd = completion_time_daemon(task, daemon, 0.0)
-        return start + bd.exec + bd.comm
+        daemon_id = self.daemon_id
+        start = max(self.now + delay, sim.vm_schedules[daemon_id].earliest_ready())
+        exec_time, comm = _placement_times(self._task, sim.routes[daemon_id, daemon_id])
+        return start + exec_time + comm
 
 
 class Simulation:
@@ -261,9 +321,12 @@ class Simulation:
         self.scheduler = scheduler
         self.max_delays = max_delays
         self.probe_latency = probe_latency
+        # only stale reads look back, and never further than the probe latency
+        staleness = max(probe_latency, 0.0)
         self.vm_schedules: dict[int, VmSchedule] = {
-            c.id: VmSchedule(c.vm_count) for c in topology
+            c.id: VmSchedule(c.vm_count, staleness=staleness) for c in topology
         }
+        self.routes = _RouteCache(topology)
         self._sequence = 0
 
     def _next_sequence(self) -> int:
@@ -324,22 +387,22 @@ class Simulation:
 
     def _apply(self, decision, task, now, queue, records, delays_taken) -> None:
         if isinstance(decision, Assign):
+            executor_id = decision.cloudlet_id
             try:
-                executor = self.topology.get(decision.cloudlet_id)
+                route = self.routes[task.daemon_id, executor_id]
             except KeyError:
                 raise SimulationError(
-                    f"scheduler assigned task {task.id} to unknown cloudlet {decision.cloudlet_id}"
+                    f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
                 ) from None
-            daemon = self.topology.get(task.daemon_id)
-            vms = self.vm_schedules[executor.id]
-            start, completion, vm_index = commit_assignment(task, daemon, executor, vms, now)
-            bd = _placement_breakdown(task, daemon, executor)
+            exec_time, comm = _placement_times(task, route)
+            start, vm_index = self.vm_schedules[executor_id].commit(now, exec_time)
+            completion = start + exec_time + comm
             self._record(
-                records, task, Allocation.cloudlet(executor.id), now, start, completion,
-                bd.exec, delays_taken[task.id],
+                records, task, Allocation.cloudlet(executor_id), now, start, completion,
+                exec_time, delays_taken[task.id],
             )
             done = Event(completion, self._next_sequence(), COMPLETED, task.id,
-                         cloudlet_id=executor.id, vm_index=vm_index)
+                         cloudlet_id=executor_id, vm_index=vm_index)
             heapq.heappush(queue, (done.time, done.sequence, done))
         elif isinstance(decision, AssignCloud):
             daemon = self.topology.get(task.daemon_id)

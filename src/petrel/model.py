@@ -142,11 +142,15 @@ class EdgeCloud:
     """The interconnected set of cloudlets tasks can be placed on."""
 
     cloudlets: tuple[Cloudlet, ...]
+    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _by_id: dict[int, Cloudlet] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [c.id for c in self.cloudlets]
-        if len(set(ids)) != len(ids):
+        by_id = {c.id: c for c in self.cloudlets}
+        if len(by_id) != len(self.cloudlets):
             raise ValueError("duplicate cloudlet ids")
+        object.__setattr__(self, "ids", tuple(by_id))
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.cloudlets)
@@ -154,15 +158,11 @@ class EdgeCloud:
     def __iter__(self):
         return iter(self.cloudlets)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.cloudlets)
-
     def get(self, cloudlet_id: int) -> Cloudlet:
-        for c in self.cloudlets:
-            if c.id == cloudlet_id:
-                return c
-        raise KeyError(f"unknown cloudlet id {cloudlet_id}")
+        try:
+            return self._by_id[cloudlet_id]
+        except KeyError:
+            raise KeyError(f"unknown cloudlet id {cloudlet_id}") from None
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,9 @@ class CloudOnlyScheduler:
 
 SCHEDULER_NAMES = ("daa", "daemon-only", "round-robin", "greedy", "two-choices", "cloud-only")
 
+# policies that sample non-daemon cloudlets; they need at least two cloudlets
+SAMPLING_SCHEDULERS = ("daa", "two-choices")
+
 
 def make_scheduler(name: str, *, rng: np.random.Generator | None = None,
                    delay_quantum: float | None = None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import nextafter
+from math import isfinite, nextafter
 from typing import Sequence
 
 import numpy as np
@@ -208,9 +208,12 @@ def save_trace(trace: Sequence[Task], path) -> None:
 
 def _parse_field(row_num: int, name: str, raw: str, kind=float):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise TraceFormatError(f"line {row_num}: field {name!r} is not a valid {kind.__name__}: {raw!r}") from None
+    if kind is float and not isfinite(value):
+        raise TraceFormatError(f"line {row_num}: field {name!r} must be finite, got {raw!r}")
+    return value
 
 
 def load_trace(path) -> list[Task]:

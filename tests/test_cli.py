@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import petrel
 from petrel.cli import RECORD_COLUMNS, main
 from petrel.config import EdgeCloudConfig, save_config
 from petrel.workload import load_trace
@@ -282,6 +286,42 @@ class TestExitCodes:
             "--scheduler", "daemon-only", "--out", str(tmp_path / "out"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scheduler", "daa"],
+        ["run", "--scheduler", "two-choices"],
+        ["compare", "--scheduler", "greedy,daa", "--seeds", "1"],
+    ])
+    def test_sampling_policies_need_two_cloudlets(self, tmp_path, capsys, command):
+        lone = tmp_path / "lone.yaml"
+        save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
+        code = main(command + ["--config", str(lone), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cloudlets.count" in err
+        assert err.count("\n") == 1
+
+    def test_single_cloudlet_daa_exits_without_a_traceback(self, tmp_path):
+        lone = tmp_path / "lone.yaml"
+        save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
+        src = os.path.dirname(os.path.dirname(petrel.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "petrel.cli", "run", "--scheduler", "daa",
+             "--config", str(lone), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cloudlets.count:")
+
+    def test_single_cloudlet_deterministic_policies_still_run(self, tmp_path, capsys):
+        lone = tmp_path / "lone.yaml"
+        save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
+        for name in ("greedy", "daemon-only"):
+            code = main(["run", "--scheduler", name, "--config", str(lone),
+                         "--out", str(tmp_path / name)])
+            assert code == 0
 
 
 class TestPaperDefaults:

@@ -1,7 +1,12 @@
 """Event loop behaviour: queueing, waits, delays, probe staleness."""
 
+from bisect import bisect_right
+from math import inf
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixtures import make_cloudlet, make_net, make_task, make_topology
 from petrel.engine import (
@@ -17,6 +22,7 @@ from petrel.engine import (
     simulate,
 )
 from petrel.config import EdgeCloudConfig
+from petrel.model import completion_time_daemon, completion_time_remote
 from petrel.schedulers import (
     Assign,
     AssignCloud,
@@ -484,3 +490,154 @@ class TestSimulateEntryPoint:
         a = run_simulation(config, trace, "daemon-only", seed=1, topology=topo)
         b = run_simulation(config, trace, "daemon-only", seed=2, topology=topo)
         assert a == b  # daemon-only consumes no randomness
+
+
+class HistoryReference:
+    """Brute-force stale reads: every VM's full commit history, bisected."""
+
+    def __init__(self, vm_count):
+        self.history = [[(-inf, 0.0)] for _ in range(vm_count)]
+
+    def commit(self, now, vm_index, new_ready):
+        self.history[vm_index].append((now, new_ready))
+
+    def asof(self, when):
+        return min(h[bisect_right(h, (when, inf)) - 1][1] for h in self.history)
+
+
+# non-negative clock steps; zeros make ties between commits and reads
+steps = st.one_of(st.just(0.0), st.floats(0.0, 500.0, allow_nan=False))
+
+
+class TestStaleReadsMatchFullHistory:
+    @given(
+        vm_count=st.integers(1, 6),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["commit", "read"]), steps,
+                      st.floats(1.0, 3000.0, allow_nan=False)),
+            max_size=60,
+        ),
+    )
+    def test_independent_commit_and_read_clocks(self, vm_count, ops):
+        vms, ref = VmSchedule(vm_count), HistoryReference(vm_count)
+        commit_clock = read_clock = 0.0
+        for kind, step, exec_time in ops:
+            if kind == "commit":
+                commit_clock += step
+                start, vm_index = vms.commit(commit_clock, exec_time)
+                ref.commit(commit_clock, vm_index, start + exec_time)
+            else:
+                read_clock += step
+                assert vms.earliest_ready_asof(read_clock) == ref.asof(read_clock)
+
+    @given(
+        vm_count=st.integers(1, 6),
+        staleness=st.one_of(st.just(0.0), st.floats(1.0, 2000.0, allow_nan=False)),
+        ops=st.lists(
+            st.tuples(st.booleans(), steps, st.floats(1.0, 3000.0, allow_nan=False)),
+            max_size=60,
+        ),
+    )
+    def test_engine_style_reads_with_commit_time_pruning(self, vm_count, staleness, ops):
+        # the engine reads at max(0, now - latency) and commits at now
+        vms = VmSchedule(vm_count, staleness=staleness)
+        ref = HistoryReference(vm_count)
+        now = 0.0
+        for commit, step, exec_time in ops:
+            now += step
+            if commit:
+                start, vm_index = vms.commit(now, exec_time)
+                ref.commit(now, vm_index, start + exec_time)
+            else:
+                when = max(0.0, now - staleness)
+                assert vms.earliest_ready_asof(when) == ref.asof(when)
+        assert len(vms._log) <= sum(1 for h in ref.history for t, _ in h if t > now - staleness)
+
+    def test_a_backwards_read_raises(self):
+        vms = VmSchedule(2)
+        vms.commit(100.0, 500.0)
+        vms.earliest_ready_asof(300.0)
+        vms.earliest_ready_asof(300.0)  # ties are fine
+        with pytest.raises(ValueError):
+            vms.earliest_ready_asof(299.0)
+
+    def test_a_read_behind_the_pruned_window_raises(self):
+        vms = VmSchedule(1, staleness=50.0)
+        vms.commit(100.0, 500.0)  # nothing before 50 will be read again
+        with pytest.raises(ValueError):
+            vms.earliest_ready_asof(49.0)
+        assert vms.earliest_ready_asof(50.0) == 0.0
+
+    def test_a_backwards_commit_raises(self):
+        vms = VmSchedule(2)
+        vms.commit(100.0, 500.0)
+        with pytest.raises(ValueError):
+            vms.commit(99.0, 500.0)
+
+
+speed_factors = st.floats(0.25, 4.0, allow_nan=False)
+
+
+@st.composite
+def probe_setups(draw):
+    count = draw(st.integers(1, 3))
+    cloudlets = []
+    for i in range(count):
+        if draw(st.booleans()):
+            remote = draw(st.floats(0.0, 90.0, allow_nan=False))
+        else:
+            remote = {j: draw(st.floats(0.0, 90.0, allow_nan=False))
+                      for j in range(count) if j != i}
+        net = make_net(daemon_rtt=draw(st.floats(0.0, 30.0, allow_nan=False)),
+                       cloudlet_bandwidth=draw(st.floats(100.0, 20000.0, allow_nan=False)),
+                       remote_rtt=remote)
+        cloudlets.append(make_cloudlet(i, vm_count=draw(st.integers(1, 3)),
+                                       speed_factor=draw(speed_factors), net=net))
+    latency = draw(st.one_of(st.just(0.0), st.floats(1.0, 2000.0, allow_nan=False)))
+    loads = draw(st.lists(st.tuples(st.integers(0, count - 1), steps,
+                                    st.floats(1.0, 5000.0, allow_nan=False)), max_size=12))
+    task = make_task(daemon_id=draw(st.integers(0, count - 1)),
+                     base_service_time=draw(st.floats(1.0, 90000.0, allow_nan=False)),
+                     data_volume=draw(st.floats(0.0, 3e7, allow_nan=False)))
+    return make_topology(*cloudlets), latency, loads, task, draw(steps)
+
+
+class TestProbeMatchesTheModel:
+    def test_a_missing_redirect_rtt_raises_at_every_use_of_that_pair(self):
+        net = zero_data_net(remote_rtt={1: 60.0})  # no entry towards cloudlet 2
+        topo = make_topology(*(make_cloudlet(i, net=net) for i in range(3)))
+        sim = Simulation(topo, DaemonOnlyScheduler())
+        view = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=0.0)
+        assert view.probe(1).expected_completion == 1000.0 + 70.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="towards cloudlet 2"):
+                view.probe(2)
+
+    @given(probe_setups())
+    def test_probe_is_start_plus_breakdown_exactly(self, setup):
+        topo, latency, loads, task, lag = setup
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+        refs = {c.id: HistoryReference(c.vm_count) for c in topo}
+        now = 0.0
+        for cloudlet_id, step, exec_time in loads:
+            now += step
+            start, vm_index = sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+            refs[cloudlet_id].commit(now, vm_index, start + exec_time)
+        now += lag
+        view = ClusterView(sim, task, now)
+        daemon = topo.get(task.daemon_id)
+        for executor in topo:
+            if executor.id == daemon.id or latency <= 0:
+                ready = sim.vm_schedules[executor.id].earliest_ready()
+            else:
+                ready = refs[executor.id].asof(max(0.0, now - latency))
+            if executor.id == daemon.id:
+                bd = completion_time_daemon(task, executor, 0.0)
+            else:
+                bd = completion_time_remote(task, daemon, executor, 0.0)
+            probe = view.probe(executor.id)
+            assert probe.expected_completion == max(now, ready) + bd.exec + bd.comm
+            assert probe.has_idle_vm == (ready <= now)
+        bd = completion_time_daemon(task, daemon, 0.0)
+        ready = sim.vm_schedules[daemon.id].earliest_ready()
+        assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + bd.exec + bd.comm

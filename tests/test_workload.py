@@ -181,6 +181,7 @@ class TestRoundTrip:
 
 HEADER = "task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mobile_ms,cloud_ms,data_bytes,bound_ms"
 GOOD_ROW = "0,100,1,face,sensitive,1000,5000,800,2000,"
+TOLERANT_ROW = "0,100,1,sandwich,tolerant,1000,5000,800,2000,4000"
 
 
 def write_lines(tmp_path, *lines):
@@ -242,6 +243,15 @@ class TestLoadErrors:
         row = GOOD_ROW.replace("sensitive", "tolerant")
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace(write_lines(tmp_path, HEADER, row))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 5, 6, 7, 8, 9])
+    def test_non_finite_values_name_the_column(self, tmp_path, column, raw):
+        fields = TOLERANT_ROW.split(",")
+        fields[column] = raw
+        name = HEADER.split(",")[column]
+        with pytest.raises(TraceFormatError, match=f"line 2: field '{name}' must be finite"):
+            load_trace(write_lines(tmp_path, HEADER, ",".join(fields)))
 
     def test_blank_lines_are_skipped(self, tmp_path):
         tasks = load_trace(write_lines(tmp_path, HEADER, "", GOOD_ROW))
