@@ -12,7 +12,6 @@ from .engine import (
     SimulationError,
     SimulationResult,
     TaskRecord,
-    run_simulation,
     simulate,
 )
 from .metrics import RunSummary, average_speedup, awt, makespans, summarize
@@ -94,7 +93,6 @@ __all__ = [
     "make_scheduler",
     "makespans",
     "new_rng",
-    "run_simulation",
     "sample_two",
     "save_config",
     "save_trace",

@@ -13,6 +13,7 @@ factors, then the remote RTT for every ordered cloudlet pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 from typing import Any, Mapping
 
 import yaml
@@ -57,6 +58,21 @@ class EdgeCloudConfig:
     catalog: tuple[Benchmark, ...] = field(default_factory=lambda: tuple(default_catalog()))
 
     def __post_init__(self) -> None:
+        for key, values in (
+            ("cloudlets.speed_factor_range", self.speed_factor_range),
+            ("cloudlets.speed_factors", self.speed_factors or ()),
+            ("network.daemon_rtt_ms", (self.daemon_rtt_ms,)),
+            ("network.remote_rtt_range_ms", self.remote_rtt_range_ms),
+            ("network.cloud_rtt_ms", (self.cloud_rtt_ms,)),
+            ("network.cloudlet_bandwidth_bytes_per_ms", (self.cloudlet_bandwidth_bytes_per_ms,)),
+            ("network.cloud_bandwidth_bytes_per_ms", (self.cloud_bandwidth_bytes_per_ms,)),
+            ("trace.arrival_rate", (self.arrival_rate,)),
+            ("trace.time_unit_ms", (self.time_unit_ms,)),
+            ("scheduler.delay_quantum_ms",
+             () if self.delay_quantum_ms is None else (self.delay_quantum_ms,)),
+            ("scheduler.probe_latency_ms", (self.probe_latency_ms,)),
+        ):
+            _check(all(isfinite(v) for v in values), key, "must be finite")
         _check(self.cloudlet_count >= 1, "cloudlets.count", "must be >= 1")
         lo, hi = self.vm_count_range
         _check(1 <= lo <= hi, "cloudlets.vm_count_range", "needs 1 <= low <= high")
@@ -365,8 +381,6 @@ def from_mapping(data: Mapping[str, Any] | None) -> EdgeCloudConfig:
             seed=root.value("seed", int, defaults.seed),
             catalog=catalog,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

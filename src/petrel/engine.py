@@ -1,10 +1,12 @@
 """Deterministic discrete-event simulation of an edge-cloud.
 
-The engine advances a virtual clock over task arrivals, delay wake-ups,
-and completions.  Each cloudlet keeps one ready time per VM in a min
-heap; committing a task pops the earliest VM, starts the task at
-``max(now, ready)``, and pushes the ready time back.  Communication is
-charged to the task's completion, not to VM occupancy.
+The engine advances a virtual clock over task arrivals and delay
+wake-ups, the only moments a decision is made.  Each cloudlet keeps one
+ready time per VM in a min heap; committing a task pops the earliest
+VM, starts the task at ``max(now, ready)``, and pushes the ready time
+back.  A task's completion is fixed at commit, so completions are
+recorded, not queued as events.  Communication is charged to the task's
+completion, not to VM occupancy.
 
 Two runs with the same config, trace, policy, and seed produce
 bit-identical records.
@@ -16,7 +18,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from math import inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     Allocation,
@@ -43,19 +45,18 @@ class SimulationError(RuntimeError):
 
 ARRIVAL = "arrival"
 DELAY_EXPIRED = "delay-expired"
-COMPLETED = "completed"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One entry of the event queue; processed in (time, sequence) order."""
+class Event(NamedTuple):
+    """One entry of the event queue; processed in (time, sequence) order.
+
+    Sequences are unique, so heap order never looks past them.
+    """
 
     time: float
     sequence: int
     kind: str
     task_id: int
-    cloudlet_id: int | None = None
-    vm_index: int | None = None
 
 
 class VmSchedule:
@@ -160,8 +161,7 @@ class TaskRecord:
         return self.turnaround / self.service_time
 
 
-@dataclass(frozen=True)
-class DecisionEntry:
+class DecisionEntry(NamedTuple):
     """One scheduler invocation and its outcome, for post-run audits."""
 
     time: float
@@ -327,6 +327,8 @@ class Simulation:
             c.id: VmSchedule(c.vm_count, staleness=staleness) for c in topology
         }
         self.routes = _RouteCache(topology)
+        self._allocations = {c.id: Allocation.cloudlet(c.id) for c in topology}
+        self._cloud = Allocation.cloud()
         self._sequence = 0
 
     def _next_sequence(self) -> int:
@@ -337,10 +339,9 @@ class Simulation:
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         self._validate_trace(trace)
         tasks = {t.id: t for t in trace}
-        queue: list[tuple[float, int, Event]] = []
+        queue: list[Event] = []
         for task in trace:
-            ev = Event(task.arrival_time, self._next_sequence(), ARRIVAL, task.id)
-            heapq.heappush(queue, (ev.time, ev.sequence, ev))
+            heapq.heappush(queue, Event(task.arrival_time, self._next_sequence(), ARRIVAL, task.id))
 
         records: dict[int, TaskRecord] = {}
         delays_taken: dict[int, int] = {t.id: 0 for t in trace}
@@ -349,15 +350,13 @@ class Simulation:
         clock = 0.0
 
         while queue:
-            _, _, event = heapq.heappop(queue)
+            event = heapq.heappop(queue)
             if event.time < clock:
                 raise SimulationError(
                     f"causality violation: event at {event.time} before clock {clock}"
                 )
             clock = event.time
             events.append(event)
-            if event.kind == COMPLETED:
-                continue
             task = tasks[event.task_id]
             if task.id in records:
                 raise SimulationError(f"task {task.id} scheduled twice")
@@ -395,26 +394,21 @@ class Simulation:
                     f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
                 ) from None
             exec_time, comm = _placement_times(task, route)
-            start, vm_index = self.vm_schedules[executor_id].commit(now, exec_time)
+            start, _ = self.vm_schedules[executor_id].commit(now, exec_time)
             completion = start + exec_time + comm
             self._record(
-                records, task, Allocation.cloudlet(executor_id), now, start, completion,
+                records, task, self._allocations[executor_id], now, start, completion,
                 exec_time, delays_taken[task.id],
             )
-            done = Event(completion, self._next_sequence(), COMPLETED, task.id,
-                         cloudlet_id=executor_id, vm_index=vm_index)
-            heapq.heappush(queue, (done.time, done.sequence, done))
         elif isinstance(decision, AssignCloud):
             daemon = self.topology.get(task.daemon_id)
             bd = completion_time_cloud(task, daemon.net)
             start = now
             completion = start + bd.exec + bd.comm
             self._record(
-                records, task, Allocation.cloud(), now, start, completion,
+                records, task, self._cloud, now, start, completion,
                 bd.exec, delays_taken[task.id],
             )
-            done = Event(completion, self._next_sequence(), COMPLETED, task.id)
-            heapq.heappush(queue, (done.time, done.sequence, done))
         elif isinstance(decision, Delay):
             delays_taken[task.id] += 1
             if delays_taken[task.id] > self.max_delays:
@@ -422,8 +416,8 @@ class Simulation:
                     f"task {task.id} delayed more than max_delays={self.max_delays};"
                     " the bound check should have terminated this"
                 )
-            ev = schedule_delay(task, decision.duration, now, self._next_sequence())
-            heapq.heappush(queue, (ev.time, ev.sequence, ev))
+            heapq.heappush(queue, schedule_delay(task, decision.duration, now,
+                                                 self._next_sequence()))
         else:
             raise SimulationError(f"scheduler returned unknown decision {decision!r}")
 
@@ -476,9 +470,3 @@ def simulate(config, trace: Sequence[Task], scheduler, seed: int,
         probe_latency=config.probe_latency_ms,
     )
     return sim.run(trace)
-
-
-def run_simulation(config, trace: Sequence[Task], scheduler, seed: int,
-                   topology: EdgeCloud | None = None) -> list[TaskRecord]:
-    """Like :func:`simulate` but returns only the per-task records."""
-    return simulate(config, trace, scheduler, seed, topology=topology).records

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 from typing import Mapping, Sequence, Union
 
 
@@ -96,14 +97,21 @@ class NetworkParams:
     remote_rtt: Union[float, Mapping[int, float]] = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("daemon_rtt", "cloudlet_bandwidth", "cloud_rtt", "cloud_bandwidth"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.daemon_rtt < 0 or self.cloud_rtt < 0:
             raise ValueError("RTTs must be >= 0")
         if self.cloudlet_bandwidth <= 0 or self.cloud_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
         if isinstance(self.remote_rtt, (int, float)):
+            if not isfinite(self.remote_rtt):
+                raise ValueError("remote_rtt must be finite")
             if self.remote_rtt < 0:
                 raise ValueError("remote_rtt must be >= 0")
         else:
+            if not all(isfinite(v) for v in self.remote_rtt.values()):
+                raise ValueError("remote_rtt entries must be finite")
             if any(v < 0 for v in self.remote_rtt.values()):
                 raise ValueError("remote_rtt entries must be >= 0")
 

@@ -19,7 +19,8 @@ Policy names, as accepted on the command line:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class Delay:
 SchedulingDecision = Union[Assign, AssignCloud, Delay]
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Answer to "when would this cloudlet finish the task?"."""
 
     cloudlet_id: int
@@ -61,24 +61,37 @@ def sample_two(cloudlet_ids: Sequence[int], daemon_id: int,
                rng: np.random.Generator) -> tuple[int, ...]:
     """Two distinct non-daemon cloudlets, uniform without replacement.
 
+    Draw for draw the same as ``rng.choice(len(others), size=2,
+    replace=False)``, which is Floyd's algorithm followed by a shuffle of
+    the two picks, without that call's per-call overhead.
+
     With a single non-daemon cloudlet the sample degenerates to that one
     node; with none there is nothing to probe and the topology is too
     small for sampling policies.
     """
     others = [c for c in cloudlet_ids if c != daemon_id]
-    if not others:
+    n = len(others)
+    if not n:
         raise ValueError(
             "sampling needs at least one non-daemon cloudlet; add cloudlets to the topology"
         )
-    if len(others) == 1:
+    if n == 1:
         return (others[0],)
-    picked = rng.choice(len(others), size=2, replace=False)
-    return (others[int(picked[0])], others[int(picked[1])])
+    first = int(rng.integers(0, n - 1))
+    second = int(rng.integers(0, n))
+    if second == first:
+        second = n - 1
+    if rng.integers(0, 2):
+        return (others[first], others[second])
+    return (others[second], others[first])
+
+
+# (expected_completion, cloudlet_id): ties go to the lower cloudlet id
+_COMPLETION_THEN_ID = itemgetter(1, 0)
 
 
 def _least_loaded(probes: Sequence[ProbeResult]) -> ProbeResult:
-    # ties go to the lower cloudlet id
-    return min(probes, key=lambda p: (p.expected_completion, p.cloudlet_id))
+    return min(probes, key=_COMPLETION_THEN_ID)
 
 
 def daa_decide(
@@ -173,11 +186,15 @@ class GreedyScheduler:
     name = "greedy"
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        best = min(
-            (view.probe(c) for c in view.cloudlet_ids),
-            key=lambda p: (p.expected_completion, p.cloudlet_id != view.daemon_id, p.cloudlet_id),
-        )
-        return Assign(best.cloudlet_id)
+        # earliest expected completion; ties prefer the daemon, then the lower id
+        daemon_id = view.daemon_id
+        probe = view.probe
+        best_key = None
+        for c in view.cloudlet_ids:
+            key = (probe(c).expected_completion, c != daemon_id, c)
+            if best_key is None or key < best_key:
+                best_key = key
+        return Assign(best_key[2])
 
 
 class TwoChoicesScheduler:

@@ -10,6 +10,7 @@ diffable and reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite, nextafter
 from typing import Sequence
@@ -38,6 +39,11 @@ class Benchmark:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "bound_factor",
+                     "weight"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"benchmark {self.name}: {name} must be finite")
         if self.base_service_ms <= 0 or self.mobile_ms <= 0 or self.cloud_ms <= 0:
             raise ValueError(f"benchmark {self.name}: execution times must be > 0")
         if self.data_bytes < 0:
@@ -106,7 +112,10 @@ class TraceSpec:
         arr = np.asarray(weights, dtype=float)
         if np.any(arr <= 0):
             raise ValueError("catalog weights must be > 0")
-        return arr / arr.sum()
+        total = arr.sum()
+        if not isfinite(total):
+            raise ValueError("catalog weights must have a finite sum")
+        return arr / total
 
 
 def generate_arrivals(arrival_rate: float, count: int, seed: int,
@@ -139,10 +148,16 @@ def generate_trace(spec: TraceSpec) -> list[Task]:
         spec.arrival_rate, spec.task_count, derive_seed(spec.seed, "arrivals"), spec.time_unit_ms
     )
     rng = new_rng(spec.seed, "mix")
-    weights = spec.normalized_weights() if spec.task_count else None
+    cdf: list[float] = []
+    if spec.task_count:
+        # the cdf ``rng.choice(k, p=weights)`` builds on every call, built once;
+        # bisecting one uniform draw into it picks the same benchmark
+        c = spec.normalized_weights().cumsum()
+        c /= c[-1]
+        cdf = c.tolist()
     tasks: list[Task] = []
     for i, arrival in enumerate(arrivals):
-        bench = spec.catalog[int(rng.choice(len(spec.catalog), p=weights))]
+        bench = spec.catalog[bisect_right(cdf, rng.random())]
         daemon = int(rng.integers(0, spec.cloudlet_count))
         tasks.append(
             Task(

@@ -253,6 +253,13 @@ class TestSeedPrecedence:
         assert a.read_bytes() == b.read_bytes()
 
 
+def run_cli_subprocess(args):
+    src = os.path.dirname(os.path.dirname(petrel.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "petrel.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestExitCodes:
     def test_missing_trace_file_is_io(self, tmp_path, small_config):
         code = main([
@@ -304,13 +311,8 @@ class TestExitCodes:
     def test_single_cloudlet_daa_exits_without_a_traceback(self, tmp_path):
         lone = tmp_path / "lone.yaml"
         save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
-        src = os.path.dirname(os.path.dirname(petrel.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "petrel.cli", "run", "--scheduler", "daa",
-             "--config", str(lone), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli_subprocess(["run", "--scheduler", "daa", "--config", str(lone),
+                                   "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cloudlets.count:")
@@ -322,6 +324,38 @@ class TestExitCodes:
             code = main(["run", "--scheduler", name, "--config", str(lone),
                          "--out", str(tmp_path / name)])
             assert code == 0
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("key, yaml_text", [
+        ("network.remote_rtt_range_ms", "network:\n  remote_rtt_range_ms: [50, .inf]\n"),
+        ("cloudlets.speed_factor_range", "cloudlets:\n  speed_factor_range: [1.0, .inf]\n"),
+        ("network.cloud_rtt_ms", "network:\n  cloud_rtt_ms: .inf\n"),
+        ("trace.arrival_rate", "trace:\n  arrival_rate: .inf\n"),
+        ("network.cloudlet_bandwidth_bytes_per_ms",
+         "network:\n  cloudlet_bandwidth_bytes_per_ms: .inf\n"),
+        ("catalog[0]", "catalog:\n  - {name: a, class: sensitive, base_service_ms: .inf,"
+                       " mobile_ms: 1, cloud_ms: 1, data_bytes: 0}\n"),
+    ])
+    def test_exits_2_with_one_line_naming_the_key(self, tmp_path, key, yaml_text):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml_text)
+        proc = run_cli_subprocess(["run", "--scheduler", "daa", "--config", str(path),
+                                   "--tasks", "5", "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {key}:")
+        assert "finite" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+    def test_compare_rejects_unusable_lambdas(self, tmp_path, small_config, capsys, rate):
+        code = main(["compare", "--config", str(small_config), "--lambda", f"1,{rate}",
+                     "--seeds", "1..1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda:")
+        assert err.count("\n") == 1
 
 
 class TestPaperDefaults:

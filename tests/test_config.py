@@ -82,6 +82,25 @@ class TestValidation:
             with pytest.raises(ConfigError, match=key):
                 EdgeCloudConfig(**overrides)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("overrides, key", [
+        (lambda v: dict(speed_factor_range=(1.0, v)), "cloudlets.speed_factor_range"),
+        (lambda v: dict(cloudlet_count=2, speed_factors=(1.0, v)), "cloudlets.speed_factors"),
+        (lambda v: dict(daemon_rtt_ms=v), "network.daemon_rtt_ms"),
+        (lambda v: dict(remote_rtt_range_ms=(50.0, v)), "network.remote_rtt_range_ms"),
+        (lambda v: dict(cloud_rtt_ms=v), "network.cloud_rtt_ms"),
+        (lambda v: dict(cloudlet_bandwidth_bytes_per_ms=v),
+         "network.cloudlet_bandwidth_bytes_per_ms"),
+        (lambda v: dict(cloud_bandwidth_bytes_per_ms=v), "network.cloud_bandwidth_bytes_per_ms"),
+        (lambda v: dict(arrival_rate=v), "trace.arrival_rate"),
+        (lambda v: dict(time_unit_ms=v), "trace.time_unit_ms"),
+        (lambda v: dict(delay_quantum_ms=v), "scheduler.delay_quantum_ms"),
+        (lambda v: dict(probe_latency_ms=v), "scheduler.probe_latency_ms"),
+    ])
+    def test_non_finite_floats_name_their_key(self, overrides, key, bad):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
+            EdgeCloudConfig(**overrides(bad))
+
     def test_explicit_vm_counts_must_match_the_count(self):
         with pytest.raises(ConfigError, match="cloudlets.vm_counts"):
             EdgeCloudConfig(cloudlet_count=3, vm_counts=(1, 2))

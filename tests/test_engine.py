@@ -1,6 +1,7 @@
 """Event loop behaviour: queueing, waits, delays, probe staleness."""
 
 from bisect import bisect_right
+from collections import Counter
 from math import inf
 
 import numpy as np
@@ -10,19 +11,19 @@ from hypothesis import strategies as st
 
 from fixtures import make_cloudlet, make_net, make_task, make_topology
 from petrel.engine import (
-    COMPLETED,
+    ARRIVAL,
+    DELAY_EXPIRED,
     ClusterView,
     Simulation,
     SimulationError,
     VmSchedule,
     commit_assignment,
     expected_completion_time,
-    run_simulation,
     schedule_delay,
     simulate,
 )
 from petrel.config import EdgeCloudConfig
-from petrel.model import completion_time_daemon, completion_time_remote
+from petrel.model import completion_time_cloud, completion_time_daemon, completion_time_remote
 from petrel.schedulers import (
     Assign,
     AssignCloud,
@@ -280,15 +281,31 @@ class TestSimulationRuns:
         assert records[1].weighted_turnaround == 2010.0 / 1000.0
 
     def test_completion_events_match_records(self):
-        topo = small_topology(vms=1, count=2)
+        # completions are not queued as events; each record's completion
+        # must be its start plus the model's exec and comm for its placement
+        topo = small_topology(vms=1, count=3, speed=1.25)
         trace = [
-            make_task(task_id=i, daemon_id=i % 2, arrival_time=50.0 * i, data_volume=0.0)
-            for i in range(6)
+            make_task(task_id=i, daemon_id=i % 3, arrival_time=50.0 * i,
+                      data_volume=125_000.0 * (i % 4))
+            for i in range(12)
         ]
-        result = Simulation(topo, DaemonOnlyScheduler()).run(trace)
-        completions = {e.task_id: e.time for e in result.events if e.kind == COMPLETED}
-        for record in result.records:
-            assert completions[record.task_id] == record.completion_time
+        # daemon, peer and cloud placements in turn
+        placements = [
+            (Assign(t.daemon_id), Assign((t.daemon_id + 1) % 3), AssignCloud())[t.id % 3]
+            for t in trace
+        ]
+        result = Simulation(topo, Scripted(placements)).run(trace)
+        assert {r.allocation.kind for r in result.records} == {"cloudlet", "cloud"}
+        for task, record in zip(trace, result.records):
+            daemon = topo.get(task.daemon_id)
+            if record.allocation.kind == "cloud":
+                bd = completion_time_cloud(task, daemon.net)
+            elif record.allocation.cloudlet_id == task.daemon_id:
+                bd = completion_time_daemon(task, daemon, wait=0.0)
+            else:
+                executor = topo.get(record.allocation.cloudlet_id)
+                bd = completion_time_remote(task, daemon, executor, wait=0.0)
+            assert record.completion_time == record.start_time + bd.exec + bd.comm
 
     def test_decision_log_is_time_ordered(self):
         topo = small_topology(vms=1, count=2)
@@ -412,21 +429,32 @@ class TestPhysicalInvariants:
         topo = small_topology(vms=2, count=3)
         policy = DaaScheduler(np.random.default_rng(5), delay_quantum=200.0)
         result = Simulation(topo, policy, probe_latency=300.0).run(busy_mixed_trace())
-        by_record = {r.task_id: r for r in result.records}
-        intervals = {}
-        for event in result.events:
-            if event.kind != COMPLETED or event.cloudlet_id is None:
-                continue
-            record = by_record[event.task_id]
-            exec_time = record.service_time
-            intervals.setdefault((event.cloudlet_id, event.vm_index), []).append(
-                (record.start_time, record.start_time + exec_time)
-            )
-        assert intervals
-        for spans in intervals.values():
-            spans.sort()
-            for (_, end), (start, _) in zip(spans, spans[1:]):
-                assert start >= end
+        # per cloudlet, sweep the [start, start + service) busy intervals
+        sweeps = {}
+        for r in result.records:
+            if r.allocation.kind == "cloudlet":
+                sweeps.setdefault(r.allocation.cloudlet_id, []).extend(
+                    [(r.start_time, 1), (r.start_time + r.service_time, -1)]
+                )
+        assert sweeps
+        for cloudlet_id, points in sweeps.items():
+            busy = peak = 0
+            for _, step in sorted(points):  # at a tie an interval ends before the next starts
+                busy += step
+                peak = max(peak, busy)
+            assert peak <= topo.get(cloudlet_id).vm_count
+
+    def test_events_are_arrivals_and_delay_wakeups(self):
+        topo = small_topology(vms=2, count=3)
+        policy = DaaScheduler(np.random.default_rng(5), delay_quantum=200.0)
+        trace = busy_mixed_trace()
+        result = Simulation(topo, policy, probe_latency=300.0).run(trace)
+        arrivals = Counter(e.task_id for e in result.events if e.kind == ARRIVAL)
+        wakeups = Counter(e.task_id for e in result.events if e.kind == DELAY_EXPIRED)
+        assert arrivals == Counter(t.id for t in trace)
+        assert sum(wakeups.values()) > 0
+        assert wakeups == Counter({r.task_id: r.delays_taken for r in result.records})
+        assert len(result.events) == len(trace) + sum(r.delays_taken for r in result.records)
 
     def test_record_ordering_invariants(self):
         topo = small_topology(vms=2, count=3)
@@ -470,15 +498,15 @@ class TestSimulateEntryPoint:
     def test_accepts_policy_names_and_instances(self):
         config = EdgeCloudConfig(cloudlet_count=3, probe_latency_ms=0.0)
         trace = busy_mixed_trace(20)
-        by_name = run_simulation(config, trace, "daemon-only", seed=99)
-        by_instance = run_simulation(config, trace, DaemonOnlyScheduler(), seed=99)
+        by_name = simulate(config, trace, "daemon-only", seed=99).records
+        by_instance = simulate(config, trace, DaemonOnlyScheduler(), seed=99).records
         assert by_name == by_instance
 
     def test_same_seed_same_records(self):
         config = EdgeCloudConfig(cloudlet_count=3)
         trace = busy_mixed_trace(30)
-        first = run_simulation(config, trace, "daa", seed=4242)
-        second = run_simulation(config, trace, "daa", seed=4242)
+        first = simulate(config, trace, "daa", seed=4242).records
+        second = simulate(config, trace, "daa", seed=4242).records
         assert first == second
 
     def test_shared_topology_isolates_policy_randomness(self):
@@ -487,8 +515,8 @@ class TestSimulateEntryPoint:
         config = EdgeCloudConfig(cloudlet_count=3)
         topo = build_topology(config, seed=11)
         trace = busy_mixed_trace(30)
-        a = run_simulation(config, trace, "daemon-only", seed=1, topology=topo)
-        b = run_simulation(config, trace, "daemon-only", seed=2, topology=topo)
+        a = simulate(config, trace, "daemon-only", seed=1, topology=topo).records
+        b = simulate(config, trace, "daemon-only", seed=2, topology=topo).records
         assert a == b  # daemon-only consumes no randomness
 
 

@@ -194,6 +194,19 @@ class TestTaskValidation:
             TaskClass.from_token("urgent")
 
 
+class TestNetworkValidation:
+    @pytest.mark.parametrize("field", ["daemon_rtt", "cloudlet_bandwidth", "cloud_rtt",
+                                       "cloud_bandwidth", "remote_rtt"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_scalars(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_net(**{field: bad})
+
+    def test_rejects_non_finite_remote_rtt_entries(self):
+        with pytest.raises(ValueError, match="remote_rtt entries must be finite"):
+            make_net(remote_rtt={1: 60.0, 2: math.inf})
+
+
 class TestAllocation:
     def test_executor_labels(self):
         assert Allocation.cloudlet(3).executor_label == "3"

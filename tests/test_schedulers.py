@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixtures import make_task
 from petrel.schedulers import (
@@ -314,6 +316,31 @@ class TestSampleTwo:
     def test_no_others_is_an_error(self):
         with pytest.raises(ValueError):
             sample_two((4,), 4, np.random.default_rng(0))
+
+    @given(
+        count=st.integers(2, 12),
+        daemon_pick=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+        interleave=st.lists(st.booleans(), min_size=1, max_size=40),
+    )
+    def test_draws_match_generator_choice(self, count, daemon_pick, seed, interleave):
+        # reference: the call sample_two replaces, on a twin generator
+        ids = tuple(range(10, 10 + count))
+        daemon = ids[daemon_pick % count]
+        others = [c for c in ids if c != daemon]
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        for also_random in interleave:
+            got = sample_two(ids, daemon, rng)
+            if len(others) == 1:
+                want = (others[0],)
+            else:
+                picked = twin.choice(len(others), size=2, replace=False)
+                want = (others[int(picked[0])], others[int(picked[1])])
+            assert got == want
+            if also_random:
+                assert rng.random() == twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFactory:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from petrel.model import TaskClass
+from petrel.model import Task, TaskClass
+from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
     Benchmark,
     TraceFormatError,
@@ -113,6 +116,40 @@ class TestTraceGeneration:
         with pytest.raises(ValueError):
             spec(catalog_weights=(1.0, 2.0))
 
+    @given(
+        weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+        task_count=st.integers(1, 60),
+        cloudlet_count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mix_matches_generator_choice(self, weights, task_count, cloudlet_count, seed):
+        catalog = tuple(
+            Benchmark(f"b{i}", TaskClass.LATENCY_SENSITIVE, 100.0 + i, 500.0, 100.0, 10.0 * i)
+            for i in range(len(weights))
+        )
+        s = spec(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count,
+                 seed=seed, catalog_weights=tuple(weights))
+        # reference: the draw loop with rng.choice(k, p=weights)
+        arrivals = generate_arrivals(s.arrival_rate, task_count, derive_seed(seed, "arrivals"),
+                                     s.time_unit_ms)
+        rng = new_rng(seed, "mix")
+        p = s.normalized_weights()
+        want = []
+        for i, arrival in enumerate(arrivals):
+            bench = catalog[int(rng.choice(len(catalog), p=p))]
+            daemon = int(rng.integers(0, cloudlet_count))
+            want.append(Task(
+                id=i, arrival_time=arrival, daemon_id=daemon, task_class=bench.task_class,
+                base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
+                cloud_exec_time=bench.cloud_ms, data_volume=bench.data_bytes,
+                latency_bound=bench.latency_bound_ms, benchmark=bench.name,
+            ))
+        assert generate_trace(s) == want
+
+    def test_weights_must_have_a_finite_sum(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite sum"):
+            spec(catalog_weights=(1e308,) * 5).normalized_weights()
+
     def test_normalized_weights_sum_to_one(self):
         weights = spec().normalized_weights()
         assert weights.sum() == pytest.approx(1.0)
@@ -129,6 +166,16 @@ class TestBenchmark:
     def test_sensitive_forbids_bound_factor(self):
         with pytest.raises(ValueError):
             Benchmark("x", TaskClass.LATENCY_SENSITIVE, 100.0, 500.0, 100.0, 0.0, bound_factor=2.0)
+
+    @pytest.mark.parametrize("field", ["base_service_ms", "mobile_ms", "cloud_ms", "data_bytes",
+                                       "bound_factor", "weight"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_numbers(self, field, bad):
+        values = dict(name="x", task_class=TaskClass.LATENCY_TOLERANT, base_service_ms=100.0,
+                      mobile_ms=500.0, cloud_ms=100.0, data_bytes=0.0, bound_factor=4.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"benchmark x: {field} must be finite"):
+            Benchmark(**values)
 
     def test_bound_scales_with_service_time(self):
         b = Benchmark("x", TaskClass.LATENCY_TOLERANT, 100.0, 500.0, 100.0, 0.0, bound_factor=4.0)
