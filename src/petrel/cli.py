@@ -47,6 +47,14 @@ def _check_policy_fits(config: EdgeCloudConfig, scheduler: str) -> None:
         )
 
 
+def _check_has_tasks(config: EdgeCloudConfig, command: str) -> None:
+    # generate may write an empty trace; a run over one has no metrics
+    if config.task_count < 1:
+        raise ConfigError(
+            f"trace.task_count: {command} needs at least 1 task, got {config.task_count}"
+        )
+
+
 def _record_row(r: TaskRecord) -> list[str]:
     if r.bound_violated is None:
         violated = ""
@@ -145,6 +153,7 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
     """
     if not schedulers or not lambdas or not replicates:
         raise ConfigError("compare needs at least one scheduler, one lambda, one seed")
+    _check_has_tasks(config, "compare")
     for name in schedulers:
         if name not in SCHEDULER_NAMES:
             raise ConfigError(
@@ -289,7 +298,10 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args, config)
     if args.trace is not None:
         trace = load_trace(args.trace)
+        if not trace:
+            raise TraceFormatError(f"{args.trace}: the trace has no tasks")
     else:
+        _check_has_tasks(config, "run")
         trace = generate_trace(config.trace_spec(seed=derive_seed(seed, "trace")))
     result = simulate(config, trace, args.scheduler, seed)
     summary = summarize(result.records, result.topology)

@@ -1,7 +1,9 @@
 """Deterministic discrete-event simulation of an edge-cloud.
 
 The engine advances a virtual clock over task arrivals and delay
-wake-ups, the only moments a decision is made.  Each cloudlet keeps one
+wake-ups, the only moments a decision is made.  Arrivals are read from
+the sorted trace in order and merged with a heap that holds only the
+wake-ups; at an equal time the arrival goes first.  Each cloudlet keeps one
 ready time per VM in a min heap; committing a task pops the earliest
 VM, starts the task at ``max(now, ready)``, and pushes the ready time
 back.  A task's completion is fixed at commit, so completions are
@@ -106,20 +108,20 @@ class VmSchedule:
             raise ValueError(
                 f"stale read at {when} is older than the pruned horizon {self._horizon}"
             )
-        self._advance(when)
+        self._horizon = when
+        log = self._log
+        if log and log[0][0] <= when:
+            self._fold(when)
         return self._stale_min
 
-    def _advance(self, horizon: float) -> None:
+    def _fold(self, horizon: float) -> None:
         # the last commit per VM at or before the horizon wins
-        if horizon > self._horizon:
-            self._horizon = horizon
         log = self._log
-        if log and log[0][0] <= horizon:
-            stale = self._stale
-            while log and log[0][0] <= horizon:
-                _, vm_index, ready = log.popleft()
-                stale[vm_index] = ready
-            self._stale_min = min(stale)
+        stale = self._stale
+        while log and log[0][0] <= horizon:
+            _, vm_index, ready = log.popleft()
+            stale[vm_index] = ready
+        self._stale_min = min(stale)
 
     def has_idle_vm(self, now: float) -> bool:
         return self.earliest_ready() <= now
@@ -133,13 +135,17 @@ class VmSchedule:
         start = max(now, ready)
         new_ready = start + exec_time
         heapq.heappush(self._heap, (new_ready, vm_index))
-        self._log.append((now, vm_index, new_ready))
-        self._advance(now - self._staleness)
+        log = self._log
+        log.append((now, vm_index, new_ready))
+        horizon = now - self._staleness
+        if horizon > self._horizon:
+            self._horizon = horizon
+        if log[0][0] <= horizon:
+            self._fold(horizon)
         return start, vm_index
 
 
-@dataclass(frozen=True)
-class TaskRecord:
+class TaskRecord(NamedTuple):
     """Final outcome of one task; the input to every metric."""
 
     task_id: int
@@ -205,21 +211,22 @@ def _placement_times(task: Task, route: _Route) -> tuple[float, float]:
     return task.base_service_time / speed_factor, comm
 
 
-class _RouteCache(dict):
-    """(daemon_id, executor_id) -> :func:`_placement_route`, filled on first use.
+class _RouteRow(dict):
+    """executor_id -> :func:`_placement_route` from one daemon, filled on first use.
 
     A missing redirect RTT raises at the first use of that pair and is
-    not cached, so every later use raises again.
+    not cached, so every later use raises again; an unknown executor
+    raises ``KeyError``.
     """
 
-    def __init__(self, topology: EdgeCloud):
+    def __init__(self, topology: EdgeCloud, daemon: Cloudlet):
         super().__init__()
         self._topology = topology
+        self._daemon = daemon
 
-    def __missing__(self, key: tuple[int, int]) -> _Route:
-        daemon_id, executor_id = key
-        route = _placement_route(self._topology.get(daemon_id), self._topology.get(executor_id))
-        self[key] = route
+    def __missing__(self, executor_id: int) -> _Route:
+        route = _placement_route(self._daemon, self._topology.get(executor_id))
+        self[executor_id] = route
         return route
 
 
@@ -272,13 +279,15 @@ class ClusterView:
     (``probe_latency`` old); the daemon always sees its own live state.
     """
 
-    __slots__ = ("now", "daemon_id", "_task", "_sim")
+    __slots__ = ("now", "daemon_id", "_task", "_sim", "_horizon")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self.now = now
         self.daemon_id = task.daemon_id
         self._task = task
         self._sim = sim
+        # the instant stale probes read; None when every probe reads live state
+        self._horizon = None if sim.probe_latency <= 0 else max(0.0, now - sim.probe_latency)
 
     @property
     def cloudlet_ids(self) -> tuple[int, ...]:
@@ -288,11 +297,11 @@ class ClusterView:
         sim = self._sim
         now = self.now
         vms = sim.vm_schedules[cloudlet_id]
-        if cloudlet_id == self.daemon_id or sim.probe_latency <= 0:
+        if cloudlet_id == self.daemon_id or self._horizon is None:
             ready = vms.earliest_ready()
         else:
-            ready = vms.earliest_ready_asof(max(0.0, now - sim.probe_latency))
-        exec_time, comm = _placement_times(self._task, sim.routes[self.daemon_id, cloudlet_id])
+            ready = vms.earliest_ready_asof(self._horizon)
+        exec_time, comm = _placement_times(self._task, sim.routes[self.daemon_id][cloudlet_id])
         return ProbeResult(cloudlet_id, max(now, ready) + exec_time + comm, ready <= now)
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
@@ -300,7 +309,7 @@ class ClusterView:
         sim = self._sim
         daemon_id = self.daemon_id
         start = max(self.now + delay, sim.vm_schedules[daemon_id].earliest_ready())
-        exec_time, comm = _placement_times(self._task, sim.routes[daemon_id, daemon_id])
+        exec_time, comm = _placement_times(self._task, sim.routes[daemon_id][daemon_id])
         return start + exec_time + comm
 
 
@@ -326,7 +335,8 @@ class Simulation:
         self.vm_schedules: dict[int, VmSchedule] = {
             c.id: VmSchedule(c.vm_count, staleness=staleness) for c in topology
         }
-        self.routes = _RouteCache(topology)
+        # routes[daemon_id][executor_id]: one row per daemon
+        self.routes = {c.id: _RouteRow(topology, c) for c in topology}
         self._allocations = {c.id: Allocation.cloudlet(c.id) for c in topology}
         self._cloud = Allocation.cloud()
         self._sequence = 0
@@ -339,30 +349,36 @@ class Simulation:
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         self._validate_trace(trace)
         tasks = {t.id: t for t in trace}
-        queue: list[Event] = []
-        for task in trace:
-            heapq.heappush(queue, Event(task.arrival_time, self._next_sequence(), ARRIVAL, task.id))
+        # arrivals take sequences first..first+n-1, below every wake-up's, so
+        # at an equal time the next arrival goes before any wake-up
+        first = self._sequence
+        self._sequence += len(trace)
+        wakeups: list[Event] = []
 
         records: dict[int, TaskRecord] = {}
-        delays_taken: dict[int, int] = {t.id: 0 for t in trace}
+        delays_taken: dict[int, int] = dict.fromkeys(tasks, 0)
         decisions: list[DecisionEntry] = []
         events: list[Event] = []
-        clock = 0.0
+        decide = self.scheduler.decide
 
-        while queue:
-            event = heapq.heappop(queue)
-            if event.time < clock:
-                raise SimulationError(
-                    f"causality violation: event at {event.time} before clock {clock}"
-                )
-            clock = event.time
+        # a task has one pending event at a time (its arrival or its one
+        # wake-up), so no task is decided after it was placed
+        def step(event: Event, task: Task) -> None:
+            now = event.time
             events.append(event)
-            task = tasks[event.task_id]
-            if task.id in records:
-                raise SimulationError(f"task {task.id} scheduled twice")
-            decision = self.scheduler.decide(task, ClusterView(self, task, clock))
-            decisions.append(DecisionEntry(clock, task.id, decision))
-            self._apply(decision, task, clock, queue, records, delays_taken)
+            decision = decide(task, ClusterView(self, task, now))
+            decisions.append(DecisionEntry(now, task.id, decision))
+            self._apply(decision, task, now, wakeups, records, delays_taken)
+
+        for sequence, task in enumerate(trace, first):
+            arrival = task.arrival_time
+            while wakeups and wakeups[0].time < arrival:
+                event = heapq.heappop(wakeups)
+                step(event, tasks[event.task_id])
+            step(Event(arrival, sequence, ARRIVAL, task.id), task)
+        while wakeups:
+            event = heapq.heappop(wakeups)
+            step(event, tasks[event.task_id])
 
         ordered = [records[t.id] for t in trace]
         return SimulationResult(ordered, decisions, events, self.topology)
@@ -384,31 +400,23 @@ class Simulation:
                     f"task {task.id} names unknown daemon cloudlet {task.daemon_id}"
                 )
 
-    def _apply(self, decision, task, now, queue, records, delays_taken) -> None:
+    def _apply(self, decision, task, now, wakeups, records, delays_taken) -> None:
         if isinstance(decision, Assign):
             executor_id = decision.cloudlet_id
             try:
-                route = self.routes[task.daemon_id, executor_id]
+                route = self.routes[task.daemon_id][executor_id]
             except KeyError:
                 raise SimulationError(
                     f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
                 ) from None
-            exec_time, comm = _placement_times(task, route)
-            start, _ = self.vm_schedules[executor_id].commit(now, exec_time)
-            completion = start + exec_time + comm
-            self._record(
-                records, task, self._allocations[executor_id], now, start, completion,
-                exec_time, delays_taken[task.id],
-            )
+            service_time, comm = _placement_times(task, route)
+            start, _ = self.vm_schedules[executor_id].commit(now, service_time)
+            allocation = self._allocations[executor_id]
         elif isinstance(decision, AssignCloud):
-            daemon = self.topology.get(task.daemon_id)
-            bd = completion_time_cloud(task, daemon.net)
+            bd = completion_time_cloud(task, self.topology.get(task.daemon_id).net)
             start = now
-            completion = start + bd.exec + bd.comm
-            self._record(
-                records, task, self._cloud, now, start, completion,
-                bd.exec, delays_taken[task.id],
-            )
+            service_time, comm = bd.exec, bd.comm
+            allocation = self._cloud
         elif isinstance(decision, Delay):
             delays_taken[task.id] += 1
             if delays_taken[task.id] > self.max_delays:
@@ -416,31 +424,20 @@ class Simulation:
                     f"task {task.id} delayed more than max_delays={self.max_delays};"
                     " the bound check should have terminated this"
                 )
-            heapq.heappush(queue, schedule_delay(task, decision.duration, now,
-                                                 self._next_sequence()))
+            heapq.heappush(wakeups, schedule_delay(task, decision.duration, now,
+                                                   self._next_sequence()))
+            return
         else:
             raise SimulationError(f"scheduler returned unknown decision {decision!r}")
-
-    def _record(self, records, task, allocation, assign_time, start, completion,
-                service_time, delays) -> None:
+        completion = start + service_time + comm
         turnaround = completion - task.arrival_time
         violated = None
         if task.task_class is TaskClass.LATENCY_TOLERANT:
             violated = turnaround > task.latency_bound
         records[task.id] = TaskRecord(
-            task_id=task.id,
-            task_class=task.task_class,
-            daemon_id=task.daemon_id,
-            allocation=allocation,
-            arrival_time=task.arrival_time,
-            assign_time=assign_time,
-            start_time=start,
-            completion_time=completion,
-            turnaround=turnaround,
-            service_time=service_time,
-            speedup=task.mobile_exec_time / turnaround,
-            delays_taken=delays,
-            bound_violated=violated,
+            task.id, task.task_class, task.daemon_id, allocation, task.arrival_time,
+            now, start, completion, turnaround, service_time,
+            task.mobile_exec_time / turnaround, delays_taken[task.id], violated,
         )
 
 

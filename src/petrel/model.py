@@ -28,10 +28,15 @@ class TaskClass(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "TaskClass":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValueError(f"unknown task class {token!r} (expected 'sensitive' or 'tolerant')")
+        try:
+            return _TASK_CLASS_BY_TOKEN[token]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"unknown task class {token!r} (expected 'sensitive' or 'tolerant')"
+            ) from None
+
+
+_TASK_CLASS_BY_TOKEN = {member.value: member for member in TaskClass}
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,15 @@ class Task:
     benchmark: str = ""
 
     def __post_init__(self) -> None:
+        bound = self.latency_bound
+        if not (isfinite(self.arrival_time) and isfinite(self.base_service_time)
+                and isfinite(self.mobile_exec_time) and isfinite(self.cloud_exec_time)
+                and isfinite(self.data_volume) and (bound is None or isfinite(bound))):
+            # one test on the common path; name the field only on failure
+            for name in _TASK_FLOAT_FIELDS:
+                value = getattr(self, name)
+                if value is not None and not isfinite(value):
+                    raise ValueError(f"task {self.id}: {name} must be finite")
         if self.arrival_time < 0:
             raise ValueError(f"task {self.id}: arrival_time must be >= 0")
         if self.base_service_time <= 0:
@@ -79,6 +93,10 @@ class Task:
         if self.latency_bound is None:
             return None
         return self.arrival_time + self.latency_bound
+
+
+_TASK_FLOAT_FIELDS = ("arrival_time", "base_service_time", "mobile_exec_time",
+                      "cloud_exec_time", "data_volume", "latency_bound")
 
 
 @dataclass(frozen=True)

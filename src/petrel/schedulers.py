@@ -19,6 +19,7 @@ Policy names, as accepted on the command line:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -57,7 +58,13 @@ class ProbeResult(NamedTuple):
     has_idle_vm: bool
 
 
-def sample_two(cloudlet_ids: Sequence[int], daemon_id: int,
+@lru_cache(maxsize=1024)
+def _peers(cloudlet_ids: tuple[int, ...], daemon_id: int) -> tuple[int, ...]:
+    """The cloudlets other than the daemon, in id-tuple order, kept per daemon."""
+    return tuple(c for c in cloudlet_ids if c != daemon_id)
+
+
+def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
                rng: np.random.Generator) -> tuple[int, ...]:
     """Two distinct non-daemon cloudlets, uniform without replacement.
 
@@ -69,7 +76,7 @@ def sample_two(cloudlet_ids: Sequence[int], daemon_id: int,
     node; with none there is nothing to probe and the topology is too
     small for sampling policies.
     """
-    others = [c for c in cloudlet_ids if c != daemon_id]
+    others = _peers(cloudlet_ids, daemon_id)
     n = len(others)
     if not n:
         raise ValueError(

@@ -262,9 +262,10 @@ def load_trace(path) -> list[Task]:
                 raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
             last_arrival = arrival
             daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
-            task_class = TaskClass.from_token(row[4]) if row[4] in ("sensitive", "tolerant") else None
-            if task_class is None:
-                raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive' or 'tolerant', got {row[4]!r}")
+            try:
+                task_class = TaskClass.from_token(row[4])
+            except ValueError:
+                raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive' or 'tolerant', got {row[4]!r}") from None
             values = {}
             for name, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), row[5:8]):
                 v = _parse_field(row_num, name, raw)

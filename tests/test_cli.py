@@ -253,9 +253,9 @@ class TestSeedPrecedence:
         assert a.read_bytes() == b.read_bytes()
 
 
-def run_cli_subprocess(args):
+def run_cli_subprocess(args, extra_env=None):
     src = os.path.dirname(os.path.dirname(petrel.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **(extra_env or {}))
     return subprocess.run([sys.executable, "-m", "petrel.cli", *args],
                           capture_output=True, text=True, env=env)
 
@@ -324,6 +324,89 @@ class TestExitCodes:
             code = main(["run", "--scheduler", name, "--config", str(lone),
                          "--out", str(tmp_path / name)])
             assert code == 0
+
+
+TRACE_HEADER = ("task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mobile_ms,"
+                "cloud_ms,data_bytes,bound_ms\n")
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def error_path(case, code, prefix, argv, env=None):
+    """One CLI failure: ``argv(tmp_dir)`` must exit ``code`` with one stderr line.
+
+    ``prefix`` starts that line; ``{dir}`` in it stands for the scratch directory.
+    """
+    return pytest.param(code, prefix, argv, env or {}, id=case)
+
+
+ERROR_PATHS = [
+    error_path("run-zero-tasks", 2, "error: trace.task_count:",
+               lambda d: ["run", "--scheduler", "daa", "--tasks", "0"]),
+    error_path("run-header-only-trace", 2, "error: {dir}/empty.csv: the trace has no tasks",
+               lambda d: ["run", "--scheduler", "daa",
+                          "--trace", _write(d, "empty.csv", TRACE_HEADER)]),
+    error_path("compare-zero-tasks", 2, "error: trace.task_count:",
+               lambda d: ["compare", "--tasks", "0", "--seeds", "1"]),
+    error_path("missing-trace", 1, "i/o error:",
+               lambda d: ["run", "--scheduler", "daa", "--trace", str(d / "absent.csv")]),
+    error_path("malformed-trace", 2, "error: line 1:",
+               lambda d: ["run", "--scheduler", "daa",
+                          "--trace", _write(d, "bad.csv", "not,a,trace\n")]),
+    error_path("non-finite-trace-field", 2, "error: line 2: field 'arrival_ms'",
+               lambda d: ["run", "--scheduler", "daa", "--trace",
+                          _write(d, "nan.csv", TRACE_HEADER + "0,nan,0,x,sensitive,1,1,1,0,\n")]),
+    error_path("unknown-trace-class", 2, "error: line 2: field 'class'",
+               lambda d: ["run", "--scheduler", "daa", "--trace",
+                          _write(d, "cls.csv", TRACE_HEADER + "0,1,0,x,urgent,1,1,1,0,\n")]),
+    error_path("unknown-daemon", 1, "simulation failed:",
+               lambda d: ["run", "--scheduler", "daemon-only", "--trace",
+                          _write(d, "far.csv", TRACE_HEADER + "0,1,99,x,sensitive,1,1,1,0,\n")]),
+    error_path("missing-config", 2, "error: cannot read config",
+               lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
+    error_path("bad-config-value", 2, "error: cloudlets.count:",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),
+    error_path("non-finite-config", 2, "error: network.cloud_rtt_ms:",
+               lambda d: ["run", "--scheduler", "daa", "--tasks", "5", "--config",
+                          _write(d, "c.yaml", "network:\n  cloud_rtt_ms: .inf\n")]),
+    error_path("single-cloudlet-sampling", 2, "error: cloudlets.count:",
+               lambda d: ["run", "--scheduler", "two-choices", "--tasks", "5", "--config",
+                          _write(d, "c.yaml", "cloudlets:\n  count: 1\n")]),
+    error_path("negative-task-count", 2, "error: trace.task_count:",
+               lambda d: ["generate", "--tasks", "-1"]),
+    error_path("bad-lambda", 2, "error: --lambda:",
+               lambda d: ["compare", "--lambda", "inf", "--seeds", "1"]),
+    error_path("empty-seed-range", 2, "error: --seeds",
+               lambda d: ["compare", "--seeds", "5..1"]),
+    error_path("unknown-compare-scheduler", 2, "error: unknown scheduler",
+               lambda d: ["compare", "--scheduler", "random", "--seeds", "1"]),
+    error_path("bad-env-seed", 2, "error: PETREL_SEED",
+               lambda d: ["generate", "--tasks", "1"], env={"PETREL_SEED": "abc"}),
+]
+
+
+class TestEveryErrorPath:
+    @pytest.mark.parametrize("code, prefix, argv, env", ERROR_PATHS)
+    def test_one_line_and_the_documented_exit_code(self, tmp_path, code, prefix, argv, env):
+        proc = run_cli_subprocess(argv(tmp_path) + ["--out", str(tmp_path / "out")], env)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix.format(dir=tmp_path))
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "--scheduler", "fifo"],
+                                      ["compare", "--format", "xml"], ["simulate"]])
+    def test_usage_errors_exit_2_without_a_traceback(self, argv):
+        proc = run_cli_subprocess(argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: petrel")
+        assert ": error: " in proc.stderr.splitlines()[-1]
 
 
 class TestNonFiniteConfig:

@@ -6,7 +6,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import make_cloudlet, make_net, make_task, make_topology
@@ -31,6 +31,8 @@ from petrel.schedulers import (
     DaemonOnlyScheduler,
     Delay,
     RoundRobinScheduler,
+    SAMPLING_SCHEDULERS,
+    SCHEDULER_NAMES,
     make_scheduler,
 )
 from replay_oracle import ReplayOracle
@@ -484,14 +486,7 @@ class TestReplayAgreement:
 
         result = Simulation(topo, build(), probe_latency=latency).run(trace)
         replay = ReplayOracle(topo, probe_latency=latency).run(trace, build())
-        assert len(result.records) == len(replay)
-        for got, want in zip(result.records, replay):
-            assert got.task_id == want.task_id
-            assert got.allocation.executor_label == want.executor
-            assert got.assign_time == want.assign_time
-            assert got.start_time == want.start_time
-            assert got.completion_time == want.completion_time
-            assert got.delays_taken == want.delays_taken
+        assert_matches_the_oracle(result, replay)
 
 
 class TestSimulateEntryPoint:
@@ -669,3 +664,86 @@ class TestProbeMatchesTheModel:
         bd = completion_time_daemon(task, daemon, 0.0)
         ready = sim.vm_schedules[daemon.id].earliest_ready()
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + bd.exec + bd.comm
+
+
+# Times on a 125 ms grid make ties: between arrivals (zero gaps), between a
+# stale-read horizon and a commit, and between a delay wake-up and an arrival.
+GRID = 125.0
+arrival_gaps = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: GRID * k))
+
+
+@st.composite
+def oracle_runs(draw):
+    """A policy, a random topology and a trace with arrival-time ties."""
+    name = draw(st.sampled_from(SCHEDULER_NAMES))
+    count = draw(st.integers(2 if name in SAMPLING_SCHEDULERS else 1, 4))
+    cloudlets = []
+    for i in range(count):
+        if draw(st.booleans()):
+            remote = draw(st.floats(0.0, 90.0, allow_nan=False))
+        else:
+            remote = {j: draw(st.floats(0.0, 90.0, allow_nan=False))
+                      for j in range(count) if j != i}
+        net = make_net(daemon_rtt=draw(st.floats(0.0, 30.0, allow_nan=False)),
+                       cloudlet_bandwidth=draw(st.floats(100.0, 20000.0, allow_nan=False)),
+                       remote_rtt=remote)
+        cloudlets.append(make_cloudlet(i, vm_count=draw(st.integers(1, 3)),
+                                       speed_factor=draw(speed_factors), net=net))
+    trace = []
+    now = 0.0
+    for task_id in range(draw(st.integers(1, 25))):
+        tolerant = draw(st.booleans())
+        trace.append(make_task(
+            task_id=task_id,
+            daemon_id=draw(st.integers(0, count - 1)),
+            arrival_time=now,
+            task_class="tolerant" if tolerant else "sensitive",
+            base_service_time=draw(st.floats(100.0, 5000.0, allow_nan=False)),
+            data_volume=draw(st.floats(0.0, 3e6, allow_nan=False)),
+            latency_bound=draw(st.floats(100.0, 20000.0, allow_nan=False)) if tolerant else None,
+        ))
+        now += draw(arrival_gaps)  # the first task arrives at 0, inside every probe window
+    latency = draw(st.one_of(st.just(0.0), st.integers(1, 16).map(lambda k: GRID * k),
+                             st.floats(1.0, 3000.0, allow_nan=False)))
+    quantum = draw(st.one_of(st.integers(1, 4).map(lambda k: GRID * k),
+                             st.floats(50.0, 500.0, allow_nan=False)))
+    return name, make_topology(*cloudlets), trace, latency, quantum, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_matches_the_oracle(result, replay):
+    assert len(result.records) == len(replay)
+    for got, want in zip(result.records, replay):
+        assert got.task_id == want.task_id
+        assert got.allocation.executor_label == want.executor
+        assert got.assign_time == want.assign_time
+        assert got.start_time == want.start_time
+        assert got.completion_time == want.completion_time
+        assert got.delays_taken == want.delays_taken
+
+
+class TestOracleOnRandomTopologies:
+    @settings(max_examples=300)  # stale-read edge cases need a few hundred runs to show
+    @given(oracle_runs())
+    def test_whole_runs_match_the_replay_oracle(self, run):
+        name, topo, trace, latency, quantum, seed = run
+
+        def build():
+            return make_scheduler(name, rng=np.random.default_rng(seed), delay_quantum=quantum)
+
+        result = Simulation(topo, build(), probe_latency=latency).run(trace)
+        replay = ReplayOracle(topo, probe_latency=latency).run(trace, build())
+        assert_matches_the_oracle(result, replay)
+
+    def test_an_arrival_is_decided_before_a_wakeup_at_the_same_instant(self):
+        topo = small_topology(vms=1, count=2)
+        trace = [
+            make_task(task_id=0, arrival_time=0.0, task_class="tolerant", latency_bound=5000.0),
+            make_task(task_id=1, arrival_time=100.0),
+        ]
+        script = [Delay(100.0), Assign(1), Assign(0)]  # the wake-up lands at 100.0
+        result = Simulation(topo, Scripted(script)).run(trace)
+        assert [(d.time, d.task_id) for d in result.decisions] == [(0.0, 0), (100.0, 1), (100.0, 0)]
+        assert [(e.time, e.kind, e.task_id) for e in result.events] == [
+            (0.0, ARRIVAL, 0), (100.0, ARRIVAL, 1), (100.0, DELAY_EXPIRED, 0)]
+        assert [r.allocation.executor_label for r in result.records] == ["0", "1"]
+        assert_matches_the_oracle(result, ReplayOracle(topo).run(trace, Scripted(script)))

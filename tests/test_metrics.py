@@ -37,6 +37,23 @@ def record(
     )
 
 
+class TestTaskRecord:
+    def test_positional_and_keyword_records_agree(self):
+        by_keyword = record(3, cloudlet=1, completion=900.0, turnaround=800.0, service=400.0)
+        positional = TaskRecord(3, TaskClass.LATENCY_SENSITIVE, 1, Allocation.cloudlet(1), 0.0,
+                                0.0, 0.0, 900.0, 800.0, 400.0, 1.0, 0, None)
+        assert positional == by_keyword
+        assert TaskRecord._fields == (
+            "task_id", "task_class", "daemon_id", "allocation", "arrival_time", "assign_time",
+            "start_time", "completion_time", "turnaround", "service_time", "speedup",
+            "delays_taken", "bound_violated")
+        assert positional.weighted_turnaround == 2.0
+
+    def test_records_are_immutable(self):
+        with pytest.raises(AttributeError):
+            record().turnaround = 1.0
+
+
 class TestAwt:
     def test_mean_of_weighted_turnarounds(self):
         records = [

@@ -178,6 +178,36 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             make_task(task_class="tolerant")
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_arrival_time(self, bad):
+        with pytest.raises(ValueError, match="task 0: arrival_time must be finite"):
+            make_task(arrival_time=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_base_service_time(self, bad):
+        with pytest.raises(ValueError, match="task 0: base_service_time must be finite"):
+            make_task(base_service_time=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mobile_exec_time(self, bad):
+        with pytest.raises(ValueError, match="task 0: mobile_exec_time must be finite"):
+            make_task(mobile_exec_time=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_cloud_exec_time(self, bad):
+        with pytest.raises(ValueError, match="task 0: cloud_exec_time must be finite"):
+            make_task(cloud_exec_time=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_data_volume(self, bad):
+        with pytest.raises(ValueError, match="task 0: data_volume must be finite"):
+            make_task(data_volume=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_latency_bound(self, bad):
+        with pytest.raises(ValueError, match="task 0: latency_bound must be finite"):
+            make_task(task_class="tolerant", latency_bound=bad)
+
     def test_sensitive_forbids_bound(self):
         with pytest.raises(ValueError):
             make_task(task_class="sensitive", latency_bound=1000.0)
@@ -192,6 +222,11 @@ class TestTaskValidation:
         assert TaskClass.from_token("tolerant") is TaskClass.LATENCY_TOLERANT
         with pytest.raises(ValueError):
             TaskClass.from_token("urgent")
+
+    @pytest.mark.parametrize("token", ["urgent", "", "Sensitive", None, ["tolerant"]])
+    def test_unknown_class_tokens_name_the_choices(self, token):
+        with pytest.raises(ValueError, match="unknown task class .*'sensitive' or 'tolerant'"):
+            TaskClass.from_token(token)
 
 
 class TestNetworkValidation:
