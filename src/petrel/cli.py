@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 from .config import ConfigError, EdgeCloudConfig, build_topology, load_config
-from .engine import SimulationError, TaskRecord, simulate
+from .engine import SimulationError, simulate
 from .metrics import RunSummary, summarize
 from .schedulers import SAMPLING_SCHEDULERS, SCHEDULER_NAMES
 from .seeding import derive_seed
@@ -55,34 +55,20 @@ def _check_has_tasks(config: EdgeCloudConfig, command: str) -> None:
         )
 
 
-def _record_row(r: TaskRecord) -> list[str]:
-    if r.bound_violated is None:
-        violated = ""
-    else:
-        violated = "true" if r.bound_violated else "false"
-    return [
-        str(r.task_id),
-        r.task_class.token,
-        str(r.daemon_id),
-        r.allocation.executor_label,
-        format_number(r.assign_time),
-        format_number(r.start_time),
-        format_number(r.completion_time),
-        format_number(r.turnaround),
-        format_number(r.service_time),
-        format_number(r.weighted_turnaround),
-        format_number(r.speedup),
-        str(r.delays_taken),
-        violated,
-    ]
-
-
 def write_records_csv(records, path) -> None:
+    # no field can need quoting (numbers, class tokens, "cloud", true/false),
+    # so joined lines are the bytes csv.writer would write
+    fmt = format_number
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(_record_row(r))
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
+        fh.writelines(
+            f"{r.task_id},{r.task_class.token},{r.daemon_id},{r.allocation.executor_label},"
+            f"{fmt(r.assign_time)},{fmt(r.start_time)},{fmt(r.completion_time)},"
+            f"{fmt(r.turnaround)},{fmt(r.service_time)},{fmt(r.weighted_turnaround)},"
+            f"{fmt(r.speedup)},{r.delays_taken},"
+            f"{'' if r.bound_violated is None else 'true' if r.bound_violated else 'false'}\n"
+            for r in records
+        )
 
 
 def _summary_scalars(summary: RunSummary) -> dict[str, float | int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import isfinite, nextafter
+from math import inf, isfinite, nextafter
 from typing import Sequence
 
 import numpy as np
@@ -142,37 +142,64 @@ def generate_arrivals(arrival_rate: float, count: int, seed: int,
     return arrivals
 
 
+def _mix_by_loop(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
+    """Benchmark pick and daemon id of every task, one task at a time."""
+    rng = new_rng(spec.seed, "mix")
+    picks: list[int] = []
+    daemons: list[int] = []
+    for _ in range(spec.task_count):
+        picks.append(bisect_right(cdf, rng.random()))
+        daemons.append(int(rng.integers(0, spec.cloudlet_count)))
+    return picks, daemons
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mix(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
+    """What :func:`_mix_by_loop` draws, from one ``random_raw`` batch.
+
+    PCG64's ``random()`` is ``(word >> 11) * 2**-53`` of a whole word, and
+    ``integers(0, k)`` is Lemire's method on a 32-bit half: the low half of
+    a fresh word, then the buffered high half, so two tasks take the words
+    ``[u0, halves, u1]``.  A rejected Lemire draw would take another half
+    and shift the rest, so it falls back to the loop, as does a k above
+    ``2**32``, which numpy draws from whole words.
+    """
+    n, k = spec.task_count, spec.cloudlet_count
+    if k > 2**32:
+        return _mix_by_loop(spec, cdf)
+    raw = new_rng(spec.seed, "mix").bit_generator.random_raw
+    if k == 1:  # integers(0, 1) draws nothing
+        words, daemons = raw(n), [0] * n
+    else:
+        triples = raw(3 * ((n + 1) // 2)).reshape(-1, 3)
+        words = triples[:, ::2].ravel()[:n]
+        halves = triples[:, 1]
+        scaled = np.column_stack((halves & _LOW32, halves >> 32)).ravel()[:n] * np.uint64(k)
+        if ((scaled & _LOW32) < 2**32 % k).any():
+            return _mix_by_loop(spec, cdf)
+        daemons = (scaled >> 32).tolist()
+    return np.searchsorted(cdf, (words >> 11) * 2.0**-53, side="right").tolist(), daemons
+
+
 def generate_trace(spec: TraceSpec) -> list[Task]:
     """Draw a full task trace from ``spec``, reproducible from its seed."""
     arrivals = generate_arrivals(
         spec.arrival_rate, spec.task_count, derive_seed(spec.seed, "arrivals"), spec.time_unit_ms
     )
-    rng = new_rng(spec.seed, "mix")
-    cdf: list[float] = []
-    if spec.task_count:
-        # the cdf ``rng.choice(k, p=weights)`` builds on every call, built once;
-        # bisecting one uniform draw into it picks the same benchmark
-        c = spec.normalized_weights().cumsum()
-        c /= c[-1]
-        cdf = c.tolist()
+    if not arrivals:
+        return []
+    # the cdf ``rng.choice(k, p=weights)`` builds on every call, built once;
+    # bisecting one uniform draw into it picks the same benchmark
+    cdf = spec.normalized_weights().cumsum()
+    cdf /= cdf[-1]
+    profiles = [(b.task_class, b.base_service_ms, b.mobile_ms, b.cloud_ms, b.data_bytes,
+                 b.latency_bound_ms, b.name) for b in spec.catalog]
     tasks: list[Task] = []
-    for i, arrival in enumerate(arrivals):
-        bench = spec.catalog[bisect_right(cdf, rng.random())]
-        daemon = int(rng.integers(0, spec.cloudlet_count))
-        tasks.append(
-            Task(
-                id=i,
-                arrival_time=arrival,
-                daemon_id=daemon,
-                task_class=bench.task_class,
-                base_service_time=bench.base_service_ms,
-                mobile_exec_time=bench.mobile_ms,
-                cloud_exec_time=bench.cloud_ms,
-                data_volume=bench.data_bytes,
-                latency_bound=bench.latency_bound_ms,
-                benchmark=bench.name,
-            )
-        )
+    for i, (arrival, pick, daemon) in enumerate(zip(arrivals, *_mix(spec, cdf.tolist()))):
+        task_class, base, mobile, cloud, data, bound, name = profiles[pick]
+        tasks.append(Task(i, arrival, daemon, task_class, base, mobile, cloud, data, bound, name))
     return tasks
 
 
@@ -201,24 +228,17 @@ def format_number(x: float) -> str:
 
 def save_trace(trace: Sequence[Task], path) -> None:
     """Write a trace CSV in the fixed column order."""
+    # csv.writer stays: a benchmark name is free text and may need quoting
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for t in trace:
-            writer.writerow(
-                [
-                    t.id,
-                    format_number(t.arrival_time),
-                    t.daemon_id,
-                    t.benchmark,
-                    t.task_class.token,
-                    format_number(t.base_service_time),
-                    format_number(t.mobile_exec_time),
-                    format_number(t.cloud_exec_time),
-                    format_number(t.data_volume),
-                    "" if t.latency_bound is None else format_number(t.latency_bound),
-                ]
-            )
+        writer.writerows(
+            (t.id, format_number(t.arrival_time), t.daemon_id, t.benchmark, t.task_class.token,
+             format_number(t.base_service_time), format_number(t.mobile_exec_time),
+             format_number(t.cloud_exec_time), format_number(t.data_volume),
+             "" if t.latency_bound is None else format_number(t.latency_bound))
+            for t in trace
+        )
 
 
 def _parse_field(row_num: int, name: str, raw: str, kind=float):
@@ -231,6 +251,42 @@ def _parse_field(row_num: int, name: str, raw: str, kind=float):
     return value
 
 
+def _parse_row(row_num: int, row: list[str], seen_ids: set[int], last_arrival: float) -> Task:
+    """One row, checked field by field in column order: the first fault
+    raises, naming its line and field."""
+    if len(row) != len(TRACE_COLUMNS):
+        raise TraceFormatError(
+            f"line {row_num}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
+        )
+    task_id = _parse_field(row_num, "task_id", row[0], int)
+    if task_id in seen_ids:
+        raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
+    arrival = _parse_field(row_num, "arrival_ms", row[1])
+    if arrival < last_arrival:
+        raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
+    daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
+    try:
+        task_class = TaskClass.from_token(row[4])
+    except ValueError:
+        raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive' or 'tolerant', got {row[4]!r}") from None
+    values = []
+    for name, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), row[5:8]):
+        v = _parse_field(row_num, name, raw)
+        if v <= 0:
+            raise TraceFormatError(f"line {row_num}: field {name!r} must be > 0, got {raw}")
+        values.append(v)
+    data_bytes = _parse_field(row_num, "data_bytes", row[8])
+    if data_bytes < 0:
+        raise TraceFormatError(f"line {row_num}: field 'data_bytes' must be >= 0, got {row[8]}")
+    bound = None
+    if row[9] != "":
+        bound = _parse_field(row_num, "bound_ms", row[9])
+    try:
+        return Task(task_id, arrival, daemon_id, task_class, *values, data_bytes, bound, row[3])
+    except ValueError as exc:
+        raise TraceFormatError(f"line {row_num}: {exc}") from None
+
+
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
@@ -238,7 +294,7 @@ def load_trace(path) -> list[Task]:
     """
     tasks: list[Task] = []
     seen_ids: set[int] = set()
-    last_arrival = None
+    last_arrival = -inf
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -249,49 +305,22 @@ def load_trace(path) -> list[Task]:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(TRACE_COLUMNS):
-                raise TraceFormatError(
-                    f"line {row_num}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
-                )
-            task_id = _parse_field(row_num, "task_id", row[0], int)
-            if task_id in seen_ids:
-                raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
-            seen_ids.add(task_id)
-            arrival = _parse_field(row_num, "arrival_ms", row[1])
-            if last_arrival is not None and arrival < last_arrival:
-                raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
-            last_arrival = arrival
-            daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
+            # one pass: Task checks every range and finiteness itself, so a
+            # row that builds is good; a row with any fault goes to
+            # _parse_row, which reports the first faulty field in column order
+            task = None
             try:
-                task_class = TaskClass.from_token(row[4])
+                task_id, arrival, daemon_id, name, token, base, mobile, cloud, data, bound = row
+                task_id, arrival = int(task_id), float(arrival)
+                if task_id not in seen_ids and arrival >= last_arrival:
+                    task = Task(task_id, arrival, int(daemon_id), TaskClass.from_token(token),
+                                float(base), float(mobile), float(cloud), float(data),
+                                None if bound == "" else float(bound), name)
             except ValueError:
-                raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive' or 'tolerant', got {row[4]!r}") from None
-            values = {}
-            for name, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), row[5:8]):
-                v = _parse_field(row_num, name, raw)
-                if v <= 0:
-                    raise TraceFormatError(f"line {row_num}: field {name!r} must be > 0, got {raw}")
-                values[name] = v
-            data_bytes = _parse_field(row_num, "data_bytes", row[8])
-            if data_bytes < 0:
-                raise TraceFormatError(f"line {row_num}: field 'data_bytes' must be >= 0, got {row[8]}")
-            bound = None
-            if row[9] != "":
-                bound = _parse_field(row_num, "bound_ms", row[9])
-            try:
-                task = Task(
-                    id=task_id,
-                    arrival_time=arrival,
-                    daemon_id=daemon_id,
-                    task_class=task_class,
-                    base_service_time=values["base_service_ms"],
-                    mobile_exec_time=values["mobile_ms"],
-                    cloud_exec_time=values["cloud_ms"],
-                    data_volume=data_bytes,
-                    latency_bound=bound,
-                    benchmark=row[3],
-                )
-            except ValueError as exc:
-                raise TraceFormatError(f"line {row_num}: {exc}") from None
+                pass
+            if task is None:
+                task = _parse_row(row_num, row, seen_ids, last_arrival)
+            seen_ids.add(task.id)
+            last_arrival = task.arrival_time
             tasks.append(task)
     return tasks

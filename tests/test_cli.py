@@ -1,17 +1,23 @@
 """End-to-end command-line behaviour, including exit codes and file formats."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import petrel
-from petrel.cli import RECORD_COLUMNS, main
+from petrel.cli import RECORD_COLUMNS, main, write_records_csv
 from petrel.config import EdgeCloudConfig, save_config
-from petrel.workload import load_trace
+from petrel.engine import TaskRecord
+from petrel.model import Allocation, TaskClass
+from petrel.workload import format_number, load_trace
 
 
 @pytest.fixture()
@@ -140,6 +146,68 @@ class TestRun:
                 "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
+
+
+def csv_writer_row(r):
+    """One records.csv row as the csv.writer based writer built it."""
+    if r.bound_violated is None:
+        violated = ""
+    else:
+        violated = "true" if r.bound_violated else "false"
+    return [
+        str(r.task_id),
+        r.task_class.token,
+        str(r.daemon_id),
+        r.allocation.executor_label,
+        format_number(r.assign_time),
+        format_number(r.start_time),
+        format_number(r.completion_time),
+        format_number(r.turnaround),
+        format_number(r.service_time),
+        format_number(r.weighted_turnaround),
+        format_number(r.speedup),
+        str(r.delays_taken),
+        violated,
+    ]
+
+
+times = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 12800.0, 2.0**53 - 1, 2.0**53, -(2.0**53), 1e16, 1e300,
+                     5e-324, 0.1, 1234.000244140625]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+records = st.builds(
+    TaskRecord,
+    task_id=st.integers(0, 2**40),
+    task_class=st.sampled_from(TaskClass),
+    daemon_id=st.integers(0, 1000),
+    allocation=st.one_of(st.just(Allocation.cloud()),
+                         st.integers(0, 1000).map(Allocation.cloudlet)),
+    arrival_time=times,
+    assign_time=times,
+    start_time=times,
+    completion_time=times,
+    turnaround=times,
+    service_time=times.filter(lambda x: x != 0),
+    speedup=times,
+    delays_taken=st.integers(0, 50),
+    bound_violated=st.sampled_from([None, True, False]),
+)
+
+
+class TestRecordsFile:
+    @given(rows=st.lists(records, max_size=8))
+    def test_bytes_equal_csv_writer(self, rows):
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(RECORD_COLUMNS)
+        writer.writerows(csv_writer_row(r) for r in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            write_records_csv(rows, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.getvalue().encode("utf-8")
 
 
 class TestCompare:

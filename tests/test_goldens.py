@@ -41,6 +41,20 @@ RUN_GOLDENS = {
                           "93026db74c41f5ff6cb4c0f5f9b63d4d5dd288bfc936ddf5743747379fd2e0aa"),
 }
 
+# The trace file path: trace.csv of `petrel generate --tasks 2000 --lambda L
+# --seed 1234`, and records.csv of `petrel run --trace <that file>
+# --scheduler P --seed 1234`.  The run goldens above never write a trace.
+TRACE_GOLDENS = {
+    "1": "fa8001d9db8e0690589ed558a8dcc15fabb5e339d0fa8e0b6e0a43ae6c284169",
+    "4": "c394215ab887a7984865f02f741933e5b1c03d8f60baa477a397d63a20c27261",
+}
+TRACE_RUN_GOLDENS = {
+    ("daa", "1"): "347dc35f72c41b45da09af0635437f070fba7dbca7795ec112e196a257de7ecb",
+    ("daemon-only", "1"): "0aa12c95d57e62434d797dcd365a65ade6a75e80e6af1ddb6e1ce3bb1b4e0ae6",
+    ("daa", "4"): "a0c681af8241cff98fbbd7b162e900f538fc518ffc9eba0b9b17e953225b615f",
+    ("daemon-only", "4"): "8426a95fcce1aa63533b215c978908a90e781df2a07c526f26c5a902c5b2f5f4",
+}
+
 # comparison.csv of `petrel compare --seeds 1..3 --seed 1234` (all policies, lambda 1,2).
 COMPARE_GOLDEN = "b1680f580b90eafeeea50c1469566f7102911468f69716c36ba816ede516d6bc"
 
@@ -65,3 +79,29 @@ def test_compare_output_matches_golden(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert sha256(tmp_path / "comparison.csv") == COMPARE_GOLDEN
+
+
+def generate_golden_trace(tmp_path, lam):
+    trace = tmp_path / "trace.csv"
+    code = main(["generate", "--tasks", "2000", "--lambda", lam, "--seed", "1234",
+                 "--trace", str(trace)])
+    assert code == 0
+    return trace
+
+
+@pytest.mark.parametrize("lam", ["1", "4"])
+def test_generated_trace_file_matches_golden(tmp_path, capsys, lam):
+    trace = generate_golden_trace(tmp_path, lam)
+    capsys.readouterr()
+    assert sha256(trace) == TRACE_GOLDENS[lam]
+
+
+@pytest.mark.parametrize("policy", ["daa", "daemon-only"])
+@pytest.mark.parametrize("lam", ["1", "4"])
+def test_run_from_trace_file_matches_golden(tmp_path, capsys, policy, lam):
+    trace = generate_golden_trace(tmp_path, lam)
+    code = main(["run", "--trace", str(trace), "--scheduler", policy, "--seed", "1234",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    capsys.readouterr()
+    assert sha256(tmp_path / "out" / "records.csv") == TRACE_RUN_GOLDENS[(policy, lam)]

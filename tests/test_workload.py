@@ -1,15 +1,20 @@
 """Trace generation and the on-disk trace format."""
 
+import csv
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from petrel import workload
 from petrel.model import Task, TaskClass
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
+    TRACE_COLUMNS,
     Benchmark,
     TraceFormatError,
     TraceSpec,
@@ -118,7 +123,7 @@ class TestTraceGeneration:
 
     @given(
         weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
-        task_count=st.integers(1, 60),
+        task_count=st.integers(1, 300),
         cloudlet_count=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -129,22 +134,7 @@ class TestTraceGeneration:
         )
         s = spec(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count,
                  seed=seed, catalog_weights=tuple(weights))
-        # reference: the draw loop with rng.choice(k, p=weights)
-        arrivals = generate_arrivals(s.arrival_rate, task_count, derive_seed(seed, "arrivals"),
-                                     s.time_unit_ms)
-        rng = new_rng(seed, "mix")
-        p = s.normalized_weights()
-        want = []
-        for i, arrival in enumerate(arrivals):
-            bench = catalog[int(rng.choice(len(catalog), p=p))]
-            daemon = int(rng.integers(0, cloudlet_count))
-            want.append(Task(
-                id=i, arrival_time=arrival, daemon_id=daemon, task_class=bench.task_class,
-                base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
-                cloud_exec_time=bench.cloud_ms, data_volume=bench.data_bytes,
-                latency_bound=bench.latency_bound_ms, benchmark=bench.name,
-            ))
-        assert generate_trace(s) == want
+        assert generate_trace(s) == reference_trace(s)
 
     def test_weights_must_have_a_finite_sum(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite sum"):
@@ -154,6 +144,73 @@ class TestTraceGeneration:
         weights = spec().normalized_weights()
         assert weights.sum() == pytest.approx(1.0)
         assert (weights > 0).all()
+
+
+def reference_trace(s):
+    """The per-task draw loop with ``rng.choice(k, p=weights)`` and ``rng.integers``."""
+    arrivals = generate_arrivals(s.arrival_rate, s.task_count, derive_seed(s.seed, "arrivals"),
+                                 s.time_unit_ms)
+    rng = new_rng(s.seed, "mix")
+    p = s.normalized_weights()
+    want = []
+    for i, arrival in enumerate(arrivals):
+        bench = s.catalog[int(rng.choice(len(s.catalog), p=p))]
+        daemon = int(rng.integers(0, s.cloudlet_count))
+        want.append(Task(
+            id=i, arrival_time=arrival, daemon_id=daemon, task_class=bench.task_class,
+            base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
+            cloud_exec_time=bench.cloud_ms, data_volume=bench.data_bytes,
+            latency_bound=bench.latency_bound_ms, benchmark=bench.name,
+        ))
+    return want
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The calls the batched mix makes when it falls back to the per-task loop."""
+    calls = []
+    loop = workload._mix_by_loop
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(workload, "_mix_by_loop", counted)
+    return calls
+
+
+class TestBatchedMix:
+    """``generate_trace`` takes its mix from one ``random_raw`` batch; it must
+    draw exactly what the ``Generator.random``/``integers`` loop draws."""
+
+    @pytest.mark.parametrize("task_count", [1, 2, 5, 400, 401])
+    @pytest.mark.parametrize("cloudlet_count", [
+        1, 2, 3, 7, 10, 16, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 3,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1234, 2**32 - 1])
+    def test_matches_the_per_task_loop(self, task_count, cloudlet_count, seed):
+        s = spec(task_count=task_count, cloudlet_count=cloudlet_count, seed=seed)
+        assert generate_trace(s) == reference_trace(s)
+
+    @pytest.mark.parametrize("cloudlet_count,falls_back", [
+        (1, False),
+        (10, False),
+        # Lemire's threshold is 2**32 mod k: about half of all draws reject
+        (2**31 + 1, True),
+        (2**32 - 1, False),
+        (2**32, False),
+        # beyond one 32-bit half numpy draws whole words
+        (2**32 + 3, True),
+    ])
+    def test_falls_back_where_the_batch_cannot_follow(self, loop_calls, cloudlet_count,
+                                                      falls_back):
+        s = spec(task_count=300, cloudlet_count=cloudlet_count, seed=1234)
+        assert generate_trace(s) == reference_trace(s)
+        assert len(loop_calls) == int(falls_back)
+
+    def test_no_tasks_draw_nothing(self, loop_calls):
+        assert generate_trace(spec(task_count=0, cloudlet_count=2**32 + 3)) == []
+        assert loop_calls == []
 
 
 class TestBenchmark:
@@ -224,6 +281,29 @@ class TestRoundTrip:
         save_trace(trace, a)
         save_trace(trace, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", 'all, "of"\r\nthem', ""])
+    def test_names_that_need_quoting(self, tmp_path, name):
+        trace = [replace(t, benchmark=name) for t in generate_trace(spec(task_count=6))]
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        assert load_trace(path) == trace
+        assert path.read_bytes() == csv_writer_trace(trace)
+
+
+def csv_writer_trace(trace):
+    """A trace file as one ``csv.writer.writerow`` per task writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for t in trace:
+        writer.writerow([
+            t.id, format_number(t.arrival_time), t.daemon_id, t.benchmark, t.task_class.token,
+            format_number(t.base_service_time), format_number(t.mobile_exec_time),
+            format_number(t.cloud_exec_time), format_number(t.data_volume),
+            "" if t.latency_bound is None else format_number(t.latency_bound),
+        ])
+    return buf.getvalue().encode()
 
 
 HEADER = "task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mobile_ms,cloud_ms,data_bytes,bound_ms"
@@ -303,3 +383,101 @@ class TestLoadErrors:
     def test_blank_lines_are_skipped(self, tmp_path):
         tasks = load_trace(write_lines(tmp_path, HEADER, "", GOOD_ROW))
         assert len(tasks) == 1
+
+
+NEXT_ROW = "1,200,1,face,sensitive,1000,5000,800,2000,"
+
+# rows after the header -> the whole message; the first faulty column of a
+# row wins, and a duplicate id is reported before anything about its arrival
+LOAD_ERROR_MESSAGES = {
+    "task_id not an int": (
+        ["x,100,1,face,sensitive,1000,5000,800,2000,"],
+        "line 2: field 'task_id' is not a valid int: 'x'"),
+    "task_id a float": (
+        ["1.0,100,1,face,sensitive,1000,5000,800,2000,"],
+        "line 2: field 'task_id' is not a valid int: '1.0'"),
+    "daemon_id a float": (
+        ["0,100,1.5,face,sensitive,1000,5000,800,2000,"],
+        "line 2: field 'daemon_id' is not a valid int: '1.5'"),
+    "daemon_id empty": (
+        ["0,100,,face,sensitive,1000,5000,800,2000,"],
+        "line 2: field 'daemon_id' is not a valid int: ''"),
+    "bound_ms not a number": (
+        ["0,100,1,sandwich,tolerant,1000,5000,800,2000,soon"],
+        "line 2: field 'bound_ms' is not a valid float: 'soon'"),
+    "mobile_ms zero": (
+        ["0,100,1,face,sensitive,1000,0,800,2000,"],
+        "line 2: field 'mobile_ms' must be > 0, got 0"),
+    "mobile_ms negative": (
+        ["0,100,1,face,sensitive,1000,-5,800,2000,"],
+        "line 2: field 'mobile_ms' must be > 0, got -5"),
+    "cloud_ms zero": (
+        ["0,100,1,face,sensitive,1000,5000,0,2000,"],
+        "line 2: field 'cloud_ms' must be > 0, got 0"),
+    "cloud_ms negative": (
+        ["0,100,1,face,sensitive,1000,5000,-0.5,2000,"],
+        "line 2: field 'cloud_ms' must be > 0, got -0.5"),
+    "negative arrival": (
+        ["0,-1,1,face,sensitive,1000,5000,800,2000,"],
+        "line 2: task 0: arrival_time must be >= 0"),
+    "sensitive with a bound": (
+        ["0,100,1,face,sensitive,1000,5000,800,2000,4000"],
+        "line 2: task 0: sensitive tasks must not carry a latency_bound"),
+    "tolerant with a zero bound": (
+        ["0,100,1,sandwich,tolerant,1000,5000,800,2000,0"],
+        "line 2: task 0: tolerant tasks need a positive latency_bound"),
+    "field count before task_id": (
+        ["x,100,1"],
+        "line 2: expected 10 fields, got 3"),
+    "arrival before class": (
+        ["0,soon,1,face,urgent,1000,5000,800,2000,"],
+        "line 2: field 'arrival_ms' is not a valid float: 'soon'"),
+    "daemon_id before data_bytes": (
+        ["0,100,x,face,sensitive,1000,5000,800,-1,"],
+        "line 2: field 'daemon_id' is not a valid int: 'x'"),
+    "base_service_ms before mobile_ms": (
+        ["0,100,1,face,sensitive,0,-1,800,2000,"],
+        "line 2: field 'base_service_ms' must be > 0, got 0"),
+    "non-finite mobile_ms before cloud_ms": (
+        ["0,100,1,face,sensitive,1000,nan,0,2000,"],
+        "line 2: field 'mobile_ms' must be finite, got 'nan'"),
+    "class before bound_ms": (
+        ["0,100,1,face,urgent,1000,5000,800,2000,soon"],
+        "line 2: field 'class' must be 'sensitive' or 'tolerant', got 'urgent'"),
+    "field checks before task checks": (
+        ["0,-1,1,face,sensitive,1000,5000,800,-1,"],
+        "line 2: field 'data_bytes' must be >= 0, got -1"),
+    "duplicate before a bad arrival": (
+        [GOOD_ROW, "0,soon,1,face,sensitive,1000,5000,800,2000,"],
+        "line 3: duplicate task_id 0"),
+    "duplicate before a backwards arrival": (
+        ["0,300,1,face,sensitive,1000,5000,800,2000,",
+         "0,50,1,face,sensitive,1000,5000,800,2000,"],
+        "line 3: duplicate task_id 0"),
+    "backwards before a bad daemon_id": (
+        [NEXT_ROW, "2,150,x,face,sensitive,1000,5000,800,2000,"],
+        "line 3: field 'arrival_ms' goes backwards (150.0 < 200.0)"),
+    "blank lines still count": (
+        [GOOD_ROW, "", "1,50,1,face,sensitive,1000,5000,800,2000,"],
+        "line 4: field 'arrival_ms' goes backwards (50.0 < 100.0)"),
+}
+
+
+class TestLoadErrorMessages:
+    @pytest.mark.parametrize("case", sorted(LOAD_ERROR_MESSAGES))
+    def test_message(self, tmp_path, case):
+        rows, message = LOAD_ERROR_MESSAGES[case]
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(write_lines(tmp_path, HEADER, *rows))
+        assert str(info.value) == message
+
+    def test_values_near_the_float_limit_load(self, tmp_path):
+        row = "0,1e308,1,sandwich,tolerant,1e308,1e308,1e308,1e308,1e308"
+        (task,) = load_trace(write_lines(tmp_path, HEADER, row))
+        assert task == Task(0, 1e308, 1, TaskClass.LATENCY_TOLERANT, 1e308, 1e308, 1e308,
+                            1e308, 1e308, "sandwich")
+
+    def test_equal_arrivals_load_in_file_order(self, tmp_path):
+        tasks = load_trace(write_lines(tmp_path, HEADER, GOOD_ROW, NEXT_ROW, TOLERANT_ROW
+                                       .replace("0,100", "2,200", 1)))
+        assert [(t.id, t.arrival_time) for t in tasks] == [(0, 100.0), (1, 200.0), (2, 200.0)]
