@@ -267,8 +267,8 @@ def schedule_delay(task: Task, delay: float, now: float, sequence: int) -> Event
     """Wake-up event for a postponed task; only tolerant tasks may wait."""
     if task.task_class is not TaskClass.LATENCY_TOLERANT:
         raise SimulationError(f"task {task.id}: only latency-tolerant tasks can be delayed")
-    if delay <= 0:
-        raise SimulationError(f"task {task.id}: delay must be > 0, got {delay}")
+    if not 0 < delay < inf:
+        raise SimulationError(f"task {task.id}: delay must be finite and > 0, got {delay}")
     return Event(time=now + delay, sequence=sequence, kind=DELAY_EXPIRED, task_id=task.id)
 
 
@@ -277,17 +277,23 @@ class ClusterView:
 
     Probes of non-daemon cloudlets can be answered with stale state
     (``probe_latency`` old); the daemon always sees its own live state.
+    A run moves one view from decision to decision, so a policy must not
+    keep a view past ``decide``.
     """
 
     __slots__ = ("now", "daemon_id", "_task", "_sim", "_horizon")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
+        self._sim = sim
+        self._move(task, now)
+
+    def _move(self, task: Task, now: float) -> None:
         self.now = now
         self.daemon_id = task.daemon_id
         self._task = task
-        self._sim = sim
+        latency = self._sim.probe_latency
         # the instant stale probes read; None when every probe reads live state
-        self._horizon = None if sim.probe_latency <= 0 else max(0.0, now - sim.probe_latency)
+        self._horizon = None if latency <= 0 else max(0.0, now - latency)
 
     @property
     def cloudlet_ids(self) -> tuple[int, ...]:
@@ -341,11 +347,6 @@ class Simulation:
         self._cloud = Allocation.cloud()
         self._sequence = 0
 
-    def _next_sequence(self) -> int:
-        seq = self._sequence
-        self._sequence += 1
-        return seq
-
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         self._validate_trace(trace)
         tasks = {t.id: t for t in trace}
@@ -360,13 +361,15 @@ class Simulation:
         decisions: list[DecisionEntry] = []
         events: list[Event] = []
         decide = self.scheduler.decide
+        view = ClusterView(self, trace[0], 0.0) if trace else None  # moved per decision
 
         # a task has one pending event at a time (its arrival or its one
         # wake-up), so no task is decided after it was placed
         def step(event: Event, task: Task) -> None:
             now = event.time
             events.append(event)
-            decision = decide(task, ClusterView(self, task, now))
+            view._move(task, now)
+            decision = decide(task, view)
             decisions.append(DecisionEntry(now, task.id, decision))
             self._apply(decision, task, now, wakeups, records, delays_taken)
 
@@ -424,8 +427,8 @@ class Simulation:
                     f"task {task.id} delayed more than max_delays={self.max_delays};"
                     " the bound check should have terminated this"
                 )
-            heapq.heappush(wakeups, schedule_delay(task, decision.duration, now,
-                                                   self._next_sequence()))
+            heapq.heappush(wakeups, schedule_delay(task, decision.duration, now, self._sequence))
+            self._sequence += 1
             return
         else:
             raise SimulationError(f"scheduler returned unknown decision {decision!r}")

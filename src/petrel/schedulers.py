@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .model import Task, TaskClass
+from .seeding import bounded_draws
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,12 @@ class Delay:
 SchedulingDecision = Union[Assign, AssignCloud, Delay]
 
 
+# decisions are frozen, so one object per value serves every policy and run
+_assign = lru_cache(maxsize=1024)(Assign)
+_delay = lru_cache(maxsize=64)(Delay)
+_CLOUD = AssignCloud()
+
+
 class ProbeResult(NamedTuple):
     """Answer to "when would this cloudlet finish the task?"."""
 
@@ -64,19 +72,8 @@ def _peers(cloudlet_ids: tuple[int, ...], daemon_id: int) -> tuple[int, ...]:
     return tuple(c for c in cloudlet_ids if c != daemon_id)
 
 
-def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
-               rng: np.random.Generator) -> tuple[int, ...]:
-    """Two distinct non-daemon cloudlets, uniform without replacement.
-
-    Draw for draw the same as ``rng.choice(len(others), size=2,
-    replace=False)``, which is Floyd's algorithm followed by a shuffle of
-    the two picks, without that call's per-call overhead.
-
-    With a single non-daemon cloudlet the sample degenerates to that one
-    node; with none there is nothing to probe and the topology is too
-    small for sampling policies.
-    """
-    others = _peers(cloudlet_ids, daemon_id)
+def _pick_two(others: tuple[int, ...], below: Callable[[int], int]) -> tuple[int, ...]:
+    """Floyd's algorithm for two of ``others`` and a shuffle; ``below(n)`` draws ``integers(0, n)``."""
     n = len(others)
     if not n:
         raise ValueError(
@@ -84,21 +81,33 @@ def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
         )
     if n == 1:
         return (others[0],)
-    first = int(rng.integers(0, n - 1))
-    second = int(rng.integers(0, n))
+    first = below(n - 1)
+    second = below(n)
     if second == first:
         second = n - 1
-    if rng.integers(0, 2):
+    if below(2):
         return (others[first], others[second])
     return (others[second], others[first])
 
 
-# (expected_completion, cloudlet_id): ties go to the lower cloudlet id
+def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
+               rng: np.random.Generator) -> tuple[int, ...]:
+    """Two distinct non-daemon cloudlets, uniform without replacement.
+
+    Draw for draw the same as ``rng.choice(len(others), size=2,
+    replace=False)``, which is Floyd's algorithm followed by a shuffle of
+    the two picks, without that call's overhead; the sampling policies
+    draw the same through :func:`~petrel.seeding.bounded_draws`.
+
+    With a single non-daemon cloudlet the sample degenerates to that one
+    node; with none there is nothing to probe and the topology is too
+    small for sampling policies.
+    """
+    return _pick_two(_peers(cloudlet_ids, daemon_id), lambda n: int(rng.integers(0, n)))
+
+
+# least loaded first, by (expected_completion, cloudlet_id): ties go to the lower id
 _COMPLETION_THEN_ID = itemgetter(1, 0)
-
-
-def _least_loaded(probes: Sequence[ProbeResult]) -> ProbeResult:
-    return min(probes, key=_COMPLETION_THEN_ID)
 
 
 def daa_decide(
@@ -122,18 +131,18 @@ def daa_decide(
     it lazily (it is only needed on the tolerant, all-busy branch).
     """
     if daemon_probe.has_idle_vm:
-        return Assign(daemon_probe.cloudlet_id)
-    candidate = _least_loaded(candidate_probes)
+        return _assign(daemon_probe.cloudlet_id)
+    candidate = min(candidate_probes, key=_COMPLETION_THEN_ID)
     if task.task_class is TaskClass.LATENCY_SENSITIVE:
         if candidate.expected_completion < daemon_probe.expected_completion:
-            return Assign(candidate.cloudlet_id)
-        return Assign(daemon_probe.cloudlet_id)
+            return _assign(candidate.cloudlet_id)
+        return _assign(daemon_probe.cloudlet_id)
     if candidate.has_idle_vm:
-        return Assign(candidate.cloudlet_id)
+        return _assign(candidate.cloudlet_id)
     delayed = delayed_daemon_completion() if callable(delayed_daemon_completion) else delayed_daemon_completion
     if delayed >= task.deadline:
-        return Assign(daemon_probe.cloudlet_id)
-    return Delay(delay_quantum)
+        return _assign(daemon_probe.cloudlet_id)
+    return _delay(delay_quantum)
 
 
 class DaaScheduler:
@@ -142,16 +151,16 @@ class DaaScheduler:
     name = "daa"
 
     def __init__(self, rng: np.random.Generator, delay_quantum: float):
-        if delay_quantum <= 0:
-            raise ValueError("delay_quantum must be > 0")
-        self._rng = rng
+        if not 0 < delay_quantum < inf:
+            raise ValueError(f"delay_quantum must be finite and > 0, got {delay_quantum}")
+        self._below = bounded_draws(rng)  # owns rng: draws are read ahead
         self.delay_quantum = delay_quantum
 
     def decide(self, task: Task, view) -> SchedulingDecision:
         daemon_probe = view.probe(view.daemon_id)
         if daemon_probe.has_idle_vm:
-            return Assign(view.daemon_id)
-        pair = sample_two(view.cloudlet_ids, view.daemon_id, self._rng)
+            return _assign(view.daemon_id)
+        pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), self._below)
         probes = [view.probe(c) for c in pair]
         return daa_decide(
             task,
@@ -169,7 +178,7 @@ class DaemonOnlyScheduler:
     name = "daemon-only"
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        return Assign(view.daemon_id)
+        return _assign(view.daemon_id)
 
 
 class RoundRobinScheduler:
@@ -184,7 +193,7 @@ class RoundRobinScheduler:
         ids = view.cloudlet_ids
         cursor = self._cursors.get(view.daemon_id, 0)
         self._cursors[view.daemon_id] = (cursor + 1) % len(ids)
-        return Assign(ids[cursor])
+        return _assign(ids[cursor])
 
 
 class GreedyScheduler:
@@ -201,7 +210,7 @@ class GreedyScheduler:
             key = (probe(c).expected_completion, c != daemon_id, c)
             if best_key is None or key < best_key:
                 best_key = key
-        return Assign(best_key[2])
+        return _assign(best_key[2])
 
 
 class TwoChoicesScheduler:
@@ -210,12 +219,12 @@ class TwoChoicesScheduler:
     name = "two-choices"
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
+        self._below = bounded_draws(rng)  # owns rng: draws are read ahead
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        pair = sample_two(view.cloudlet_ids, view.daemon_id, self._rng)
-        best = _least_loaded([view.probe(c) for c in pair])
-        return Assign(best.cloudlet_id)
+        pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), self._below)
+        best = min([view.probe(c) for c in pair], key=_COMPLETION_THEN_ID)
+        return _assign(best.cloudlet_id)
 
 
 class CloudOnlyScheduler:
@@ -224,7 +233,7 @@ class CloudOnlyScheduler:
     name = "cloud-only"
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        return AssignCloud()
+        return _CLOUD
 
 
 SCHEDULER_NAMES = ("daa", "daemon-only", "round-robin", "greedy", "two-choices", "cloud-only")

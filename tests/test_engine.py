@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 from collections import Counter
-from math import inf
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -168,6 +168,13 @@ class TestProbeAndCommitHelpers:
         with pytest.raises(SimulationError):
             schedule_delay(task, 0.0, now=0.0, sequence=0)
 
+    @pytest.mark.parametrize("delay", [nan, inf, -inf])
+    def test_wait_must_be_finite(self, delay):
+        task = make_task(task_id=4, task_class="tolerant", latency_bound=9000.0)
+        with pytest.raises(SimulationError,
+                           match=f"^task 4: delay must be finite and > 0, got {delay}$"):
+            schedule_delay(task, delay, now=0.0, sequence=0)
+
 
 class TestSimulationRuns:
     def test_single_vm_serialises_simultaneous_arrivals(self):
@@ -220,6 +227,42 @@ class TestSimulationRuns:
         assert record.delays_taken == 2
         assert record.start_time == 1000.0
         assert record.completion_time == 1110.0
+
+    @pytest.mark.parametrize("delay", [nan, inf, -inf])
+    def test_a_non_finite_delay_names_the_task_and_duration(self, delay):
+        # not the max_delays message a run re-delaying at time nan used to end with
+        topo = small_topology(vms=1, count=1)
+        task = make_task(task_id=92, task_class="tolerant", latency_bound=1e12, data_volume=0.0)
+        with pytest.raises(SimulationError,
+                           match=f"^task 92: delay must be finite and > 0, got {delay}$"):
+            Simulation(topo, Scripted([Delay(delay)])).run([task])
+
+    def test_one_view_is_moved_through_the_run(self):
+        topo = small_topology(vms=1, count=2, speed=1.0)
+        trace = [
+            make_task(task_id=0, daemon_id=0, arrival_time=0.0, data_volume=0.0),
+            make_task(task_id=1, daemon_id=1, arrival_time=5.0, data_volume=0.0,
+                      task_class="tolerant", latency_bound=1e12),
+        ]
+        seen = []
+
+        class Watching:
+            name = "watching"
+
+            def __init__(self):
+                self._decisions = iter([Assign(0), Delay(7.0), Assign(1)])
+
+            def decide(self, task, view):
+                # the moved view answers as a view built for this decision would
+                fresh = ClusterView(sim, task, view.now)
+                assert [view.probe(c) for c in (0, 1)] == [fresh.probe(c) for c in (0, 1)]
+                seen.append((view, view.now, view.daemon_id, task.id))
+                return next(self._decisions)
+
+        sim = Simulation(topo, Watching(), probe_latency=3.0)
+        sim.run(trace)
+        assert [entry[1:] for entry in seen] == [(0.0, 0, 0), (5.0, 1, 1), (12.0, 1, 1)]
+        assert seen[0][0] is seen[1][0] is seen[2][0]
 
     def test_delays_beyond_the_cap_abort(self):
         topo = small_topology(vms=1, count=1)

@@ -1,5 +1,8 @@
 """Decision rules: the adaptive policy's branch table and every baseline."""
 
+from dataclasses import FrozenInstanceError
+from math import inf, nan
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -232,6 +235,97 @@ class TestDaaScheduler:
     def test_rejects_nonpositive_quantum(self):
         with pytest.raises(ValueError):
             DaaScheduler(np.random.default_rng(0), 0.0)
+
+    @pytest.mark.parametrize("quantum", [nan, inf, -inf])
+    def test_rejects_a_non_finite_quantum(self, quantum):
+        with pytest.raises(ValueError, match=f"delay_quantum must be finite and > 0, got {quantum}"):
+            DaaScheduler(np.random.default_rng(0), quantum)
+
+
+class RecordingView(StubView):
+    """A stub view that logs the cloudlets probed, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.probed = []
+
+    def probe(self, cloudlet_id):
+        self.probed.append(cloudlet_id)
+        return super().probe(cloudlet_id)
+
+
+class TestSampledPairsMatchSampleTwo:
+    """The sampling policies draw from a read-ahead word stream; every pair
+    they probe must be the one ``sample_two`` draws on a twin generator."""
+
+    decisions = st.lists(
+        st.tuples(st.integers(2, 12), st.integers(0, 11), st.booleans()),
+        min_size=1, max_size=200,
+    )
+
+    @given(seed=st.integers(0, 2**64 - 1), decisions=decisions)
+    def test_daa(self, seed, decisions):
+        policy = DaaScheduler(np.random.default_rng(seed), QUANTUM)
+        twin = np.random.default_rng(seed)
+        for count, daemon_pick, daemon_idle in decisions:
+            ids = tuple(range(count))
+            daemon = daemon_pick % count
+            probes = [P(c, 1000.0 + c, idle=(c == daemon and daemon_idle)) for c in ids]
+            view = RecordingView(0.0, daemon, probes)
+            policy.decide(tolerant(), view)
+            # an idle daemon takes the task before anything is drawn
+            want = () if daemon_idle else sample_two(ids, daemon, twin)
+            assert tuple(view.probed) == (daemon, *want)
+
+    @given(seed=st.integers(0, 2**64 - 1), decisions=decisions)
+    def test_two_choices(self, seed, decisions):
+        policy = TwoChoicesScheduler(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for count, daemon_pick, daemon_idle in decisions:
+            ids = tuple(range(count))
+            daemon = daemon_pick % count
+            probes = [P(c, 1000.0 + c, idle=(c == daemon and daemon_idle)) for c in ids]
+            view = RecordingView(0.0, daemon, probes)
+            policy.decide(sensitive(), view)
+            assert tuple(view.probed) == sample_two(ids, daemon, twin)
+
+
+class TestCachedDecisions:
+    """Policies hand out prebuilt decisions; they must act as fresh ones."""
+
+    def test_a_cached_assign_is_a_fresh_assign(self):
+        view = StubView(0.0, 1, [P(0, 0.0), P(1, 0.0)])
+        first = DaemonOnlyScheduler().decide(make_task(daemon_id=1), view)
+        second = DaemonOnlyScheduler().decide(make_task(daemon_id=1), view)
+        assert first is second
+        assert first == Assign(1)
+        assert hash(first) == hash(Assign(1))
+        assert first != Delay(1)
+        assert Assign(1) != Delay(1)
+
+    def test_the_cached_cloud_decision_is_a_fresh_one(self):
+        decision = CloudOnlyScheduler().decide(sensitive(), StubView(0.0, 0, [P(0, 0.0)]))
+        assert decision is CloudOnlyScheduler().decide(sensitive(), StubView(0.0, 0, [P(0, 0.0)]))
+        assert decision == AssignCloud()
+        assert hash(decision) == hash(AssignCloud())
+
+    def test_the_cached_delay_is_a_fresh_one(self):
+        view = StubView(0.0, 0, [P(0, 9000.0), P(1, 9500.0), P(2, 9600.0)], delayed=7000.0)
+        policy = DaaScheduler(np.random.default_rng(1), 750.0)
+        decision = policy.decide(tolerant(), view)
+        assert decision is policy.decide(tolerant(), view)
+        assert decision == Delay(750.0)
+        assert decision != Assign(750.0)
+
+    def test_cached_decisions_stay_frozen(self):
+        view = StubView(0.0, 0, [P(0, 9000.0), P(1, 9500.0), P(2, 9600.0)], delayed=7000.0)
+        assign = DaemonOnlyScheduler().decide(sensitive(), view)
+        delay = DaaScheduler(np.random.default_rng(1), 750.0).decide(tolerant(), view)
+        with pytest.raises(FrozenInstanceError):
+            assign.cloudlet_id = 2
+        with pytest.raises(FrozenInstanceError):
+            delay.duration = 1.0
+        assert DaemonOnlyScheduler().decide(sensitive(), view) == Assign(0)
 
 
 class TestBaselines:
