@@ -6,96 +6,38 @@ replays such traces under six placement policies and reports weighted
 turnaround, makespan, and speedup.
 """
 
-from .config import ConfigError, EdgeCloudConfig, build_topology, load_config, save_config
-from .engine import (
-    Simulation,
-    SimulationError,
-    SimulationResult,
-    TaskRecord,
-    simulate,
-)
-from .metrics import RunSummary, average_speedup, awt, makespans, summarize
+from .config import EdgeCloudConfig, save_config
+from .engine import simulate
+from .metrics import summarize
 from .model import (
-    Allocation,
     Cloudlet,
-    CompletionBreakdown,
-    EdgeCloud,
     NetworkParams,
-    Task,
-    TaskClass,
     completion_time_cloud,
     completion_time_daemon,
     completion_time_mobile,
     completion_time_remote,
     speedup,
 )
-from .schedulers import (
-    SCHEDULER_NAMES,
-    Assign,
-    AssignCloud,
-    Delay,
-    ProbeResult,
-    daa_decide,
-    make_scheduler,
-    sample_two,
-)
+from .schedulers import SCHEDULER_NAMES, make_scheduler
 from .seeding import derive_seed, new_rng
-from .workload import (
-    Benchmark,
-    TraceFormatError,
-    TraceSpec,
-    default_catalog,
-    generate_arrivals,
-    generate_trace,
-    load_trace,
-    save_trace,
-)
+from .workload import generate_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
-    "Assign",
-    "AssignCloud",
-    "Benchmark",
     "Cloudlet",
-    "CompletionBreakdown",
-    "ConfigError",
-    "Delay",
-    "EdgeCloud",
     "EdgeCloudConfig",
     "NetworkParams",
-    "ProbeResult",
-    "RunSummary",
     "SCHEDULER_NAMES",
-    "Simulation",
-    "SimulationError",
-    "SimulationResult",
-    "Task",
-    "TaskClass",
-    "TaskRecord",
-    "TraceFormatError",
-    "TraceSpec",
-    "average_speedup",
-    "awt",
-    "build_topology",
     "completion_time_cloud",
     "completion_time_daemon",
     "completion_time_mobile",
     "completion_time_remote",
-    "daa_decide",
-    "default_catalog",
     "derive_seed",
-    "generate_arrivals",
     "generate_trace",
-    "load_config",
-    "load_trace",
     "make_scheduler",
-    "makespans",
     "new_rng",
-    "sample_two",
     "save_config",
-    "save_trace",
     "simulate",
     "speedup",
     "summarize",

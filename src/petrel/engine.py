@@ -26,9 +26,12 @@ from .model import (
     Allocation,
     Cloudlet,
     EdgeCloud,
+    Route,
     Task,
     TaskClass,
     completion_time_cloud,
+    placement_route,
+    placement_times,
 )
 from .schedulers import (
     Assign,
@@ -183,36 +186,8 @@ class SimulationResult:
     topology: EdgeCloud
 
 
-_Route = tuple[float, float, float, float | None]
-
-
-def _placement_route(daemon: Cloudlet, executor: Cloudlet) -> _Route:
-    """What a placement's cost depends on besides the task.
-
-    ``(speed_factor, cloudlet_bandwidth, daemon_rtt, redirect_rtt)``;
-    the redirect RTT is None when the executor is the daemon itself.
-    """
-    redirect = None if executor.id == daemon.id else daemon.net.rtt_to(executor.id)
-    return (executor.speed_factor, executor.net.cloudlet_bandwidth, daemon.net.daemon_rtt,
-            redirect)
-
-
-def _placement_times(task: Task, route: _Route) -> tuple[float, float]:
-    """(exec, comm) of ``task`` on a route; the model's daemon/remote formulas.
-
-    Callers add ``start + exec + comm`` left to right: the sums are kept
-    apart because floating-point addition in another order can move the
-    last bit of a completion time.
-    """
-    speed_factor, bandwidth, daemon_rtt, redirect = route
-    comm = task.data_volume / bandwidth + daemon_rtt
-    if redirect is not None:
-        comm = comm + redirect
-    return task.base_service_time / speed_factor, comm
-
-
 class _RouteRow(dict):
-    """executor_id -> :func:`_placement_route` from one daemon, filled on first use.
+    """executor_id -> :func:`placement_route` from one daemon, filled on first use.
 
     A missing redirect RTT raises at the first use of that pair and is
     not cached, so every later use raises again; an unknown executor
@@ -224,52 +199,10 @@ class _RouteRow(dict):
         self._topology = topology
         self._daemon = daemon
 
-    def __missing__(self, executor_id: int) -> _Route:
-        route = _placement_route(self._daemon, self._topology.get(executor_id))
+    def __missing__(self, executor_id: int) -> Route:
+        route = placement_route(self._daemon, self._topology.get(executor_id))
         self[executor_id] = route
         return route
-
-
-def expected_completion_time(
-    task: Task,
-    daemon: Cloudlet,
-    executor: Cloudlet,
-    vms: VmSchedule,
-    now: float,
-    commit_at: float | None = None,
-) -> float:
-    """Time from ``now`` until ``executor`` would hand the result back.
-
-    A tentative probe: nothing is committed.  ``commit_at`` projects a
-    commit at a later instant (used when pondering a delay) while still
-    reading the current ready times.
-    """
-    effective = now if commit_at is None else commit_at
-    start = max(effective, vms.earliest_ready())
-    exec_time, comm = _placement_times(task, _placement_route(daemon, executor))
-    return (start + exec_time + comm) - now
-
-
-def commit_assignment(
-    task: Task, daemon: Cloudlet, executor: Cloudlet, vms: VmSchedule, now: float
-) -> tuple[float, float, int]:
-    """Bind the task to the executor's earliest-ready VM.
-
-    Returns (start, completion, vm_index); completion includes the
-    communication charge for the placement.
-    """
-    exec_time, comm = _placement_times(task, _placement_route(daemon, executor))
-    start, vm_index = vms.commit(now, exec_time)
-    return start, start + exec_time + comm, vm_index
-
-
-def schedule_delay(task: Task, delay: float, now: float, sequence: int) -> Event:
-    """Wake-up event for a postponed task; only tolerant tasks may wait."""
-    if task.task_class is not TaskClass.LATENCY_TOLERANT:
-        raise SimulationError(f"task {task.id}: only latency-tolerant tasks can be delayed")
-    if not 0 < delay < inf:
-        raise SimulationError(f"task {task.id}: delay must be finite and > 0, got {delay}")
-    return Event(time=now + delay, sequence=sequence, kind=DELAY_EXPIRED, task_id=task.id)
 
 
 class ClusterView:
@@ -307,7 +240,7 @@ class ClusterView:
             ready = vms.earliest_ready()
         else:
             ready = vms.earliest_ready_asof(self._horizon)
-        exec_time, comm = _placement_times(self._task, sim.routes[self.daemon_id][cloudlet_id])
+        exec_time, comm = placement_times(self._task, sim.routes[self.daemon_id][cloudlet_id])
         return ProbeResult(cloudlet_id, max(now, ready) + exec_time + comm, ready <= now)
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
@@ -315,12 +248,15 @@ class ClusterView:
         sim = self._sim
         daemon_id = self.daemon_id
         start = max(self.now + delay, sim.vm_schedules[daemon_id].earliest_ready())
-        exec_time, comm = _placement_times(self._task, sim.routes[daemon_id][daemon_id])
+        exec_time, comm = placement_times(self._task, sim.routes[daemon_id][daemon_id])
         return start + exec_time + comm
 
 
 class Simulation:
-    """One single-threaded simulation run over a fixed topology and policy."""
+    """One single-threaded simulation run over a fixed topology and policy.
+
+    A run leaves its commits in the VM schedules, so an instance runs once.
+    """
 
     def __init__(
         self,
@@ -345,15 +281,17 @@ class Simulation:
         self.routes = {c.id: _RouteRow(topology, c) for c in topology}
         self._allocations = {c.id: Allocation.cloudlet(c.id) for c in topology}
         self._cloud = Allocation.cloud()
-        self._sequence = 0
+        self._ran = False
 
     def run(self, trace: Sequence[Task]) -> SimulationResult:
+        if self._ran:
+            raise SimulationError("a Simulation runs once; build a new one for another run")
         self._validate_trace(trace)
+        self._ran = True
         tasks = {t.id: t for t in trace}
-        # arrivals take sequences first..first+n-1, below every wake-up's, so
+        # arrivals take sequences 0..n-1, below every wake-up's, so
         # at an equal time the next arrival goes before any wake-up
-        first = self._sequence
-        self._sequence += len(trace)
+        self._sequence = len(trace)
         wakeups: list[Event] = []
 
         records: dict[int, TaskRecord] = {}
@@ -373,7 +311,7 @@ class Simulation:
             decisions.append(DecisionEntry(now, task.id, decision))
             self._apply(decision, task, now, wakeups, records, delays_taken)
 
-        for sequence, task in enumerate(trace, first):
+        for sequence, task in enumerate(trace):
             arrival = task.arrival_time
             while wakeups and wakeups[0].time < arrival:
                 event = heapq.heappop(wakeups)
@@ -412,7 +350,7 @@ class Simulation:
                 raise SimulationError(
                     f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
                 ) from None
-            service_time, comm = _placement_times(task, route)
+            service_time, comm = placement_times(task, route)
             start, _ = self.vm_schedules[executor_id].commit(now, service_time)
             allocation = self._allocations[executor_id]
         elif isinstance(decision, AssignCloud):
@@ -427,7 +365,12 @@ class Simulation:
                     f"task {task.id} delayed more than max_delays={self.max_delays};"
                     " the bound check should have terminated this"
                 )
-            heapq.heappush(wakeups, schedule_delay(task, decision.duration, now, self._sequence))
+            if task.task_class is not TaskClass.LATENCY_TOLERANT:
+                raise SimulationError(f"task {task.id}: only latency-tolerant tasks can be delayed")
+            delay = decision.duration
+            if not 0 < delay < inf:
+                raise SimulationError(f"task {task.id}: delay must be finite and > 0, got {delay}")
+            heapq.heappush(wakeups, Event(now + delay, self._sequence, DELAY_EXPIRED, task.id))
             self._sequence += 1
             return
         else:

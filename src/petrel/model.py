@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 
 class TaskClass(Enum):
@@ -158,10 +158,6 @@ class Cloudlet:
         if self.speed_factor <= 0:
             raise ValueError(f"cloudlet {self.id}: speed_factor must be > 0")
 
-    def exec_time(self, task: Task) -> float:
-        """Service time of ``task`` on this node."""
-        return task.base_service_time / self.speed_factor
-
 
 @dataclass(frozen=True)
 class EdgeCloud:
@@ -251,12 +247,40 @@ def completion_time_cloud(task: Task, net: NetworkParams) -> CompletionBreakdown
     return CompletionBreakdown(exec=task.cloud_exec_time, wait=0.0, comm=comm)
 
 
+Route = tuple[float, float, float, float | None]
+
+
+def placement_route(daemon: Cloudlet, executor: Cloudlet) -> Route:
+    """What a cloudlet placement's cost depends on besides the task.
+
+    ``(speed_factor, cloudlet_bandwidth, daemon_rtt, redirect_rtt)``;
+    the redirect RTT is None when the executor is the daemon itself.
+    """
+    redirect = None if executor.id == daemon.id else daemon.net.rtt_to(executor.id)
+    return (executor.speed_factor, executor.net.cloudlet_bandwidth, daemon.net.daemon_rtt,
+            redirect)
+
+
+def placement_times(task: Task, route: Route) -> tuple[float, float]:
+    """(exec, comm) of ``task`` on a route: the one cloudlet completion formula.
+
+    Callers add ``start + exec + comm`` left to right: the sums are kept
+    apart because floating-point addition in another order can move the
+    last bit of a completion time.
+    """
+    speed_factor, bandwidth, daemon_rtt, redirect = route
+    comm = task.data_volume / bandwidth + daemon_rtt
+    if redirect is not None:
+        comm = comm + redirect
+    return task.base_service_time / speed_factor, comm
+
+
 def completion_time_daemon(task: Task, cloudlet: Cloudlet, wait: float) -> CompletionBreakdown:
     """Completion on the task's own daemon cloudlet."""
     if wait < 0:
         raise ValueError("wait must be >= 0")
-    comm = task.data_volume / cloudlet.net.cloudlet_bandwidth + cloudlet.net.daemon_rtt
-    return CompletionBreakdown(exec=cloudlet.exec_time(task), wait=wait, comm=comm)
+    exec_time, comm = placement_times(task, placement_route(cloudlet, cloudlet))
+    return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
 
 
 def completion_time_remote(
@@ -267,26 +291,15 @@ def completion_time_remote(
         raise ValueError("executor equals daemon; use completion_time_daemon")
     if wait < 0:
         raise ValueError("wait must be >= 0")
-    comm = (
-        task.data_volume / executor.net.cloudlet_bandwidth
-        + daemon.net.daemon_rtt
-        + daemon.net.rtt_to(executor.id)
-    )
-    return CompletionBreakdown(exec=executor.exec_time(task), wait=wait, comm=comm)
+    exec_time, comm = placement_times(task, placement_route(daemon, executor))
+    return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
 
 
-def speedup(task: Task, alloc: Allocation, completion: float) -> float:
-    """Benefit of the chosen placement: device execution time over achieved completion.
+def speedup(task: Task, completion: float) -> float:
+    """Benefit of a placement: device execution time over achieved completion.
 
     Values above 1 mean offloading beat running the task locally.
     """
     if completion <= 0:
         raise ValueError("completion must be > 0")
     return task.mobile_exec_time / completion
-
-
-def average_speedup(records: Sequence[tuple[Task, Allocation, float]]) -> float:
-    """Mean speedup over (task, allocation, completion) outcomes."""
-    if not records:
-        raise ValueError("average_speedup needs at least one record")
-    return sum(speedup(t, a, c) for t, a, c in records) / len(records)

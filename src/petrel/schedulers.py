@@ -112,7 +112,6 @@ _COMPLETION_THEN_ID = itemgetter(1, 0)
 
 def daa_decide(
     task: Task,
-    now: float,
     daemon_probe: ProbeResult,
     candidate_probes: Sequence[ProbeResult],
     delayed_daemon_completion: Union[float, Callable[[], float]],
@@ -164,7 +163,6 @@ class DaaScheduler:
         probes = [view.probe(c) for c in pair]
         return daa_decide(
             task,
-            view.now,
             daemon_probe,
             probes,
             lambda: view.daemon_completion_if_delayed(self.delay_quantum),

@@ -90,7 +90,6 @@ class TraceSpec:
     catalog: tuple[Benchmark, ...]
     cloudlet_count: int
     seed: int
-    catalog_weights: tuple[float, ...] | None = None
     time_unit_ms: float = 1000.0
 
     def __post_init__(self) -> None:
@@ -102,14 +101,9 @@ class TraceSpec:
             raise ValueError("cloudlet_count must be >= 1")
         if not self.catalog and self.task_count > 0:
             raise ValueError("catalog must not be empty")
-        if self.catalog_weights is not None and len(self.catalog_weights) != len(self.catalog):
-            raise ValueError("catalog_weights must match catalog length")
 
     def normalized_weights(self) -> np.ndarray:
-        weights = self.catalog_weights
-        if weights is None:
-            weights = [b.weight for b in self.catalog]
-        arr = np.asarray(weights, dtype=float)
+        arr = np.asarray([b.weight for b in self.catalog], dtype=float)
         if np.any(arr <= 0):
             raise ValueError("catalog weights must be > 0")
         total = arr.sum()

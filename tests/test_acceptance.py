@@ -22,7 +22,6 @@ from petrel.config import EdgeCloudConfig, build_topology
 from petrel.engine import DELAY_EXPIRED, Simulation, simulate
 from petrel.metrics import summarize
 from petrel.model import (
-    Allocation,
     CompletionBreakdown,
     completion_time_cloud,
     completion_time_daemon,
@@ -109,10 +108,10 @@ def test_criterion_1_completion_model_identities(capsys):
             expected = parts[0] + parts[1] + parts[2]
             assert abs(bd.total - expected) <= math.ulp(expected)
 
-        assert speedup(make_task(mobile_exec_time=10000.0), Allocation.cloud(), 2000.0) == 5.0
+        assert speedup(make_task(mobile_exec_time=10000.0), 2000.0) == 5.0
         stay = make_task(mobile_exec_time=777.0)
-        assert speedup(stay, Allocation.mobile(), completion_time_mobile(stay).total) == 1.0
-        assert speedup(make_task(mobile_exec_time=3000.0), Allocation.cloudlet(1), 6000.0) == 0.5
+        assert speedup(stay, completion_time_mobile(stay).total) == 1.0
+        assert speedup(make_task(mobile_exec_time=3000.0), 6000.0) == 0.5
 
     criterion(capsys, 1, "completion-model identities", 1.0, body)
 
@@ -121,9 +120,7 @@ def test_criterion_2_decision_rule_conformance(capsys):
     def body():
         assert len(DECISION_TABLE) >= 20
         for label, task, daemon_probe, candidates, delayed, expected in DECISION_TABLE:
-            got = daa_decide(
-                task, task.arrival_time, daemon_probe, candidates, delayed, QUANTUM
-            )
+            got = daa_decide(task, daemon_probe, candidates, delayed, QUANTUM)
             assert got == expected, f"case {label!r}: got {got}, expected {expected}"
         kinds = {type(case[-1]).__name__ for case in DECISION_TABLE}
         assert kinds == {"Assign", "Delay"}

@@ -17,9 +17,6 @@ from petrel.engine import (
     Simulation,
     SimulationError,
     VmSchedule,
-    commit_assignment,
-    expected_completion_time,
-    schedule_delay,
     simulate,
 )
 from petrel.config import EdgeCloudConfig
@@ -115,65 +112,97 @@ class TestVmSchedule:
 
 
 class TestProbeAndCommitHelpers:
+    """Probes, delayed projections, commits and wake-ups as a run sees them."""
+
+    @staticmethod
+    def _node_sim(vm_count, daemon_rtt, busy_until):
+        node = make_cloudlet(0, vm_count=vm_count, net=zero_data_net(daemon_rtt=daemon_rtt))
+        sim = Simulation(make_topology(node), DaemonOnlyScheduler())
+        for exec_time in busy_until:
+            sim.vm_schedules[0].commit(0.0, exec_time)
+        return sim
+
     def test_probe_is_a_duration_from_now(self):
-        vms = VmSchedule(2)
-        vms.commit(0.0, 3000.0)
-        vms.commit(0.0, 5000.0)
-        net = zero_data_net(daemon_rtt=100.0)
-        node = make_cloudlet(0, vm_count=2, net=net)
+        sim = self._node_sim(vm_count=2, daemon_rtt=100.0, busy_until=(3000.0, 5000.0))
         task = make_task(base_service_time=4000.0, data_volume=0.0)
-        assert expected_completion_time(task, node, node, vms, now=2000.0) == 5100.0
+        probe = ClusterView(sim, task, now=2000.0).probe(0)
+        assert probe.expected_completion == 2000.0 + 5100.0  # wall clock 7,100
 
     def test_probe_with_a_future_commit_instant(self):
-        vms = VmSchedule(1)
-        vms.commit(0.0, 3000.0)
-        net = zero_data_net(daemon_rtt=100.0)
-        node = make_cloudlet(0, net=net)
+        sim = self._node_sim(vm_count=1, daemon_rtt=100.0, busy_until=(3000.0,))
         task = make_task(base_service_time=4000.0, data_volume=0.0)
-        on_time = expected_completion_time(task, node, node, vms, now=2000.0, commit_at=2500.0)
-        late = expected_completion_time(task, node, node, vms, now=2000.0, commit_at=3500.0)
+        view = ClusterView(sim, task, now=2000.0)
+        on_time = view.daemon_completion_if_delayed(500.0) - 2000.0
+        late = view.daemon_completion_if_delayed(1500.0) - 2000.0
         assert on_time == 5100.0
         assert late == 5600.0
 
     def test_commit_returns_start_completion_and_vm(self):
-        vms = VmSchedule(1)
-        net = zero_data_net(daemon_rtt=10.0)
-        node = make_cloudlet(0, net=net)
-        task = make_task(base_service_time=500.0, data_volume=0.0)
-        start, completion, vm_index = commit_assignment(task, node, node, vms, now=800.0)
-        assert (start, completion, vm_index) == (800.0, 1310.0, 0)
+        topo = make_topology(make_cloudlet(0, net=zero_data_net(daemon_rtt=10.0)))
+        task = make_task(arrival_time=800.0, base_service_time=500.0, data_volume=0.0)
+        sim = Simulation(topo, Scripted([Assign(0)]))
+        record = sim.run([task]).records[0]
+        assert (record.start_time, record.completion_time) == (800.0, 1310.0)
+        assert sim.vm_schedules[0].ready_times() == [1300.0]
 
     def test_remote_commit_charges_the_pair_rtt(self):
         net = zero_data_net(daemon_rtt=10.0, remote_rtt=60.0)
-        daemon = make_cloudlet(0, net=net)
-        executor = make_cloudlet(1, net=net)
-        vms = VmSchedule(1)
+        topo = make_topology(make_cloudlet(0, net=net), make_cloudlet(1, net=net))
         task = make_task(base_service_time=500.0, data_volume=0.0)
-        _, completion, _ = commit_assignment(task, daemon, executor, vms, now=0.0)
-        assert completion == 570.0
+        record = Simulation(topo, Scripted([Assign(1)])).run([task]).records[0]
+        assert record.completion_time == 570.0
 
     def test_wake_event_lands_a_quantum_later(self):
-        task = make_task(task_class="tolerant", latency_bound=9000.0)
-        event = schedule_delay(task, 250.0, now=100.0, sequence=7)
+        # seven arrivals take sequences 0..6, so the first wake-up takes 7
+        trace = [make_task(task_id=i, arrival_time=100.0, task_class="tolerant",
+                           latency_bound=9000.0, data_volume=0.0) for i in range(7)]
+        policy = Scripted([Delay(250.0)] + [Assign(0)] * 7)
+        event = Simulation(small_topology(), policy).run(trace).events[-1]
         assert event.time == 350.0
         assert event.kind == "delay-expired"
         assert event.sequence == 7
+        assert event.task_id == 0
 
     def test_only_tolerant_tasks_may_wait(self):
-        with pytest.raises(SimulationError):
-            schedule_delay(make_task(), 250.0, now=0.0, sequence=0)
+        task = make_task(task_id=3)
+        with pytest.raises(SimulationError,
+                           match="^task 3: only latency-tolerant tasks can be delayed$"):
+            Simulation(small_topology(), Scripted([Delay(250.0)])).run([task])
 
     def test_wait_must_be_positive(self):
-        task = make_task(task_class="tolerant", latency_bound=9000.0)
-        with pytest.raises(SimulationError):
-            schedule_delay(task, 0.0, now=0.0, sequence=0)
+        task = make_task(task_id=4, task_class="tolerant", latency_bound=9000.0)
+        with pytest.raises(SimulationError,
+                           match="^task 4: delay must be finite and > 0, got 0.0$"):
+            Simulation(small_topology(), Scripted([Delay(0.0)])).run([task])
 
     @pytest.mark.parametrize("delay", [nan, inf, -inf])
     def test_wait_must_be_finite(self, delay):
+        # checked on a wake-up's decision too, not only on an arrival's
         task = make_task(task_id=4, task_class="tolerant", latency_bound=9000.0)
+        policy = Scripted([Delay(250.0), Delay(delay)])
         with pytest.raises(SimulationError,
                            match=f"^task 4: delay must be finite and > 0, got {delay}$"):
-            schedule_delay(task, delay, now=0.0, sequence=0)
+            Simulation(small_topology(), policy).run([task])
+
+
+class TestOneRunPerSimulation:
+    """A run leaves its commits behind, so a second run must be refused."""
+
+    @pytest.mark.parametrize("policy,latency", [("greedy", 1500.0), ("daemon-only", 0.0)])
+    def test_a_second_run_is_refused(self, policy, latency):
+        trace = busy_mixed_trace(n=50)
+        sim = Simulation(small_topology(vms=2, count=3), make_scheduler(policy),
+                         probe_latency=latency)
+        first = sim.run(trace)
+        assert len(first.records) == 50
+        with pytest.raises(SimulationError, match="^a Simulation runs once; build a new one"):
+            sim.run(trace)
+
+    def test_a_rejected_trace_does_not_use_up_the_run(self):
+        sim = Simulation(small_topology(), DaemonOnlyScheduler())
+        with pytest.raises(SimulationError, match="duplicate task id"):
+            sim.run([make_task(task_id=1), make_task(task_id=1)])
+        assert len(sim.run([make_task(task_id=1)]).records) == 1
 
 
 class TestSimulationRuns:

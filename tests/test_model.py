@@ -12,7 +12,6 @@ from petrel.model import (
     CompletionBreakdown,
     Task,
     TaskClass,
-    average_speedup,
     completion_time_cloud,
     completion_time_daemon,
     completion_time_mobile,
@@ -144,33 +143,20 @@ class TestBreakdown:
 class TestSpeedup:
     def test_ratio_of_device_time_to_completion(self):
         task = make_task(mobile_exec_time=10000.0)
-        assert speedup(task, Allocation.cloud(), 2000.0) == 5.0
+        assert speedup(task, 2000.0) == 5.0
 
     def test_mobile_allocation_is_exactly_one(self):
         task = make_task(mobile_exec_time=777.0)
         completion = completion_time_mobile(task).total
-        assert speedup(task, Allocation.mobile(), completion) == 1.0
+        assert speedup(task, completion) == 1.0
 
     def test_below_one_when_offloading_hurts(self):
         task = make_task(mobile_exec_time=3000.0)
-        assert speedup(task, Allocation.cloudlet(2), 6000.0) == 0.5
+        assert speedup(task, 6000.0) == 0.5
 
     def test_rejects_nonpositive_completion(self):
         with pytest.raises(ValueError):
-            speedup(make_task(), Allocation.cloud(), 0.0)
-
-    def test_average_is_arithmetic_mean(self):
-        t1 = make_task(task_id=1, mobile_exec_time=10000.0)
-        t2 = make_task(task_id=2, mobile_exec_time=9000.0)
-        records = [
-            (t1, Allocation.cloud(), 2000.0),
-            (t2, Allocation.cloudlet(0), 3000.0),
-        ]
-        assert average_speedup(records) == 4.0
-
-    def test_average_rejects_empty(self):
-        with pytest.raises(ValueError):
-            average_speedup([])
+            speedup(make_task(), 0.0)
 
 
 class TestTaskValidation:

@@ -169,7 +169,7 @@ DECISION_TABLE = [
     ids=[case[0] for case in DECISION_TABLE],
 )
 def test_decision_table(task, daemon_probe, candidates, delayed, expected):
-    decision = daa_decide(task, task.arrival_time, daemon_probe, candidates, delayed, QUANTUM)
+    decision = daa_decide(task, daemon_probe, candidates, delayed, QUANTUM)
     assert decision == expected
 
 
@@ -180,13 +180,13 @@ def test_projection_computed_lazily_only_on_the_busy_tolerant_branch():
         calls.append(1)
         return 7000.0
 
-    daa_decide(sensitive(), 0.0, P(0, 6000.0), [P(1, 4000.0)], projection, QUANTUM)
+    daa_decide(sensitive(), P(0, 6000.0), [P(1, 4000.0)], projection, QUANTUM)
     assert not calls
 
-    daa_decide(tolerant(), 0.0, P(0, 6000.0), [P(1, 5000.0, idle=True)], projection, QUANTUM)
+    daa_decide(tolerant(), P(0, 6000.0), [P(1, 5000.0, idle=True)], projection, QUANTUM)
     assert not calls
 
-    decision = daa_decide(tolerant(), 0.0, P(0, 6000.0), [P(1, 9000.0)], projection, QUANTUM)
+    decision = daa_decide(tolerant(), P(0, 6000.0), [P(1, 9000.0)], projection, QUANTUM)
     assert decision == Delay(QUANTUM)
     assert calls == [1]
 

@@ -99,9 +99,9 @@ class TestTraceGeneration:
             assert abs(c - expected) < 3 * sigma
 
     def test_weights_skew_the_benchmark_mix(self):
-        catalog = tuple(default_catalog())
-        only_last = tuple(1e-9 if i < 4 else 1.0 for i in range(5))
-        trace = generate_trace(spec(task_count=60, catalog_weights=only_last))
+        catalog = tuple(replace(b, weight=1e-9 if i < 4 else 1.0)
+                        for i, b in enumerate(default_catalog()))
+        trace = generate_trace(spec(task_count=60, catalog=catalog))
         assert {t.benchmark for t in trace} == {catalog[4].name}
 
     def test_reproducible_from_the_seed_alone(self):
@@ -118,8 +118,6 @@ class TestTraceGeneration:
             spec(arrival_rate=0.0)
         with pytest.raises(ValueError):
             spec(cloudlet_count=0)
-        with pytest.raises(ValueError):
-            spec(catalog_weights=(1.0, 2.0))
 
     @given(
         weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
@@ -129,16 +127,18 @@ class TestTraceGeneration:
     )
     def test_mix_matches_generator_choice(self, weights, task_count, cloudlet_count, seed):
         catalog = tuple(
-            Benchmark(f"b{i}", TaskClass.LATENCY_SENSITIVE, 100.0 + i, 500.0, 100.0, 10.0 * i)
-            for i in range(len(weights))
+            Benchmark(f"b{i}", TaskClass.LATENCY_SENSITIVE, 100.0 + i, 500.0, 100.0, 10.0 * i,
+                      weight=w)
+            for i, w in enumerate(weights)
         )
         s = spec(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count,
-                 seed=seed, catalog_weights=tuple(weights))
+                 seed=seed)
         assert generate_trace(s) == reference_trace(s)
 
     def test_weights_must_have_a_finite_sum(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite sum"):
-            spec(catalog_weights=(1e308,) * 5).normalized_weights()
+            catalog = tuple(replace(b, weight=1e308) for b in default_catalog())
+            spec(catalog=catalog).normalized_weights()
 
     def test_normalized_weights_sum_to_one(self):
         weights = spec().normalized_weights()
