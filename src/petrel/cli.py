@@ -41,8 +41,8 @@ COMPARE_METRICS = ("awt", "avg_speedup", "makespan_min", "makespan_max", "makesp
 
 def _check_policy_fits(config: EdgeCloudConfig, scheduler: str) -> None:
     if scheduler in SAMPLING_SCHEDULERS and config.cloudlet_count < 2:
-        raise ConfigError(
-            f"cloudlets.count: {scheduler} samples non-daemon cloudlets and needs at"
+        raise ConfigError.at(
+            "cloudlet_count", f"{scheduler} samples non-daemon cloudlets and needs at"
             f" least 2 cloudlets, got {config.cloudlet_count}"
         )
 
@@ -50,8 +50,8 @@ def _check_policy_fits(config: EdgeCloudConfig, scheduler: str) -> None:
 def _check_has_tasks(config: EdgeCloudConfig, command: str) -> None:
     # generate may write an empty trace; a run over one has no metrics
     if config.task_count < 1:
-        raise ConfigError(
-            f"trace.task_count: {command} needs at least 1 task, got {config.task_count}"
+        raise ConfigError.at(
+            "task_count", f"{command} needs at least 1 task, got {config.task_count}"
         )
 
 

@@ -12,7 +12,7 @@ factors, then the remote RTT for every ordered cloudlet pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from math import isfinite
 from typing import Any, Mapping
 
@@ -25,6 +25,11 @@ from .workload import Benchmark, TaskClass, TraceSpec, default_catalog
 
 class ConfigError(ValueError):
     """A config file is malformed; the message names the offending key."""
+
+    @classmethod
+    def at(cls, name: str, message: str) -> "ConfigError":
+        """The error for config field ``name``, under its key path in the file."""
+        return cls(f"{_PATHS[name]}: {message}")
 
 
 DEFAULT_SEED = 1234
@@ -58,51 +63,40 @@ class EdgeCloudConfig:
     catalog: tuple[Benchmark, ...] = field(default_factory=lambda: tuple(default_catalog()))
 
     def __post_init__(self) -> None:
-        for key, values in (
-            ("cloudlets.speed_factor_range", self.speed_factor_range),
-            ("cloudlets.speed_factors", self.speed_factors or ()),
-            ("network.daemon_rtt_ms", (self.daemon_rtt_ms,)),
-            ("network.remote_rtt_range_ms", self.remote_rtt_range_ms),
-            ("network.cloud_rtt_ms", (self.cloud_rtt_ms,)),
-            ("network.cloudlet_bandwidth_bytes_per_ms", (self.cloudlet_bandwidth_bytes_per_ms,)),
-            ("network.cloud_bandwidth_bytes_per_ms", (self.cloud_bandwidth_bytes_per_ms,)),
-            ("trace.arrival_rate", (self.arrival_rate,)),
-            ("trace.time_unit_ms", (self.time_unit_ms,)),
-            ("scheduler.delay_quantum_ms",
-             () if self.delay_quantum_ms is None else (self.delay_quantum_ms,)),
-            ("scheduler.probe_latency_ms", (self.probe_latency_ms,)),
-        ):
-            _check(all(isfinite(v) for v in values), key, "must be finite")
-        _check(self.cloudlet_count >= 1, "cloudlets.count", "must be >= 1")
+        for _, name, shape, kind in _LAYOUT:
+            value = getattr(self, name)
+            if kind is float and value is not None:
+                _check(all(map(isfinite, (value,) if shape == "value" else value)), name,
+                       "must be finite")
+        _check(self.cloudlet_count >= 1, "cloudlet_count", "must be >= 1")
         lo, hi = self.vm_count_range
-        _check(1 <= lo <= hi, "cloudlets.vm_count_range", "needs 1 <= low <= high")
+        _check(1 <= lo <= hi, "vm_count_range", "needs 1 <= low <= high")
         if self.vm_counts is not None:
-            _check(len(self.vm_counts) == self.cloudlet_count, "cloudlets.vm_counts",
+            _check(len(self.vm_counts) == self.cloudlet_count, "vm_counts",
                    f"needs exactly {self.cloudlet_count} entries")
-            _check(all(v >= 1 for v in self.vm_counts), "cloudlets.vm_counts",
-                   "every entry must be >= 1")
+            _check(all(v >= 1 for v in self.vm_counts), "vm_counts", "every entry must be >= 1")
         slo, shi = self.speed_factor_range
-        _check(0 < slo <= shi, "cloudlets.speed_factor_range", "needs 0 < low <= high")
+        _check(0 < slo <= shi, "speed_factor_range", "needs 0 < low <= high")
         if self.speed_factors is not None:
-            _check(len(self.speed_factors) == self.cloudlet_count, "cloudlets.speed_factors",
+            _check(len(self.speed_factors) == self.cloudlet_count, "speed_factors",
                    f"needs exactly {self.cloudlet_count} entries")
-            _check(all(s > 0 for s in self.speed_factors), "cloudlets.speed_factors",
+            _check(all(s > 0 for s in self.speed_factors), "speed_factors",
                    "every entry must be > 0")
-        _check(self.daemon_rtt_ms >= 0, "network.daemon_rtt_ms", "must be >= 0")
+        _check(self.daemon_rtt_ms >= 0, "daemon_rtt_ms", "must be >= 0")
         rlo, rhi = self.remote_rtt_range_ms
-        _check(0 <= rlo <= rhi, "network.remote_rtt_range_ms", "needs 0 <= low <= high")
-        _check(self.cloud_rtt_ms >= 0, "network.cloud_rtt_ms", "must be >= 0")
-        _check(self.cloudlet_bandwidth_bytes_per_ms > 0,
-               "network.cloudlet_bandwidth_bytes_per_ms", "must be > 0")
-        _check(self.cloud_bandwidth_bytes_per_ms > 0,
-               "network.cloud_bandwidth_bytes_per_ms", "must be > 0")
-        _check(self.task_count >= 0, "trace.task_count", "must be >= 0")
-        _check(self.arrival_rate > 0, "trace.arrival_rate", "must be > 0")
-        _check(self.time_unit_ms > 0, "trace.time_unit_ms", "must be > 0")
+        _check(0 <= rlo <= rhi, "remote_rtt_range_ms", "needs 0 <= low <= high")
+        _check(self.cloud_rtt_ms >= 0, "cloud_rtt_ms", "must be >= 0")
+        _check(self.cloudlet_bandwidth_bytes_per_ms > 0, "cloudlet_bandwidth_bytes_per_ms",
+               "must be > 0")
+        _check(self.cloud_bandwidth_bytes_per_ms > 0, "cloud_bandwidth_bytes_per_ms",
+               "must be > 0")
+        _check(self.task_count >= 0, "task_count", "must be >= 0")
+        _check(self.arrival_rate > 0, "arrival_rate", "must be > 0")
+        _check(self.time_unit_ms > 0, "time_unit_ms", "must be > 0")
         if self.delay_quantum_ms is not None:
-            _check(self.delay_quantum_ms > 0, "scheduler.delay_quantum_ms", "must be > 0")
-        _check(self.max_delays >= 1, "scheduler.max_delays", "must be >= 1")
-        _check(self.probe_latency_ms >= 0, "scheduler.probe_latency_ms", "must be >= 0")
+            _check(self.delay_quantum_ms > 0, "delay_quantum_ms", "must be > 0")
+        _check(self.max_delays >= 1, "max_delays", "must be >= 1")
+        _check(self.probe_latency_ms >= 0, "probe_latency_ms", "must be >= 0")
         _check(len(self.catalog) >= 1, "catalog", "must have at least one benchmark")
         names = [b.name for b in self.catalog]
         _check(len(set(names)) == len(names), "catalog", "benchmark names must be unique")
@@ -137,9 +131,9 @@ class EdgeCloudConfig:
         return replace(self, **changes)
 
 
-def _check(ok: bool, key: str, message: str) -> None:
+def _check(ok: bool, name: str, message: str) -> None:
     if not ok:
-        raise ConfigError(f"{key}: {message}")
+        raise ConfigError.at(name, message)
 
 
 def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
@@ -187,208 +181,132 @@ def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
     return EdgeCloud(cloudlets)
 
 
-def _benchmark_to_mapping(b: Benchmark) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "name": b.name,
-        "class": b.task_class.token,
-        "base_service_ms": b.base_service_ms,
-        "mobile_ms": b.mobile_ms,
-        "cloud_ms": b.cloud_ms,
-        "data_bytes": b.data_bytes,
-        "weight": b.weight,
-    }
-    if b.bound_factor is not None:
-        out["bound_factor"] = b.bound_factor
-    return out
+# The file layout, in file order: (key path, field, shape, kind).  A path
+# without a dot is a top-level key.  Shape "pair" is a [low, high] list and
+# shape "list" a list that is left out of the file when the field is None.
+_LAYOUT = (
+    ("seed", "seed", "value", int),
+    ("cloudlets.count", "cloudlet_count", "value", int),
+    ("cloudlets.vm_count_range", "vm_count_range", "pair", int),
+    ("cloudlets.speed_factor_range", "speed_factor_range", "pair", float),
+    ("cloudlets.vm_counts", "vm_counts", "list", int),
+    ("cloudlets.speed_factors", "speed_factors", "list", float),
+    ("network.daemon_rtt_ms", "daemon_rtt_ms", "value", float),
+    ("network.remote_rtt_range_ms", "remote_rtt_range_ms", "pair", float),
+    ("network.cloud_rtt_ms", "cloud_rtt_ms", "value", float),
+    ("network.cloudlet_bandwidth_bytes_per_ms", "cloudlet_bandwidth_bytes_per_ms", "value", float),
+    ("network.cloud_bandwidth_bytes_per_ms", "cloud_bandwidth_bytes_per_ms", "value", float),
+    ("trace.task_count", "task_count", "value", int),
+    ("trace.arrival_rate", "arrival_rate", "value", float),
+    ("trace.time_unit_ms", "time_unit_ms", "value", float),
+    ("scheduler.delay_quantum_ms", "delay_quantum_ms", "value", float),
+    ("scheduler.max_delays", "max_delays", "value", int),
+    ("scheduler.probe_latency_ms", "probe_latency_ms", "value", float),
+    ("catalog", "catalog", "list", Benchmark),
+)
+# A catalog entry's layout, in file order: (key, Benchmark field, kind).  An
+# entry may leave out the keys whose field has a default; a None is left out.
+_ENTRY_LAYOUT = (
+    ("name", "name", str),
+    ("class", "task_class", TaskClass),
+    ("base_service_ms", "base_service_ms", float),
+    ("mobile_ms", "mobile_ms", float),
+    ("cloud_ms", "cloud_ms", float),
+    ("data_bytes", "data_bytes", float),
+    ("weight", "weight", float),
+    ("bound_factor", "bound_factor", float),
+)
+_PATHS = {name: path for path, name, _, _ in _LAYOUT}
+_SECTIONS = tuple(dict.fromkeys(path.partition(".")[0] for path in _PATHS.values() if "." in path))
+# every (section, key) a file may hold; section "" is the top level
+_KNOWN = {("", s) for s in _SECTIONS} | {path.rpartition(".")[::2] for path in _PATHS.values()}
+_ENTRY_KEYS = {key for key, _, _ in _ENTRY_LAYOUT}
+_REQUIRED = {f.name for f in fields(Benchmark) if f.default is MISSING}
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
-def _benchmark_from_mapping(data: Mapping[str, Any], path: str) -> Benchmark:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    allowed = {"name", "class", "base_service_ms", "mobile_ms", "cloud_ms",
-               "data_bytes", "weight", "bound_factor"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    try:
-        return Benchmark(
-            name=str(data["name"]),
-            task_class=TaskClass.from_token(str(data["class"])),
-            base_service_ms=float(data["base_service_ms"]),
-            mobile_ms=float(data["mobile_ms"]),
-            cloud_ms=float(data["cloud_ms"]),
-            data_bytes=float(data["data_bytes"]),
-            bound_factor=float(data["bound_factor"]) if "bound_factor" in data else None,
-            weight=float(data.get("weight", 1.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _plain(value):
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Benchmark):
+        return {key: _plain(getattr(value, name)) for key, name, _ in _ENTRY_LAYOUT
+                if getattr(value, name) is not None}
+    return value.token if isinstance(value, TaskClass) else value
 
 
 def to_mapping(config: EdgeCloudConfig) -> dict[str, Any]:
     """Nested plain-data form of a config, ready for YAML."""
-    cloudlets: dict[str, Any] = {
-        "count": config.cloudlet_count,
-        "vm_count_range": list(config.vm_count_range),
-        "speed_factor_range": list(config.speed_factor_range),
-    }
-    if config.vm_counts is not None:
-        cloudlets["vm_counts"] = list(config.vm_counts)
-    if config.speed_factors is not None:
-        cloudlets["speed_factors"] = list(config.speed_factors)
-    return {
-        "seed": config.seed,
-        "cloudlets": cloudlets,
-        "network": {
-            "daemon_rtt_ms": config.daemon_rtt_ms,
-            "remote_rtt_range_ms": list(config.remote_rtt_range_ms),
-            "cloud_rtt_ms": config.cloud_rtt_ms,
-            "cloudlet_bandwidth_bytes_per_ms": config.cloudlet_bandwidth_bytes_per_ms,
-            "cloud_bandwidth_bytes_per_ms": config.cloud_bandwidth_bytes_per_ms,
-        },
-        "trace": {
-            "task_count": config.task_count,
-            "arrival_rate": config.arrival_rate,
-            "time_unit_ms": config.time_unit_ms,
-        },
-        "scheduler": {
-            "delay_quantum_ms": config.delay_quantum_ms,
-            "max_delays": config.max_delays,
-            "probe_latency_ms": config.probe_latency_ms,
-        },
-        "catalog": [_benchmark_to_mapping(b) for b in config.catalog],
-    }
+    out: dict[str, Any] = {}
+    for path, name, shape, _ in _LAYOUT:
+        value = getattr(config, name)
+        if value is not None or shape != "list":
+            section, _, key = path.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[key] = _plain(value)
+    return out
 
 
-class _Section:
-    """Typed reader over one mapping level; tracks consumed keys."""
+def _scalar(raw, kind):
+    """``raw`` as a ``kind``: a bool is no number and an int takes no fractional float."""
+    if isinstance(raw, bool) and kind in (int, float) or (
+            kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise TypeError(f"expected {kind.__name__}, got {raw!r}")
+    return TaskClass.from_token(str(raw)) if kind is TaskClass else kind(raw)
 
-    def __init__(self, data: Mapping[str, Any], path: str):
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"{path or '<root>'}: expected a mapping, got {type(data).__name__}")
-        self._data = data
-        self._path = path
-        self._seen: set[str] = set()
 
-    def _full(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
+def _mapping(data, path: str) -> Mapping[str, Any]:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
+    return data
 
-    def child(self, key: str) -> "_Section":
-        self._seen.add(key)
-        return _Section(self._data.get(key, {}), self._full(key))
 
-    def value(self, key: str, kind, default):
-        self._seen.add(key)
-        if key not in self._data or self._data[key] is None:
-            return default
-        raw = self._data[key]
+def _benchmark(data, path: str) -> Benchmark:
+    for key in _mapping(data, path):
+        if key not in _ENTRY_KEYS:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    try:
+        return Benchmark(**{name: _scalar(data[key], kind) for key, name, kind in _ENTRY_LAYOUT
+                            if key in data or name in _REQUIRED})
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
+    except _BAD_VALUE as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _read(raw, path: str, shape: str, kind):
+    """One key's value of the given shape; every entry follows the scalar rule."""
+    if shape == "value":
         try:
-            if kind is int:
-                if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-                    raise TypeError
-                return int(raw)
-            if kind is float:
-                if isinstance(raw, bool):
-                    raise TypeError
-                return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self._full(key)}: expected {kind.__name__}, got {raw!r}"
-            ) from None
-        return raw
-
-    def pair(self, key: str, kind, default):
-        self._seen.add(key)
-        if key not in self._data or self._data[key] is None:
-            return default
-        raw = self._data[key]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ConfigError(f"{self._full(key)}: expected a [low, high] pair")
-        try:
-            return (kind(raw[0]), kind(raw[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self._full(key)}: expected {kind.__name__} entries") from None
-
-    def sequence(self, key: str, kind):
-        self._seen.add(key)
-        if key not in self._data or self._data[key] is None:
-            return None
-        raw = self._data[key]
+            return _scalar(raw, kind)
+        except _BAD_VALUE:
+            raise ConfigError(f"{path}: expected {kind.__name__}, got {raw!r}") from None
+    if kind is Benchmark:
         if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"{self._full(key)}: expected a list")
-        try:
-            return tuple(kind(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self._full(key)}: expected {kind.__name__} entries") from None
-
-    def raw(self, key: str):
-        self._seen.add(key)
-        return self._data.get(key)
-
-    def reject_unknown(self) -> None:
-        for key in self._data:
-            if key not in self._seen:
-                raise ConfigError(f"{self._full(key)}: unknown key")
+            raise ConfigError(f"{path}: expected a list of benchmarks")
+        return tuple(_benchmark(entry, f"{path}[{i}]") for i, entry in enumerate(raw))
+    if not isinstance(raw, (list, tuple)) or (shape == "pair" and len(raw) != 2):
+        wanted = "a [low, high] pair" if shape == "pair" else "a list"
+        raise ConfigError(f"{path}: expected {wanted}")
+    try:
+        return tuple(_scalar(v, kind) for v in raw)
+    except _BAD_VALUE:
+        raise ConfigError(f"{path}: expected {kind.__name__} entries") from None
 
 
 def from_mapping(data: Mapping[str, Any] | None) -> EdgeCloudConfig:
     """Build a config from nested plain data; missing keys take defaults."""
-    root = _Section(data if data is not None else {}, "")
-    defaults = EdgeCloudConfig()
-
-    cloudlets = root.child("cloudlets")
-    network = root.child("network")
-    trace = root.child("trace")
-    scheduler = root.child("scheduler")
-
-    catalog = defaults.catalog
-    raw_catalog = root.raw("catalog")
-    if raw_catalog is not None:
-        if not isinstance(raw_catalog, (list, tuple)):
-            raise ConfigError("catalog: expected a list of benchmarks")
-        catalog = tuple(
-            _benchmark_from_mapping(entry, f"catalog[{i}]")
-            for i, entry in enumerate(raw_catalog)
-        )
-
-    try:
-        config = EdgeCloudConfig(
-            cloudlet_count=cloudlets.value("count", int, defaults.cloudlet_count),
-            vm_count_range=cloudlets.pair("vm_count_range", int, defaults.vm_count_range),
-            vm_counts=cloudlets.sequence("vm_counts", int),
-            speed_factor_range=cloudlets.pair("speed_factor_range", float,
-                                              defaults.speed_factor_range),
-            speed_factors=cloudlets.sequence("speed_factors", float),
-            daemon_rtt_ms=network.value("daemon_rtt_ms", float, defaults.daemon_rtt_ms),
-            remote_rtt_range_ms=network.pair("remote_rtt_range_ms", float,
-                                             defaults.remote_rtt_range_ms),
-            cloud_rtt_ms=network.value("cloud_rtt_ms", float, defaults.cloud_rtt_ms),
-            cloudlet_bandwidth_bytes_per_ms=network.value(
-                "cloudlet_bandwidth_bytes_per_ms", float,
-                defaults.cloudlet_bandwidth_bytes_per_ms),
-            cloud_bandwidth_bytes_per_ms=network.value(
-                "cloud_bandwidth_bytes_per_ms", float,
-                defaults.cloud_bandwidth_bytes_per_ms),
-            task_count=trace.value("task_count", int, defaults.task_count),
-            arrival_rate=trace.value("arrival_rate", float, defaults.arrival_rate),
-            time_unit_ms=trace.value("time_unit_ms", float, defaults.time_unit_ms),
-            delay_quantum_ms=scheduler.value("delay_quantum_ms", float, None),
-            max_delays=scheduler.value("max_delays", int, defaults.max_delays),
-            probe_latency_ms=scheduler.value("probe_latency_ms", float,
-                                             defaults.probe_latency_ms),
-            seed=root.value("seed", int, defaults.seed),
-            catalog=catalog,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    cloudlets.reject_unknown()
-    network.reject_unknown()
-    trace.reject_unknown()
-    scheduler.reject_unknown()
-    root.reject_unknown()
+    root = _mapping({} if data is None else data, "<root>")
+    sections = {"": root} | {s: _mapping(root.get(s, {}), s) for s in _SECTIONS}
+    values = {}
+    for path, name, shape, kind in _LAYOUT:
+        section, _, key = path.rpartition(".")
+        raw = sections[section].get(key)
+        if raw is not None:
+            values[name] = _read(raw, path, shape, kind)
+    config = EdgeCloudConfig(**values)
+    for section, mapping in sections.items():
+        for key in mapping:
+            if (section, key) not in _KNOWN:
+                raise ConfigError(f"{f'{section}.' if section else ''}{key}: unknown key")
     return config
 
 

@@ -92,12 +92,6 @@ class VmSchedule:
         self._stale = [initial_ready] * vm_count
         self._stale_min = initial_ready
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def ready_times(self) -> list[float]:
-        return sorted(t for t, _ in self._heap)
-
     def earliest_ready(self) -> float:
         return self._heap[0][0]
 
@@ -125,9 +119,6 @@ class VmSchedule:
             _, vm_index, ready = log.popleft()
             stale[vm_index] = ready
         self._stale_min = min(stale)
-
-    def has_idle_vm(self, now: float) -> bool:
-        return self.earliest_ready() <= now
 
     def commit(self, now: float, exec_time: float) -> tuple[float, int]:
         """Occupy the earliest-ready VM; returns (start, vm_index)."""

@@ -241,8 +241,6 @@ def completion_time_mobile(task: Task) -> CompletionBreakdown:
 
 def completion_time_cloud(task: Task, net: NetworkParams) -> CompletionBreakdown:
     """Completion on the cloud: execution plus transfer, never any queueing."""
-    if net.cloud_bandwidth <= 0:
-        raise ValueError("cloud_bandwidth must be > 0")
     comm = task.data_volume / net.cloud_bandwidth + net.cloud_rtt
     return CompletionBreakdown(exec=task.cloud_exec_time, wait=0.0, comm=comm)
 

@@ -104,8 +104,6 @@ class TraceSpec:
 
     def normalized_weights(self) -> np.ndarray:
         arr = np.asarray([b.weight for b in self.catalog], dtype=float)
-        if np.any(arr <= 0):
-            raise ValueError("catalog weights must be > 0")
         total = arr.sum()
         if not isfinite(total):
             raise ValueError("catalog weights must have a finite sum")

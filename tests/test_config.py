@@ -1,5 +1,7 @@
 """Config defaults, YAML round-trips, and topology materialization."""
 
+import hashlib
+
 import pytest
 
 from petrel.config import (
@@ -156,6 +158,127 @@ class TestMappingErrors:
     def test_section_must_be_a_mapping(self):
         with pytest.raises(ConfigError, match="network"):
             from_mapping({"network": [1, 2]})
+
+
+INT_KEYS = ("seed", "cloudlets.count", "trace.task_count", "scheduler.max_delays")
+FLOAT_KEYS = (
+    "network.daemon_rtt_ms", "network.cloud_rtt_ms", "network.cloudlet_bandwidth_bytes_per_ms",
+    "network.cloud_bandwidth_bytes_per_ms", "trace.arrival_rate", "trace.time_unit_ms",
+    "scheduler.delay_quantum_ms", "scheduler.probe_latency_ms",
+)
+PAIR_KEYS = {"cloudlets.vm_count_range": "int", "cloudlets.speed_factor_range": "float",
+             "network.remote_rtt_range_ms": "float"}
+LIST_KEYS = {"cloudlets.vm_counts": "int", "cloudlets.speed_factors": "float"}
+ENTRY = {"name": "x", "class": "sensitive", "base_service_ms": 1.0, "mobile_ms": 1.0,
+         "cloud_ms": 1.0, "data_bytes": 0.0}
+INF = float("inf")
+
+
+def nested(path, value):
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+def with_entry(**changes):
+    entry = {**ENTRY, **changes}
+    return {"catalog": [{k: v for k, v in entry.items() if v is not ...}]}
+
+
+def single_fault_cases():
+    for path in INT_KEYS:
+        yield nested(path, "ten"), f"{path}: expected int, got 'ten'"
+        yield nested(path, [1, 2]), f"{path}: expected int, got [1, 2]"
+        yield nested(path, True), f"{path}: expected int, got True"
+        yield nested(path, 2.5), f"{path}: expected int, got 2.5"
+        yield nested(path, INF), f"{path}: expected int, got inf"
+    for path in FLOAT_KEYS:
+        yield nested(path, "ten"), f"{path}: expected float, got 'ten'"
+        yield nested(path, [1, 2]), f"{path}: expected float, got [1, 2]"
+        yield nested(path, INF), f"{path}: must be finite"
+    for path, kind in PAIR_KEYS.items():
+        yield nested(path, ["a", "b"]), f"{path}: expected {kind} entries"
+        yield nested(path, [1, 2, 3]), f"{path}: expected a [low, high] pair"
+        yield nested(path, 3), f"{path}: expected a [low, high] pair"
+        if kind == "float":
+            yield nested(path, [1.0, INF]), f"{path}: must be finite"
+    for path, kind in LIST_KEYS.items():
+        yield nested(path, ["a", "b"]), f"{path}: expected {kind} entries"
+        yield nested(path, 3), f"{path}: expected a list"
+    yield (nested("cloudlets.speed_factors", [1.0] * 9 + [INF]),
+           "cloudlets.speed_factors: must be finite")
+    yield {"zzz": 1}, "zzz: unknown key"
+    for section in ("cloudlets", "network", "trace", "scheduler"):
+        yield {section: {"zzz": 1}}, f"{section}.zzz: unknown key"
+        yield {section: [1]}, f"{section}: expected a mapping, got list"
+        yield {section: None}, f"{section}: expected a mapping, got NoneType"
+    yield with_entry(zzz=1), "catalog[0].zzz: unknown key"
+    for key in ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "weight", "bound_factor"):
+        yield with_entry(**{key: "abc"}), "catalog[0]: could not convert string to float: 'abc'"
+        yield with_entry(**{key: INF}), f"catalog[0]: benchmark x: {key} must be finite"
+    for key in ENTRY:
+        yield with_entry(**{key: ...}), f"catalog[0]: missing key {key!r}"
+    yield (with_entry(**{"class": "x"}),
+           "catalog[0]: unknown task class 'x' (expected 'sensitive' or 'tolerant')")
+    yield {"catalog": 3}, "catalog: expected a list of benchmarks"
+    yield {"catalog": [[1]]}, "catalog[0]: expected a mapping, got list"
+    yield {"catalog": []}, "catalog: must have at least one benchmark"
+    yield {"catalog": [ENTRY, ENTRY]}, "catalog: benchmark names must be unique"
+    yield [1], "<root>: expected a mapping, got list"
+    yield {"cloudlets.count": 3}, "cloudlets.count: unknown key"
+
+
+class TestLayoutPins:
+    """The file layout and its error messages, pinned as the reader and writer produce them."""
+
+    @pytest.mark.parametrize("data, message", list(single_fault_cases()))
+    def test_single_fault_message(self, data, message):
+        with pytest.raises(ConfigError) as caught:
+            from_mapping(data)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("config, digest", [
+        (EdgeCloudConfig(), "4461c5ad488563a921e831440ada2612d41f69e086abc4c5748c3927334905ec"),
+        (EdgeCloudConfig(
+            cloudlet_count=4, vm_counts=(2, 1, 3, 2), speed_factors=(1.0, 2.0, 0.5, 1.5),
+            delay_quantum_ms=12.0,
+            catalog=(Benchmark("only", TaskClass.LATENCY_TOLERANT, 500.0, 2500.0, 400.0,
+                               12_000.0, bound_factor=3.0, weight=2.0),)),
+         "81c4f54f3601fc26e12d6d50e32703fd12e4d41d3f197d4608f6addea7c06e88"),
+    ])
+    def test_save_config_bytes(self, tmp_path, config, digest):
+        path = tmp_path / "config.yaml"
+        save_config(config, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_quoted_numbers_are_accepted(self):
+        config = from_mapping({"trace": {"task_count": "10"},
+                               "cloudlets": {"vm_count_range": ["1", "10"]}})
+        assert (config.task_count, config.vm_count_range) == (10, (1, 10))
+
+
+class TestEntryTypeRules:
+    """List and pair entries follow the rules scalar keys do: no bool, no fractional int."""
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param({"cloudlets": {"vm_count_range": [1.5, 10]}},
+                     "cloudlets.vm_count_range: expected int entries", id="fractional-pair"),
+        pytest.param({"cloudlets": {"vm_count_range": [True, 10]}},
+                     "cloudlets.vm_count_range: expected int entries", id="bool-pair"),
+        pytest.param({"cloudlets": {"vm_count_range": [1, INF]}},
+                     "cloudlets.vm_count_range: expected int entries", id="inf-int-pair"),
+        pytest.param({"cloudlets": {"count": 3, "vm_counts": [1.9, 2, 3]}},
+                     "cloudlets.vm_counts: expected int entries", id="fractional-list"),
+        pytest.param({"cloudlets": {"count": 2, "speed_factors": [True, 2.0]}},
+                     "cloudlets.speed_factors: expected float entries", id="bool-list"),
+        pytest.param(with_entry(base_service_ms=True), "catalog[0]: expected float, got True",
+                     id="bool-catalog-entry"),
+        pytest.param({"trace": {"arrival_rate": 10**400}},
+                     f"trace.arrival_rate: expected float, got {10**400}", id="huge-int-float"),
+    ])
+    def test_entry_is_rejected(self, data, message):
+        with pytest.raises(ConfigError) as caught:
+            from_mapping(data)
+        assert str(caught.value) == message
 
 
 class TestFiles:

@@ -63,9 +63,8 @@ def small_topology(vms=1, count=2, speed=1.0):
 class TestVmSchedule:
     def test_all_vms_start_idle(self):
         vms = VmSchedule(3)
-        assert vms.ready_times() == [0.0, 0.0, 0.0]
         assert vms.earliest_ready() == 0.0
-        assert vms.has_idle_vm(0.0)
+        assert sorted(vms.commit(0.0, 100.0) for _ in range(3)) == [(0.0, 0), (0.0, 1), (0.0, 2)]
 
     def test_commit_occupies_the_earliest_vm(self):
         vms = VmSchedule(1)
@@ -73,7 +72,8 @@ class TestVmSchedule:
         assert (start, index) == (0.0, 0)
         start, _ = vms.commit(0.0, 500.0)
         assert start == 800.0
-        assert vms.ready_times() == [1300.0]
+        assert vms.earliest_ready() == 1300.0
+        assert vms.commit(0.0, 1.0) == (1300.0, 0)
 
     def test_commit_spreads_over_idle_vms(self):
         vms = VmSchedule(2)
@@ -81,19 +81,23 @@ class TestVmSchedule:
         start, index = vms.commit(0.0, 1000.0)
         assert start == 0.0
         assert index == 1
-        assert vms.ready_times() == [1000.0, 1000.0]
+        assert vms.earliest_ready() == 1000.0
+        assert sorted(vms.commit(0.0, 1.0) for _ in range(2)) == [(1000.0, 0), (1000.0, 1)]
 
     def test_late_commit_starts_at_now(self):
         vms = VmSchedule(1)
         start, _ = vms.commit(700.0, 100.0)
         assert start == 700.0
-        assert vms.ready_times() == [800.0]
+        assert vms.earliest_ready() == 800.0
+        assert vms.commit(700.0, 1.0) == (800.0, 0)
 
-    def test_idle_flag_follows_the_clock(self):
+    def test_start_follows_the_clock(self):
         vms = VmSchedule(1)
         vms.commit(0.0, 400.0)
-        assert not vms.has_idle_vm(399.0)
-        assert vms.has_idle_vm(400.0)
+        assert vms.commit(399.0, 1.0) == (400.0, 0)  # still busy at 399
+        vms = VmSchedule(1)
+        vms.commit(0.0, 400.0)
+        assert vms.commit(400.0, 1.0) == (400.0, 0)  # idle again at 400
 
     def test_asof_reads_see_older_state(self):
         vms = VmSchedule(1)
@@ -143,7 +147,8 @@ class TestProbeAndCommitHelpers:
         sim = Simulation(topo, Scripted([Assign(0)]))
         record = sim.run([task]).records[0]
         assert (record.start_time, record.completion_time) == (800.0, 1310.0)
-        assert sim.vm_schedules[0].ready_times() == [1300.0]
+        assert sim.vm_schedules[0].earliest_ready() == 1300.0
+        assert sim.vm_schedules[0].commit(800.0, 1.0) == (1300.0, 0)
 
     def test_remote_commit_charges_the_pair_rtt(self):
         net = zero_data_net(daemon_rtt=10.0, remote_rtt=60.0)
