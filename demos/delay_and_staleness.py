@@ -58,7 +58,7 @@ for latency in (0.0, 1500.0):
     ).run([blocker] + burst)
     tag = "fresh probes" if latency == 0 else f"{latency:.0f} ms stale"
     for name, result in (("greedy", greedy), ("adaptive", adaptive)):
-        spots = [r.allocation.executor_label for r in result.records[1:]]
+        spots = [str(r.executor) for r in result.records[1:]]
         awt = sum(r.turnaround / r.service_time for r in result.records[1:]) / len(burst)
         print(f"{tag:>14}  {name:<8} awt {awt:.2f}   burst landed on {spots}")
 

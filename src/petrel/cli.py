@@ -62,7 +62,8 @@ def write_records_csv(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\n")
         fh.writelines(
-            f"{r.task_id},{r.task_class.token},{r.daemon_id},{r.allocation.executor_label},"
+            f"{r.task_id},{r.task_class.token},{r.daemon_id},"
+            f"{'cloud' if r.executor is None else r.executor},"
             f"{fmt(r.assign_time)},{fmt(r.start_time)},{fmt(r.completion_time)},"
             f"{fmt(r.turnaround)},{fmt(r.service_time)},{fmt(r.weighted_turnaround)},"
             f"{fmt(r.speedup)},{r.delays_taken},"
@@ -146,17 +147,18 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
                 f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULER_NAMES)}"
             )
         _check_policy_fits(config, name)
+    # one config per λ, so every rate passes the config's own checks before any run
+    sweep = [(lam, config.override(arrival_rate=lam)) for lam in lambdas]
     cells: list[ComparisonCell] = []
     grouped: dict[tuple[str, float], list[RunSummary]] = {}
-    for lam in lambdas:
+    for lam, lam_config in sweep:
         for rep in replicates:
             cell_seed = derive_seed(base_seed, "cell", repr(float(lam)), rep)
-            trace = generate_trace(config.trace_spec(
-                arrival_rate=lam, seed=derive_seed(cell_seed, "trace")))
-            topology = build_topology(config, seed=cell_seed)
+            trace = generate_trace(lam_config, derive_seed(cell_seed, "trace"))
+            topology = build_topology(lam_config, seed=cell_seed)
             for name in schedulers:
                 run_seed = derive_seed(base_seed, "run", name, repr(float(lam)), rep)
-                result = simulate(config, trace, name, run_seed, topology=topology)
+                result = simulate(lam_config, trace, name, run_seed, topology=topology)
                 summary = summarize(result.records, topology)
                 cells.append(ComparisonCell(name, lam, rep, summary))
                 grouped.setdefault((name, lam), []).append(summary)
@@ -264,8 +266,7 @@ def _ensure_out_dir(path: str) -> str:
 def cmd_generate(args) -> int:
     config = _load_cli_config(args)
     seed = _resolve_seed(args, config)
-    spec = config.trace_spec(seed=seed)
-    trace = generate_trace(spec)
+    trace = generate_trace(config, seed)
     if args.trace is not None:
         out_path = args.trace
         parent = os.path.dirname(out_path)
@@ -288,7 +289,7 @@ def cmd_run(args) -> int:
             raise TraceFormatError(f"{args.trace}: the trace has no tasks")
     else:
         _check_has_tasks(config, "run")
-        trace = generate_trace(config.trace_spec(seed=derive_seed(seed, "trace")))
+        trace = generate_trace(config, derive_seed(seed, "trace"))
     result = simulate(config, trace, args.scheduler, seed)
     summary = summarize(result.records, result.topology)
 

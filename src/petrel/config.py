@@ -20,7 +20,7 @@ import yaml
 
 from .model import Cloudlet, EdgeCloud, NetworkParams
 from .seeding import new_rng
-from .workload import Benchmark, TaskClass, TraceSpec, default_catalog
+from .workload import Benchmark, TaskClass, default_catalog
 
 
 class ConfigError(ValueError):
@@ -115,17 +115,6 @@ class EdgeCloudConfig:
                     if b.task_class is TaskClass.LATENCY_TOLERANT]
         pool = tolerant or [b.base_service_ms for b in self.catalog]
         return sum(pool) / len(pool) / 40.0
-
-    def trace_spec(self, *, task_count: int | None = None, arrival_rate: float | None = None,
-                   seed: int | None = None) -> TraceSpec:
-        return TraceSpec(
-            task_count=self.task_count if task_count is None else task_count,
-            arrival_rate=self.arrival_rate if arrival_rate is None else arrival_rate,
-            catalog=self.catalog,
-            cloudlet_count=self.cloudlet_count,
-            seed=self.seed if seed is None else seed,
-            time_unit_ms=self.time_unit_ms,
-        )
 
     def override(self, **changes) -> "EdgeCloudConfig":
         return replace(self, **changes)
@@ -246,9 +235,10 @@ def to_mapping(config: EdgeCloudConfig) -> dict[str, Any]:
 
 
 def _scalar(raw, kind):
-    """``raw`` as a ``kind``: a bool is no number and an int takes no fractional float."""
-    if isinstance(raw, bool) and kind in (int, float) or (
-            kind is int and isinstance(raw, float) and not raw.is_integer()):
+    """``raw`` as a ``kind``: a str only from a str, no bool as a number, no fractional int."""
+    if (kind is str and not isinstance(raw, str)
+            or isinstance(raw, bool) and kind in (int, float)
+            or kind is int and isinstance(raw, float) and not raw.is_integer()):
         raise TypeError(f"expected {kind.__name__}, got {raw!r}")
     return TaskClass.from_token(str(raw)) if kind is TaskClass else kind(raw)
 
@@ -263,12 +253,15 @@ def _benchmark(data, path: str) -> Benchmark:
     for key in _mapping(data, path):
         if key not in _ENTRY_KEYS:
             raise ConfigError(f"{path}.{key}: unknown key")
+    values = {}
+    for key, name, kind in _ENTRY_LAYOUT:
+        if key in data:
+            values[name] = _read(data[key], f"{path}.{key}", "value", kind)
+        elif name in _REQUIRED:
+            raise ConfigError(f"{path}: missing key {key!r}")
     try:
-        return Benchmark(**{name: _scalar(data[key], kind) for key, name, kind in _ENTRY_LAYOUT
-                            if key in data or name in _REQUIRED})
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
-    except _BAD_VALUE as exc:
+        return Benchmark(**values)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -277,8 +270,10 @@ def _read(raw, path: str, shape: str, kind):
     if shape == "value":
         try:
             return _scalar(raw, kind)
-        except _BAD_VALUE:
-            raise ConfigError(f"{path}: expected {kind.__name__}, got {raw!r}") from None
+        except _BAD_VALUE as exc:
+            # a class token's own message names the tokens it takes
+            wanted = exc if kind is TaskClass else f"expected {kind.__name__}, got {raw!r}"
+            raise ConfigError(f"{path}: {wanted}") from None
     if kind is Benchmark:
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(f"{path}: expected a list of benchmarks")

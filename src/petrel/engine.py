@@ -23,7 +23,6 @@ from math import inf
 from typing import NamedTuple, Sequence
 
 from .model import (
-    Allocation,
     Cloudlet,
     EdgeCloud,
     Route,
@@ -80,17 +79,17 @@ class VmSchedule:
     when nothing reads it.
     """
 
-    def __init__(self, vm_count: int, initial_ready: float = 0.0, staleness: float = inf):
+    def __init__(self, vm_count: int, staleness: float = inf):
         if vm_count < 1:
             raise ValueError("vm_count must be >= 1")
-        self._heap: list[tuple[float, int]] = [(initial_ready, i) for i in range(vm_count)]
+        self._heap: list[tuple[float, int]] = [(0.0, i) for i in range(vm_count)]
         heapq.heapify(self._heap)
         self._staleness = staleness
         self._log: deque[tuple[float, int, float]] = deque()
         self._last_commit = -inf
         self._horizon = -inf
-        self._stale = [initial_ready] * vm_count
-        self._stale_min = initial_ready
+        self._stale = [0.0] * vm_count
+        self._stale_min = 0.0
 
     def earliest_ready(self) -> float:
         return self._heap[0][0]
@@ -145,7 +144,7 @@ class TaskRecord(NamedTuple):
     task_id: int
     task_class: TaskClass
     daemon_id: int
-    allocation: Allocation
+    executor: int | None  # the cloudlet the task ran on; None for the cloud
     arrival_time: float
     assign_time: float
     start_time: float
@@ -270,8 +269,6 @@ class Simulation:
         }
         # routes[daemon_id][executor_id]: one row per daemon
         self.routes = {c.id: _RouteRow(topology, c) for c in topology}
-        self._allocations = {c.id: Allocation.cloudlet(c.id) for c in topology}
-        self._cloud = Allocation.cloud()
         self._ran = False
 
     def run(self, trace: Sequence[Task]) -> SimulationResult:
@@ -343,12 +340,11 @@ class Simulation:
                 ) from None
             service_time, comm = placement_times(task, route)
             start, _ = self.vm_schedules[executor_id].commit(now, service_time)
-            allocation = self._allocations[executor_id]
         elif isinstance(decision, AssignCloud):
             bd = completion_time_cloud(task, self.topology.get(task.daemon_id).net)
             start = now
             service_time, comm = bd.exec, bd.comm
-            allocation = self._cloud
+            executor_id = None
         elif isinstance(decision, Delay):
             delays_taken[task.id] += 1
             if delays_taken[task.id] > self.max_delays:
@@ -372,7 +368,7 @@ class Simulation:
         if task.task_class is TaskClass.LATENCY_TOLERANT:
             violated = turnaround > task.latency_bound
         records[task.id] = TaskRecord(
-            task.id, task.task_class, task.daemon_id, allocation, task.arrival_time,
+            task.id, task.task_class, task.daemon_id, executor_id, task.arrival_time,
             now, start, completion, turnaround, service_time,
             task.mobile_exec_time / turnaround, delays_taken[task.id], violated,
         )

@@ -70,7 +70,7 @@ def makespans(
     if not per:
         raise ValueError("makespans over an empty cloudlet set")
     for r in records:
-        cid = r.allocation.cloudlet_id
+        cid = r.executor
         if cid is None:
             continue
         if cid not in per:

@@ -188,38 +188,6 @@ class EdgeCloud:
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """Where a task ended up: the device, the cloud, or one cloudlet."""
-
-    kind: str  # "mobile" | "cloud" | "cloudlet"
-    cloudlet_id: int | None = None
-
-    _KINDS = ("mobile", "cloud", "cloudlet")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown allocation kind {self.kind!r}")
-        if (self.kind == "cloudlet") != (self.cloudlet_id is not None):
-            raise ValueError("cloudlet_id is required exactly when kind == 'cloudlet'")
-
-    @classmethod
-    def mobile(cls) -> "Allocation":
-        return cls("mobile")
-
-    @classmethod
-    def cloud(cls) -> "Allocation":
-        return cls("cloud")
-
-    @classmethod
-    def cloudlet(cls, cloudlet_id: int) -> "Allocation":
-        return cls("cloudlet", cloudlet_id)
-
-    @property
-    def executor_label(self) -> str:
-        return str(self.cloudlet_id) if self.kind == "cloudlet" else self.kind
-
-
-@dataclass(frozen=True)
 class CompletionBreakdown:
     """Completion time split into execution, wait, and communication."""
 

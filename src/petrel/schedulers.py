@@ -114,7 +114,7 @@ def daa_decide(
     task: Task,
     daemon_probe: ProbeResult,
     candidate_probes: Sequence[ProbeResult],
-    delayed_daemon_completion: Union[float, Callable[[], float]],
+    delayed_daemon_completion: Callable[[], float],
     delay_quantum: float,
 ) -> SchedulingDecision:
     """Adaptive decision for one task.
@@ -125,9 +125,9 @@ def daa_decide(
     one and otherwise wait a quantum on the daemon, unless even the
     delayed daemon projection would already overrun their bound.
 
-    ``delayed_daemon_completion`` is the projected daemon completion if
-    the task committed one quantum from now; pass a callable to compute
-    it lazily (it is only needed on the tolerant, all-busy branch).
+    ``delayed_daemon_completion()`` projects the daemon completion if the
+    task committed one quantum from now; it is called only on the
+    tolerant, all-busy branch.
     """
     if daemon_probe.has_idle_vm:
         return _assign(daemon_probe.cloudlet_id)
@@ -138,8 +138,7 @@ def daa_decide(
         return _assign(daemon_probe.cloudlet_id)
     if candidate.has_idle_vm:
         return _assign(candidate.cloudlet_id)
-    delayed = delayed_daemon_completion() if callable(delayed_daemon_completion) else delayed_daemon_completion
-    if delayed >= task.deadline:
+    if delayed_daemon_completion() >= task.deadline:
         return _assign(daemon_probe.cloudlet_id)
     return _delay(delay_quantum)
 

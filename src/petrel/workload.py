@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isfinite, nextafter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model import Task, TaskClass
 from .seeding import derive_seed, new_rng
+
+if TYPE_CHECKING:  # config imports this module for Benchmark
+    from .config import EdgeCloudConfig
 
 
 class TraceFormatError(ValueError):
@@ -81,35 +84,6 @@ def default_catalog() -> list[Benchmark]:
     ]
 
 
-@dataclass(frozen=True)
-class TraceSpec:
-    """Everything a trace generation needs, fully determined by ``seed``."""
-
-    task_count: int
-    arrival_rate: float
-    catalog: tuple[Benchmark, ...]
-    cloudlet_count: int
-    seed: int
-    time_unit_ms: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.task_count < 0:
-            raise ValueError("task_count must be >= 0")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
-        if self.cloudlet_count < 1:
-            raise ValueError("cloudlet_count must be >= 1")
-        if not self.catalog and self.task_count > 0:
-            raise ValueError("catalog must not be empty")
-
-    def normalized_weights(self) -> np.ndarray:
-        arr = np.asarray([b.weight for b in self.catalog], dtype=float)
-        total = arr.sum()
-        if not isfinite(total):
-            raise ValueError("catalog weights must have a finite sum")
-        return arr / total
-
-
 def generate_arrivals(arrival_rate: float, count: int, seed: int,
                       time_unit_ms: float = 1000.0) -> list[float]:
     """Strictly increasing Poisson arrival timestamps.
@@ -134,21 +108,22 @@ def generate_arrivals(arrival_rate: float, count: int, seed: int,
     return arrivals
 
 
-def _mix_by_loop(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
+def _mix_by_loop(config: EdgeCloudConfig, seed: int,
+                 cdf: list[float]) -> tuple[list[int], list[int]]:
     """Benchmark pick and daemon id of every task, one task at a time."""
-    rng = new_rng(spec.seed, "mix")
+    rng = new_rng(seed, "mix")
     picks: list[int] = []
     daemons: list[int] = []
-    for _ in range(spec.task_count):
+    for _ in range(config.task_count):
         picks.append(bisect_right(cdf, rng.random()))
-        daemons.append(int(rng.integers(0, spec.cloudlet_count)))
+        daemons.append(int(rng.integers(0, config.cloudlet_count)))
     return picks, daemons
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _mix(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
+def _mix(config: EdgeCloudConfig, seed: int, cdf: list[float]) -> tuple[list[int], list[int]]:
     """What :func:`_mix_by_loop` draws, from one ``random_raw`` batch.
 
     PCG64's ``random()`` is ``(word >> 11) * 2**-53`` of a whole word, and
@@ -158,10 +133,10 @@ def _mix(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
     and shift the rest, so it falls back to the loop, as does a k above
     ``2**32``, which numpy draws from whole words.
     """
-    n, k = spec.task_count, spec.cloudlet_count
+    n, k = config.task_count, config.cloudlet_count
     if k > 2**32:
-        return _mix_by_loop(spec, cdf)
-    raw = new_rng(spec.seed, "mix").bit_generator.random_raw
+        return _mix_by_loop(config, seed, cdf)
+    raw = new_rng(seed, "mix").bit_generator.random_raw
     if k == 1:  # integers(0, 1) draws nothing
         words, daemons = raw(n), [0] * n
     else:
@@ -170,26 +145,30 @@ def _mix(spec: TraceSpec, cdf: list[float]) -> tuple[list[int], list[int]]:
         halves = triples[:, 1]
         scaled = np.column_stack((halves & _LOW32, halves >> 32)).ravel()[:n] * np.uint64(k)
         if ((scaled & _LOW32) < 2**32 % k).any():
-            return _mix_by_loop(spec, cdf)
+            return _mix_by_loop(config, seed, cdf)
         daemons = (scaled >> 32).tolist()
     return np.searchsorted(cdf, (words >> 11) * 2.0**-53, side="right").tolist(), daemons
 
 
-def generate_trace(spec: TraceSpec) -> list[Task]:
-    """Draw a full task trace from ``spec``, reproducible from its seed."""
-    arrivals = generate_arrivals(
-        spec.arrival_rate, spec.task_count, derive_seed(spec.seed, "arrivals"), spec.time_unit_ms
-    )
+def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
+    """Draw the task trace ``config`` describes, reproducible from ``seed``: it
+    reads the ``trace`` keys, the catalog and the cloudlet count, nothing else."""
+    arrivals = generate_arrivals(config.arrival_rate, config.task_count,
+                                 derive_seed(seed, "arrivals"), config.time_unit_ms)
     if not arrivals:
         return []
+    weights = np.asarray([b.weight for b in config.catalog], dtype=float)
+    total = weights.sum()
+    if not isfinite(total):
+        raise ValueError("catalog weights must have a finite sum")
     # the cdf ``rng.choice(k, p=weights)`` builds on every call, built once;
     # bisecting one uniform draw into it picks the same benchmark
-    cdf = spec.normalized_weights().cumsum()
+    cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
     profiles = [(b.task_class, b.base_service_ms, b.mobile_ms, b.cloud_ms, b.data_bytes,
-                 b.latency_bound_ms, b.name) for b in spec.catalog]
+                 b.latency_bound_ms, b.name) for b in config.catalog]
     tasks: list[Task] = []
-    for i, (arrival, pick, daemon) in enumerate(zip(arrivals, *_mix(spec, cdf.tolist()))):
+    for i, (arrival, pick, daemon) in enumerate(zip(arrivals, *_mix(config, seed, cdf.tolist()))):
         task_class, base, mobile, cloud, data, bound, name = profiles[pick]
         tasks.append(Task(i, arrival, daemon, task_class, base, mobile, cloud, data, bound, name))
     return tasks

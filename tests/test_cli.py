@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,10 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import petrel
-from petrel.cli import RECORD_COLUMNS, main, write_records_csv
-from petrel.config import EdgeCloudConfig, save_config
+from petrel.cli import RECORD_COLUMNS, main, run_comparison, write_records_csv
+from petrel.config import ConfigError, EdgeCloudConfig, save_config
 from petrel.engine import TaskRecord
-from petrel.model import Allocation, TaskClass
+from petrel.model import TaskClass
 from petrel.workload import format_number, load_trace
 
 
@@ -158,7 +159,7 @@ def csv_writer_row(r):
         str(r.task_id),
         r.task_class.token,
         str(r.daemon_id),
-        r.allocation.executor_label,
+        "cloud" if r.executor is None else str(r.executor),
         format_number(r.assign_time),
         format_number(r.start_time),
         format_number(r.completion_time),
@@ -182,8 +183,7 @@ records = st.builds(
     task_id=st.integers(0, 2**40),
     task_class=st.sampled_from(TaskClass),
     daemon_id=st.integers(0, 1000),
-    allocation=st.one_of(st.just(Allocation.cloud()),
-                         st.integers(0, 1000).map(Allocation.cloudlet)),
+    executor=st.one_of(st.none(), st.integers(0, 1000)),
     arrival_time=times,
     assign_time=times,
     start_time=times,
@@ -507,6 +507,14 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: --lambda:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rate, message", [
+        (math.inf, "must be finite"), (math.nan, "must be finite"), (0.0, "must be > 0")])
+    def test_run_comparison_checks_every_lambda_as_the_config_does(self, rate, message):
+        # the bad rate comes second: it is rejected before any cell runs
+        with pytest.raises(ConfigError) as caught:
+            run_comparison(EdgeCloudConfig(task_count=20), ["daemon-only"], [1.0, rate], [1], 7)
+        assert str(caught.value) == f"trace.arrival_rate: {message}"
 
 
 class TestPaperDefaults:

@@ -213,12 +213,13 @@ def single_fault_cases():
         yield {section: None}, f"{section}: expected a mapping, got NoneType"
     yield with_entry(zzz=1), "catalog[0].zzz: unknown key"
     for key in ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "weight", "bound_factor"):
-        yield with_entry(**{key: "abc"}), "catalog[0]: could not convert string to float: 'abc'"
+        yield with_entry(**{key: "abc"}), f"catalog[0].{key}: expected float, got 'abc'"
         yield with_entry(**{key: INF}), f"catalog[0]: benchmark x: {key} must be finite"
     for key in ENTRY:
         yield with_entry(**{key: ...}), f"catalog[0]: missing key {key!r}"
     yield (with_entry(**{"class": "x"}),
-           "catalog[0]: unknown task class 'x' (expected 'sensitive' or 'tolerant')")
+           "catalog[0].class: unknown task class 'x' (expected 'sensitive' or 'tolerant')")
+    yield with_entry(name=5), "catalog[0].name: expected str, got 5"
     yield {"catalog": 3}, "catalog: expected a list of benchmarks"
     yield {"catalog": [[1]]}, "catalog[0]: expected a mapping, got list"
     yield {"catalog": []}, "catalog: must have at least one benchmark"
@@ -254,10 +255,12 @@ class TestLayoutPins:
         config = from_mapping({"trace": {"task_count": "10"},
                                "cloudlets": {"vm_count_range": ["1", "10"]}})
         assert (config.task_count, config.vm_count_range) == (10, (1, 10))
+        assert from_mapping(with_entry(name="5")).catalog[0].name == "5"
 
 
 class TestEntryTypeRules:
-    """List and pair entries follow the rules scalar keys do: no bool, no fractional int."""
+    """List, pair and catalog entries follow the rules scalar keys do: no bool, no
+    fractional int, a str only from a str."""
 
     @pytest.mark.parametrize("data, message", [
         pytest.param({"cloudlets": {"vm_count_range": [1.5, 10]}},
@@ -270,8 +273,15 @@ class TestEntryTypeRules:
                      "cloudlets.vm_counts: expected int entries", id="fractional-list"),
         pytest.param({"cloudlets": {"count": 2, "speed_factors": [True, 2.0]}},
                      "cloudlets.speed_factors: expected float entries", id="bool-list"),
-        pytest.param(with_entry(base_service_ms=True), "catalog[0]: expected float, got True",
+        pytest.param(with_entry(base_service_ms=True),
+                     "catalog[0].base_service_ms: expected float, got True",
                      id="bool-catalog-entry"),
+        pytest.param(with_entry(name=None), "catalog[0].name: expected str, got None",
+                     id="null-catalog-name"),
+        pytest.param(with_entry(name=[1, 2]), "catalog[0].name: expected str, got [1, 2]",
+                     id="list-catalog-name"),
+        pytest.param(with_entry(name=True), "catalog[0].name: expected str, got True",
+                     id="bool-catalog-name"),
         pytest.param({"trace": {"arrival_rate": 10**400}},
                      f"trace.arrival_rate: expected float, got {10**400}", id="huge-int-float"),
     ])
@@ -363,16 +373,3 @@ class TestBuildTopology:
         topo = build_topology(config, seed=21)
         node0, node1 = topo.get(0), topo.get(1)
         assert node0.net.rtt_to(1) != node1.net.rtt_to(0)
-
-
-class TestTraceSpecBridge:
-    def test_defaults_flow_through(self):
-        spec = EdgeCloudConfig(task_count=42, arrival_rate=1.5, seed=9).trace_spec()
-        assert spec.task_count == 42
-        assert spec.arrival_rate == 1.5
-        assert spec.seed == 9
-        assert spec.cloudlet_count == 10
-
-    def test_call_site_overrides(self):
-        spec = EdgeCloudConfig().trace_spec(task_count=7, arrival_rate=3.0, seed=1)
-        assert (spec.task_count, spec.arrival_rate, spec.seed) == (7, 3.0, 1)

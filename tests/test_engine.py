@@ -245,7 +245,7 @@ class TestSimulationRuns:
         for r in records:
             assert r.start_time == 0.0
             assert r.completion_time == 700.0 + 250.0
-            assert r.allocation.executor_label == "cloud"
+            assert r.executor is None
 
     def test_delay_defers_and_then_lands(self):
         topo = small_topology(vms=1, count=1)
@@ -374,15 +374,15 @@ class TestSimulationRuns:
             for t in trace
         ]
         result = Simulation(topo, Scripted(placements)).run(trace)
-        assert {r.allocation.kind for r in result.records} == {"cloudlet", "cloud"}
+        assert {r.executor is None for r in result.records} == {False, True}
         for task, record in zip(trace, result.records):
             daemon = topo.get(task.daemon_id)
-            if record.allocation.kind == "cloud":
+            if record.executor is None:
                 bd = completion_time_cloud(task, daemon.net)
-            elif record.allocation.cloudlet_id == task.daemon_id:
+            elif record.executor == task.daemon_id:
                 bd = completion_time_daemon(task, daemon, wait=0.0)
             else:
-                executor = topo.get(record.allocation.cloudlet_id)
+                executor = topo.get(record.executor)
                 bd = completion_time_remote(task, daemon, executor, wait=0.0)
             assert record.completion_time == record.start_time + bd.exec + bd.comm
 
@@ -511,8 +511,8 @@ class TestPhysicalInvariants:
         # per cloudlet, sweep the [start, start + service) busy intervals
         sweeps = {}
         for r in result.records:
-            if r.allocation.kind == "cloudlet":
-                sweeps.setdefault(r.allocation.cloudlet_id, []).extend(
+            if r.executor is not None:
+                sweeps.setdefault(r.executor, []).extend(
                     [(r.start_time, 1), (r.start_time + r.service_time, -1)]
                 )
         assert sweeps
@@ -791,7 +791,7 @@ def assert_matches_the_oracle(result, replay):
     assert len(result.records) == len(replay)
     for got, want in zip(result.records, replay):
         assert got.task_id == want.task_id
-        assert got.allocation.executor_label == want.executor
+        assert ("cloud" if got.executor is None else str(got.executor)) == want.executor
         assert got.assign_time == want.assign_time
         assert got.start_time == want.start_time
         assert got.completion_time == want.completion_time
@@ -822,5 +822,5 @@ class TestOracleOnRandomTopologies:
         assert [(d.time, d.task_id) for d in result.decisions] == [(0.0, 0), (100.0, 1), (100.0, 0)]
         assert [(e.time, e.kind, e.task_id) for e in result.events] == [
             (0.0, ARRIVAL, 0), (100.0, ARRIVAL, 1), (100.0, DELAY_EXPIRED, 0)]
-        assert [r.allocation.executor_label for r in result.records] == ["0", "1"]
+        assert [r.executor for r in result.records] == [0, 1]
         assert_matches_the_oracle(result, ReplayOracle(topo).run(trace, Scripted(script)))

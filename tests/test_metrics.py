@@ -7,7 +7,7 @@ import pytest
 from fixtures import make_cloudlet, make_topology
 from petrel.engine import TaskRecord
 from petrel.metrics import RunSummary, average_speedup, awt, makespans, summarize
-from petrel.model import Allocation, TaskClass
+from petrel.model import TaskClass
 
 
 def record(
@@ -19,12 +19,11 @@ def record(
     speedup=1.0,
     violated=None,
 ):
-    allocation = Allocation.cloud() if cloudlet is None else Allocation.cloudlet(cloudlet)
     return TaskRecord(
         task_id=task_id,
         task_class=TaskClass.LATENCY_SENSITIVE if violated is None else TaskClass.LATENCY_TOLERANT,
         daemon_id=cloudlet if cloudlet is not None else 0,
-        allocation=allocation,
+        executor=cloudlet,
         arrival_time=0.0,
         assign_time=0.0,
         start_time=0.0,
@@ -40,11 +39,11 @@ def record(
 class TestTaskRecord:
     def test_positional_and_keyword_records_agree(self):
         by_keyword = record(3, cloudlet=1, completion=900.0, turnaround=800.0, service=400.0)
-        positional = TaskRecord(3, TaskClass.LATENCY_SENSITIVE, 1, Allocation.cloudlet(1), 0.0,
+        positional = TaskRecord(3, TaskClass.LATENCY_SENSITIVE, 1, 1, 0.0,
                                 0.0, 0.0, 900.0, 800.0, 400.0, 1.0, 0, None)
         assert positional == by_keyword
         assert TaskRecord._fields == (
-            "task_id", "task_class", "daemon_id", "allocation", "arrival_time", "assign_time",
+            "task_id", "task_class", "daemon_id", "executor", "arrival_time", "assign_time",
             "start_time", "completion_time", "turnaround", "service_time", "speedup",
             "delays_taken", "bound_violated")
         assert positional.weighted_turnaround == 2.0

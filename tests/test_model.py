@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fixtures import make_cloudlet, make_net, make_task
 from petrel.model import (
-    Allocation,
     CompletionBreakdown,
     Task,
     TaskClass,
@@ -226,19 +225,6 @@ class TestNetworkValidation:
     def test_rejects_non_finite_remote_rtt_entries(self):
         with pytest.raises(ValueError, match="remote_rtt entries must be finite"):
             make_net(remote_rtt={1: 60.0, 2: math.inf})
-
-
-class TestAllocation:
-    def test_executor_labels(self):
-        assert Allocation.cloudlet(3).executor_label == "3"
-        assert Allocation.cloud().executor_label == "cloud"
-        assert Allocation.mobile().executor_label == "mobile"
-
-    def test_cloudlet_id_pairing_enforced(self):
-        with pytest.raises(ValueError):
-            Allocation("cloudlet")
-        with pytest.raises(ValueError):
-            Allocation("cloud", cloudlet_id=1)
 
 
 @given(

@@ -169,7 +169,7 @@ DECISION_TABLE = [
     ids=[case[0] for case in DECISION_TABLE],
 )
 def test_decision_table(task, daemon_probe, candidates, delayed, expected):
-    decision = daa_decide(task, daemon_probe, candidates, delayed, QUANTUM)
+    decision = daa_decide(task, daemon_probe, candidates, lambda: delayed, QUANTUM)
     assert decision == expected
 
 

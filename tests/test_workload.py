@@ -11,13 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from petrel import workload
+from petrel.config import EdgeCloudConfig
 from petrel.model import Task, TaskClass
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
     TRACE_COLUMNS,
     Benchmark,
     TraceFormatError,
-    TraceSpec,
     default_catalog,
     format_number,
     generate_arrivals,
@@ -27,20 +27,18 @@ from petrel.workload import (
 )
 
 
-def spec(**overrides):
+SEED = 20240917
+
+
+def config(**overrides):
     base = dict(
         task_count=50,
         arrival_rate=1.0,
         catalog=tuple(default_catalog()),
         cloudlet_count=3,
-        seed=marca_seed(),
     )
     base.update(overrides)
-    return TraceSpec(**base)
-
-
-def marca_seed():
-    return 20240917
+    return EdgeCloudConfig(**base)
 
 
 class TestArrivals:
@@ -74,13 +72,13 @@ class TestArrivals:
 
 class TestTraceGeneration:
     def test_ids_are_dense_and_arrivals_sorted(self):
-        trace = generate_trace(spec(task_count=200))
+        trace = generate_trace(config(task_count=200), SEED)
         assert [t.id for t in trace] == list(range(200))
         assert all(b.arrival_time > a.arrival_time for a, b in zip(trace, trace[1:]))
 
     def test_every_task_matches_a_catalog_profile(self):
         catalog = {b.name: b for b in default_catalog()}
-        for task in generate_trace(spec(task_count=120)):
+        for task in generate_trace(config(task_count=120), SEED):
             bench = catalog[task.benchmark]
             assert task.base_service_time == bench.base_service_ms
             assert task.mobile_exec_time == bench.mobile_ms
@@ -90,7 +88,7 @@ class TestTraceGeneration:
             assert task.latency_bound == bench.latency_bound_ms
 
     def test_daemons_stay_in_range_and_spread_out(self):
-        trace = generate_trace(spec(task_count=3000, cloudlet_count=3))
+        trace = generate_trace(config(task_count=3000, cloudlet_count=3), SEED)
         counts = np.bincount([t.daemon_id for t in trace], minlength=3)
         assert counts.sum() == 3000
         expected = 1000.0
@@ -101,23 +99,29 @@ class TestTraceGeneration:
     def test_weights_skew_the_benchmark_mix(self):
         catalog = tuple(replace(b, weight=1e-9 if i < 4 else 1.0)
                         for i, b in enumerate(default_catalog()))
-        trace = generate_trace(spec(task_count=60, catalog=catalog))
+        trace = generate_trace(config(task_count=60, catalog=catalog), SEED)
         assert {t.benchmark for t in trace} == {catalog[4].name}
 
     def test_reproducible_from_the_seed_alone(self):
-        assert generate_trace(spec()) == generate_trace(spec())
-        assert generate_trace(spec()) != generate_trace(spec(seed=marca_seed() + 1))
+        assert generate_trace(config(), SEED) == generate_trace(config(), SEED)
+        assert generate_trace(config(), SEED) != generate_trace(config(), SEED + 1)
 
     def test_empty_trace(self):
-        assert generate_trace(spec(task_count=0)) == []
+        assert generate_trace(config(task_count=0), SEED) == []
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            spec(task_count=-1)
-        with pytest.raises(ValueError):
-            spec(arrival_rate=0.0)
-        with pytest.raises(ValueError):
-            spec(cloudlet_count=0)
+    def test_reads_the_trace_fields_of_the_config(self):
+        c = config(task_count=42, arrival_rate=1.5, time_unit_ms=10.0,
+                   catalog=tuple(default_catalog()[1:3]), cloudlet_count=2)
+        trace = generate_trace(c, 9)
+        assert [t.arrival_time for t in trace] == generate_arrivals(
+            1.5, 42, derive_seed(9, "arrivals"), time_unit_ms=10.0)
+        assert {t.benchmark for t in trace} == {"pool", "pingpong"}
+        assert {t.daemon_id for t in trace} == {0, 1}
+
+    def test_ignores_the_config_seed_and_other_fields(self):
+        c = config()
+        other = c.override(seed=c.seed + 1, probe_latency_ms=0.0, vm_count_range=(2, 2))
+        assert generate_trace(other, SEED) == generate_trace(c, SEED)
 
     @given(
         weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
@@ -131,31 +135,35 @@ class TestTraceGeneration:
                       weight=w)
             for i, w in enumerate(weights)
         )
-        s = spec(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count,
-                 seed=seed)
-        assert generate_trace(s) == reference_trace(s)
+        c = config(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count)
+        assert generate_trace(c, seed) == reference_trace(c, seed)
 
     def test_weights_must_have_a_finite_sum(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite sum"):
-            catalog = tuple(replace(b, weight=1e308) for b in default_catalog())
-            spec(catalog=catalog).normalized_weights()
+        catalog = tuple(replace(b, weight=1e308) for b in default_catalog())
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as caught:
+            generate_trace(config(catalog=catalog), SEED)
+        assert str(caught.value) == "catalog weights must have a finite sum"
 
-    def test_normalized_weights_sum_to_one(self):
-        weights = spec().normalized_weights()
-        assert weights.sum() == pytest.approx(1.0)
-        assert (weights > 0).all()
+    def test_weights_are_relative(self):
+        weights = [1.0, 2.0, 3.0, 4.0, 5.0]
+        scaled = [config(catalog=tuple(replace(b, weight=w * k)
+                                       for b, w in zip(default_catalog(), weights)))
+                  for k in (1.0, 10.0)]
+        assert generate_trace(scaled[0], SEED) == generate_trace(scaled[1], SEED)
+        assert generate_trace(scaled[0], SEED) == reference_trace(scaled[0], SEED)
 
 
-def reference_trace(s):
+def reference_trace(c, seed):
     """The per-task draw loop with ``rng.choice(k, p=weights)`` and ``rng.integers``."""
-    arrivals = generate_arrivals(s.arrival_rate, s.task_count, derive_seed(s.seed, "arrivals"),
-                                 s.time_unit_ms)
-    rng = new_rng(s.seed, "mix")
-    p = s.normalized_weights()
+    arrivals = generate_arrivals(c.arrival_rate, c.task_count, derive_seed(seed, "arrivals"),
+                                 c.time_unit_ms)
+    rng = new_rng(seed, "mix")
+    weights = np.asarray([b.weight for b in c.catalog], dtype=float)
+    p = weights / weights.sum()
     want = []
     for i, arrival in enumerate(arrivals):
-        bench = s.catalog[int(rng.choice(len(s.catalog), p=p))]
-        daemon = int(rng.integers(0, s.cloudlet_count))
+        bench = c.catalog[int(rng.choice(len(c.catalog), p=p))]
+        daemon = int(rng.integers(0, c.cloudlet_count))
         want.append(Task(
             id=i, arrival_time=arrival, daemon_id=daemon, task_class=bench.task_class,
             base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
@@ -189,8 +197,8 @@ class TestBatchedMix:
     ])
     @pytest.mark.parametrize("seed", [0, 1234, 2**32 - 1])
     def test_matches_the_per_task_loop(self, task_count, cloudlet_count, seed):
-        s = spec(task_count=task_count, cloudlet_count=cloudlet_count, seed=seed)
-        assert generate_trace(s) == reference_trace(s)
+        c = config(task_count=task_count, cloudlet_count=cloudlet_count)
+        assert generate_trace(c, seed) == reference_trace(c, seed)
 
     @pytest.mark.parametrize("cloudlet_count,falls_back", [
         (1, False),
@@ -204,12 +212,12 @@ class TestBatchedMix:
     ])
     def test_falls_back_where_the_batch_cannot_follow(self, loop_calls, cloudlet_count,
                                                       falls_back):
-        s = spec(task_count=300, cloudlet_count=cloudlet_count, seed=1234)
-        assert generate_trace(s) == reference_trace(s)
+        c = config(task_count=300, cloudlet_count=cloudlet_count)
+        assert generate_trace(c, 1234) == reference_trace(c, 1234)
         assert len(loop_calls) == int(falls_back)
 
     def test_no_tasks_draw_nothing(self, loop_calls):
-        assert generate_trace(spec(task_count=0, cloudlet_count=2**32 + 3)) == []
+        assert generate_trace(config(task_count=0, cloudlet_count=2**32 + 3), SEED) == []
         assert loop_calls == []
 
 
@@ -263,20 +271,20 @@ class TestFormatNumber:
 
 class TestRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
-        trace = generate_trace(spec(task_count=80))
+        trace = generate_trace(config(task_count=80), SEED)
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         assert load_trace(path) == trace
 
     def test_fractional_arrivals_survive(self, tmp_path):
-        trace = generate_trace(spec(task_count=40, arrival_rate=3.7))
+        trace = generate_trace(config(task_count=40, arrival_rate=3.7), SEED)
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         loaded = load_trace(path)
         assert [t.arrival_time for t in loaded] == [t.arrival_time for t in trace]
 
     def test_identical_bytes_for_identical_traces(self, tmp_path):
-        trace = generate_trace(spec(task_count=40))
+        trace = generate_trace(config(task_count=40), SEED)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_trace(trace, a)
         save_trace(trace, b)
@@ -284,7 +292,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", 'all, "of"\r\nthem', ""])
     def test_names_that_need_quoting(self, tmp_path, name):
-        trace = [replace(t, benchmark=name) for t in generate_trace(spec(task_count=6))]
+        trace = [replace(t, benchmark=name) for t in generate_trace(config(task_count=6), SEED)]
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         assert load_trace(path) == trace
