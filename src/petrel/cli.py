@@ -55,21 +55,44 @@ def _check_has_tasks(config: EdgeCloudConfig, command: str) -> None:
         )
 
 
+class _Formatted(dict):
+    """``format_number`` of each key, computed on first lookup.  Keying on
+    the value is exact: equal values format alike, ``0.0`` and ``-0.0``
+    both print ``0``, and no record holds a NaN."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = format_number(x)
+        return text
+
+
 def write_records_csv(records, path) -> None:
     # no field can need quoting (numbers, class tokens, "cloud", true/false),
     # so joined lines are the bytes csv.writer would write
     fmt = format_number
+    # service times take a few values (benchmark x executor speed), and a task
+    # that never queued (start == assign) repeats its turnaround, weighted
+    # turnaround and speedup across tasks; a queued task's values are mostly
+    # distinct, so they are formatted directly
+    memo = _Formatted()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\n")
-        fh.writelines(
-            f"{r.task_id},{r.task_class.token},{r.daemon_id},"
-            f"{'cloud' if r.executor is None else r.executor},"
-            f"{fmt(r.assign_time)},{fmt(r.start_time)},{fmt(r.completion_time)},"
-            f"{fmt(r.turnaround)},{fmt(r.service_time)},{fmt(r.weighted_turnaround)},"
-            f"{fmt(r.speedup)},{r.delays_taken},"
-            f"{'' if r.bound_violated is None else 'true' if r.bound_violated else 'false'}\n"
-            for r in records
-        )
+        for r in records:
+            assign = fmt(r.assign_time)
+            if r.start_time == r.assign_time:
+                start = assign
+                turnaround, weighted, speedup = (memo[r.turnaround], memo[r.weighted_turnaround],
+                                                 memo[r.speedup])
+            else:
+                start = fmt(r.start_time)
+                turnaround, weighted, speedup = (fmt(r.turnaround), fmt(r.weighted_turnaround),
+                                                 fmt(r.speedup))
+            fh.write(
+                f"{r.task_id},{r.task_class.token},{r.daemon_id},"
+                f"{'cloud' if r.executor is None else r.executor},"
+                f"{assign},{start},{fmt(r.completion_time)},{turnaround},"
+                f"{memo[r.service_time]},{weighted},{speedup},{r.delays_taken},"
+                f"{'' if r.bound_violated is None else 'true' if r.bound_violated else 'false'}\n"
+            )
 
 
 def _summary_scalars(summary: RunSummary) -> dict[str, float | int]:

@@ -314,8 +314,6 @@ def load_config(path) -> EdgeCloudConfig:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    if data is not None and not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: top level must be a mapping")
     return from_mapping(data)
 
 

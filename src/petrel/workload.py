@@ -10,6 +10,7 @@ diffable and reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf, isfinite, nextafter
@@ -91,8 +92,10 @@ def generate_arrivals(arrival_rate: float, count: int, seed: int,
     Interarrival gaps are i.i.d. exponential with mean
     ``time_unit_ms / arrival_rate``.
     """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be > 0")
+    if not (isfinite(arrival_rate) and arrival_rate > 0):
+        raise ValueError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
+    if not (isfinite(time_unit_ms) and time_unit_ms > 0):
+        raise ValueError(f"time_unit_ms must be finite and > 0, got {time_unit_ms!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
@@ -198,18 +201,32 @@ def format_number(x: float) -> str:
 
 
 def save_trace(trace: Sequence[Task], path) -> None:
-    """Write a trace CSV in the fixed column order."""
-    # csv.writer stays: a benchmark name is free text and may need quoting
+    """Write a trace CSV in the fixed column order.
+
+    The last seven columns come from the task's benchmark profile, so each
+    distinct profile is rendered once, by ``csv.writer`` (a benchmark name
+    is free text and may need quoting), and reused.  The profile is keyed
+    on its values: equal values format alike (``format_number`` reads only
+    ``float(x)``, and ``0.0`` and ``-0.0`` both print ``0``).
+    """
+    buf = io.StringIO(newline="")
+    render = csv.writer(buf).writerow
+    tails: dict[tuple, str] = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(
-            (t.id, format_number(t.arrival_time), t.daemon_id, t.benchmark, t.task_class.token,
-             format_number(t.base_service_time), format_number(t.mobile_exec_time),
-             format_number(t.cloud_exec_time), format_number(t.data_volume),
-             "" if t.latency_bound is None else format_number(t.latency_bound))
-            for t in trace
-        )
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for t in trace:
+            profile = (t.benchmark, t.task_class, t.base_service_time, t.mobile_exec_time,
+                       t.cloud_exec_time, t.data_volume, t.latency_bound)
+            tail = tails.get(profile)
+            if tail is None:
+                name, task_class, *times, bound = profile
+                render((name, task_class.token, *map(format_number, times),
+                        "" if bound is None else format_number(bound)))
+                tail = tails[profile] = buf.getvalue()
+                buf.seek(0)
+                buf.truncate()
+            # id, arrival and daemon are numbers: csv.writer never quotes them
+            fh.write(f"{t.id},{format_number(t.arrival_time)},{t.daemon_id},{tail}")
 
 
 def _parse_field(row_num: int, name: str, raw: str, kind=float):

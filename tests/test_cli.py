@@ -196,8 +196,26 @@ records = st.builds(
 )
 
 
+@st.composite
+def sharing_records(draw):
+    """Rows whose values repeat, as a run's do: many start when they are
+    assigned, and turnarounds, service times and speedups come from a small
+    pool shared across rows, with 0.0/-0.0 and int/float twins in it."""
+    pool = draw(st.lists(times, min_size=1, max_size=4)) + [0.0, -0.0, 12800, 12800.0]
+    shared = st.sampled_from(pool)
+    rows = []
+    for _ in range(draw(st.integers(9, 24))):
+        row = draw(records)
+        assign = draw(shared | times)
+        start = draw(st.sampled_from([assign, -assign]) | times)
+        rows.append(row._replace(
+            assign_time=assign, start_time=start, turnaround=draw(shared),
+            service_time=draw(shared.filter(lambda x: x != 0)), speedup=draw(shared)))
+    return rows
+
+
 class TestRecordsFile:
-    @given(rows=st.lists(records, max_size=8))
+    @given(rows=st.lists(records, max_size=8) | sharing_records())
     def test_bytes_equal_csv_writer(self, rows):
         want = io.StringIO(newline="")
         writer = csv.writer(want, lineterminator="\n")
@@ -439,6 +457,10 @@ ERROR_PATHS = [
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),
+    error_path("config-top-level-list", 2, "error: <root>: expected a mapping, got list",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", "- 1\n- 2\n")]),
+    error_path("config-top-level-scalar", 2, "error: <root>: expected a mapping, got int",
+               lambda d: ["run", "--scheduler", "daa", "--config", _write(d, "c.yaml", "7\n")]),
     error_path("non-finite-config", 2, "error: network.cloud_rtt_ms:",
                lambda d: ["run", "--scheduler", "daa", "--tasks", "5", "--config",
                           _write(d, "c.yaml", "network:\n  cloud_rtt_ms: .inf\n")]),

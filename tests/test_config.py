@@ -329,7 +329,7 @@ class TestFiles:
     def test_top_level_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
-        with pytest.raises(ConfigError, match="top level"):
+        with pytest.raises(ConfigError, match="^<root>: expected a mapping, got list$"):
             load_config(path)
 
 

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -63,11 +65,20 @@ class TestArrivals:
     def test_zero_count(self):
         assert generate_arrivals(1.0, 0, seed=1) == []
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            generate_arrivals(0.0, 10, seed=1)
-        with pytest.raises(ValueError):
-            generate_arrivals(1.0, -1, seed=1)
+    @pytest.mark.parametrize("rate, count, time_unit_ms, argument", [
+        (0.0, 10, 1000.0, "arrival_rate"),
+        (-1.0, 10, 1000.0, "arrival_rate"),
+        (math.inf, 3, 1000.0, "arrival_rate"),
+        (math.nan, 3, 1000.0, "arrival_rate"),
+        (1.0, 3, 0.0, "time_unit_ms"),
+        (1.0, 3, -5.0, "time_unit_ms"),
+        (1.0, 3, math.inf, "time_unit_ms"),
+        (1.0, 3, math.nan, "time_unit_ms"),
+        (1.0, -1, 1000.0, "count"),
+    ])
+    def test_rejects_bad_arguments(self, rate, count, time_unit_ms, argument):
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            generate_arrivals(rate, count, seed=1, time_unit_ms=time_unit_ms)
 
 
 class TestTraceGeneration:
@@ -312,6 +323,70 @@ def csv_writer_trace(trace):
             "" if t.latency_bound is None else format_number(t.latency_bound),
         ])
     return buf.getvalue().encode()
+
+
+# values whose cache keys collide or nearly collide: 0.0 and -0.0, an int and
+# its float, integral floats at and above 2**53, and their neighbours
+POSITIVE = st.one_of(
+    st.sampled_from([12800, 12800.0, 12800.5, 1.0, 1, 0.1, 5e-324, 1e300, 2.0**53 - 1, 2.0**53,
+                     2.0**53 + 2, 2**53, 2**53 + 1, 1e16]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+DATA = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 12800, 12800.0, 2.0**53, 2**53 + 1]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+NAMES = st.one_of(
+    st.sampled_from(["face", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "", "caf\u00e9",
+                     "\u540d\u524d"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def profiles(draw, task_class=None):
+    """The seven columns of one benchmark profile, as ``Task`` arguments."""
+    if task_class is None:
+        task_class = draw(st.sampled_from(TaskClass))
+    bound = draw(POSITIVE) if task_class is TaskClass.LATENCY_TOLERANT else None
+    return dict(benchmark=draw(NAMES), task_class=task_class, base_service_time=draw(POSITIVE),
+                mobile_exec_time=draw(POSITIVE), cloud_exec_time=draw(POSITIVE),
+                data_volume=draw(DATA), latency_bound=bound)
+
+
+# a twin differs from the first profile in one of these; a class comes with its bound
+TWIN_FIELDS = (("benchmark",), ("task_class", "latency_bound"), ("latency_bound",),
+               ("base_service_time",), ("mobile_exec_time",), ("cloud_exec_time",),
+               ("data_volume",))
+
+
+@st.composite
+def profile_traces(draw):
+    """Tasks drawn from one profile and its twins, each of which differs from
+    it in one field, so every part of the cache key is needed."""
+    first = draw(profiles())
+    pool = [first]
+    for _ in range(draw(st.integers(1, 5))):
+        fields = draw(st.sampled_from(TWIN_FIELDS))
+        other = draw(profiles(first["task_class"] if fields == ("latency_bound",) else None))
+        pool.append(first | {f: other[f] for f in fields})
+    # every profile at least once, in any order, then repeats
+    picks = (draw(st.permutations(range(len(pool))))
+             + draw(st.lists(st.integers(0, len(pool) - 1), max_size=18)))
+    arrivals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0**53]) | st.floats(0, 1e300),
+                             min_size=len(picks), max_size=len(picks)))
+    return [Task(i, arrival, draw(st.integers(0, 2**40)), **pool[pick])
+            for i, (pick, arrival) in enumerate(zip(picks, arrivals))]
+
+
+class TestSaveTraceProfileCache:
+    @given(trace=profile_traces())
+    def test_bytes_equal_csv_writer(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            save_trace(trace, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == csv_writer_trace(trace)
 
 
 HEADER = "task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mobile_ms,cloud_ms,data_bytes,bound_ms"
