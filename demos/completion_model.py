@@ -16,7 +16,7 @@ from petrel import (
     completion_time_remote,
     speedup,
 )
-from petrel.model import Task, TaskClass
+from petrel.model import Profile, Task, TaskClass
 
 net = NetworkParams(
     daemon_rtt=10.0,
@@ -28,19 +28,18 @@ net = NetworkParams(
 daemon = Cloudlet(id=0, vm_count=2, speed_factor=1.0, net=net)
 neighbour = Cloudlet(id=1, vm_count=2, speed_factor=2.0, net=net)
 
-task = Task(
-    id=0,
-    arrival_time=0.0,
-    daemon_id=0,
+profile = Profile(
+    benchmark="pool",
     task_class=TaskClass.LATENCY_SENSITIVE,
     base_service_time=6400.0,
     mobile_exec_time=28800.0,
     cloud_exec_time=6400.0,
     data_volume=2_400_000.0,
 )
+task = Task(id=0, arrival_time=0.0, daemon_id=0, profile=profile)
 
-print(f"task: {task.base_service_time:.0f} ms of work, "
-      f"{task.data_volume / 1e6:.1f} MB of input data\n")
+print(f"task: {profile.base_service_time:.0f} ms of work, "
+      f"{profile.data_volume / 1e6:.1f} MB of input data\n")
 
 options = {
     "mobile (no offload)": completion_time_mobile(task),

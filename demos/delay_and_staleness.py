@@ -9,7 +9,7 @@ then shows why stale load information makes full probing overrated.
 import numpy as np
 
 from petrel.engine import Simulation
-from petrel.model import Cloudlet, EdgeCloud, NetworkParams, Task, TaskClass
+from petrel.model import Cloudlet, EdgeCloud, NetworkParams, Profile, Task, TaskClass
 from petrel.schedulers import DaaScheduler, GreedyScheduler
 
 net = NetworkParams(daemon_rtt=10.0, cloudlet_bandwidth=12500.0,
@@ -18,18 +18,21 @@ topo = EdgeCloud(tuple(Cloudlet(id=i, vm_count=1, speed_factor=1.0, net=net)
                        for i in range(3)))
 
 
+# one profile per application type, shared by every task of that type
+quick = Profile(benchmark="quick", task_class=TaskClass.LATENCY_SENSITIVE,
+                base_service_time=4000.0, mobile_exec_time=20000.0, cloud_exec_time=4000.0,
+                data_volume=0.0)
+
+
 def sensitive(i, arrival, daemon):
-    return Task(id=i, arrival_time=arrival, daemon_id=daemon,
-                task_class=TaskClass.LATENCY_SENSITIVE, base_service_time=4000.0,
-                mobile_exec_time=20000.0, cloud_exec_time=4000.0, data_volume=0.0)
+    return Task(id=i, arrival_time=arrival, daemon_id=daemon, profile=quick)
 
 
 # clog every cloudlet, then hand daemon 0 a tolerant task with slack
 load = [sensitive(i, 0.0, i) for i in range(3)]
-patient = Task(id=3, arrival_time=100.0, daemon_id=0,
-               task_class=TaskClass.LATENCY_TOLERANT, base_service_time=1000.0,
-               mobile_exec_time=6000.0, cloud_exec_time=1000.0, data_volume=0.0,
-               latency_bound=30000.0)
+patient = Task(id=3, arrival_time=100.0, daemon_id=0, profile=Profile(
+    benchmark="patient", task_class=TaskClass.LATENCY_TOLERANT, base_service_time=1000.0,
+    mobile_exec_time=6000.0, cloud_exec_time=1000.0, data_volume=0.0, latency_bound=30000.0))
 
 policy = DaaScheduler(np.random.default_rng(1), delay_quantum=500.0)
 result = Simulation(topo, policy).run(load + [patient])
@@ -45,9 +48,9 @@ print("  each wake-up re-probed two random neighbours before settling\n")
 # that arrives faster than remote load reports refresh
 wide = EdgeCloud(tuple(Cloudlet(id=i, vm_count=1, speed_factor=1.0, net=net)
                        for i in range(6)))
-blocker = Task(id=0, arrival_time=0.0, daemon_id=0,
-               task_class=TaskClass.LATENCY_SENSITIVE, base_service_time=60000.0,
-               mobile_exec_time=300000.0, cloud_exec_time=60000.0, data_volume=0.0)
+blocker = Task(id=0, arrival_time=0.0, daemon_id=0, profile=Profile(
+    benchmark="blocker", task_class=TaskClass.LATENCY_SENSITIVE, base_service_time=60000.0,
+    mobile_exec_time=300000.0, cloud_exec_time=60000.0, data_volume=0.0))
 burst = [sensitive(i, 100.0 * i, 0) for i in range(1, 7)]
 
 for latency in (0.0, 1500.0):

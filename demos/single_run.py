@@ -12,7 +12,7 @@ config = EdgeCloudConfig(cloudlet_count=5, task_count=60, seed=7)
 trace = generate_trace(config, config.seed)
 
 print(f"{len(trace)} tasks over {trace[-1].arrival_time / 1000.0:.0f} s, "
-      f"mix: {sorted(set(t.benchmark for t in trace))}\n")
+      f"mix: {sorted(set(t.profile.benchmark for t in trace))}\n")
 
 result = simulate(config, trace, "daa", seed=config.seed)
 
@@ -21,7 +21,7 @@ print(f"{'task':>4} {'bench':<9} {'daemon':>6} {'ran on':>7} "
       f"{'waited':>7} {'turnaround':>11} {'delays':>6}")
 for r in result.records[:10]:
     waited = r.start_time - r.assign_time
-    print(f"{r.task_id:>4} {trace[r.task_id].benchmark:<9} {r.daemon_id:>6} "
+    print(f"{r.task_id:>4} {trace[r.task_id].profile.benchmark:<9} {r.daemon_id:>6} "
           f"{'cloud' if r.executor is None else r.executor:>7} {waited:>6.0f}m {r.turnaround:>10.0f}m "
           f"{r.delays_taken:>6}")
 

@@ -93,6 +93,8 @@ class EdgeCloudConfig:
         _check(self.task_count >= 0, "task_count", "must be >= 0")
         _check(self.arrival_rate > 0, "arrival_rate", "must be > 0")
         _check(self.time_unit_ms > 0, "time_unit_ms", "must be > 0")
+        _check(isfinite(self.time_unit_ms / self.arrival_rate), "arrival_rate",
+               "the mean arrival gap time_unit_ms / arrival_rate must be finite")
         if self.delay_quantum_ms is not None:
             _check(self.delay_quantum_ms > 0, "delay_quantum_ms", "must be > 0")
         _check(self.max_delays >= 1, "max_delays", "must be >= 1")

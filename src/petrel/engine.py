@@ -204,7 +204,7 @@ class ClusterView:
     keep a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "_task", "_sim", "_horizon")
+    __slots__ = ("now", "daemon_id", "_profile", "_sim", "_horizon")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self._sim = sim
@@ -213,7 +213,7 @@ class ClusterView:
     def _move(self, task: Task, now: float) -> None:
         self.now = now
         self.daemon_id = task.daemon_id
-        self._task = task
+        self._profile = task.profile
         latency = self._sim.probe_latency
         # the instant stale probes read; None when every probe reads live state
         self._horizon = None if latency <= 0 else max(0.0, now - latency)
@@ -230,7 +230,7 @@ class ClusterView:
             ready = vms.earliest_ready()
         else:
             ready = vms.earliest_ready_asof(self._horizon)
-        exec_time, comm = placement_times(self._task, sim.routes[self.daemon_id][cloudlet_id])
+        exec_time, comm = placement_times(self._profile, sim.routes[self.daemon_id][cloudlet_id])
         return ProbeResult(cloudlet_id, max(now, ready) + exec_time + comm, ready <= now)
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
@@ -238,7 +238,7 @@ class ClusterView:
         sim = self._sim
         daemon_id = self.daemon_id
         start = max(self.now + delay, sim.vm_schedules[daemon_id].earliest_ready())
-        exec_time, comm = placement_times(self._task, sim.routes[daemon_id][daemon_id])
+        exec_time, comm = placement_times(self._profile, sim.routes[daemon_id][daemon_id])
         return start + exec_time + comm
 
 
@@ -330,6 +330,7 @@ class Simulation:
                 )
 
     def _apply(self, decision, task, now, wakeups, records, delays_taken) -> None:
+        profile = task.profile
         if isinstance(decision, Assign):
             executor_id = decision.cloudlet_id
             try:
@@ -338,7 +339,7 @@ class Simulation:
                 raise SimulationError(
                     f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
                 ) from None
-            service_time, comm = placement_times(task, route)
+            service_time, comm = placement_times(profile, route)
             start, _ = self.vm_schedules[executor_id].commit(now, service_time)
         elif isinstance(decision, AssignCloud):
             bd = completion_time_cloud(task, self.topology.get(task.daemon_id).net)
@@ -352,7 +353,7 @@ class Simulation:
                     f"task {task.id} delayed more than max_delays={self.max_delays};"
                     " the bound check should have terminated this"
                 )
-            if task.task_class is not TaskClass.LATENCY_TOLERANT:
+            if profile.task_class is not TaskClass.LATENCY_TOLERANT:
                 raise SimulationError(f"task {task.id}: only latency-tolerant tasks can be delayed")
             delay = decision.duration
             if not 0 < delay < inf:
@@ -365,12 +366,12 @@ class Simulation:
         completion = start + service_time + comm
         turnaround = completion - task.arrival_time
         violated = None
-        if task.task_class is TaskClass.LATENCY_TOLERANT:
-            violated = turnaround > task.latency_bound
+        if profile.task_class is TaskClass.LATENCY_TOLERANT:
+            violated = turnaround > profile.latency_bound
         records[task.id] = TaskRecord(
-            task.id, task.task_class, task.daemon_id, executor_id, task.arrival_time,
+            task.id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
             now, start, completion, turnaround, service_time,
-            task.mobile_exec_time / turnaround, delays_taken[task.id], violated,
+            profile.mobile_exec_time / turnaround, delays_taken[task.id], violated,
         )
 
 

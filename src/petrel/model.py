@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class TaskClass(Enum):
@@ -39,64 +39,86 @@ class TaskClass(Enum):
 _TASK_CLASS_BY_TOKEN = {member.value: member for member in TaskClass}
 
 
-@dataclass(frozen=True)
-class Task:
-    """One offloading request.
+@dataclass(frozen=True, slots=True)
+class Profile:
+    """What every task of one application type shares.
 
     ``base_service_time`` is the execution time on a reference-speed
     cloudlet; the actual time on a cloudlet divides it by that node's
     speed factor.  ``latency_bound`` is a turnaround bound relative to
     arrival, required for tolerant tasks and forbidden for sensitive
-    ones.
+    ones.  A trace builds one profile per application type and shares it
+    across that type's tasks, so the values are checked once.
     """
 
-    id: int
-    arrival_time: float
-    daemon_id: int
+    benchmark: str
     task_class: TaskClass
     base_service_time: float
     mobile_exec_time: float
     cloud_exec_time: float
     data_volume: float
     latency_bound: float | None = None
-    benchmark: str = ""
 
     def __post_init__(self) -> None:
-        bound = self.latency_bound
-        if not (isfinite(self.arrival_time) and isfinite(self.base_service_time)
-                and isfinite(self.mobile_exec_time) and isfinite(self.cloud_exec_time)
-                and isfinite(self.data_volume) and (bound is None or isfinite(bound))):
-            # one test on the common path; name the field only on failure
-            for name in _TASK_FLOAT_FIELDS:
-                value = getattr(self, name)
-                if value is not None and not isfinite(value):
-                    raise ValueError(f"task {self.id}: {name} must be finite")
-        if self.arrival_time < 0:
-            raise ValueError(f"task {self.id}: arrival_time must be >= 0")
+        for name in _PROFILE_FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.base_service_time <= 0:
-            raise ValueError(f"task {self.id}: base_service_time must be > 0")
+            raise ValueError("base_service_time must be > 0")
         if self.mobile_exec_time <= 0:
-            raise ValueError(f"task {self.id}: mobile_exec_time must be > 0")
+            raise ValueError("mobile_exec_time must be > 0")
         if self.cloud_exec_time <= 0:
-            raise ValueError(f"task {self.id}: cloud_exec_time must be > 0")
+            raise ValueError("cloud_exec_time must be > 0")
         if self.data_volume < 0:
-            raise ValueError(f"task {self.id}: data_volume must be >= 0")
+            raise ValueError("data_volume must be >= 0")
         if self.task_class is TaskClass.LATENCY_TOLERANT:
             if self.latency_bound is None or self.latency_bound <= 0:
-                raise ValueError(f"task {self.id}: tolerant tasks need a positive latency_bound")
+                raise ValueError("tolerant tasks need a positive latency_bound")
         elif self.latency_bound is not None:
-            raise ValueError(f"task {self.id}: sensitive tasks must not carry a latency_bound")
+            raise ValueError("sensitive tasks must not carry a latency_bound")
+
+
+_PROFILE_FLOAT_FIELDS = ("base_service_time", "mobile_exec_time", "cloud_exec_time",
+                         "data_volume", "latency_bound")
+
+
+class _TaskFields(NamedTuple):
+    id: int
+    arrival_time: float
+    daemon_id: int
+    profile: Profile
+
+
+class Task(_TaskFields):
+    """One offloading request: when and where it arrives, and its type's profile.
+
+    A named tuple, so it is immutable, builds and reads cheaply and
+    compares by value; only the arrival is checked here, since the
+    profile was checked when it was built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, arrival_time: float, daemon_id: int, profile: Profile) -> "Task":
+        if not isfinite(arrival_time):
+            raise ValueError(f"task {id}: arrival_time must be finite")
+        if arrival_time < 0:
+            raise ValueError(f"task {id}: arrival_time must be >= 0")
+        return tuple.__new__(cls, (id, arrival_time, daemon_id, profile))
+
+    @classmethod
+    def _make(cls, iterable) -> "Task":
+        # ``_replace`` builds through ``_make``, so a replaced task is checked too
+        return cls(*iterable)
 
     @property
     def deadline(self) -> float | None:
         """Absolute wall-clock deadline, or None for sensitive tasks."""
-        if self.latency_bound is None:
+        bound = self.profile.latency_bound
+        if bound is None:
             return None
-        return self.arrival_time + self.latency_bound
-
-
-_TASK_FLOAT_FIELDS = ("arrival_time", "base_service_time", "mobile_exec_time",
-                      "cloud_exec_time", "data_volume", "latency_bound")
+        return self.arrival_time + bound
 
 
 @dataclass(frozen=True)
@@ -204,13 +226,14 @@ class CompletionBreakdown:
 
 def completion_time_mobile(task: Task) -> CompletionBreakdown:
     """Completion when the task stays on the device: pure execution."""
-    return CompletionBreakdown(exec=task.mobile_exec_time, wait=0.0, comm=0.0)
+    return CompletionBreakdown(exec=task.profile.mobile_exec_time, wait=0.0, comm=0.0)
 
 
 def completion_time_cloud(task: Task, net: NetworkParams) -> CompletionBreakdown:
     """Completion on the cloud: execution plus transfer, never any queueing."""
-    comm = task.data_volume / net.cloud_bandwidth + net.cloud_rtt
-    return CompletionBreakdown(exec=task.cloud_exec_time, wait=0.0, comm=comm)
+    profile = task.profile
+    comm = profile.data_volume / net.cloud_bandwidth + net.cloud_rtt
+    return CompletionBreakdown(exec=profile.cloud_exec_time, wait=0.0, comm=comm)
 
 
 Route = tuple[float, float, float, float | None]
@@ -227,25 +250,25 @@ def placement_route(daemon: Cloudlet, executor: Cloudlet) -> Route:
             redirect)
 
 
-def placement_times(task: Task, route: Route) -> tuple[float, float]:
-    """(exec, comm) of ``task`` on a route: the one cloudlet completion formula.
+def placement_times(profile: Profile, route: Route) -> tuple[float, float]:
+    """(exec, comm) of a task with ``profile`` on a route: the one cloudlet completion formula.
 
     Callers add ``start + exec + comm`` left to right: the sums are kept
     apart because floating-point addition in another order can move the
     last bit of a completion time.
     """
     speed_factor, bandwidth, daemon_rtt, redirect = route
-    comm = task.data_volume / bandwidth + daemon_rtt
+    comm = profile.data_volume / bandwidth + daemon_rtt
     if redirect is not None:
         comm = comm + redirect
-    return task.base_service_time / speed_factor, comm
+    return profile.base_service_time / speed_factor, comm
 
 
 def completion_time_daemon(task: Task, cloudlet: Cloudlet, wait: float) -> CompletionBreakdown:
     """Completion on the task's own daemon cloudlet."""
     if wait < 0:
         raise ValueError("wait must be >= 0")
-    exec_time, comm = placement_times(task, placement_route(cloudlet, cloudlet))
+    exec_time, comm = placement_times(task.profile, placement_route(cloudlet, cloudlet))
     return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
 
 
@@ -257,7 +280,7 @@ def completion_time_remote(
         raise ValueError("executor equals daemon; use completion_time_daemon")
     if wait < 0:
         raise ValueError("wait must be >= 0")
-    exec_time, comm = placement_times(task, placement_route(daemon, executor))
+    exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
     return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
 
 
@@ -268,4 +291,4 @@ def speedup(task: Task, completion: float) -> float:
     """
     if completion <= 0:
         raise ValueError("completion must be > 0")
-    return task.mobile_exec_time / completion
+    return task.profile.mobile_exec_time / completion

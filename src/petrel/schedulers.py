@@ -90,22 +90,6 @@ def _pick_two(others: tuple[int, ...], below: Callable[[int], int]) -> tuple[int
     return (others[second], others[first])
 
 
-def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
-               rng: np.random.Generator) -> tuple[int, ...]:
-    """Two distinct non-daemon cloudlets, uniform without replacement.
-
-    Draw for draw the same as ``rng.choice(len(others), size=2,
-    replace=False)``, which is Floyd's algorithm followed by a shuffle of
-    the two picks, without that call's overhead; the sampling policies
-    draw the same through :func:`~petrel.seeding.bounded_draws`.
-
-    With a single non-daemon cloudlet the sample degenerates to that one
-    node; with none there is nothing to probe and the topology is too
-    small for sampling policies.
-    """
-    return _pick_two(_peers(cloudlet_ids, daemon_id), lambda n: int(rng.integers(0, n)))
-
-
 # least loaded first, by (expected_completion, cloudlet_id): ties go to the lower id
 _COMPLETION_THEN_ID = itemgetter(1, 0)
 
@@ -132,7 +116,7 @@ def daa_decide(
     if daemon_probe.has_idle_vm:
         return _assign(daemon_probe.cloudlet_id)
     candidate = min(candidate_probes, key=_COMPLETION_THEN_ID)
-    if task.task_class is TaskClass.LATENCY_SENSITIVE:
+    if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
         if candidate.expected_completion < daemon_probe.expected_completion:
             return _assign(candidate.cloudlet_id)
         return _assign(daemon_probe.cloudlet_id)

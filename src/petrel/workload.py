@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import Task, TaskClass
+from .model import Profile, Task, TaskClass
 from .seeding import derive_seed, new_rng
 
 if TYPE_CHECKING:  # config imports this module for Benchmark
@@ -168,13 +168,11 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
     # bisecting one uniform draw into it picks the same benchmark
     cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
-    profiles = [(b.task_class, b.base_service_ms, b.mobile_ms, b.cloud_ms, b.data_bytes,
-                 b.latency_bound_ms, b.name) for b in config.catalog]
-    tasks: list[Task] = []
-    for i, (arrival, pick, daemon) in enumerate(zip(arrivals, *_mix(config, seed, cdf.tolist()))):
-        task_class, base, mobile, cloud, data, bound, name = profiles[pick]
-        tasks.append(Task(i, arrival, daemon, task_class, base, mobile, cloud, data, bound, name))
-    return tasks
+    profiles = [Profile(b.name, b.task_class, b.base_service_ms, b.mobile_ms, b.cloud_ms,
+                        b.data_bytes, b.latency_bound_ms) for b in config.catalog]
+    picks, daemons = _mix(config, seed, cdf.tolist())
+    return [Task(i, arrival, daemon, profiles[pick])
+            for i, (arrival, pick, daemon) in enumerate(zip(arrivals, picks, daemons))]
 
 
 TRACE_COLUMNS = (
@@ -203,26 +201,30 @@ def format_number(x: float) -> str:
 def save_trace(trace: Sequence[Task], path) -> None:
     """Write a trace CSV in the fixed column order.
 
-    The last seven columns come from the task's benchmark profile, so each
-    distinct profile is rendered once, by ``csv.writer`` (a benchmark name
-    is free text and may need quoting), and reused.  The profile is keyed
-    on its values: equal values format alike (``format_number`` reads only
-    ``float(x)``, and ``0.0`` and ``-0.0`` both print ``0``).
+    The last seven columns are the task's profile, so each profile object
+    is rendered once, by ``csv.writer`` (a benchmark name is free text and
+    may need quoting), and reused.  Profiles are keyed by identity, which
+    costs no hashing of their values.
     """
     buf = io.StringIO(newline="")
     render = csv.writer(buf).writerow
-    tails: dict[tuple, str] = {}
-    with open(path, "w", newline="") as fh:
+    tails: dict[int, str] = {}
+    rendered: list[Profile] = []  # holds each keyed profile, so no other object takes its id
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for t in trace:
-            profile = (t.benchmark, t.task_class, t.base_service_time, t.mobile_exec_time,
-                       t.cloud_exec_time, t.data_volume, t.latency_bound)
-            tail = tails.get(profile)
+            profile = t.profile
+            tail = tails.get(id(profile))
             if tail is None:
-                name, task_class, *times, bound = profile
-                render((name, task_class.token, *map(format_number, times),
+                bound = profile.latency_bound
+                render((profile.benchmark, profile.task_class.token,
+                        format_number(profile.base_service_time),
+                        format_number(profile.mobile_exec_time),
+                        format_number(profile.cloud_exec_time),
+                        format_number(profile.data_volume),
                         "" if bound is None else format_number(bound)))
-                tail = tails[profile] = buf.getvalue()
+                tail = tails[id(profile)] = buf.getvalue()
+                rendered.append(profile)
                 buf.seek(0)
                 buf.truncate()
             # id, arrival and daemon are numbers: csv.writer never quotes them
@@ -269,21 +271,29 @@ def _parse_row(row_num: int, row: list[str], seen_ids: set[int], last_arrival: f
     bound = None
     if row[9] != "":
         bound = _parse_field(row_num, "bound_ms", row[9])
+    # after the field checks, the task's own: its arrival, then its profile
+    if arrival < 0:
+        raise TraceFormatError(f"line {row_num}: task {task_id}: arrival_time must be >= 0")
     try:
-        return Task(task_id, arrival, daemon_id, task_class, *values, data_bytes, bound, row[3])
+        profile = Profile(row[3], task_class, *values, data_bytes, bound)
     except ValueError as exc:
-        raise TraceFormatError(f"line {row_num}: {exc}") from None
+        raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
+    return Task(task_id, arrival, daemon_id, profile)
 
 
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
-    Errors carry the offending line number and field name.
+    Errors carry the offending line number and field name.  Rows that
+    spell a profile alike share one :class:`Profile`, keyed on its seven
+    raw fields.
     """
     tasks: list[Task] = []
     seen_ids: set[int] = set()
     last_arrival = -inf
-    with open(path, newline="") as fh:
+    profiles: dict[tuple[str, ...], Profile] = {}
+    width = len(TRACE_COLUMNS)
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -293,19 +303,25 @@ def load_trace(path) -> list[Task]:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
-            # one pass: Task checks every range and finiteness itself, so a
-            # row that builds is good; a row with any fault goes to
-            # _parse_row, which reports the first faulty field in column order
+            # one pass: Profile and Task check every range and finiteness
+            # themselves, so a row that builds is good; a row with any fault
+            # goes to _parse_row, which reports the first faulty field in
+            # column order
             task = None
-            try:
-                task_id, arrival, daemon_id, name, token, base, mobile, cloud, data, bound = row
-                task_id, arrival = int(task_id), float(arrival)
-                if task_id not in seen_ids and arrival >= last_arrival:
-                    task = Task(task_id, arrival, int(daemon_id), TaskClass.from_token(token),
-                                float(base), float(mobile), float(cloud), float(data),
-                                None if bound == "" else float(bound), name)
-            except ValueError:
-                pass
+            if len(row) == width:
+                try:
+                    key = tuple(row[3:])
+                    profile = profiles.get(key)
+                    if profile is None:
+                        name, token, base, mobile, cloud, data, bound = key
+                        profile = profiles[key] = Profile(
+                            name, TaskClass.from_token(token), float(base), float(mobile),
+                            float(cloud), float(data), None if bound == "" else float(bound))
+                    task_id, arrival = int(row[0]), float(row[1])
+                    if task_id not in seen_ids and arrival >= last_arrival:
+                        task = Task(task_id, arrival, int(row[2]), profile)
+                except ValueError:
+                    pass
             if task is None:
                 task = _parse_row(row_num, row, seen_ids, last_arrival)
             seen_ids.add(task.id)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from petrel.model import Cloudlet, EdgeCloud, NetworkParams, Task, TaskClass
+from petrel.model import Cloudlet, EdgeCloud, NetworkParams, Profile, Task, TaskClass
 
 
 def make_net(
@@ -54,15 +54,13 @@ def make_task(
 ) -> Task:
     if isinstance(task_class, str):
         task_class = TaskClass.from_token(task_class)
-    return Task(
-        id=task_id,
+    profile = Profile(
         benchmark="synthetic",
         task_class=task_class,
-        daemon_id=daemon_id,
-        arrival_time=arrival_time,
         mobile_exec_time=mobile_exec_time,
         base_service_time=base_service_time,
         cloud_exec_time=cloud_exec_time,
         data_volume=data_volume,
         latency_bound=latency_bound,
     )
+    return Task(id=task_id, arrival_time=arrival_time, daemon_id=daemon_id, profile=profile)

@@ -56,23 +56,23 @@ class _OracleVms:
 
 
 def _exec_time(task: Task, cloudlet) -> float:
-    return task.base_service_time / cloudlet.speed_factor
+    return task.profile.base_service_time / cloudlet.speed_factor
 
 
 def _comm_daemon(task: Task, daemon) -> float:
-    return task.data_volume / daemon.net.cloudlet_bandwidth + daemon.net.daemon_rtt
+    return task.profile.data_volume / daemon.net.cloudlet_bandwidth + daemon.net.daemon_rtt
 
 
 def _comm_remote(task: Task, daemon, executor) -> float:
     return (
-        task.data_volume / executor.net.cloudlet_bandwidth
+        task.profile.data_volume / executor.net.cloudlet_bandwidth
         + daemon.net.daemon_rtt
         + daemon.net.rtt_to(executor.id)
     )
 
 
 def _comm_cloud(task: Task, daemon) -> float:
-    return task.data_volume / daemon.net.cloud_bandwidth + daemon.net.cloud_rtt
+    return task.profile.data_volume / daemon.net.cloud_bandwidth + daemon.net.cloud_rtt
 
 
 class _OracleView:
@@ -152,7 +152,7 @@ class ReplayOracle:
                 next_seq += 1
             elif isinstance(decision, AssignCloud):
                 daemon = self.topology.get(task.daemon_id)
-                completion = now + task.cloud_exec_time + _comm_cloud(task, daemon)
+                completion = now + task.profile.cloud_exec_time + _comm_cloud(task, daemon)
                 done[task.id] = OracleRecord(
                     task_id=task.id,
                     executor="cloud",

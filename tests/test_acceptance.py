@@ -29,10 +29,11 @@ from petrel.model import (
     completion_time_remote,
     speedup,
 )
-from petrel.schedulers import Delay, SCHEDULER_NAMES, daa_decide, make_scheduler, sample_two
+from petrel.schedulers import Delay, SCHEDULER_NAMES, daa_decide, make_scheduler
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import generate_arrivals, generate_trace
 from replay_oracle import ReplayOracle
+from sampling_reference import sample_two
 from test_schedulers import DECISION_TABLE, QUANTUM
 
 BASE_SEED = 1234

@@ -18,7 +18,7 @@ from petrel.cli import RECORD_COLUMNS, main, run_comparison, write_records_csv
 from petrel.config import ConfigError, EdgeCloudConfig, save_config
 from petrel.engine import TaskRecord
 from petrel.model import TaskClass
-from petrel.workload import format_number, load_trace
+from petrel.workload import Benchmark, format_number, load_trace
 
 
 @pytest.fixture()
@@ -346,6 +346,31 @@ def run_cli_subprocess(args, extra_env=None):
                           capture_output=True, text=True, env=env)
 
 
+class TestTraceFilesAreUtf8:
+    """Trace files are UTF-8 whatever the locale, as the other output files are."""
+
+    C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def test_non_ascii_benchmark_under_the_c_locale(self, tmp_path):
+        config_path = tmp_path / "c.yaml"
+        config = EdgeCloudConfig(task_count=20, catalog=(
+            Benchmark("caf\u00e9", TaskClass.LATENCY_SENSITIVE, 1000.0, 5000.0, 1000.0, 0.0),))
+        save_config(config, config_path)
+        trace_path = tmp_path / "t.csv"
+        generate = run_cli_subprocess(["generate", "--config", str(config_path), "--trace",
+                                       str(trace_path), "--seed", "3"], self.C_LOCALE)
+        assert generate.returncode == 0, generate.stderr
+        local = tmp_path / "local.csv"
+        assert main(["generate", "--config", str(config_path), "--trace", str(local),
+                     "--seed", "3"]) == 0
+        assert trace_path.read_bytes() == local.read_bytes()
+        assert ",caf\u00e9,".encode("utf-8") in trace_path.read_bytes()
+        run = run_cli_subprocess(["run", "--trace", str(trace_path), "--scheduler",
+                                  "daemon-only", "--out", str(tmp_path / "out")], self.C_LOCALE)
+        assert run.returncode == 0, run.stderr
+        assert [t.profile.benchmark for t in load_trace(trace_path)] == ["caf\u00e9"] * 20
+
+
 class TestExitCodes:
     def test_missing_trace_file_is_io(self, tmp_path, small_config):
         code = main([
@@ -461,6 +486,9 @@ ERROR_PATHS = [
                lambda d: ["generate", "--config", _write(d, "c.yaml", "- 1\n- 2\n")]),
     error_path("config-top-level-scalar", 2, "error: <root>: expected a mapping, got int",
                lambda d: ["run", "--scheduler", "daa", "--config", _write(d, "c.yaml", "7\n")]),
+    error_path("infinite-mean-arrival-gap", 2, "error: trace.arrival_rate:",
+               lambda d: ["generate", "--config", _write(
+                   d, "c.yaml", "trace: {arrival_rate: 1.0e-310, time_unit_ms: 1.0e+300}\n")]),
     error_path("non-finite-config", 2, "error: network.cloud_rtt_ms:",
                lambda d: ["run", "--scheduler", "daa", "--tasks", "5", "--config",
                           _write(d, "c.yaml", "network:\n  cloud_rtt_ms: .inf\n")]),
@@ -469,7 +497,7 @@ ERROR_PATHS = [
                           _write(d, "c.yaml", "cloudlets:\n  count: 1\n")]),
     error_path("negative-task-count", 2, "error: trace.task_count:",
                lambda d: ["generate", "--tasks", "-1"]),
-    error_path("bad-lambda", 2, "error: --lambda:",
+    error_path("bad-lambda", 2, "error: trace.arrival_rate:",
                lambda d: ["compare", "--lambda", "inf", "--seeds", "1"]),
     error_path("empty-seed-range", 2, "error: --seeds",
                lambda d: ["compare", "--seeds", "5..1"]),
@@ -527,7 +555,7 @@ class TestNonFiniteConfig:
                      "--seeds", "1..1", "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --lambda:")
+        assert err.startswith("error: trace.arrival_rate:")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("rate, message", [

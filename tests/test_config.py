@@ -103,6 +103,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
             EdgeCloudConfig(**overrides(bad))
 
+    @pytest.mark.parametrize("rate, unit", [(1e-310, 1e300), (5e-324, 1000.0)])
+    def test_mean_arrival_gap_must_be_finite(self, rate, unit):
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(arrival_rate=rate, time_unit_ms=unit)
+        assert str(caught.value) == ("trace.arrival_rate: the mean arrival gap"
+                                     " time_unit_ms / arrival_rate must be finite")
+
     def test_explicit_vm_counts_must_match_the_count(self):
         with pytest.raises(ConfigError, match="cloudlets.vm_counts"):
             EdgeCloudConfig(cloudlet_count=3, vm_counts=(1, 2))

@@ -170,28 +170,39 @@ class TestTaskValidation:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_base_service_time(self, bad):
-        with pytest.raises(ValueError, match="task 0: base_service_time must be finite"):
+        with pytest.raises(ValueError, match="^base_service_time must be finite"):
             make_task(base_service_time=bad)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_mobile_exec_time(self, bad):
-        with pytest.raises(ValueError, match="task 0: mobile_exec_time must be finite"):
+        with pytest.raises(ValueError, match="^mobile_exec_time must be finite"):
             make_task(mobile_exec_time=bad)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_cloud_exec_time(self, bad):
-        with pytest.raises(ValueError, match="task 0: cloud_exec_time must be finite"):
+        with pytest.raises(ValueError, match="^cloud_exec_time must be finite"):
             make_task(cloud_exec_time=bad)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_data_volume(self, bad):
-        with pytest.raises(ValueError, match="task 0: data_volume must be finite"):
+        with pytest.raises(ValueError, match="^data_volume must be finite"):
             make_task(data_volume=bad)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_latency_bound(self, bad):
-        with pytest.raises(ValueError, match="task 0: latency_bound must be finite"):
+        with pytest.raises(ValueError, match="^latency_bound must be finite"):
             make_task(task_class="tolerant", latency_bound=bad)
+
+    def test_replace_checks_the_arrival(self):
+        task = make_task(arrival_time=5.0)
+        assert task._replace(arrival_time=7.0) == make_task(arrival_time=7.0)
+        with pytest.raises(ValueError, match="task 0: arrival_time must be >= 0"):
+            task._replace(arrival_time=-1.0)
+
+    def test_tasks_compare_by_profile_value(self):
+        a, b = make_task(task_id=0), make_task(task_id=0)
+        assert a.profile is not b.profile
+        assert a == b and hash(a) == hash(b)
 
     def test_sensitive_forbids_bound(self):
         with pytest.raises(ValueError):

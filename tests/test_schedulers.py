@@ -23,8 +23,8 @@ from petrel.schedulers import (
     TwoChoicesScheduler,
     daa_decide,
     make_scheduler,
-    sample_two,
 )
+from sampling_reference import sample_two
 
 
 def P(cid, expected, idle=False):

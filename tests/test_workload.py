@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from petrel import workload
 from petrel.config import EdgeCloudConfig
-from petrel.model import Task, TaskClass
+from petrel.model import Profile, Task, TaskClass
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
     TRACE_COLUMNS,
@@ -90,13 +90,20 @@ class TestTraceGeneration:
     def test_every_task_matches_a_catalog_profile(self):
         catalog = {b.name: b for b in default_catalog()}
         for task in generate_trace(config(task_count=120), SEED):
-            bench = catalog[task.benchmark]
-            assert task.base_service_time == bench.base_service_ms
-            assert task.mobile_exec_time == bench.mobile_ms
-            assert task.cloud_exec_time == bench.cloud_ms
-            assert task.data_volume == bench.data_bytes
-            assert task.task_class is bench.task_class
-            assert task.latency_bound == bench.latency_bound_ms
+            profile = task.profile
+            bench = catalog[profile.benchmark]
+            assert profile.base_service_time == bench.base_service_ms
+            assert profile.mobile_exec_time == bench.mobile_ms
+            assert profile.cloud_exec_time == bench.cloud_ms
+            assert profile.data_volume == bench.data_bytes
+            assert profile.task_class is bench.task_class
+            assert profile.latency_bound == bench.latency_bound_ms
+
+    def test_tasks_of_one_benchmark_share_one_profile(self):
+        trace = generate_trace(config(task_count=200), SEED)
+        by_name = {t.profile.benchmark: t.profile for t in trace}
+        assert len(by_name) == len(default_catalog())
+        assert all(t.profile is by_name[t.profile.benchmark] for t in trace)
 
     def test_daemons_stay_in_range_and_spread_out(self):
         trace = generate_trace(config(task_count=3000, cloudlet_count=3), SEED)
@@ -111,7 +118,7 @@ class TestTraceGeneration:
         catalog = tuple(replace(b, weight=1e-9 if i < 4 else 1.0)
                         for i, b in enumerate(default_catalog()))
         trace = generate_trace(config(task_count=60, catalog=catalog), SEED)
-        assert {t.benchmark for t in trace} == {catalog[4].name}
+        assert {t.profile.benchmark for t in trace} == {catalog[4].name}
 
     def test_reproducible_from_the_seed_alone(self):
         assert generate_trace(config(), SEED) == generate_trace(config(), SEED)
@@ -126,7 +133,7 @@ class TestTraceGeneration:
         trace = generate_trace(c, 9)
         assert [t.arrival_time for t in trace] == generate_arrivals(
             1.5, 42, derive_seed(9, "arrivals"), time_unit_ms=10.0)
-        assert {t.benchmark for t in trace} == {"pool", "pingpong"}
+        assert {t.profile.benchmark for t in trace} == {"pool", "pingpong"}
         assert {t.daemon_id for t in trace} == {0, 1}
 
     def test_ignores_the_config_seed_and_other_fields(self):
@@ -175,12 +182,12 @@ def reference_trace(c, seed):
     for i, arrival in enumerate(arrivals):
         bench = c.catalog[int(rng.choice(len(c.catalog), p=p))]
         daemon = int(rng.integers(0, c.cloudlet_count))
-        want.append(Task(
-            id=i, arrival_time=arrival, daemon_id=daemon, task_class=bench.task_class,
+        want.append(Task(i, arrival, daemon, Profile(
+            benchmark=bench.name, task_class=bench.task_class,
             base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
             cloud_exec_time=bench.cloud_ms, data_volume=bench.data_bytes,
-            latency_bound=bench.latency_bound_ms, benchmark=bench.name,
-        ))
+            latency_bound=bench.latency_bound_ms,
+        )))
     return want
 
 
@@ -287,6 +294,16 @@ class TestRoundTrip:
         save_trace(trace, path)
         assert load_trace(path) == trace
 
+    def test_round_trip_keeps_one_profile_per_benchmark(self, tmp_path):
+        trace = generate_trace(config(task_count=300), SEED)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        assert loaded == trace
+        shared = {t.profile.benchmark: t.profile for t in loaded}
+        assert len(shared) == len(default_catalog())
+        assert all(t.profile is shared[t.profile.benchmark] for t in loaded)
+
     def test_fractional_arrivals_survive(self, tmp_path):
         trace = generate_trace(config(task_count=40, arrival_rate=3.7), SEED)
         path = tmp_path / "trace.csv"
@@ -303,7 +320,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", 'all, "of"\r\nthem', ""])
     def test_names_that_need_quoting(self, tmp_path, name):
-        trace = [replace(t, benchmark=name) for t in generate_trace(config(task_count=6), SEED)]
+        trace = [t._replace(profile=replace(t.profile, benchmark=name))
+                 for t in generate_trace(config(task_count=6), SEED)]
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
         assert load_trace(path) == trace
@@ -316,17 +334,18 @@ def csv_writer_trace(trace):
     writer = csv.writer(buf)
     writer.writerow(TRACE_COLUMNS)
     for t in trace:
+        p = t.profile
         writer.writerow([
-            t.id, format_number(t.arrival_time), t.daemon_id, t.benchmark, t.task_class.token,
-            format_number(t.base_service_time), format_number(t.mobile_exec_time),
-            format_number(t.cloud_exec_time), format_number(t.data_volume),
-            "" if t.latency_bound is None else format_number(t.latency_bound),
+            t.id, format_number(t.arrival_time), t.daemon_id, p.benchmark, p.task_class.token,
+            format_number(p.base_service_time), format_number(p.mobile_exec_time),
+            format_number(p.cloud_exec_time), format_number(p.data_volume),
+            "" if p.latency_bound is None else format_number(p.latency_bound),
         ])
     return buf.getvalue().encode()
 
 
-# values whose cache keys collide or nearly collide: 0.0 and -0.0, an int and
-# its float, integral floats at and above 2**53, and their neighbours
+# values that are equal or nearly so: 0.0 and -0.0, an int and its float,
+# integral floats at and above 2**53, and their neighbours
 POSITIVE = st.one_of(
     st.sampled_from([12800, 12800.0, 12800.5, 1.0, 1, 0.1, 5e-324, 1e300, 2.0**53 - 1, 2.0**53,
                      2.0**53 + 2, 2**53, 2**53 + 1, 1e16]),
@@ -345,7 +364,7 @@ NAMES = st.one_of(
 
 @st.composite
 def profiles(draw, task_class=None):
-    """The seven columns of one benchmark profile, as ``Task`` arguments."""
+    """The seven columns of one benchmark profile, as ``Profile`` arguments."""
     if task_class is None:
         task_class = draw(st.sampled_from(TaskClass))
     bound = draw(POSITIVE) if task_class is TaskClass.LATENCY_TOLERANT else None
@@ -363,19 +382,22 @@ TWIN_FIELDS = (("benchmark",), ("task_class", "latency_bound"), ("latency_bound"
 @st.composite
 def profile_traces(draw):
     """Tasks drawn from one profile and its twins, each of which differs from
-    it in one field, so every part of the cache key is needed."""
+    it in one field, and from copies: equal-valued profiles that are
+    distinct objects."""
     first = draw(profiles())
     pool = [first]
     for _ in range(draw(st.integers(1, 5))):
         fields = draw(st.sampled_from(TWIN_FIELDS))
         other = draw(profiles(first["task_class"] if fields == ("latency_bound",) else None))
         pool.append(first | {f: other[f] for f in fields})
+    pool += draw(st.lists(st.sampled_from(pool), max_size=3))
+    objects = [Profile(**values) for values in pool]
     # every profile at least once, in any order, then repeats
-    picks = (draw(st.permutations(range(len(pool))))
-             + draw(st.lists(st.integers(0, len(pool) - 1), max_size=18)))
+    picks = (draw(st.permutations(range(len(objects))))
+             + draw(st.lists(st.integers(0, len(objects) - 1), max_size=18)))
     arrivals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0**53]) | st.floats(0, 1e300),
                              min_size=len(picks), max_size=len(picks)))
-    return [Task(i, arrival, draw(st.integers(0, 2**40)), **pool[pick])
+    return [Task(i, arrival, draw(st.integers(0, 2**40)), objects[pick])
             for i, (pick, arrival) in enumerate(zip(picks, arrivals))]
 
 
@@ -400,11 +422,24 @@ def write_lines(tmp_path, *lines):
     return path
 
 
+class TestLoadProfiles:
+    def test_one_profile_object_per_distinct_raw_profile(self, tmp_path):
+        rows = [GOOD_ROW, NEXT_ROW,
+                "2,300,0,face,sensitive,1000.0,5000,800,2000,",  # same values, other spelling
+                "3,400,2,face,sensitive,1000,5000,800,2000,",
+                "4,500,1,face,sensitive,1000.0,5000,800,2000,"]
+        tasks = load_trace(write_lines(tmp_path, HEADER, *rows))
+        p = [t.profile for t in tasks]
+        assert p[0] is p[1] is p[3]
+        assert p[2] is p[4]
+        assert p[2] is not p[0] and p[2] == p[0]
+
+
 class TestLoadErrors:
     def test_happy_path_parses(self, tmp_path):
         tasks = load_trace(write_lines(tmp_path, HEADER, GOOD_ROW))
         assert len(tasks) == 1
-        assert tasks[0].benchmark == "face"
+        assert tasks[0].profile.benchmark == "face"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -540,6 +575,27 @@ LOAD_ERROR_MESSAGES = {
     "backwards before a bad daemon_id": (
         [NEXT_ROW, "2,150,x,face,sensitive,1000,5000,800,2000,"],
         "line 3: field 'arrival_ms' goes backwards (150.0 < 200.0)"),
+    "cached profile, duplicate id": (
+        [GOOD_ROW, "0,200,1,face,sensitive,1000,5000,800,2000,"],
+        "line 3: duplicate task_id 0"),
+    "cached profile, backwards arrival": (
+        [NEXT_ROW, "2,150,1,face,sensitive,1000,5000,800,2000,"],
+        "line 3: field 'arrival_ms' goes backwards (150.0 < 200.0)"),
+    "cached profile, non-finite arrival": (
+        [GOOD_ROW, "1,inf,1,face,sensitive,1000,5000,800,2000,"],
+        "line 3: field 'arrival_ms' must be finite, got 'inf'"),
+    "cached profile, bad daemon_id": (
+        [GOOD_ROW, "1,200,x,face,sensitive,1000,5000,800,2000,"],
+        "line 3: field 'daemon_id' is not a valid int: 'x'"),
+    "cached profile, too many fields": (
+        [GOOD_ROW, "1,200,1,face,sensitive,1000,5000,800,2000,,"],
+        "line 3: expected 10 fields, got 11"),
+    "cached profile, too few fields": (
+        [GOOD_ROW, "1,200,1,face,sensitive,1000,5000,800,2000"],
+        "line 3: expected 10 fields, got 9"),
+    "negative arrival before a bound on a sensitive task": (
+        ["0,-1,1,face,sensitive,1000,5000,800,2000,4000"],
+        "line 2: task 0: arrival_time must be >= 0"),
     "blank lines still count": (
         [GOOD_ROW, "", "1,50,1,face,sensitive,1000,5000,800,2000,"],
         "line 4: field 'arrival_ms' goes backwards (50.0 < 100.0)"),
@@ -557,8 +613,8 @@ class TestLoadErrorMessages:
     def test_values_near_the_float_limit_load(self, tmp_path):
         row = "0,1e308,1,sandwich,tolerant,1e308,1e308,1e308,1e308,1e308"
         (task,) = load_trace(write_lines(tmp_path, HEADER, row))
-        assert task == Task(0, 1e308, 1, TaskClass.LATENCY_TOLERANT, 1e308, 1e308, 1e308,
-                            1e308, 1e308, "sandwich")
+        assert task == Task(0, 1e308, 1, Profile("sandwich", TaskClass.LATENCY_TOLERANT, 1e308,
+                                                 1e308, 1e308, 1e308, 1e308))
 
     def test_equal_arrivals_load_in_file_order(self, tmp_path):
         tasks = load_trace(write_lines(tmp_path, HEADER, GOOD_ROW, NEXT_ROW, TOLERANT_ROW
