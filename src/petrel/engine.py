@@ -31,6 +31,7 @@ from .model import (
     completion_time_cloud,
     placement_route,
     placement_times,
+    speedup,
 )
 from .schedulers import (
     Assign,
@@ -365,13 +366,19 @@ class Simulation:
             raise SimulationError(f"scheduler returned unknown decision {decision!r}")
         completion = start + service_time + comm
         turnaround = completion - task.arrival_time
+        try:
+            gain = speedup(task, turnaround)
+        except ValueError:  # the service is below half a float step of the arrival
+            raise SimulationError(
+                f"task {task.id}: turnaround rounds to 0 at arrival {task.arrival_time!r} ms;"
+                " arrival times this large cannot resolve the task's service time") from None
         violated = None
         if profile.task_class is TaskClass.LATENCY_TOLERANT:
             violated = turnaround > profile.latency_bound
         records[task.id] = TaskRecord(
             task.id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
             now, start, completion, turnaround, service_time,
-            profile.mobile_exec_time / turnaround, delays_taken[task.id], violated,
+            gain, delays_taken[task.id], violated,
         )
 
 

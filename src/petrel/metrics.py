@@ -9,7 +9,7 @@ floor: a task served instantly with no waiting and no transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import TaskRecord
 from .model import EdgeCloud
@@ -41,7 +41,7 @@ def awt(records: Sequence[TaskRecord]) -> float:
     for r in records:
         if r.service_time <= 0:
             raise ValueError(f"task {r.task_id} has non-positive service time")
-        total += r.turnaround / r.service_time
+        total += r.weighted_turnaround
     return total / len(records)
 
 
@@ -51,14 +51,8 @@ def average_speedup(records: Sequence[TaskRecord]) -> float:
     return sum(r.speedup for r in records) / len(records)
 
 
-def _cloudlet_ids(cloudlets: EdgeCloud | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(cloudlets, EdgeCloud):
-        return cloudlets.ids
-    return tuple(cloudlets)
-
-
 def makespans(
-    records: Sequence[TaskRecord], cloudlets: EdgeCloud | Iterable[int]
+    records: Sequence[TaskRecord], topology: EdgeCloud
 ) -> tuple[float, float, float, dict[int, float]]:
     """(min, max, avg, per-cloudlet) time of last completion per cloudlet.
 
@@ -66,7 +60,7 @@ def makespans(
     run on the cloud have no cloudlet and are left out here (they still
     count toward awt and speedup).
     """
-    per: dict[int, float] = {cid: 0.0 for cid in _cloudlet_ids(cloudlets)}
+    per: dict[int, float] = dict.fromkeys(topology.ids, 0.0)
     if not per:
         raise ValueError("makespans over an empty cloudlet set")
     for r in records:
@@ -81,9 +75,9 @@ def makespans(
     return min(values), max(values), sum(values) / len(values), per
 
 
-def summarize(records: Sequence[TaskRecord], cloudlets: EdgeCloud | Iterable[int]) -> RunSummary:
+def summarize(records: Sequence[TaskRecord], topology: EdgeCloud) -> RunSummary:
     """Roll one run's records up into a RunSummary."""
-    mk_min, mk_max, mk_avg, per = makespans(records, cloudlets)
+    mk_min, mk_max, mk_avg, per = makespans(records, topology)
     violations = sum(1 for r in records if r.bound_violated is True)
     return RunSummary(
         task_count=len(records),

@@ -160,6 +160,12 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
                                  derive_seed(seed, "arrivals"), config.time_unit_ms)
     if not arrivals:
         return []
+    if not isfinite(arrivals[-1]):  # arrivals never decrease, so the last one overflows first
+        from .config import ConfigError
+
+        raise ConfigError.at("arrival_rate", f"the arrival times of {config.task_count} tasks"
+                             " overflow the float range; raise arrival_rate or lower"
+                             " time_unit_ms")
     weights = np.asarray([b.weight for b in config.catalog], dtype=float)
     total = weights.sum()
     if not isfinite(total):
@@ -241,46 +247,6 @@ def _parse_field(row_num: int, name: str, raw: str, kind=float):
     return value
 
 
-def _parse_row(row_num: int, row: list[str], seen_ids: set[int], last_arrival: float) -> Task:
-    """One row, checked field by field in column order: the first fault
-    raises, naming its line and field."""
-    if len(row) != len(TRACE_COLUMNS):
-        raise TraceFormatError(
-            f"line {row_num}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
-        )
-    task_id = _parse_field(row_num, "task_id", row[0], int)
-    if task_id in seen_ids:
-        raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
-    arrival = _parse_field(row_num, "arrival_ms", row[1])
-    if arrival < last_arrival:
-        raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
-    daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
-    try:
-        task_class = TaskClass.from_token(row[4])
-    except ValueError:
-        raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive' or 'tolerant', got {row[4]!r}") from None
-    values = []
-    for name, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), row[5:8]):
-        v = _parse_field(row_num, name, raw)
-        if v <= 0:
-            raise TraceFormatError(f"line {row_num}: field {name!r} must be > 0, got {raw}")
-        values.append(v)
-    data_bytes = _parse_field(row_num, "data_bytes", row[8])
-    if data_bytes < 0:
-        raise TraceFormatError(f"line {row_num}: field 'data_bytes' must be >= 0, got {row[8]}")
-    bound = None
-    if row[9] != "":
-        bound = _parse_field(row_num, "bound_ms", row[9])
-    # after the field checks, the task's own: its arrival, then its profile
-    if arrival < 0:
-        raise TraceFormatError(f"line {row_num}: task {task_id}: arrival_time must be >= 0")
-    try:
-        profile = Profile(row[3], task_class, *values, data_bytes, bound)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
-    return Task(task_id, arrival, daemon_id, profile)
-
-
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
@@ -303,28 +269,50 @@ def load_trace(path) -> list[Task]:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
-            # one pass: Profile and Task check every range and finiteness
-            # themselves, so a row that builds is good; a row with any fault
-            # goes to _parse_row, which reports the first faulty field in
-            # column order
-            task = None
-            if len(row) == width:
+            # each field is checked once, in column order, and the first fault
+            # raises; the profile columns are checked only for a new spelling
+            if len(row) != width:
+                raise TraceFormatError(
+                    f"line {row_num}: expected {width} fields, got {len(row)}")
+            task_id = _parse_field(row_num, "task_id", row[0], int)
+            if task_id in seen_ids:
+                raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
+            arrival = _parse_field(row_num, "arrival_ms", row[1])
+            if arrival < last_arrival:
+                raise TraceFormatError(
+                    f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
+            daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
+            key = tuple(row[3:])
+            profile = profiles.get(key)
+            if profile is None:
+                name, token, *times, data, bound = key
                 try:
-                    key = tuple(row[3:])
-                    profile = profiles.get(key)
-                    if profile is None:
-                        name, token, base, mobile, cloud, data, bound = key
-                        profile = profiles[key] = Profile(
-                            name, TaskClass.from_token(token), float(base), float(mobile),
-                            float(cloud), float(data), None if bound == "" else float(bound))
-                    task_id, arrival = int(row[0]), float(row[1])
-                    if task_id not in seen_ids and arrival >= last_arrival:
-                        task = Task(task_id, arrival, int(row[2]), profile)
+                    task_class = TaskClass.from_token(token)
                 except ValueError:
-                    pass
-            if task is None:
-                task = _parse_row(row_num, row, seen_ids, last_arrival)
-            seen_ids.add(task.id)
-            last_arrival = task.arrival_time
-            tasks.append(task)
+                    raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
+                                           f" or 'tolerant', got {token!r}") from None
+                values = []
+                for field, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), times):
+                    value = _parse_field(row_num, field, raw)
+                    if value <= 0:
+                        raise TraceFormatError(
+                            f"line {row_num}: field {field!r} must be > 0, got {raw}")
+                    values.append(value)
+                data_bytes = _parse_field(row_num, "data_bytes", data)
+                if data_bytes < 0:
+                    raise TraceFormatError(
+                        f"line {row_num}: field 'data_bytes' must be >= 0, got {data}")
+                values.append(data_bytes)
+                values.append(None if bound == "" else _parse_field(row_num, "bound_ms", bound))
+            # after the field checks, the task's own: its arrival, then a new profile
+            if arrival < 0:
+                raise TraceFormatError(f"line {row_num}: task {task_id}: arrival_time must be >= 0")
+            if profile is None:
+                try:
+                    profile = profiles[key] = Profile(name, task_class, *values)
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
+            seen_ids.add(task_id)
+            last_arrival = arrival
+            tasks.append(Task(task_id, arrival, daemon_id, profile))
     return tasks

@@ -447,6 +447,11 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+# a finite mean gap whose running sum over 200 tasks still overflows the float range
+OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-7, time_unit_ms: 1.0e+300, task_count: 200}\n"
+ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
+
+
 def error_path(case, code, prefix, argv, env=None):
     """One CLI failure: ``argv(tmp_dir)`` must exit ``code`` with one stderr line.
 
@@ -477,6 +482,15 @@ ERROR_PATHS = [
     error_path("unknown-daemon", 1, "simulation failed:",
                lambda d: ["run", "--scheduler", "daemon-only", "--trace",
                           _write(d, "far.csv", TRACE_HEADER + "0,1,99,x,sensitive,1,1,1,0,\n")]),
+    error_path("zero-turnaround-daemon-only", 1, ZERO_TURNAROUND,
+               lambda d: ["run", "--scheduler", "daemon-only", "--lambda", "1e-20", "--tasks", "5"]),
+    error_path("zero-turnaround-daa", 1, ZERO_TURNAROUND,
+               lambda d: ["run", "--scheduler", "daa", "--lambda", "1e-20", "--tasks", "5"]),
+    error_path("zero-turnaround-compare", 1, ZERO_TURNAROUND,
+               lambda d: ["compare", "--lambda", "1e-20", "--seeds", "1..2", "--tasks", "5"]),
+    error_path("zero-turnaround-trace", 1, ZERO_TURNAROUND,
+               lambda d: ["run", "--scheduler", "daemon-only", "--trace",
+                          _write(d, "late.csv", TRACE_HEADER + "0,1e25,0,x,sensitive,1,1,1,0,\n")]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",
@@ -489,6 +503,11 @@ ERROR_PATHS = [
     error_path("infinite-mean-arrival-gap", 2, "error: trace.arrival_rate:",
                lambda d: ["generate", "--config", _write(
                    d, "c.yaml", "trace: {arrival_rate: 1.0e-310, time_unit_ms: 1.0e+300}\n")]),
+    error_path("generate-overflowing-arrivals", 2, "error: trace.arrival_rate:",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", OVERFLOWING_ARRIVALS)]),
+    error_path("run-overflowing-arrivals", 2, "error: trace.arrival_rate:",
+               lambda d: ["run", "--scheduler", "daa", "--config",
+                          _write(d, "c.yaml", OVERFLOWING_ARRIVALS)]),
     error_path("non-finite-config", 2, "error: network.cloud_rtt_ms:",
                lambda d: ["run", "--scheduler", "daa", "--tasks", "5", "--config",
                           _write(d, "c.yaml", "network:\n  cloud_rtt_ms: .inf\n")]),

@@ -432,6 +432,14 @@ class TestTraceValidation:
         with pytest.raises(SimulationError):
             sim.run(trace)
 
+    @pytest.mark.parametrize("new_scheduler", [DaemonOnlyScheduler,
+                                               lambda: Scripted([AssignCloud()])])
+    def test_rejects_a_turnaround_lost_to_rounding(self, new_scheduler):
+        # at 1e25 ms a float step is 2**31 ms, so a 1 s service leaves completion == arrival
+        trace = [make_task(task_id=3, arrival_time=1e25)]
+        with pytest.raises(SimulationError, match="task 3: turnaround rounds to 0"):
+            Simulation(small_topology(), new_scheduler()).run(trace)
+
     def test_rejects_an_empty_topology(self):
         from petrel.model import EdgeCloud
 

@@ -7,7 +7,7 @@ import pytest
 from fixtures import make_cloudlet, make_topology
 from petrel.engine import TaskRecord
 from petrel.metrics import RunSummary, average_speedup, awt, makespans, summarize
-from petrel.model import TaskClass
+from petrel.model import EdgeCloud, TaskClass
 
 
 def record(
@@ -34,6 +34,10 @@ def record(
         delays_taken=0,
         bound_violated=violated,
     )
+
+
+def topology(*ids):
+    return make_topology(*(make_cloudlet(i) for i in ids))
 
 
 class TestTaskRecord:
@@ -101,7 +105,7 @@ class TestMakespans:
             record(1, cloudlet=1, completion=20.0),
             record(2, cloudlet=2, completion=30.0),
         ]
-        mk_min, mk_max, mk_avg, per = makespans(records, [0, 1, 2])
+        mk_min, mk_max, mk_avg, per = makespans(records, topology(0, 1, 2))
         assert (mk_min, mk_max, mk_avg) == (10.0, 30.0, 20.0)
         assert per == {0: 10.0, 1: 20.0, 2: 30.0}
 
@@ -110,13 +114,13 @@ class TestMakespans:
             record(0, cloudlet=0, completion=500.0),
             record(1, cloudlet=0, completion=300.0),
         ]
-        _, mk_max, _, per = makespans(records, [0])
+        _, mk_max, _, per = makespans(records, topology(0))
         assert per[0] == 500.0
         assert mk_max == 500.0
 
     def test_idle_cloudlets_count_as_zero(self):
         records = [record(0, cloudlet=1, completion=800.0)]
-        mk_min, mk_max, mk_avg, per = makespans(records, [0, 1])
+        mk_min, mk_max, mk_avg, per = makespans(records, topology(0, 1))
         assert mk_min == 0.0
         assert per[0] == 0.0
         assert mk_avg == 400.0
@@ -126,26 +130,19 @@ class TestMakespans:
             record(0, cloudlet=0, completion=100.0),
             record(1, cloudlet=None, completion=99_999.0),
         ]
-        _, mk_max, _, _ = makespans(records, [0])
+        _, mk_max, _, _ = makespans(records, topology(0))
         assert mk_max == 100.0
-
-    def test_accepts_a_topology_object(self):
-        topo = make_topology(make_cloudlet(0), make_cloudlet(1))
-        records = [record(0, cloudlet=1, completion=42.0)]
-        _, mk_max, _, per = makespans(records, topo)
-        assert mk_max == 42.0
-        assert set(per) == {0, 1}
 
     def test_unknown_cloudlet_is_an_error(self):
         with pytest.raises(ValueError):
-            makespans([record(0, cloudlet=9)], [0, 1])
+            makespans([record(0, cloudlet=9)], topology(0, 1))
 
     def test_empty_cloudlet_set_is_an_error(self):
         with pytest.raises(ValueError):
-            makespans([], [])
+            makespans([], EdgeCloud(()))
 
     def test_no_records_means_all_idle(self):
-        mk_min, mk_max, mk_avg, _ = makespans([], [0, 1])
+        mk_min, mk_max, mk_avg, _ = makespans([], topology(0, 1))
         assert (mk_min, mk_max, mk_avg) == (0.0, 0.0, 0.0)
 
 
@@ -157,7 +154,7 @@ class TestSummarize:
             record(1, cloudlet=1, completion=30.0, turnaround=300.0, service=100.0,
                    speedup=3.0, violated=True),
         ]
-        summary = summarize(records, [0, 1])
+        summary = summarize(records, topology(0, 1))
         assert summary.task_count == 2
         assert summary.awt == 2.5
         assert summary.avg_speedup == 4.0
@@ -173,7 +170,7 @@ class TestSummarize:
             record(2, violated=True),
             record(3, violated=True),
         ]
-        assert summarize(records, [0]).bound_violations == 2
+        assert summarize(records, topology(0)).bound_violations == 2
 
     def test_summary_rejects_inconsistent_makespans(self):
         with pytest.raises(ValueError):
@@ -191,8 +188,8 @@ class TestSummarize:
         ]
         shuffled = records[:]
         random.Random(9).shuffle(shuffled)
-        a = summarize(records, [0, 1])
-        b = summarize(shuffled, [0, 1])
+        a = summarize(records, topology(0, 1))
+        b = summarize(shuffled, topology(0, 1))
         assert b.awt == pytest.approx(a.awt)
         assert b.avg_speedup == pytest.approx(a.avg_speedup)
         assert (b.makespan_min, b.makespan_max, b.makespan_avg) == (

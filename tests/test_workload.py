@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from petrel import workload
-from petrel.config import EdgeCloudConfig
+from petrel.config import ConfigError, EdgeCloudConfig
 from petrel.model import Profile, Task, TaskClass
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
@@ -126,6 +126,12 @@ class TestTraceGeneration:
 
     def test_empty_trace(self):
         assert generate_trace(config(task_count=0), SEED) == []
+
+    def test_arrivals_that_overflow_are_a_config_error(self):
+        overflowing = config(task_count=200, arrival_rate=1.0e-7, time_unit_ms=1.0e300)
+        with pytest.raises(ConfigError) as caught:
+            generate_trace(overflowing, SEED)
+        assert str(caught.value).startswith("trace.arrival_rate: the arrival times of 200 tasks")
 
     def test_reads_the_trace_fields_of_the_config(self):
         c = config(task_count=42, arrival_rate=1.5, time_unit_ms=10.0,
@@ -596,6 +602,27 @@ LOAD_ERROR_MESSAGES = {
     "negative arrival before a bound on a sensitive task": (
         ["0,-1,1,face,sensitive,1000,5000,800,2000,4000"],
         "line 2: task 0: arrival_time must be >= 0"),
+    "later new profile, mobile_ms zero": (
+        [GOOD_ROW, "1,200,1,face,sensitive,1000,0,800,2000,"],
+        "line 3: field 'mobile_ms' must be > 0, got 0"),
+    "later new profile, bad class": (
+        [GOOD_ROW, "1,200,1,face,urgent,1000,5000,800,2000,"],
+        "line 3: field 'class' must be 'sensitive' or 'tolerant', got 'urgent'"),
+    "later new profile, bound_ms not a number": (
+        [GOOD_ROW, "1,200,1,sandwich,tolerant,1000,5000,800,2000,soon"],
+        "line 3: field 'bound_ms' is not a valid float: 'soon'"),
+    "later new profile, sensitive with a bound": (
+        [GOOD_ROW, "1,200,1,face,sensitive,1000,5000,800,2000,4000"],
+        "line 3: task 1: sensitive tasks must not carry a latency_bound"),
+    "later new profile, tolerant without a bound": (
+        [GOOD_ROW, "1,200,1,sandwich,tolerant,1000,5000,800,2000,"],
+        "line 3: task 1: tolerant tasks need a positive latency_bound"),
+    "later new profile, duplicate id before its fields": (
+        [GOOD_ROW, "0,200,1,face,sensitive,1000,0,800,2000,"],
+        "line 3: duplicate task_id 0"),
+    "later new profile, backwards arrival before its fields": (
+        [NEXT_ROW, "2,150,1,face,urgent,1000,5000,800,2000,"],
+        "line 3: field 'arrival_ms' goes backwards (150.0 < 200.0)"),
     "blank lines still count": (
         [GOOD_ROW, "", "1,50,1,face,sensitive,1000,5000,800,2000,"],
         "line 4: field 'arrival_ms' goes backwards (50.0 < 100.0)"),
