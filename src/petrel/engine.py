@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -28,7 +28,7 @@ from .model import (
     Route,
     Task,
     TaskClass,
-    completion_time_cloud,
+    cloud_times,
     placement_route,
     placement_times,
     speedup,
@@ -50,6 +50,10 @@ class SimulationError(RuntimeError):
 
 ARRIVAL = "arrival"
 DELAY_EXPIRED = "delay-expired"
+
+# Event, DecisionEntry, TaskRecord and ProbeResult are built per decision or probe
+# as tuple.__new__(Cls, (...)): a NamedTuple's generated __new__ is a Python-level
+# call that checks nothing, and a measurable share of a run (shape pinned in tests).
 
 
 class Event(NamedTuple):
@@ -126,7 +130,7 @@ class VmSchedule:
             raise ValueError(f"commit at {now} before the previous commit at {self._last_commit}")
         self._last_commit = now
         ready, vm_index = heapq.heappop(self._heap)
-        start = max(now, ready)
+        start = ready if ready > now else now
         new_ready = start + exec_time
         heapq.heappush(self._heap, (new_ready, vm_index))
         log = self._log
@@ -217,7 +221,8 @@ class ClusterView:
         self._profile = task.profile
         latency = self._sim.probe_latency
         # the instant stale probes read; None when every probe reads live state
-        self._horizon = None if latency <= 0 else max(0.0, now - latency)
+        horizon = now - latency
+        self._horizon = None if latency <= 0 else (horizon if horizon > 0.0 else 0.0)
 
     @property
     def cloudlet_ids(self) -> tuple[int, ...]:
@@ -232,13 +237,16 @@ class ClusterView:
         else:
             ready = vms.earliest_ready_asof(self._horizon)
         exec_time, comm = placement_times(self._profile, sim.routes[self.daemon_id][cloudlet_id])
-        return ProbeResult(cloudlet_id, max(now, ready) + exec_time + comm, ready <= now)
+        start = ready if ready > now else now
+        return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
         sim = self._sim
         daemon_id = self.daemon_id
-        start = max(self.now + delay, sim.vm_schedules[daemon_id].earliest_ready())
+        earliest = self.now + delay
+        ready = sim.vm_schedules[daemon_id].earliest_ready()
+        start = ready if ready > earliest else earliest
         exec_time, comm = placement_times(self._profile, sim.routes[daemon_id][daemon_id])
         return start + exec_time + comm
 
@@ -297,7 +305,7 @@ class Simulation:
             events.append(event)
             view._move(task, now)
             decision = decide(task, view)
-            decisions.append(DecisionEntry(now, task.id, decision))
+            decisions.append(tuple.__new__(DecisionEntry, (now, task.id, decision)))
             self._apply(decision, task, now, wakeups, records, delays_taken)
 
         for sequence, task in enumerate(trace):
@@ -305,7 +313,7 @@ class Simulation:
             while wakeups and wakeups[0].time < arrival:
                 event = heapq.heappop(wakeups)
                 step(event, tasks[event.task_id])
-            step(Event(arrival, sequence, ARRIVAL, task.id), task)
+            step(tuple.__new__(Event, (arrival, sequence, ARRIVAL, task.id)), task)
         while wakeups:
             event = heapq.heappop(wakeups)
             step(event, tasks[event.task_id])
@@ -343,9 +351,8 @@ class Simulation:
             service_time, comm = placement_times(profile, route)
             start, _ = self.vm_schedules[executor_id].commit(now, service_time)
         elif isinstance(decision, AssignCloud):
-            bd = completion_time_cloud(task, self.topology.get(task.daemon_id).net)
+            service_time, comm = cloud_times(profile, self.topology.get(task.daemon_id).net)
             start = now
-            service_time, comm = bd.exec, bd.comm
             executor_id = None
         elif isinstance(decision, Delay):
             delays_taken[task.id] += 1
@@ -359,12 +366,16 @@ class Simulation:
             delay = decision.duration
             if not 0 < delay < inf:
                 raise SimulationError(f"task {task.id}: delay must be finite and > 0, got {delay}")
-            heapq.heappush(wakeups, Event(now + delay, self._sequence, DELAY_EXPIRED, task.id))
+            heapq.heappush(wakeups, tuple.__new__(
+                Event, (now + delay, self._sequence, DELAY_EXPIRED, task.id)))
             self._sequence += 1
             return
         else:
             raise SimulationError(f"scheduler returned unknown decision {decision!r}")
         completion = start + service_time + comm
+        if not isfinite(completion):
+            raise SimulationError(f"task {task.id}: completion time overflows the float range"
+                                  f" (arrival {task.arrival_time!r} ms)")
         turnaround = completion - task.arrival_time
         try:
             gain = speedup(task, turnaround)
@@ -375,11 +386,11 @@ class Simulation:
         violated = None
         if profile.task_class is TaskClass.LATENCY_TOLERANT:
             violated = turnaround > profile.latency_bound
-        records[task.id] = TaskRecord(
+        records[task.id] = tuple.__new__(TaskRecord, (
             task.id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
             now, start, completion, turnaround, service_time,
             gain, delays_taken[task.id], violated,
-        )
+        ))
 
 
 def simulate(config, trace: Sequence[Task], scheduler, seed: int,

@@ -229,11 +229,15 @@ def completion_time_mobile(task: Task) -> CompletionBreakdown:
     return CompletionBreakdown(exec=task.profile.mobile_exec_time, wait=0.0, comm=0.0)
 
 
+def cloud_times(profile: Profile, net: NetworkParams) -> tuple[float, float]:
+    """(exec, comm) of a task with ``profile`` on the cloud: the one cloud formula."""
+    return profile.cloud_exec_time, profile.data_volume / net.cloud_bandwidth + net.cloud_rtt
+
+
 def completion_time_cloud(task: Task, net: NetworkParams) -> CompletionBreakdown:
     """Completion on the cloud: execution plus transfer, never any queueing."""
-    profile = task.profile
-    comm = profile.data_volume / net.cloud_bandwidth + net.cloud_rtt
-    return CompletionBreakdown(exec=profile.cloud_exec_time, wait=0.0, comm=comm)
+    exec_time, comm = cloud_times(task.profile, net)
+    return CompletionBreakdown(exec=exec_time, wait=0.0, comm=comm)
 
 
 Route = tuple[float, float, float, float | None]

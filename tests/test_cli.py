@@ -491,6 +491,10 @@ ERROR_PATHS = [
     error_path("zero-turnaround-trace", 1, ZERO_TURNAROUND,
                lambda d: ["run", "--scheduler", "daemon-only", "--trace",
                           _write(d, "late.csv", TRACE_HEADER + "0,1e25,0,x,sensitive,1,1,1,0,\n")]),
+    error_path("overflowing-completion-trace", 1,
+               "simulation failed: task 0: completion time overflows the float range",
+               lambda d: ["run", "--scheduler", "daemon-only", "--trace", _write(
+                   d, "over.csv", TRACE_HEADER + "0,1.7e308,0,x,sensitive,1e308,1e308,800,2000,\n")]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",

@@ -2,6 +2,7 @@
 
 from bisect import bisect_right
 from collections import Counter
+import math
 from math import inf, nan
 
 import numpy as np
@@ -14,8 +15,11 @@ from petrel.engine import (
     ARRIVAL,
     DELAY_EXPIRED,
     ClusterView,
+    DecisionEntry,
+    Event,
     Simulation,
     SimulationError,
+    TaskRecord,
     VmSchedule,
     simulate,
 )
@@ -27,6 +31,7 @@ from petrel.schedulers import (
     DaaScheduler,
     DaemonOnlyScheduler,
     Delay,
+    ProbeResult,
     RoundRobinScheduler,
     SAMPLING_SCHEDULERS,
     SCHEDULER_NAMES,
@@ -99,6 +104,11 @@ class TestVmSchedule:
         vms.commit(0.0, 400.0)
         assert vms.commit(400.0, 1.0) == (400.0, 0)  # idle again at 400
 
+    def test_a_commit_at_the_ready_instant_starts_at_now(self):
+        # on a tie the start is ``now`` itself, as ``max(now, ready)`` gives: -0.0 == 0.0
+        start, _ = VmSchedule(1).commit(-0.0, 1.0)
+        assert math.copysign(1.0, start) == -1.0
+
     def test_asof_reads_see_older_state(self):
         vms = VmSchedule(1)
         vms.commit(600.0, 5000.0)
@@ -131,6 +141,13 @@ class TestProbeAndCommitHelpers:
         task = make_task(base_service_time=4000.0, data_volume=0.0)
         probe = ClusterView(sim, task, now=2000.0).probe(0)
         assert probe.expected_completion == 2000.0 + 5100.0  # wall clock 7,100
+
+    def test_a_probe_at_the_ready_instant_reports_an_idle_vm(self):
+        sim = self._node_sim(vm_count=1, daemon_rtt=100.0, busy_until=(3000.0,))
+        task = make_task(base_service_time=4000.0, data_volume=0.0)
+        probe = ClusterView(sim, task, now=3000.0).probe(0)
+        assert probe.has_idle_vm
+        assert probe.expected_completion == 3000.0 + 4000.0 + 100.0
 
     def test_probe_with_a_future_commit_instant(self):
         sim = self._node_sim(vm_count=1, daemon_rtt=100.0, busy_until=(3000.0,))
@@ -398,6 +415,34 @@ class TestSimulationRuns:
         assert [d.task_id for d in result.decisions] == list(range(8))
 
 
+class TestBuiltTupleShapes:
+    """The engine builds its named tuples without their constructors, so pin their shape."""
+
+    def test_every_tuple_is_exactly_its_type(self):
+        probes = []
+
+        class Probing(Scripted):
+            def decide(self, task, view):
+                probes.extend(view.probe(c) for c in view.cloudlet_ids)
+                return super().decide(task, view)
+
+        trace = [make_task(task_id=i, daemon_id=i % 2, arrival_time=100.0 * i,
+                           task_class="tolerant", latency_bound=1e9) for i in range(4)]
+        script = [Assign(0), Assign(0), AssignCloud(), Delay(50.0), Assign(1)]
+        result = Simulation(small_topology(), Probing(script), probe_latency=75.0).run(trace)
+        kinds = Counter(type(d.decision).__name__ for d in result.decisions)
+        assert kinds == {"Assign": 3, "AssignCloud": 1, "Delay": 1}
+        assert {r.executor for r in result.records} == {0, 1, None}
+        groups = [(TaskRecord, result.records), (Event, result.events),
+                  (DecisionEntry, result.decisions), (ProbeResult, probes)]
+        for cls, items in groups:
+            assert items
+            for item in items:
+                assert type(item) is cls
+                assert len(item) == len(cls._fields)
+                assert item == cls(*item)
+
+
 class TestTraceValidation:
     def test_rejects_unsorted_traces(self):
         trace = [
@@ -439,6 +484,16 @@ class TestTraceValidation:
         trace = [make_task(task_id=3, arrival_time=1e25)]
         with pytest.raises(SimulationError, match="task 3: turnaround rounds to 0"):
             Simulation(small_topology(), new_scheduler()).run(trace)
+
+    @pytest.mark.parametrize("decision", [Assign(0), Assign(1), AssignCloud()])
+    def test_rejects_a_completion_that_overflows(self, decision):
+        # 1.7e308 + 1e308 of service is past the largest float, 1.8e308
+        trace = [make_task(task_id=4, arrival_time=1.7e308, base_service_time=1e308,
+                           mobile_exec_time=1e308, cloud_exec_time=1e308)]
+        with pytest.raises(SimulationError) as caught:
+            Simulation(small_topology(), Scripted([decision])).run(trace)
+        assert str(caught.value) == ("task 4: completion time overflows the float range"
+                                     " (arrival 1.7e+308 ms)")
 
     def test_rejects_an_empty_topology(self):
         from petrel.model import EdgeCloud

@@ -11,6 +11,7 @@ from petrel.model import (
     CompletionBreakdown,
     Task,
     TaskClass,
+    cloud_times,
     completion_time_cloud,
     completion_time_daemon,
     completion_time_mobile,
@@ -49,6 +50,15 @@ class TestCloud:
         task = make_task(cloud_exec_time=300.0, data_volume=0.0)
         bd = completion_time_cloud(task, make_net(cloud_rtt=50.0))
         assert bd.total == 350.0
+
+
+    @pytest.mark.parametrize("data_volume, comm", [(0.0, 50.0), (1000.0, 51.25),
+                                                   (2_500_000.0, 3175.0)])
+    def test_cloud_times_is_the_breakdown_formula(self, data_volume, comm):
+        task = make_task(cloud_exec_time=300.0, data_volume=data_volume)
+        net = make_net(cloud_bandwidth=800.0, cloud_rtt=50.0)
+        bd = completion_time_cloud(task, net)
+        assert cloud_times(task.profile, net) == (bd.exec, bd.comm) == (300.0, comm)
 
 
 class TestDaemon:
