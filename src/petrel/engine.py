@@ -10,6 +10,10 @@ back.  A task's completion is fixed at commit, so completions are
 recorded, not queued as events.  Communication is charged to the task's
 completion, not to VM occupancy.
 
+Stale probes read one run-wide commit log: commits come in time order
+across the run, so each decision folds the log once, up to its horizon
+(see :class:`ClusterView`), and a stale probe is a lookup.
+
 Two runs with the same config, trace, policy, and seed produce
 bit-identical records.
 """
@@ -71,75 +75,43 @@ class Event(NamedTuple):
 class VmSchedule:
     """Per-VM next-free timestamps for one cloudlet.
 
-    The earliest ready time is the heap head.  Stale reads
-    (:meth:`earliest_ready_asof`) answer with the state as of an earlier
-    instant from a pruned commit log: each commit is logged as
-    ``(commit_time, vm_index, new_ready)`` and folded into a per-VM list
-    of ready times once the read horizon reaches its commit time, so the
-    log holds only the commits not yet visible to stale reads.  Reads
-    must not go back in time and commits must come in time order.  A
-    finite ``staleness`` (the engine's probe latency) also moves the
-    horizon to ``commit_time - staleness`` at each commit, since no later
-    read looks further back; the log then stays within that window even
-    when nothing reads it.
+    The earliest ready time is the heap head.  Given ``log``, the run's
+    commit log that every cloudlet shares, each commit is also appended
+    to it as ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``,
+    where ``stale`` is this cloudlet's per-VM ready times as stale probes
+    see them; :meth:`ClusterView._move` folds the entry into ``stale``
+    once the read horizon reaches its commit time.  Commits must come in
+    time order, on each cloudlet and through the log.
     """
 
-    def __init__(self, vm_count: int, staleness: float = inf):
+    def __init__(self, vm_count: int, log: deque | None = None, cloudlet_id: int | None = None):
         if vm_count < 1:
             raise ValueError("vm_count must be >= 1")
         self._heap: list[tuple[float, int]] = [(0.0, i) for i in range(vm_count)]
         heapq.heapify(self._heap)
-        self._staleness = staleness
-        self._log: deque[tuple[float, int, float]] = deque()
-        self._last_commit = -inf
-        self._horizon = -inf
+        self._log = log
+        self._cloudlet_id = cloudlet_id
         self._stale = [0.0] * vm_count
-        self._stale_min = 0.0
+        self._last_commit = -inf
 
     def earliest_ready(self) -> float:
         return self._heap[0][0]
-
-    def earliest_ready_asof(self, when: float) -> float:
-        """Earliest ready time as it looked at instant ``when``.
-
-        Commits made at exactly ``when`` are visible.  ``when`` must not
-        be earlier than the previous read or the pruning horizon.
-        """
-        if when < self._horizon:
-            raise ValueError(
-                f"stale read at {when} is older than the pruned horizon {self._horizon}"
-            )
-        self._horizon = when
-        log = self._log
-        if log and log[0][0] <= when:
-            self._fold(when)
-        return self._stale_min
-
-    def _fold(self, horizon: float) -> None:
-        # the last commit per VM at or before the horizon wins
-        log = self._log
-        stale = self._stale
-        while log and log[0][0] <= horizon:
-            _, vm_index, ready = log.popleft()
-            stale[vm_index] = ready
-        self._stale_min = min(stale)
 
     def commit(self, now: float, exec_time: float) -> tuple[float, int]:
         """Occupy the earliest-ready VM; returns (start, vm_index)."""
         if now < self._last_commit:
             raise ValueError(f"commit at {now} before the previous commit at {self._last_commit}")
+        log = self._log
+        if log and now < log[-1][0]:  # the fold stops at the first commit past the horizon
+            raise ValueError(f"commit at {now} before the previous commit at {log[-1][0]}"
+                             f" on cloudlet {log[-1][1]}")
         self._last_commit = now
         ready, vm_index = heapq.heappop(self._heap)
         start = ready if ready > now else now
         new_ready = start + exec_time
         heapq.heappush(self._heap, (new_ready, vm_index))
-        log = self._log
-        log.append((now, vm_index, new_ready))
-        horizon = now - self._staleness
-        if horizon > self._horizon:
-            self._horizon = horizon
-        if log[0][0] <= horizon:
-            self._fold(horizon)
+        if log is not None:
+            log.append((now, self._cloudlet_id, self._stale, vm_index, new_ready))
         return start, vm_index
 
 
@@ -203,51 +175,70 @@ class _RouteRow(dict):
 class ClusterView:
     """Read-only probe interface the engine hands to a policy.
 
-    Probes of non-daemon cloudlets can be answered with stale state
-    (``probe_latency`` old); the daemon always sees its own live state.
-    A run moves one view from decision to decision, so a policy must not
-    keep a view past ``decide``.
+    With a probe latency set, probes of non-daemon cloudlets read
+    ``sim.stale_ready``: per cloudlet, the least over its VMs of the last
+    commit at or before the horizon ``max(now - probe_latency, 0)``, else
+    0.0.  Moving the view folds the commit log up to that horizon, which
+    must not go back.  The daemon always sees its own live state.  A run
+    moves one view from decision to decision, so a policy must not keep
+    a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "_profile", "_sim", "_horizon")
+    __slots__ = ("now", "daemon_id", "_profile", "_sim", "_schedules", "_stale_ready", "_routes")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self._sim = sim
+        self._schedules = sim.vm_schedules
+        # None when every probe reads live state
+        self._stale_ready = None if sim.commit_log is None else sim.stale_ready
         self._move(task, now)
 
     def _move(self, task: Task, now: float) -> None:
         self.now = now
         self.daemon_id = task.daemon_id
         self._profile = task.profile
-        latency = self._sim.probe_latency
-        # the instant stale probes read; None when every probe reads live state
-        horizon = now - latency
-        self._horizon = None if latency <= 0 else (horizon if horizon > 0.0 else 0.0)
+        sim = self._sim
+        self._routes = sim.routes[task.daemon_id]
+        log = sim.commit_log
+        if log is None:
+            return
+        horizon = now - sim.probe_latency
+        if horizon < 0.0:
+            horizon = 0.0
+        if horizon < sim.stale_horizon:
+            raise ValueError(
+                f"stale probes at {horizon} would read before the folded horizon {sim.stale_horizon}"
+            )
+        sim.stale_horizon = horizon
+        # the last commit per VM at or before the horizon wins
+        stale_ready = self._stale_ready
+        while log and log[0][0] <= horizon:
+            _, cloudlet_id, stale, vm_index, ready = log.popleft()
+            stale[vm_index] = ready
+            stale_ready[cloudlet_id] = min(stale)
 
     @property
     def cloudlet_ids(self) -> tuple[int, ...]:
         return self._sim.topology.ids
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
-        sim = self._sim
         now = self.now
-        vms = sim.vm_schedules[cloudlet_id]
-        if cloudlet_id == self.daemon_id or self._horizon is None:
-            ready = vms.earliest_ready()
+        stale_ready = self._stale_ready
+        if stale_ready is None or cloudlet_id == self.daemon_id:
+            ready = self._schedules[cloudlet_id].earliest_ready()
         else:
-            ready = vms.earliest_ready_asof(self._horizon)
-        exec_time, comm = placement_times(self._profile, sim.routes[self.daemon_id][cloudlet_id])
+            ready = stale_ready[cloudlet_id]
+        exec_time, comm = placement_times(self._profile, self._routes[cloudlet_id])
         start = ready if ready > now else now
         return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
-        sim = self._sim
         daemon_id = self.daemon_id
         earliest = self.now + delay
-        ready = sim.vm_schedules[daemon_id].earliest_ready()
+        ready = self._schedules[daemon_id].earliest_ready()
         start = ready if ready > earliest else earliest
-        exec_time, comm = placement_times(self._profile, sim.routes[daemon_id][daemon_id])
+        exec_time, comm = placement_times(self._profile, self._routes[daemon_id])
         return start + exec_time + comm
 
 
@@ -267,15 +258,21 @@ class Simulation:
     ):
         if len(topology) == 0:
             raise SimulationError("topology has no cloudlets")
+        if not (isfinite(probe_latency) and probe_latency >= 0):
+            raise SimulationError(f"probe_latency must be finite and >= 0, got {probe_latency!r}")
+        if max_delays < 1:
+            raise SimulationError(f"max_delays must be >= 1, got {max_delays!r}")
         self.topology = topology
         self.scheduler = scheduler
         self.max_delays = max_delays
         self.probe_latency = probe_latency
-        # only stale reads look back, and never further than the probe latency
-        staleness = max(probe_latency, 0.0)
+        # the run-wide commit log, folded per decision; None when every probe is live
+        self.commit_log: deque | None = deque() if probe_latency > 0 else None
         self.vm_schedules: dict[int, VmSchedule] = {
-            c.id: VmSchedule(c.vm_count, staleness=staleness) for c in topology
+            c.id: VmSchedule(c.vm_count, self.commit_log, c.id) for c in topology
         }
+        self.stale_ready = dict.fromkeys(self.vm_schedules, 0.0)
+        self.stale_horizon = -inf  # the last horizon folded to
         # routes[daemon_id][executor_id]: one row per daemon
         self.routes = {c.id: _RouteRow(topology, c) for c in topology}
         self._ran = False

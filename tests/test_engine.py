@@ -109,21 +109,6 @@ class TestVmSchedule:
         start, _ = VmSchedule(1).commit(-0.0, 1.0)
         assert math.copysign(1.0, start) == -1.0
 
-    def test_asof_reads_see_older_state(self):
-        vms = VmSchedule(1)
-        vms.commit(600.0, 5000.0)
-        assert vms.earliest_ready() == 5600.0
-        assert vms.earliest_ready_asof(599.0) == 0.0
-        assert vms.earliest_ready_asof(600.0) == 5600.0
-        assert vms.earliest_ready_asof(10_000.0) == 5600.0
-
-    def test_asof_takes_the_min_across_vms(self):
-        vms = VmSchedule(2)
-        vms.commit(100.0, 1000.0)
-        vms.commit(200.0, 2000.0)
-        assert vms.earliest_ready_asof(150.0) == 0.0
-        assert vms.earliest_ready_asof(250.0) == 1100.0
-
 
 class TestProbeAndCommitHelpers:
     """Probes, delayed projections, commits and wake-ups as a run sees them."""
@@ -495,6 +480,18 @@ class TestTraceValidation:
         assert str(caught.value) == ("task 4: completion time overflows the float range"
                                      " (arrival 1.7e+308 ms)")
 
+    @pytest.mark.parametrize("latency", [nan, inf, -inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_probe_latency(self, latency):
+        with pytest.raises(SimulationError,
+                           match=f"^probe_latency must be finite and >= 0, got {latency}$"):
+            Simulation(small_topology(), DaemonOnlyScheduler(), probe_latency=latency)
+
+    @pytest.mark.parametrize("max_delays", [0, -1])
+    def test_rejects_max_delays_below_one(self, max_delays):
+        with pytest.raises(SimulationError,
+                           match=f"^max_delays must be >= 1, got {max_delays}$"):
+            Simulation(small_topology(), DaemonOnlyScheduler(), max_delays=max_delays)
+
     def test_rejects_an_empty_topology(self):
         from petrel.model import EdgeCloud
 
@@ -502,10 +499,65 @@ class TestTraceValidation:
             Simulation(EdgeCloud(cloudlets=()), DaemonOnlyScheduler())
 
 
+def stale_ready_at(sim, now):
+    """The stale ready times a decision at ``now`` reads, once its view has folded the log."""
+    ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now)
+    return dict(sim.stale_ready)
+
+
 class TestProbeStaleness:
-    def _sim(self, latency):
-        topo = small_topology(vms=1, count=2)
+    def _sim(self, latency, vms=1, count=2):
+        topo = small_topology(vms=vms, count=count)
         return Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+
+    def test_stale_reads_see_older_state(self):
+        sim = self._sim(1000.0)
+        sim.vm_schedules[1].commit(600.0, 5000.0)
+        assert sim.vm_schedules[1].earliest_ready() == 5600.0
+        assert stale_ready_at(sim, 1599.0)[1] == 0.0
+        assert stale_ready_at(sim, 1600.0)[1] == 5600.0  # a commit at the horizon is visible
+        assert stale_ready_at(sim, 11_000.0)[1] == 5600.0
+
+    def test_stale_reads_take_the_min_across_vms(self):
+        sim = self._sim(1000.0, vms=2)
+        sim.vm_schedules[1].commit(100.0, 1000.0)
+        sim.vm_schedules[1].commit(200.0, 2000.0)
+        assert stale_ready_at(sim, 1150.0)[1] == 0.0
+        assert stale_ready_at(sim, 1250.0)[1] == 1100.0
+
+    def test_cloudlets_share_one_log_folded_per_decision(self):
+        sim = self._sim(1000.0, vms=1, count=3)
+        sim.vm_schedules[2].commit(100.0, 900.0)
+        sim.vm_schedules[1].commit(200.0, 800.0)
+        sim.vm_schedules[2].commit(300.0, 700.0)
+        assert [entry[:2] for entry in sim.commit_log] == [(100.0, 2), (200.0, 1), (300.0, 2)]
+        assert stale_ready_at(sim, 1250.0) == {0: 0.0, 1: 1000.0, 2: 1000.0}
+        assert [entry[:2] for entry in sim.commit_log] == [(300.0, 2)]
+        assert stale_ready_at(sim, 1300.0) == {0: 0.0, 1: 1000.0, 2: 1700.0}
+        assert not sim.commit_log
+
+    def test_live_probes_keep_no_log(self):
+        sim = self._sim(0.0)
+        sim.vm_schedules[1].commit(600.0, 5000.0)
+        assert sim.commit_log is None
+        assert stale_ready_at(sim, 1000.0) == {0: 0.0, 1: 0.0}
+
+    def test_a_commit_at_zero_is_visible_inside_the_first_latency(self):
+        # the horizon is max(now - latency, 0): 0 here, not -75, so the commit at 0 shows
+        sim = self._sim(125.0)
+        sim.vm_schedules[1].commit(0.0, 5000.0)
+        probe = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=50.0).probe(1)
+        assert not probe.has_idle_vm
+        assert probe.expected_completion == 5000.0 + 1000.0 + 70.0
+
+    def test_a_backwards_horizon_raises(self):
+        sim = self._sim(50.0)
+        sim.vm_schedules[1].commit(100.0, 500.0)
+        assert stale_ready_at(sim, 150.0)[1] == 600.0
+        assert stale_ready_at(sim, 150.0)[1] == 600.0  # ties are fine
+        with pytest.raises(ValueError, match="^stale probes at 99.0 would read before"
+                                             " the folded horizon 100.0$"):
+            stale_ready_at(sim, 149.0)
 
     def test_remote_probes_lag_behind_commits(self):
         sim = self._sim(1500.0)
@@ -668,74 +720,84 @@ class HistoryReference:
         return min(h[bisect_right(h, (when, inf)) - 1][1] for h in self.history)
 
 
-# non-negative clock steps; zeros make ties between commits and reads
-steps = st.one_of(st.just(0.0), st.floats(0.0, 500.0, allow_nan=False))
+# Times on a 125 ms grid make ties: between arrivals (zero gaps), between a
+# stale-read horizon and a commit, and between a delay wake-up and an arrival.
+GRID = 125.0
+# non-negative clock steps; zeros and grid steps make ties between commits and horizons
+steps = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda k: GRID * k),
+                  st.floats(0.0, 500.0, allow_nan=False))
+latencies = st.one_of(st.integers(1, 8).map(lambda k: GRID * k),
+                      st.floats(1.0, 2000.0, allow_nan=False))
+
+
+@st.composite
+def shared_log_runs(draw):
+    """A latency, 1-4 cloudlets of 1-4 VMs and a list of commits and decisions."""
+    vm_counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    topo = make_topology(*(make_cloudlet(i, vm_count=n) for i, n in enumerate(vm_counts)))
+    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, len(vm_counts) - 1), steps,
+                                  st.floats(1.0, 3000.0, allow_nan=False)), max_size=60))
+    return topo, draw(latencies), ops
 
 
 class TestStaleReadsMatchFullHistory:
-    @given(
-        vm_count=st.integers(1, 6),
-        ops=st.lists(
-            st.tuples(st.sampled_from(["commit", "read"]), steps,
-                      st.floats(1.0, 3000.0, allow_nan=False)),
-            max_size=60,
-        ),
-    )
-    def test_independent_commit_and_read_clocks(self, vm_count, ops):
-        vms, ref = VmSchedule(vm_count), HistoryReference(vm_count)
+    """Stale reads through the run-wide log against every cloudlet's full history."""
+
+    @staticmethod
+    def _commit(sim, refs, cloudlet_id, now, exec_time):
+        start, vm_index = sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+        refs[cloudlet_id].commit(now, vm_index, start + exec_time)
+
+    @staticmethod
+    def _assert_reads(sim, refs, now):
+        horizon = max(0.0, now - sim.probe_latency)
+        assert stale_ready_at(sim, now) == {c: ref.asof(horizon) for c, ref in refs.items()}
+
+    @given(shared_log_runs())
+    def test_independent_commit_and_decision_clocks(self, run):
+        topo, latency, ops = run
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+        refs = {c.id: HistoryReference(c.vm_count) for c in topo}
         commit_clock = read_clock = 0.0
-        for kind, step, exec_time in ops:
-            if kind == "commit":
+        for commit, cloudlet_id, step, exec_time in ops:
+            if commit:
                 commit_clock += step
-                start, vm_index = vms.commit(commit_clock, exec_time)
-                ref.commit(commit_clock, vm_index, start + exec_time)
+                self._commit(sim, refs, cloudlet_id, commit_clock, exec_time)
             else:
                 read_clock += step
-                assert vms.earliest_ready_asof(read_clock) == ref.asof(read_clock)
+                self._assert_reads(sim, refs, read_clock)
 
-    @given(
-        vm_count=st.integers(1, 6),
-        staleness=st.one_of(st.just(0.0), st.floats(1.0, 2000.0, allow_nan=False)),
-        ops=st.lists(
-            st.tuples(st.booleans(), steps, st.floats(1.0, 3000.0, allow_nan=False)),
-            max_size=60,
-        ),
-    )
-    def test_engine_style_reads_with_commit_time_pruning(self, vm_count, staleness, ops):
-        # the engine reads at max(0, now - latency) and commits at now
-        vms = VmSchedule(vm_count, staleness=staleness)
-        ref = HistoryReference(vm_count)
+    @given(shared_log_runs())
+    def test_engine_style_decisions_keep_only_newer_commits(self, run):
+        # the engine commits at the decision's own instant, after folding to its horizon
+        topo, latency, ops = run
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+        refs = {c.id: HistoryReference(c.vm_count) for c in topo}
         now = 0.0
-        for commit, step, exec_time in ops:
+        for commit, cloudlet_id, step, exec_time in ops:
             now += step
+            self._assert_reads(sim, refs, now)
+            # once folded, the log holds exactly the commits newer than the horizon, in time order
+            newer = [t for ref in refs.values() for h in ref.history for t, _ in h
+                     if t > sim.stale_horizon]
+            assert [entry[0] for entry in sim.commit_log] == sorted(newer)
             if commit:
-                start, vm_index = vms.commit(now, exec_time)
-                ref.commit(now, vm_index, start + exec_time)
-            else:
-                when = max(0.0, now - staleness)
-                assert vms.earliest_ready_asof(when) == ref.asof(when)
-        assert len(vms._log) <= sum(1 for h in ref.history for t, _ in h if t > now - staleness)
-
-    def test_a_backwards_read_raises(self):
-        vms = VmSchedule(2)
-        vms.commit(100.0, 500.0)
-        vms.earliest_ready_asof(300.0)
-        vms.earliest_ready_asof(300.0)  # ties are fine
-        with pytest.raises(ValueError):
-            vms.earliest_ready_asof(299.0)
-
-    def test_a_read_behind_the_pruned_window_raises(self):
-        vms = VmSchedule(1, staleness=50.0)
-        vms.commit(100.0, 500.0)  # nothing before 50 will be read again
-        with pytest.raises(ValueError):
-            vms.earliest_ready_asof(49.0)
-        assert vms.earliest_ready_asof(50.0) == 0.0
+                self._commit(sim, refs, cloudlet_id, now, exec_time)
 
     def test_a_backwards_commit_raises(self):
         vms = VmSchedule(2)
         vms.commit(100.0, 500.0)
         with pytest.raises(ValueError):
             vms.commit(99.0, 500.0)
+
+    def test_a_commit_behind_another_cloudlets_logged_commit_raises(self):
+        sim = Simulation(small_topology(count=3), DaemonOnlyScheduler(), probe_latency=100.0)
+        sim.vm_schedules[1].commit(200.0, 500.0)
+        with pytest.raises(ValueError, match="^commit at 100.0 before the previous commit"
+                                             " at 200.0 on cloudlet 1$"):
+            sim.vm_schedules[2].commit(100.0, 500.0)
+        assert sim.vm_schedules[2].earliest_ready() == 0.0
+        assert stale_ready_at(sim, 300.0) == {0: 0.0, 1: 700.0, 2: 0.0}
 
 
 speed_factors = st.floats(0.25, 4.0, allow_nan=False)
@@ -806,9 +868,6 @@ class TestProbeMatchesTheModel:
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + bd.exec + bd.comm
 
 
-# Times on a 125 ms grid make ties: between arrivals (zero gaps), between a
-# stale-read horizon and a commit, and between a delay wake-up and an arrival.
-GRID = 125.0
 arrival_gaps = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: GRID * k))
 
 
@@ -873,6 +932,19 @@ class TestOracleOnRandomTopologies:
         result = Simulation(topo, build(), probe_latency=latency).run(trace)
         replay = ReplayOracle(topo, probe_latency=latency).run(trace, build())
         assert_matches_the_oracle(result, replay)
+
+    def test_stale_probes_at_time_zero_see_commits_at_zero(self):
+        # a falsifying example of the fuzz above: with the horizon left at now - latency
+        # instead of clamped to 0, task 2 sees cloudlet 1 idle and herds onto it
+        topo = small_topology(vms=1, count=3)
+        trace = [make_task(task_id=i, arrival_time=0.0, data_volume=0.0) for i in range(3)]
+
+        def build():
+            return make_scheduler("daa", rng=np.random.default_rng(0), delay_quantum=GRID)
+
+        result = Simulation(topo, build(), probe_latency=GRID).run(trace)
+        assert [r.executor for r in result.records] == [0, 1, 2]
+        assert_matches_the_oracle(result, ReplayOracle(topo, probe_latency=GRID).run(trace, build()))
 
     def test_an_arrival_is_decided_before_a_wakeup_at_the_same_instant(self):
         topo = small_topology(vms=1, count=2)
