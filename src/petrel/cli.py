@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import statistics
@@ -440,6 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command leaves no reference cycles behind, so collecting frees nothing
     try:
         return args.func(args)
     except (ConfigError, TraceFormatError) as exc:
@@ -451,6 +454,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulation of an edge-cloud.
 
 The engine advances a virtual clock over task arrivals and delay
-wake-ups, the only moments a decision is made.  Arrivals are read from
-the sorted trace in order and merged with a heap that holds only the
-wake-ups; at an equal time the arrival goes first.  Each cloudlet keeps one
+wake-ups, the only moments a decision is made.  One loop makes every
+decision: each turn takes the next arrival from the sorted trace, or the
+heap's earliest wake-up if it comes strictly before that arrival (so at
+an equal time the arrival goes first), asks the policy, and applies the
+decision in the same turn.  Each cloudlet keeps one
 ready time per VM in a min heap; committing a task pops the earliest
 VM, starts the task at ``max(now, ready)``, and pushes the ready time
 back.  A task's completion is fixed at commit, so completions are
@@ -280,114 +282,115 @@ class Simulation:
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         if self._ran:
             raise SimulationError("a Simulation runs once; build a new one for another run")
-        self._validate_trace(trace)
+        tasks = self._index_trace(trace)
         self._ran = True
-        tasks = {t.id: t for t in trace}
-        # arrivals take sequences 0..n-1, below every wake-up's, so
-        # at an equal time the next arrival goes before any wake-up
-        self._sequence = len(trace)
-        wakeups: list[Event] = []
-
         records: dict[int, TaskRecord] = {}
         delays_taken: dict[int, int] = dict.fromkeys(tasks, 0)
         decisions: list[DecisionEntry] = []
         events: list[Event] = []
+        wakeups: list[Event] = []
+        # arrivals take sequences 0..n-1 and wake-ups the ones after; a wake-up
+        # goes first only when it is strictly earlier than the next arrival
+        sequence = count = len(trace)
+        arrived = 0
         decide = self.scheduler.decide
         view = ClusterView(self, trace[0], 0.0) if trace else None  # moved per decision
+        move = ClusterView._move
+        routes, vm_schedules, get_cloudlet = self.routes, self.vm_schedules, self.topology.get
+        heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
+        tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
 
         # a task has one pending event at a time (its arrival or its one
         # wake-up), so no task is decided after it was placed
-        def step(event: Event, task: Task) -> None:
+        while True:
+            if wakeups and (arrived == count or wakeups[0].time < trace[arrived].arrival_time):
+                event = heappop(wakeups)
+                task = tasks[event.task_id]
+            elif arrived < count:
+                task = trace[arrived]
+                event = new(Event, (task.arrival_time, arrived, ARRIVAL, task.id))
+                arrived += 1
+            else:
+                break
             now = event.time
+            task_id = task.id
             events.append(event)
-            view._move(task, now)
+            move(view, task, now)
             decision = decide(task, view)
-            decisions.append(tuple.__new__(DecisionEntry, (now, task.id, decision)))
-            self._apply(decision, task, now, wakeups, records, delays_taken)
-
-        for sequence, task in enumerate(trace):
-            arrival = task.arrival_time
-            while wakeups and wakeups[0].time < arrival:
-                event = heapq.heappop(wakeups)
-                step(event, tasks[event.task_id])
-            step(tuple.__new__(Event, (arrival, sequence, ARRIVAL, task.id)), task)
-        while wakeups:
-            event = heapq.heappop(wakeups)
-            step(event, tasks[event.task_id])
+            decisions.append(new(DecisionEntry, (now, task_id, decision)))
+            profile = task.profile
+            if isinstance(decision, Assign):
+                executor_id = decision.cloudlet_id
+                try:
+                    route = routes[task.daemon_id][executor_id]
+                except KeyError:
+                    raise SimulationError(
+                        f"scheduler assigned task {task_id} to unknown cloudlet {executor_id}"
+                    ) from None
+                service_time, comm = placement_times(profile, route)
+                start, _ = vm_schedules[executor_id].commit(now, service_time)
+            elif isinstance(decision, AssignCloud):
+                service_time, comm = cloud_times(profile, get_cloudlet(task.daemon_id).net)
+                start = now
+                executor_id = None
+            elif isinstance(decision, Delay):
+                delays_taken[task_id] += 1
+                if delays_taken[task_id] > max_delays:
+                    raise SimulationError(
+                        f"task {task_id} delayed more than max_delays={max_delays};"
+                        " the bound check should have terminated this"
+                    )
+                if profile.task_class is not tolerant:
+                    raise SimulationError(f"task {task_id}: only latency-tolerant tasks can be delayed")
+                delay = decision.duration
+                if not 0 < delay < inf:
+                    raise SimulationError(f"task {task_id}: delay must be finite and > 0, got {delay}")
+                heappush(wakeups, new(Event, (now + delay, sequence, DELAY_EXPIRED, task_id)))
+                sequence += 1
+                continue
+            else:
+                raise SimulationError(f"scheduler returned unknown decision {decision!r}")
+            completion = start + service_time + comm
+            if not isfinite(completion):
+                raise SimulationError(f"task {task_id}: completion time overflows the float range"
+                                      f" (arrival {task.arrival_time!r} ms)")
+            turnaround = completion - task.arrival_time
+            try:
+                gain = speedup(task, turnaround)
+            except ValueError:  # the service is below half a float step of the arrival
+                raise SimulationError(
+                    f"task {task_id}: turnaround rounds to 0 at arrival {task.arrival_time!r} ms;"
+                    " arrival times this large cannot resolve the task's service time") from None
+            violated = None
+            if profile.task_class is tolerant:
+                violated = turnaround > profile.latency_bound
+            records[task_id] = new(TaskRecord, (
+                task_id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
+                now, start, completion, turnaround, service_time,
+                gain, delays_taken[task_id], violated,
+            ))
 
         ordered = [records[t.id] for t in trace]
         return SimulationResult(ordered, decisions, events, self.topology)
 
-    def _validate_trace(self, trace: Sequence[Task]) -> None:
+    def _index_trace(self, trace: Sequence[Task]) -> dict[int, Task]:
+        tasks: dict[int, Task] = {}
         last = -inf
-        seen: set[int] = set()
         for task in trace:
             if task.arrival_time < last:
                 raise SimulationError(
                     f"trace not sorted by arrival time at task {task.id}"
                 )
             last = task.arrival_time
-            if task.id in seen:
+            if task.id in tasks:
                 raise SimulationError(f"duplicate task id {task.id} in trace")
-            seen.add(task.id)
+            tasks[task.id] = task
             if task.daemon_id not in self.vm_schedules:
                 raise SimulationError(
                     f"task {task.id} names unknown daemon cloudlet {task.daemon_id}"
                 )
+        return tasks
 
-    def _apply(self, decision, task, now, wakeups, records, delays_taken) -> None:
-        profile = task.profile
-        if isinstance(decision, Assign):
-            executor_id = decision.cloudlet_id
-            try:
-                route = self.routes[task.daemon_id][executor_id]
-            except KeyError:
-                raise SimulationError(
-                    f"scheduler assigned task {task.id} to unknown cloudlet {executor_id}"
-                ) from None
-            service_time, comm = placement_times(profile, route)
-            start, _ = self.vm_schedules[executor_id].commit(now, service_time)
-        elif isinstance(decision, AssignCloud):
-            service_time, comm = cloud_times(profile, self.topology.get(task.daemon_id).net)
-            start = now
-            executor_id = None
-        elif isinstance(decision, Delay):
-            delays_taken[task.id] += 1
-            if delays_taken[task.id] > self.max_delays:
-                raise SimulationError(
-                    f"task {task.id} delayed more than max_delays={self.max_delays};"
-                    " the bound check should have terminated this"
-                )
-            if profile.task_class is not TaskClass.LATENCY_TOLERANT:
-                raise SimulationError(f"task {task.id}: only latency-tolerant tasks can be delayed")
-            delay = decision.duration
-            if not 0 < delay < inf:
-                raise SimulationError(f"task {task.id}: delay must be finite and > 0, got {delay}")
-            heapq.heappush(wakeups, tuple.__new__(
-                Event, (now + delay, self._sequence, DELAY_EXPIRED, task.id)))
-            self._sequence += 1
-            return
-        else:
-            raise SimulationError(f"scheduler returned unknown decision {decision!r}")
-        completion = start + service_time + comm
-        if not isfinite(completion):
-            raise SimulationError(f"task {task.id}: completion time overflows the float range"
-                                  f" (arrival {task.arrival_time!r} ms)")
-        turnaround = completion - task.arrival_time
-        try:
-            gain = speedup(task, turnaround)
-        except ValueError:  # the service is below half a float step of the arrival
-            raise SimulationError(
-                f"task {task.id}: turnaround rounds to 0 at arrival {task.arrival_time!r} ms;"
-                " arrival times this large cannot resolve the task's service time") from None
-        violated = None
-        if profile.task_class is TaskClass.LATENCY_TOLERANT:
-            violated = turnaround > profile.latency_bound
-        records[task.id] = tuple.__new__(TaskRecord, (
-            task.id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
-            now, start, completion, turnaround, service_time,
-            gain, delays_taken[task.id], violated,
-        ))
 
 
 def simulate(config, trace: Sequence[Task], scheduler, seed: int,

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, including exit codes and file formats."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from petrel.cli import RECORD_COLUMNS, main, run_comparison, write_records_csv
 from petrel.config import ConfigError, EdgeCloudConfig, save_config
 from petrel.engine import TaskRecord
 from petrel.model import TaskClass
-from petrel.workload import Benchmark, format_number, load_trace
+from petrel.workload import Benchmark, format_number, generate_trace, load_trace, save_trace
 
 
 @pytest.fixture()
@@ -605,3 +606,74 @@ class TestPaperDefaults:
         out = tmp_path / "out"
         main(["generate", "--paper-defaults", "--tasks", "12", "--out", str(out), "--seed", "1"])
         assert "12 tasks" in capsys.readouterr().out
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector while a command runs.
+
+    That is safe only while a command's work leaves no reference cycles
+    behind, which the first test pins step by step.
+    """
+
+    @pytest.fixture()
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_command_leaves_no_cyclic_garbage(self, tmp_path, collector_off):
+        from petrel.engine import simulate
+        from petrel.metrics import summarize
+        from petrel.schedulers import SCHEDULER_NAMES
+
+        # lambda 4 makes daa delay tasks; the default probe latency takes the stale path
+        config = EdgeCloudConfig(task_count=300, arrival_rate=4.0)
+        trace = generate_trace(config, 3)
+        assert gc.collect() == 0
+        save_trace(trace, tmp_path / "trace.csv")
+        assert gc.collect() == 0
+        trace = load_trace(tmp_path / "trace.csv")
+        assert gc.collect() == 0
+        for name in SCHEDULER_NAMES:
+            result = simulate(config, trace, name, 3)
+            assert gc.collect() == 0, name
+            summarize(result.records, result.topology)
+            assert gc.collect() == 0, name
+            write_records_csv(result.records, tmp_path / f"{name}.csv")
+            assert gc.collect() == 0, name
+        run_comparison(config.override(task_count=40), SCHEDULER_NAMES, [1.0, 2.0], [1, 2], 7)
+        assert gc.collect() == 0
+
+    def test_a_command_runs_with_the_collector_paused(self, tmp_path, monkeypatch):
+        seen = []
+        real = petrel.cli.generate_trace
+        monkeypatch.setattr(petrel.cli, "generate_trace",
+                            lambda *args: seen.append(gc.isenabled()) or real(*args))
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(["generate", "--trace", str(tmp_path / "t.csv")]) == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, expected", [
+        (["generate", "--trace", "{tmp}/t.csv"], 0),
+        (["run", "--trace", "{tmp}/absent.csv", "--scheduler", "daa", "--out", "{tmp}/out"], 1),
+        (["generate", "--config", "{tmp}/bad.yaml", "--trace", "{tmp}/t.csv"], 2),
+    ])
+    def test_main_restores_the_collector_state(self, tmp_path, enabled, argv, expected):
+        (tmp_path / "bad.yaml").write_text("cloudlets:\n  count: -3\n")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main([arg.format(tmp=tmp_path) for arg in argv]) == expected
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -308,13 +308,23 @@ class TestSimulationRuns:
 
         class AlwaysDelay:
             name = "always-delay"
+            calls = 0
 
             def decide(self, t, view):
+                self.calls += 1
                 return Delay(10.0)
 
-        sim = Simulation(topo, AlwaysDelay(), max_delays=5)
-        with pytest.raises(SimulationError):
+        policy = AlwaysDelay()
+        sim = Simulation(topo, policy, max_delays=5)
+        with pytest.raises(SimulationError, match="^task 0 delayed more than max_delays=5;"):
             sim.run([task])
+        assert policy.calls == 6
+
+    def test_delays_up_to_the_cap_are_taken(self):
+        task = make_task(task_id=0, task_class="tolerant", latency_bound=1e12, data_volume=0.0)
+        policy = Scripted([Delay(10.0)] * 5 + [Assign(0)])
+        record = Simulation(small_topology(), policy, max_delays=5).run([task]).records[0]
+        assert (record.delays_taken, record.assign_time) == (5, 50.0)
 
     def test_records_keep_trace_order_not_completion_order(self):
         topo = small_topology(vms=2, count=2)
@@ -434,7 +444,7 @@ class TestTraceValidation:
             make_task(task_id=0, arrival_time=100.0),
             make_task(task_id=1, arrival_time=50.0),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="^trace not sorted by arrival time at task 1$"):
             Simulation(small_topology(), DaemonOnlyScheduler()).run(trace)
 
     def test_rejects_duplicate_task_ids(self):
@@ -442,12 +452,23 @@ class TestTraceValidation:
             make_task(task_id=0, arrival_time=0.0),
             make_task(task_id=0, arrival_time=10.0),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="^duplicate task id 0 in trace$"):
             Simulation(small_topology(), DaemonOnlyScheduler()).run(trace)
 
     def test_rejects_unknown_daemons(self):
         trace = [make_task(task_id=0, daemon_id=9)]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="^task 0 names unknown daemon cloudlet 9$"):
+            Simulation(small_topology(), DaemonOnlyScheduler()).run(trace)
+
+    @pytest.mark.parametrize("second,message", [
+        # a task breaking several rules is reported by the first rule it breaks
+        (make_task(task_id=0, daemon_id=9, arrival_time=50.0),
+         "trace not sorted by arrival time at task 0"),
+        (make_task(task_id=0, daemon_id=9, arrival_time=100.0), "duplicate task id 0 in trace"),
+    ])
+    def test_checks_order_then_ids_then_daemons(self, second, message):
+        trace = [make_task(task_id=0, arrival_time=100.0), second]
+        with pytest.raises(SimulationError, match=f"^{message}$"):
             Simulation(small_topology(), DaemonOnlyScheduler()).run(trace)
 
     def test_rejects_assignments_to_unknown_cloudlets(self):
@@ -456,11 +477,15 @@ class TestTraceValidation:
         with pytest.raises(SimulationError):
             sim.run(trace)
 
-    def test_rejects_foreign_decision_objects(self):
+    @pytest.mark.parametrize("decision", [None, "park it"])
+    def test_rejects_foreign_decision_objects(self, decision):
         trace = [make_task(task_id=0)]
-        sim = Simulation(small_topology(), Scripted(["park it"]))
-        with pytest.raises(SimulationError):
+        sim = Simulation(small_topology(), Scripted([decision]), probe_latency=125.0)
+        with pytest.raises(SimulationError) as caught:
             sim.run(trace)
+        assert str(caught.value) == f"scheduler returned unknown decision {decision!r}"
+        assert [s.earliest_ready() for s in sim.vm_schedules.values()] == [0.0, 0.0]
+        assert not sim.commit_log
 
     @pytest.mark.parametrize("new_scheduler", [DaemonOnlyScheduler,
                                                lambda: Scripted([AssignCloud()])])
