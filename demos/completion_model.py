@@ -7,16 +7,17 @@ on: the device itself, its daemon cloudlet, a neighbour cloudlet, and
 the cloud.
 """
 
-from petrel import (
-    NetworkParams,
+from petrel.model import (
     Cloudlet,
-    completion_time_cloud,
-    completion_time_daemon,
-    completion_time_mobile,
-    completion_time_remote,
+    NetworkParams,
+    Profile,
+    Task,
+    TaskClass,
+    cloud_times,
+    placement_route,
+    placement_times,
     speedup,
 )
-from petrel.model import Profile, Task, TaskClass
 
 net = NetworkParams(
     daemon_rtt=10.0,
@@ -41,19 +42,25 @@ task = Task(id=0, arrival_time=0.0, daemon_id=0, profile=profile)
 print(f"task: {profile.base_service_time:.0f} ms of work, "
       f"{profile.data_volume / 1e6:.1f} MB of input data\n")
 
+daemon_exec, daemon_comm = placement_times(profile, placement_route(daemon, daemon))
+neighbour_exec, neighbour_comm = placement_times(profile, placement_route(daemon, neighbour))
+cloud_exec, cloud_comm = cloud_times(profile, net)
+
+# (exec, wait, comm) of each placement: only a busy cloudlet makes the task wait
 options = {
-    "mobile (no offload)": completion_time_mobile(task),
-    "daemon, idle VM": completion_time_daemon(task, daemon, wait=0.0),
-    "daemon, 3 s queue": completion_time_daemon(task, daemon, wait=3000.0),
-    "neighbour (2x faster)": completion_time_remote(task, daemon, neighbour, wait=0.0),
-    "cloud": completion_time_cloud(task, net),
+    "mobile (no offload)": (profile.mobile_exec_time, 0.0, 0.0),
+    "daemon, idle VM": (daemon_exec, 0.0, daemon_comm),
+    "daemon, 3 s queue": (daemon_exec, 3000.0, daemon_comm),
+    "neighbour (2x faster)": (neighbour_exec, 0.0, neighbour_comm),
+    "cloud": (cloud_exec, 0.0, cloud_comm),
 }
+totals = {label: exec_time + wait + comm for label, (exec_time, wait, comm) in options.items()}
 
 print(f"{'placement':<22} {'exec':>8} {'wait':>7} {'comm':>8} {'total':>9}")
-for label, bd in options.items():
-    print(f"{label:<22} {bd.exec:>8.0f} {bd.wait:>7.0f} {bd.comm:>8.0f} {bd.total:>9.0f}")
+for label, (exec_time, wait, comm) in options.items():
+    print(f"{label:<22} {exec_time:>8.0f} {wait:>7.0f} {comm:>8.0f} {totals[label]:>9.0f}")
 
 # speedup compares each total against just running it on the phone
 print("\nspeedup over the device (above 1 means offloading won):")
 for label in ("daemon, idle VM", "neighbour (2x faster)", "cloud"):
-    print(f"  {label:<22} {speedup(task, options[label].total):.2f}x")
+    print(f"  {label:<22} {speedup(task, totals[label]):.2f}x")

@@ -9,15 +9,7 @@ turnaround, makespan, and speedup.
 from .config import EdgeCloudConfig, save_config
 from .engine import simulate
 from .metrics import summarize
-from .model import (
-    Cloudlet,
-    NetworkParams,
-    completion_time_cloud,
-    completion_time_daemon,
-    completion_time_mobile,
-    completion_time_remote,
-    speedup,
-)
+from .model import Cloudlet, NetworkParams, speedup
 from .schedulers import SCHEDULER_NAMES, make_scheduler
 from .seeding import derive_seed, new_rng
 from .workload import generate_trace
@@ -29,10 +21,6 @@ __all__ = [
     "EdgeCloudConfig",
     "NetworkParams",
     "SCHEDULER_NAMES",
-    "completion_time_cloud",
-    "completion_time_daemon",
-    "completion_time_mobile",
-    "completion_time_remote",
     "derive_seed",
     "generate_trace",
     "make_scheduler",

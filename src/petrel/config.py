@@ -212,7 +212,7 @@ _SECTIONS = tuple(dict.fromkeys(path.partition(".")[0] for path in _PATHS.values
 # every (section, key) a file may hold; section "" is the top level
 _KNOWN = {("", s) for s in _SECTIONS} | {path.rpartition(".")[::2] for path in _PATHS.values()}
 _ENTRY_KEYS = {key for key, _, _ in _ENTRY_LAYOUT}
-_REQUIRED = {f.name for f in fields(Benchmark) if f.default is MISSING}
+_REQUIRED = {f.name for f in fields(Benchmark) if f.init and f.default is MISSING}
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 

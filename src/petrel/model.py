@@ -47,8 +47,9 @@ class Profile:
     cloudlet; the actual time on a cloudlet divides it by that node's
     speed factor.  ``latency_bound`` is a turnaround bound relative to
     arrival, required for tolerant tasks and forbidden for sensitive
-    ones.  A trace builds one profile per application type and shares it
-    across that type's tasks, so the values are checked once.
+    ones.  Each catalog entry builds its profile once and a trace shares
+    it across that entry's tasks, so the values are checked once.  A
+    message names a value by its trace column.
     """
 
     benchmark: str
@@ -60,18 +61,18 @@ class Profile:
     latency_bound: float | None = None
 
     def __post_init__(self) -> None:
-        for name in _PROFILE_FLOAT_FIELDS:
+        for name, column in _PROFILE_COLUMNS:
             value = getattr(self, name)
             if value is not None and not isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{column} must be finite")
         if self.base_service_time <= 0:
-            raise ValueError("base_service_time must be > 0")
+            raise ValueError("base_service_ms must be > 0")
         if self.mobile_exec_time <= 0:
-            raise ValueError("mobile_exec_time must be > 0")
+            raise ValueError("mobile_ms must be > 0")
         if self.cloud_exec_time <= 0:
-            raise ValueError("cloud_exec_time must be > 0")
+            raise ValueError("cloud_ms must be > 0")
         if self.data_volume < 0:
-            raise ValueError("data_volume must be >= 0")
+            raise ValueError("data_bytes must be >= 0")
         if self.task_class is TaskClass.LATENCY_TOLERANT:
             if self.latency_bound is None or self.latency_bound <= 0:
                 raise ValueError("tolerant tasks need a positive latency_bound")
@@ -79,8 +80,10 @@ class Profile:
             raise ValueError("sensitive tasks must not carry a latency_bound")
 
 
-_PROFILE_FLOAT_FIELDS = ("base_service_time", "mobile_exec_time", "cloud_exec_time",
-                         "data_volume", "latency_bound")
+# each float and its trace column; the first four are catalog keys too
+_PROFILE_COLUMNS = (("base_service_time", "base_service_ms"), ("mobile_exec_time", "mobile_ms"),
+                    ("cloud_exec_time", "cloud_ms"), ("data_volume", "data_bytes"),
+                    ("latency_bound", "bound_ms"))
 
 
 class _TaskFields(NamedTuple):
@@ -209,35 +212,9 @@ class EdgeCloud:
             raise KeyError(f"unknown cloudlet id {cloudlet_id}") from None
 
 
-@dataclass(frozen=True)
-class CompletionBreakdown:
-    """Completion time split into execution, wait, and communication."""
-
-    exec: float
-    wait: float
-    comm: float
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.exec < 0 or self.wait < 0 or self.comm < 0:
-            raise ValueError("breakdown components must be >= 0")
-        object.__setattr__(self, "total", self.exec + self.wait + self.comm)
-
-
-def completion_time_mobile(task: Task) -> CompletionBreakdown:
-    """Completion when the task stays on the device: pure execution."""
-    return CompletionBreakdown(exec=task.profile.mobile_exec_time, wait=0.0, comm=0.0)
-
-
 def cloud_times(profile: Profile, net: NetworkParams) -> tuple[float, float]:
     """(exec, comm) of a task with ``profile`` on the cloud: the one cloud formula."""
     return profile.cloud_exec_time, profile.data_volume / net.cloud_bandwidth + net.cloud_rtt
-
-
-def completion_time_cloud(task: Task, net: NetworkParams) -> CompletionBreakdown:
-    """Completion on the cloud: execution plus transfer, never any queueing."""
-    exec_time, comm = cloud_times(task.profile, net)
-    return CompletionBreakdown(exec=exec_time, wait=0.0, comm=comm)
 
 
 Route = tuple[float, float, float, float | None]
@@ -266,26 +243,6 @@ def placement_times(profile: Profile, route: Route) -> tuple[float, float]:
     if redirect is not None:
         comm = comm + redirect
     return profile.base_service_time / speed_factor, comm
-
-
-def completion_time_daemon(task: Task, cloudlet: Cloudlet, wait: float) -> CompletionBreakdown:
-    """Completion on the task's own daemon cloudlet."""
-    if wait < 0:
-        raise ValueError("wait must be >= 0")
-    exec_time, comm = placement_times(task.profile, placement_route(cloudlet, cloudlet))
-    return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
-
-
-def completion_time_remote(
-    task: Task, daemon: Cloudlet, executor: Cloudlet, wait: float
-) -> CompletionBreakdown:
-    """Completion on a non-daemon executor: the redirect costs one extra RTT."""
-    if executor.id == daemon.id:
-        raise ValueError("executor equals daemon; use completion_time_daemon")
-    if wait < 0:
-        raise ValueError("wait must be >= 0")
-    exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
-    return CompletionBreakdown(exec=exec_time, wait=wait, comm=comm)
 
 
 def speedup(task: Task, completion: float) -> float:

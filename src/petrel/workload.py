@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite, nextafter
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,7 +31,11 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One application profile tasks are drawn from."""
+    """One application profile tasks are drawn from, and the :class:`Profile` its tasks share.
+
+    The profile checks the times, the size and the bound; the entry
+    checks only the keys a profile lacks, ``weight`` and ``bound_factor``.
+    """
 
     name: str
     task_class: TaskClass
@@ -41,30 +45,32 @@ class Benchmark:
     data_bytes: float
     bound_factor: float | None = None
     weight: float = 1.0
+    profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "bound_factor",
-                     "weight"):
-            value = getattr(self, name)
+        for key in ("bound_factor", "weight"):
+            value = getattr(self, key)
             if value is not None and not isfinite(value):
-                raise ValueError(f"benchmark {self.name}: {name} must be finite")
-        if self.base_service_ms <= 0 or self.mobile_ms <= 0 or self.cloud_ms <= 0:
-            raise ValueError(f"benchmark {self.name}: execution times must be > 0")
-        if self.data_bytes < 0:
-            raise ValueError(f"benchmark {self.name}: data_bytes must be >= 0")
+                raise ValueError(f"benchmark {self.name}: {key} must be finite")
         if self.weight <= 0:
             raise ValueError(f"benchmark {self.name}: weight must be > 0")
+        bound = None
         if self.task_class is TaskClass.LATENCY_TOLERANT:
             if self.bound_factor is None or self.bound_factor <= 1:
                 raise ValueError(f"benchmark {self.name}: tolerant benchmarks need bound_factor > 1")
+            bound = self.bound_factor * self.base_service_ms
+            # the profile would blame its bound_ms column, which no catalog entry has
+            if not isfinite(bound) and isfinite(self.base_service_ms):
+                raise ValueError(f"benchmark {self.name}: bound_factor * base_service_ms"
+                                 " must be finite")
         elif self.bound_factor is not None:
             raise ValueError(f"benchmark {self.name}: bound_factor is tolerant-only")
-
-    @property
-    def latency_bound_ms(self) -> float | None:
-        if self.bound_factor is None:
-            return None
-        return self.bound_factor * self.base_service_ms
+        try:
+            profile = Profile(self.name, self.task_class, self.base_service_ms, self.mobile_ms,
+                              self.cloud_ms, self.data_bytes, bound)
+        except ValueError as exc:
+            raise ValueError(f"benchmark {self.name}: {exc}") from None
+        object.__setattr__(self, "profile", profile)
 
 
 def default_catalog() -> list[Benchmark]:
@@ -156,26 +162,26 @@ def _mix(config: EdgeCloudConfig, seed: int, cdf: list[float]) -> tuple[list[int
 def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
     """Draw the task trace ``config`` describes, reproducible from ``seed``: it
     reads the ``trace`` keys, the catalog and the cloudlet count, nothing else."""
+    from .config import ConfigError  # config imports this module
+
     arrivals = generate_arrivals(config.arrival_rate, config.task_count,
                                  derive_seed(seed, "arrivals"), config.time_unit_ms)
     if not arrivals:
         return []
     if not isfinite(arrivals[-1]):  # arrivals never decrease, so the last one overflows first
-        from .config import ConfigError
-
         raise ConfigError.at("arrival_rate", f"the arrival times of {config.task_count} tasks"
                              " overflow the float range; raise arrival_rate or lower"
                              " time_unit_ms")
     weights = np.asarray([b.weight for b in config.catalog], dtype=float)
-    total = weights.sum()
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
+        total = weights.sum()
     if not isfinite(total):
-        raise ValueError("catalog weights must have a finite sum")
+        raise ConfigError.at("catalog", "weights must have a finite sum")
     # the cdf ``rng.choice(k, p=weights)`` builds on every call, built once;
     # bisecting one uniform draw into it picks the same benchmark
     cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
-    profiles = [Profile(b.name, b.task_class, b.base_service_ms, b.mobile_ms, b.cloud_ms,
-                        b.data_bytes, b.latency_bound_ms) for b in config.catalog]
+    profiles = [b.profile for b in config.catalog]
     picks, daemons = _mix(config, seed, cdf.tolist())
     return [Task(i, arrival, daemon, profiles[pick])
             for i, (arrival, pick, daemon) in enumerate(zip(arrivals, picks, daemons))]

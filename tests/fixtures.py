@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from petrel.model import Cloudlet, EdgeCloud, NetworkParams, Profile, Task, TaskClass
+from petrel.model import (Cloudlet, EdgeCloud, NetworkParams, Profile, Task, TaskClass,
+                          placement_route, placement_times)
 
 
 def make_net(
@@ -64,3 +65,10 @@ def make_task(
         latency_bound=latency_bound,
     )
     return Task(id=task_id, arrival_time=arrival_time, daemon_id=daemon_id, profile=profile)
+
+
+def cloudlet_completion(task: Task, daemon: Cloudlet, executor: Cloudlet, wait: float) -> float:
+    """Completion relative to arrival on ``executor``, reached through ``daemon``: the
+    queue wait, then the placement's execution and communication, summed as the engine does."""
+    exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
+    return wait + exec_time + comm

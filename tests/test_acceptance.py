@@ -9,26 +9,18 @@ status line straight to the terminal so a full run reads as a
 checklist even with output capture on.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import make_cloudlet, make_net, make_task, make_topology
+from fixtures import cloudlet_completion, make_cloudlet, make_net, make_task, make_topology
 from petrel.cli import main, run_comparison
 from petrel.config import EdgeCloudConfig, build_topology
 from petrel.engine import DELAY_EXPIRED, Simulation, simulate
 from petrel.metrics import summarize
-from petrel.model import (
-    CompletionBreakdown,
-    completion_time_cloud,
-    completion_time_daemon,
-    completion_time_mobile,
-    completion_time_remote,
-    speedup,
-)
+from petrel.model import cloud_times, speedup
 from petrel.schedulers import Delay, SCHEDULER_NAMES, daa_decide, make_scheduler
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import generate_arrivals, generate_trace
@@ -77,41 +69,38 @@ def test_criterion_1_completion_model_identities(capsys):
         daemon = make_cloudlet(0, net=net)
         executor = make_cloudlet(1, net=net)
 
-        assert completion_time_mobile(make_task(mobile_exec_time=1000.0)).total == 1000.0
-        assert completion_time_mobile(make_task(mobile_exec_time=250.0)).total == 250.0
+        for mobile in (1000.0, 250.0):
+            assert make_task(mobile_exec_time=mobile).profile.mobile_exec_time == mobile
 
         cloud_net = make_net(cloud_bandwidth=1.0, cloud_rtt=500.0)
         task = make_task(cloud_exec_time=2000.0, data_volume=1000.0)
-        assert completion_time_cloud(task, cloud_net).total == 3500.0
+        exec_time, comm = cloud_times(task.profile, cloud_net)
+        assert exec_time + comm == 3500.0
         cloud_net = make_net(cloud_bandwidth=4.0, cloud_rtt=100.0)
         task = make_task(cloud_exec_time=200.0, data_volume=800.0)
-        assert completion_time_cloud(task, cloud_net).total == 500.0
+        exec_time, comm = cloud_times(task.profile, cloud_net)
+        assert exec_time + comm == 500.0
 
         task = make_task(base_service_time=1000.0, data_volume=2_500_000.0)
-        assert completion_time_daemon(task, daemon, wait=500.0).total == 1710.0
+        assert cloudlet_completion(task, daemon, daemon, wait=500.0) == 1710.0
         fast = make_cloudlet(0, speed_factor=2.0, net=net)
         lean = make_task(base_service_time=1000.0, data_volume=0.0)
-        assert completion_time_daemon(lean, fast, wait=0.0).total == 510.0
+        assert cloudlet_completion(lean, fast, fast, wait=0.0) == 510.0
 
         task = make_task(base_service_time=1000.0, data_volume=2_500_000.0)
-        assert completion_time_remote(task, daemon, executor, wait=500.0).total == 1770.0
+        assert cloudlet_completion(task, daemon, executor, wait=500.0) == 1770.0
 
         # the redirect surcharge is exactly the pair round trip
         two = make_net(daemon_rtt=8.0, cloudlet_bandwidth=64.0, remote_rtt=32.0)
         d2, e2 = make_cloudlet(0, net=two), make_cloudlet(1, net=two)
         probe = make_task(base_service_time=512.0, data_volume=4096.0)
-        local = completion_time_daemon(probe, d2, wait=16.0)
-        remote = completion_time_remote(probe, d2, e2, wait=16.0)
-        assert remote.total - local.total == 32.0
-
-        for parts in [(3.0, 2.0, 1.0), (1234.5, 0.25, 777.125), (9.9, 88.8, 0.7)]:
-            bd = CompletionBreakdown(*parts)
-            expected = parts[0] + parts[1] + parts[2]
-            assert abs(bd.total - expected) <= math.ulp(expected)
+        local = cloudlet_completion(probe, d2, d2, wait=16.0)
+        remote = cloudlet_completion(probe, d2, e2, wait=16.0)
+        assert remote - local == 32.0
 
         assert speedup(make_task(mobile_exec_time=10000.0), 2000.0) == 5.0
         stay = make_task(mobile_exec_time=777.0)
-        assert speedup(stay, completion_time_mobile(stay).total) == 1.0
+        assert speedup(stay, stay.profile.mobile_exec_time) == 1.0
         assert speedup(make_task(mobile_exec_time=3000.0), 6000.0) == 0.5
 
     criterion(capsys, 1, "completion-model identities", 1.0, body)

@@ -451,6 +451,22 @@ def _write(tmp_path, name, text):
 # a finite mean gap whose running sum over 200 tasks still overflows the float range
 OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-7, time_unit_ms: 1.0e+300, task_count: 200}\n"
 ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
+# each catalog value is finite, but the tolerant bound, or the sum of the weights, is not
+OVERFLOWING_BOUND = ("catalog:\n  - {name: big, class: tolerant, base_service_ms: 1.0e+300,"
+                     " mobile_ms: 1, cloud_ms: 1, data_bytes: 0, bound_factor: 1.0e+10}\n")
+OVERFLOWING_WEIGHTS = "catalog:\n" + "".join(
+    f"  - {{name: {name}, class: sensitive, base_service_ms: 1, mobile_ms: 1, cloud_ms: 1,"
+    " data_bytes: 0, weight: 1.0e+308}\n" for name in "ab")
+CATALOG_FAULTS = (
+    ("bound", OVERFLOWING_BOUND,
+     "error: catalog[0]: benchmark big: bound_factor * base_service_ms must be finite\n"),
+    ("weights", OVERFLOWING_WEIGHTS, "error: catalog: weights must have a finite sum\n"),
+)
+CATALOG_COMMANDS = (
+    ("generate", ["generate"]),
+    ("run", ["run", "--scheduler", "daa"]),
+    ("compare", ["compare", "--seeds", "1"]),
+)
 
 
 def error_path(case, code, prefix, argv, env=None):
@@ -513,6 +529,9 @@ ERROR_PATHS = [
     error_path("run-overflowing-arrivals", 2, "error: trace.arrival_rate:",
                lambda d: ["run", "--scheduler", "daa", "--config",
                           _write(d, "c.yaml", OVERFLOWING_ARRIVALS)]),
+    *(error_path(f"{command}-overflowing-{fault}", 2, message,
+                 lambda d, argv=argv, text=text: [*argv, "--config", _write(d, "c.yaml", text)])
+      for fault, text, message in CATALOG_FAULTS for command, argv in CATALOG_COMMANDS),
     error_path("non-finite-config", 2, "error: network.cloud_rtt_ms:",
                lambda d: ["run", "--scheduler", "daa", "--tasks", "5", "--config",
                           _write(d, "c.yaml", "network:\n  cloud_rtt_ms: .inf\n")]),

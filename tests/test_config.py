@@ -233,6 +233,14 @@ def single_fault_cases():
     yield {"catalog": [ENTRY, ENTRY]}, "catalog: benchmark names must be unique"
     yield [1], "<root>: expected a mapping, got list"
     yield {"cloudlets.count": 3}, "cloudlets.count: unknown key"
+    for key in ("base_service_ms", "mobile_ms", "cloud_ms", "weight"):
+        yield with_entry(**{key: 0.0}), f"catalog[0]: benchmark x: {key} must be > 0"
+    yield with_entry(data_bytes=-1.0), "catalog[0]: benchmark x: data_bytes must be >= 0"
+    yield (with_entry(**{"class": "tolerant"}),
+           "catalog[0]: benchmark x: tolerant benchmarks need bound_factor > 1")
+    yield with_entry(bound_factor=2.0), "catalog[0]: benchmark x: bound_factor is tolerant-only"
+    yield (with_entry(**{"class": "tolerant", "base_service_ms": 1.0e300, "bound_factor": 1.0e10}),
+           "catalog[0]: benchmark x: bound_factor * base_service_ms must be finite")
 
 
 class TestLayoutPins:

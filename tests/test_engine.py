@@ -24,7 +24,7 @@ from petrel.engine import (
     simulate,
 )
 from petrel.config import EdgeCloudConfig
-from petrel.model import completion_time_cloud, completion_time_daemon, completion_time_remote
+from petrel.model import cloud_times, placement_route, placement_times
 from petrel.schedulers import (
     Assign,
     AssignCloud,
@@ -390,13 +390,11 @@ class TestSimulationRuns:
         for task, record in zip(trace, result.records):
             daemon = topo.get(task.daemon_id)
             if record.executor is None:
-                bd = completion_time_cloud(task, daemon.net)
-            elif record.executor == task.daemon_id:
-                bd = completion_time_daemon(task, daemon, wait=0.0)
+                exec_time, comm = cloud_times(task.profile, daemon.net)
             else:
-                executor = topo.get(record.executor)
-                bd = completion_time_remote(task, daemon, executor, wait=0.0)
-            assert record.completion_time == record.start_time + bd.exec + bd.comm
+                route = placement_route(daemon, topo.get(record.executor))
+                exec_time, comm = placement_times(task.profile, route)
+            assert record.completion_time == record.start_time + exec_time + comm
 
     def test_decision_log_is_time_ordered(self):
         topo = small_topology(vms=1, count=2)
@@ -864,7 +862,7 @@ class TestProbeMatchesTheModel:
                 view.probe(2)
 
     @given(probe_setups())
-    def test_probe_is_start_plus_breakdown_exactly(self, setup):
+    def test_probe_is_start_plus_exec_and_comm_exactly(self, setup):
         topo, latency, loads, task, lag = setup
         sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
         refs = {c.id: HistoryReference(c.vm_count) for c in topo}
@@ -881,16 +879,13 @@ class TestProbeMatchesTheModel:
                 ready = sim.vm_schedules[executor.id].earliest_ready()
             else:
                 ready = refs[executor.id].asof(max(0.0, now - latency))
-            if executor.id == daemon.id:
-                bd = completion_time_daemon(task, executor, 0.0)
-            else:
-                bd = completion_time_remote(task, daemon, executor, 0.0)
+            exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
             probe = view.probe(executor.id)
-            assert probe.expected_completion == max(now, ready) + bd.exec + bd.comm
+            assert probe.expected_completion == max(now, ready) + exec_time + comm
             assert probe.has_idle_vm == (ready <= now)
-        bd = completion_time_daemon(task, daemon, 0.0)
+        exec_time, comm = placement_times(task.profile, placement_route(daemon, daemon))
         ready = sim.vm_schedules[daemon.id].earliest_ready()
-        assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + bd.exec + bd.comm
+        assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
 
 
 arrival_gaps = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: GRID * k))

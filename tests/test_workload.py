@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -97,13 +98,22 @@ class TestTraceGeneration:
             assert profile.cloud_exec_time == bench.cloud_ms
             assert profile.data_volume == bench.data_bytes
             assert profile.task_class is bench.task_class
-            assert profile.latency_bound == bench.latency_bound_ms
+            assert profile.latency_bound == (None if bench.bound_factor is None
+                                             else bench.bound_factor * bench.base_service_ms)
 
     def test_tasks_of_one_benchmark_share_one_profile(self):
         trace = generate_trace(config(task_count=200), SEED)
         by_name = {t.profile.benchmark: t.profile for t in trace}
         assert len(by_name) == len(default_catalog())
         assert all(t.profile is by_name[t.profile.benchmark] for t in trace)
+
+    @pytest.mark.parametrize("seed", [SEED, 7])
+    def test_tasks_carry_their_catalog_entry_profile(self, seed):
+        c = config(task_count=200)
+        entries = {b.name: b for b in c.catalog}
+        trace = generate_trace(c, seed)
+        assert {t.profile.benchmark for t in trace} == entries.keys()
+        assert all(t.profile is entries[t.profile.benchmark].profile for t in trace)
 
     def test_daemons_stay_in_range_and_spread_out(self):
         trace = generate_trace(config(task_count=3000, cloudlet_count=3), SEED)
@@ -164,9 +174,10 @@ class TestTraceGeneration:
 
     def test_weights_must_have_a_finite_sum(self):
         catalog = tuple(replace(b, weight=1e308) for b in default_catalog())
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as caught:
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as caught:
+            warnings.simplefilter("error")  # the overflow is reported, not also warned about
             generate_trace(config(catalog=catalog), SEED)
-        assert str(caught.value) == "catalog weights must have a finite sum"
+        assert str(caught.value) == "catalog: weights must have a finite sum"
 
     def test_weights_are_relative(self):
         weights = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -192,7 +203,7 @@ def reference_trace(c, seed):
             benchmark=bench.name, task_class=bench.task_class,
             base_service_time=bench.base_service_ms, mobile_exec_time=bench.mobile_ms,
             cloud_exec_time=bench.cloud_ms, data_volume=bench.data_bytes,
-            latency_bound=bench.latency_bound_ms,
+            latency_bound=bench.profile.latency_bound,
         )))
     return want
 
@@ -268,7 +279,16 @@ class TestBenchmark:
 
     def test_bound_scales_with_service_time(self):
         b = Benchmark("x", TaskClass.LATENCY_TOLERANT, 100.0, 500.0, 100.0, 0.0, bound_factor=4.0)
-        assert b.latency_bound_ms == 400.0
+        assert b.profile.latency_bound == 400.0
+
+    def test_builds_its_profile_once(self):
+        b = Benchmark("x", TaskClass.LATENCY_TOLERANT, 100.0, 500.0, 100.0, 2.0, bound_factor=4.0,
+                      weight=3.0)
+        assert b.profile == Profile("x", TaskClass.LATENCY_TOLERANT, 100.0, 500.0, 100.0, 2.0,
+                                    400.0)
+        heavier = replace(b, weight=6.0)
+        assert heavier.profile == b.profile and heavier.profile is not b.profile
+        assert "profile" not in repr(b)
 
     def test_default_catalog_shape(self):
         catalog = default_catalog()
