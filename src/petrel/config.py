@@ -13,7 +13,7 @@ factors, then the remote RTT for every ordered cloudlet pair.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
-from math import isfinite
+from math import inf, isfinite
 from typing import Any, Mapping
 
 import yaml
@@ -102,6 +102,9 @@ class EdgeCloudConfig:
         _check(len(self.catalog) >= 1, "catalog", "must have at least one benchmark")
         names = [b.name for b in self.catalog]
         _check(len(set(names)) == len(names), "catalog", "benchmark names must be unique")
+        _check(self.delay_quantum_ms is not None or 0 < self.resolve_delay_quantum() < inf,
+               "catalog", "the default delay quantum, the mean base_service_ms / 40, must be"
+               " finite and > 0; set scheduler.delay_quantum_ms")
 
     def resolve_delay_quantum(self) -> float:
         """Delay step for the adaptive policy.

@@ -28,17 +28,7 @@ from dataclasses import dataclass
 from math import inf, isfinite
 from typing import NamedTuple, Sequence
 
-from .model import (
-    Cloudlet,
-    EdgeCloud,
-    Route,
-    Task,
-    TaskClass,
-    cloud_times,
-    placement_route,
-    placement_times,
-    speedup,
-)
+from .model import EdgeCloud, Task, TaskClass, cloud_times, speedup
 from .schedulers import (
     Assign,
     AssignCloud,
@@ -155,25 +145,6 @@ class SimulationResult:
     topology: EdgeCloud
 
 
-class _RouteRow(dict):
-    """executor_id -> :func:`placement_route` from one daemon, filled on first use.
-
-    A missing redirect RTT raises at the first use of that pair and is
-    not cached, so every later use raises again; an unknown executor
-    raises ``KeyError``.
-    """
-
-    def __init__(self, topology: EdgeCloud, daemon: Cloudlet):
-        super().__init__()
-        self._topology = topology
-        self._daemon = daemon
-
-    def __missing__(self, executor_id: int) -> Route:
-        route = placement_route(self._daemon, self._topology.get(executor_id))
-        self[executor_id] = route
-        return route
-
-
 class ClusterView:
     """Read-only probe interface the engine hands to a policy.
 
@@ -186,7 +157,7 @@ class ClusterView:
     a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "_profile", "_sim", "_schedules", "_stale_ready", "_routes")
+    __slots__ = ("now", "daemon_id", "_sim", "_schedules", "_stale_ready", "_costs")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self._sim = sim
@@ -198,9 +169,8 @@ class ClusterView:
     def _move(self, task: Task, now: float) -> None:
         self.now = now
         self.daemon_id = task.daemon_id
-        self._profile = task.profile
         sim = self._sim
-        self._routes = sim.routes[task.daemon_id]
+        self._costs = sim.topology.cost_row(task.daemon_id, task.profile)  # (exec, comm) per executor
         log = sim.commit_log
         if log is None:
             return
@@ -230,7 +200,7 @@ class ClusterView:
             ready = self._schedules[cloudlet_id].earliest_ready()
         else:
             ready = stale_ready[cloudlet_id]
-        exec_time, comm = placement_times(self._profile, self._routes[cloudlet_id])
+        exec_time, comm = self._costs[cloudlet_id]
         start = ready if ready > now else now
         return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
 
@@ -240,7 +210,7 @@ class ClusterView:
         earliest = self.now + delay
         ready = self._schedules[daemon_id].earliest_ready()
         start = ready if ready > earliest else earliest
-        exec_time, comm = placement_times(self._profile, self._routes[daemon_id])
+        exec_time, comm = self._costs[daemon_id]
         return start + exec_time + comm
 
 
@@ -275,8 +245,6 @@ class Simulation:
         }
         self.stale_ready = dict.fromkeys(self.vm_schedules, 0.0)
         self.stale_horizon = -inf  # the last horizon folded to
-        # routes[daemon_id][executor_id]: one row per daemon
-        self.routes = {c.id: _RouteRow(topology, c) for c in topology}
         self._ran = False
 
     def run(self, trace: Sequence[Task]) -> SimulationResult:
@@ -296,7 +264,7 @@ class Simulation:
         decide = self.scheduler.decide
         view = ClusterView(self, trace[0], 0.0) if trace else None  # moved per decision
         move = ClusterView._move
-        routes, vm_schedules, get_cloudlet = self.routes, self.vm_schedules, self.topology.get
+        vm_schedules, get_cloudlet = self.vm_schedules, self.topology.get
         heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
         tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
 
@@ -322,12 +290,11 @@ class Simulation:
             if isinstance(decision, Assign):
                 executor_id = decision.cloudlet_id
                 try:
-                    route = routes[task.daemon_id][executor_id]
+                    service_time, comm = view._costs[executor_id]
                 except KeyError:
                     raise SimulationError(
                         f"scheduler assigned task {task_id} to unknown cloudlet {executor_id}"
                     ) from None
-                service_time, comm = placement_times(profile, route)
                 start, _ = vm_schedules[executor_id].commit(now, service_time)
             elif isinstance(decision, AssignCloud):
                 service_time, comm = cloud_times(profile, get_cloudlet(task.daemon_id).net)

@@ -191,6 +191,8 @@ class EdgeCloud:
     cloudlets: tuple[Cloudlet, ...]
     ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _by_id: dict[int, Cloudlet] = field(init=False, repr=False, compare=False)
+    # (daemon_id, id(profile)) -> cost row, shared by every run on this topology
+    _costs: dict[tuple[int, int], _CostRow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id = {c.id: c for c in self.cloudlets}
@@ -198,6 +200,7 @@ class EdgeCloud:
             raise ValueError("duplicate cloudlet ids")
         object.__setattr__(self, "ids", tuple(by_id))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_costs", {})
 
     def __len__(self) -> int:
         return len(self.cloudlets)
@@ -210,6 +213,13 @@ class EdgeCloud:
             return self._by_id[cloudlet_id]
         except KeyError:
             raise KeyError(f"unknown cloudlet id {cloudlet_id}") from None
+
+    def cost_row(self, daemon_id: int, profile: Profile) -> _CostRow:
+        """executor_id -> :func:`placement_times` of ``profile`` placed from ``daemon_id``."""
+        row = self._costs.get((daemon_id, id(profile)))
+        if row is None:
+            row = self._costs[daemon_id, id(profile)] = _CostRow(self._by_id, daemon_id, profile)
+        return row
 
 
 def cloud_times(profile: Profile, net: NetworkParams) -> tuple[float, float]:
@@ -243,6 +253,26 @@ def placement_times(profile: Profile, route: Route) -> tuple[float, float]:
     if redirect is not None:
         comm = comm + redirect
     return profile.base_service_time / speed_factor, comm
+
+
+class _CostRow(dict):
+    """executor_id -> ``(exec, comm)`` of one profile from one daemon, filled on first use.
+
+    The row holds its profile, so the profile's id, which keys the row,
+    is not reused while the row lives.  A missing redirect RTT raises at
+    every use and is not cached; an unknown executor raises ``KeyError``.
+    """
+
+    __slots__ = ("_by_id", "_daemon", "_profile")
+
+    def __init__(self, by_id: dict[int, Cloudlet], daemon_id: int, profile: Profile):
+        super().__init__()
+        self._by_id, self._daemon, self._profile = by_id, by_id[daemon_id], profile
+
+    def __missing__(self, executor_id: int) -> tuple[float, float]:
+        route = placement_route(self._daemon, self._by_id[executor_id])
+        times = self[executor_id] = placement_times(self._profile, route)
+        return times
 
 
 def speedup(task: Task, completion: float) -> float:

@@ -184,14 +184,15 @@ class GreedyScheduler:
 
     def decide(self, task: Task, view) -> SchedulingDecision:
         # earliest expected completion; ties prefer the daemon, then the lower id
-        daemon_id = view.daemon_id
+        daemon_id = best_id = view.daemon_id
         probe = view.probe
-        best_key = None
+        best = probe(daemon_id).expected_completion
         for c in view.cloudlet_ids:
-            key = (probe(c).expected_completion, c != daemon_id, c)
-            if best_key is None or key < best_key:
-                best_key = key
-        return _assign(best_key[2])
+            if c != daemon_id:
+                done = probe(c).expected_completion
+                if done < best or (done == best and best_id != daemon_id and c < best_id):
+                    best, best_id = done, c
+        return _assign(best_id)
 
 
 class TwoChoicesScheduler:

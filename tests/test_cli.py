@@ -457,10 +457,16 @@ OVERFLOWING_BOUND = ("catalog:\n  - {name: big, class: tolerant, base_service_ms
 OVERFLOWING_WEIGHTS = "catalog:\n" + "".join(
     f"  - {{name: {name}, class: sensitive, base_service_ms: 1, mobile_ms: 1, cloud_ms: 1,"
     " data_bytes: 0, weight: 1.0e+308}\n" for name in "ab")
+# two finite tolerant means whose sum, and so the default delay quantum, overflows
+OVERFLOWING_QUANTUM = "catalog:\n" + "".join(
+    f"  - {{name: {name}, class: tolerant, base_service_ms: 1.0e+308, mobile_ms: 1, cloud_ms: 1,"
+    " data_bytes: 0, bound_factor: 1.5}\n" for name in "ab")
 CATALOG_FAULTS = (
     ("bound", OVERFLOWING_BOUND,
      "error: catalog[0]: benchmark big: bound_factor * base_service_ms must be finite\n"),
     ("weights", OVERFLOWING_WEIGHTS, "error: catalog: weights must have a finite sum\n"),
+    ("quantum", OVERFLOWING_QUANTUM, "error: catalog: the default delay quantum, the mean"
+     " base_service_ms / 40, must be finite and > 0; set scheduler.delay_quantum_ms\n"),
 )
 CATALOG_COMMANDS = (
     ("generate", ["generate"]),

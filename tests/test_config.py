@@ -63,6 +63,14 @@ class TestDelayQuantum:
         config = EdgeCloudConfig(catalog=catalog)
         assert config.resolve_delay_quantum() == 2000.0 / 40.0
 
+    def test_an_explicit_value_lets_an_overflowing_catalog_load(self):
+        # without the key, this catalog's default quantum overflows (see single_fault_cases)
+        huge = {**ENTRY, "class": "tolerant", "base_service_ms": 1.0e308, "bound_factor": 1.5}
+        config = from_mapping({"catalog": [huge, {**huge, "name": "y"}],
+                               "scheduler": {"delay_quantum_ms": 250.0}})
+        assert [b.base_service_ms for b in config.catalog] == [1.0e308, 1.0e308]
+        assert config.resolve_delay_quantum() == 250.0
+
 
 class TestValidation:
     def test_errors_carry_key_paths(self):
@@ -179,6 +187,8 @@ LIST_KEYS = {"cloudlets.vm_counts": "int", "cloudlets.speed_factors": "float"}
 ENTRY = {"name": "x", "class": "sensitive", "base_service_ms": 1.0, "mobile_ms": 1.0,
          "cloud_ms": 1.0, "data_bytes": 0.0}
 INF = float("inf")
+QUANTUM_MESSAGE = ("catalog: the default delay quantum, the mean base_service_ms / 40, must be"
+                   " finite and > 0; set scheduler.delay_quantum_ms")
 
 
 def nested(path, value):
@@ -241,6 +251,10 @@ def single_fault_cases():
     yield with_entry(bound_factor=2.0), "catalog[0]: benchmark x: bound_factor is tolerant-only"
     yield (with_entry(**{"class": "tolerant", "base_service_ms": 1.0e300, "bound_factor": 1.0e10}),
            "catalog[0]: benchmark x: bound_factor * base_service_ms must be finite")
+    # the default delay quantum overflows (two finite tolerant entries) or underflows to 0
+    huge = {**ENTRY, "class": "tolerant", "base_service_ms": 1.0e308, "bound_factor": 1.5}
+    yield {"catalog": [huge, {**huge, "name": "y"}]}, QUANTUM_MESSAGE
+    yield with_entry(base_service_ms=5e-324), QUANTUM_MESSAGE
 
 
 class TestLayoutPins:

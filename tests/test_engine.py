@@ -2,6 +2,7 @@
 
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 import math
 from math import inf, nan
 
@@ -37,6 +38,7 @@ from petrel.schedulers import (
     SCHEDULER_NAMES,
     make_scheduler,
 )
+from petrel.workload import generate_trace
 from replay_oracle import ReplayOracle
 
 
@@ -469,11 +471,22 @@ class TestTraceValidation:
         with pytest.raises(SimulationError, match=f"^{message}$"):
             Simulation(small_topology(), DaemonOnlyScheduler()).run(trace)
 
-    def test_rejects_assignments_to_unknown_cloudlets(self):
-        trace = [make_task(task_id=0)]
-        sim = Simulation(small_topology(), Scripted([Assign(42)]))
-        with pytest.raises(SimulationError):
+    @pytest.mark.parametrize("latency", [0.0, 125.0])
+    def test_rejects_assignments_to_unknown_cloudlets(self, latency):
+        trace = [make_task(task_id=3)]
+        sim = Simulation(small_topology(), Scripted([Assign(99)]), probe_latency=latency)
+        with pytest.raises(SimulationError) as caught:
             sim.run(trace)
+        assert str(caught.value) == "scheduler assigned task 3 to unknown cloudlet 99"
+        assert [s.earliest_ready() for s in sim.vm_schedules.values()] == [0.0, 0.0]
+        assert not sim.commit_log
+
+    @pytest.mark.parametrize("latency", [0.0, 125.0])
+    def test_probing_an_unknown_cloudlet_raises_key_error(self, latency):
+        sim = Simulation(small_topology(), DaemonOnlyScheduler(), probe_latency=latency)
+        view = ClusterView(sim, make_task(daemon_id=0), now=500.0)
+        with pytest.raises(KeyError):
+            view.probe(99)
 
     @pytest.mark.parametrize("decision", [None, "park it"])
     def test_rejects_foreign_decision_objects(self, decision):
@@ -728,6 +741,67 @@ class TestSimulateEntryPoint:
         a = simulate(config, trace, "daemon-only", seed=1, topology=topo).records
         b = simulate(config, trace, "daemon-only", seed=2, topology=topo).records
         assert a == b  # daemon-only consumes no randomness
+
+
+def scaled_twins(trace, k):
+    """``trace`` on new profiles whose times are ``k`` times the old ones; odd tasks
+    get an equal-valued but distinct copy of the profile their even neighbours share."""
+    made = {}
+
+    def scaled(p, twin):
+        if (id(p), twin) not in made:
+            made[id(p), twin] = replace(
+                p, base_service_time=p.base_service_time * k,
+                latency_bound=None if p.latency_bound is None else p.latency_bound * k)
+        return made[id(p), twin]
+
+    return [t._replace(profile=scaled(t.profile, t.id % 2)) for t in trace]
+
+
+class TestSharedCostRows:
+    """Cost rows live on the topology, so every run on one topology shares them."""
+
+    CONFIG = EdgeCloudConfig(cloudlet_count=4, task_count=80, arrival_rate=3.0)
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_runs_on_a_reused_topology_match_runs_on_fresh_ones(self, name):
+        from petrel.config import build_topology
+
+        base = generate_trace(self.CONFIG, 8)
+        shared = build_topology(self.CONFIG, seed=5)
+        # each round's profiles are new objects, and the last round's are freed,
+        # so a row keyed by a dead profile's id would price the wrong profile
+        for seed, k in enumerate((1.0, 1.5, 0.5, 1.0)):
+            trace = scaled_twins(base, k)
+            fresh = build_topology(self.CONFIG, seed=5)
+            assert (simulate(self.CONFIG, trace, name, seed, topology=shared).records
+                    == simulate(self.CONFIG, trace, name, seed, topology=fresh).records)
+
+    def test_each_daemon_and_profile_is_priced_once_per_topology(self, monkeypatch):
+        import petrel.model as model
+        from petrel.config import build_topology
+
+        built, priced = [], []
+        real_times = model.placement_times
+
+        class CountedRow(model._CostRow):
+            def __init__(self, by_id, daemon_id, profile):
+                built.append((daemon_id, profile))
+                super().__init__(by_id, daemon_id, profile)
+
+        monkeypatch.setattr(model, "_CostRow", CountedRow)
+        monkeypatch.setattr(model, "placement_times",
+                            lambda *args: priced.append(args) or real_times(*args))
+        trace = scaled_twins(generate_trace(self.CONFIG, 8), 1.0)
+        pairs = {(t.daemon_id, id(t.profile)) for t in trace}
+        assert len({id(t.profile) for t in trace}) == 10  # five catalog profiles and their twins
+        topo = build_topology(self.CONFIG, seed=5)
+        for _ in range(2):  # the second pass builds and prices nothing
+            for seed, name in enumerate(SCHEDULER_NAMES):
+                simulate(self.CONFIG, trace, name, seed, topology=topo)
+            # one row per (daemon, profile), twins apart; greedy probes every executor
+            assert sorted((d, id(p)) for d, p in built) == sorted(pairs)
+            assert len(priced) == len(pairs) * len(topo)
 
 
 class HistoryReference:

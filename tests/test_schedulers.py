@@ -1,6 +1,7 @@
 """Decision rules: the adaptive policy's branch table and every baseline."""
 
 from dataclasses import FrozenInstanceError
+import itertools
 from math import inf, nan
 
 import numpy as np
@@ -194,10 +195,11 @@ def test_projection_computed_lazily_only_on_the_busy_tolerant_branch():
 class StubView:
     """Scripted probe answers standing in for a live cluster."""
 
-    def __init__(self, now, daemon_id, probes, delayed=0.0):
+    def __init__(self, now, daemon_id, probes, delayed=0.0, ids=None):
         self.now = now
         self.daemon_id = daemon_id
-        self.cloudlet_ids = tuple(sorted(p.cloudlet_id for p in probes))
+        # ascending unless ``ids`` gives the topology's order
+        self.cloudlet_ids = tuple(sorted(p.cloudlet_id for p in probes)) if ids is None else ids
         self._probes = {p.cloudlet_id: p for p in probes}
         self._delayed = delayed
         self.projection_calls = 0
@@ -360,6 +362,28 @@ class TestBaselines:
     def test_greedy_tie_between_others_takes_the_lower_id(self):
         view = StubView(0.0, 0, [P(0, 5000.0), P(1, 3000.0), P(2, 3000.0)])
         assert GreedyScheduler().decide(sensitive(), view) == Assign(1)
+
+    def test_greedy_tie_between_others_takes_the_lower_id_not_the_first(self):
+        view = RecordingView(0.0, 0, [P(0, 5000.0), P(1, 3000.0), P(2, 3000.0)], ids=(0, 2, 1))
+        assert GreedyScheduler().decide(sensitive(), view) == Assign(1)
+        assert sorted(view.probed) == [0, 1, 2]
+
+    def test_greedy_tie_with_an_earlier_lower_peer_takes_the_daemon(self):
+        view = RecordingView(0.0, 2, [P(0, 3000.0), P(1, 4000.0), P(2, 3000.0)], ids=(0, 2, 1))
+        assert GreedyScheduler().decide(make_task(daemon_id=2), view) == Assign(2)
+        assert sorted(view.probed) == [0, 1, 2]
+
+    def test_greedy_is_the_least_completion_then_daemon_then_id_key_in_any_order(self):
+        # every tie pattern of four cloudlets, every daemon and every id order
+        greedy = GreedyScheduler()
+        for values in itertools.product((1.0, 2.0), repeat=4):
+            probes = [P(c, v) for c, v in enumerate(values)]
+            for daemon in range(4):
+                for ids in itertools.permutations(range(4)):
+                    view = RecordingView(0.0, daemon, probes, ids=ids)
+                    expected = Assign(min(ids, key=lambda c: (values[c], c != daemon, c)))
+                    assert greedy.decide(make_task(daemon_id=daemon), view) == expected
+                    assert sorted(view.probed) == [0, 1, 2, 3]  # each probed once
 
     def test_two_choices_takes_the_better_sample(self):
         view = StubView(0.0, 0, [P(0, 1.0), P(1, 5000.0), P(2, 3000.0)])
