@@ -14,7 +14,6 @@ from petrel.model import (
     Task,
     TaskClass,
     cloud_times,
-    placement_route,
     placement_times,
     speedup,
 )
@@ -42,8 +41,8 @@ task = Task(id=0, arrival_time=0.0, daemon_id=0, profile=profile)
 print(f"task: {profile.base_service_time:.0f} ms of work, "
       f"{profile.data_volume / 1e6:.1f} MB of input data\n")
 
-daemon_exec, daemon_comm = placement_times(profile, placement_route(daemon, daemon))
-neighbour_exec, neighbour_comm = placement_times(profile, placement_route(daemon, neighbour))
+daemon_exec, daemon_comm = placement_times(profile, daemon, daemon)
+neighbour_exec, neighbour_comm = placement_times(profile, daemon, neighbour)
 cloud_exec, cloud_comm = cloud_times(profile, net)
 
 # (exec, wait, comm) of each placement: only a busy cloudlet makes the task wait

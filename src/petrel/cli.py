@@ -120,16 +120,6 @@ def write_summary(summary: RunSummary, path, fmt: str, *, extra: dict | None = N
 
 
 @dataclass(frozen=True)
-class ComparisonCell:
-    """One simulation of a sweep: a (scheduler, λ, replicate) triple."""
-
-    scheduler: str
-    arrival_rate: float
-    replicate: int
-    summary: RunSummary
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     """Mean and sample standard deviation over replicates of one cell group."""
 
@@ -142,7 +132,6 @@ class ComparisonRow:
 @dataclass(frozen=True)
 class ComparisonReport:
     rows: list[ComparisonRow]
-    cells: list[ComparisonCell]
     seeds: list[int]
 
 
@@ -172,7 +161,12 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
         _check_policy_fits(config, name)
     # one config per λ, so every rate passes the config's own checks before any run
     sweep = [(lam, config.override(arrival_rate=lam)) for lam in lambdas]
-    cells: list[ComparisonCell] = []
+    # a repeated value would pool its runs into one row; 1 and 1.0 are one λ
+    for kind, values in (("scheduler", schedulers), ("lambda", list(map(format_number, lambdas))),
+                         ("replicate", replicates)):
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ConfigError(f"compare lists {kind} {repeated[0]} more than once")
     grouped: dict[tuple[str, float], list[RunSummary]] = {}
     for lam, lam_config in sweep:
         for rep in replicates:
@@ -183,7 +177,6 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
                 run_seed = derive_seed(base_seed, "run", name, repr(float(lam)), rep)
                 result = simulate(lam_config, trace, name, run_seed, topology=topology)
                 summary = summarize(result.records, topology)
-                cells.append(ComparisonCell(name, lam, rep, summary))
                 grouped.setdefault((name, lam), []).append(summary)
     rows = [
         ComparisonRow(
@@ -197,7 +190,7 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
         )
         for (name, lam), summaries in grouped.items()
     ]
-    return ComparisonReport(rows=rows, cells=cells, seeds=list(replicates))
+    return ComparisonReport(rows=rows, seeds=list(replicates))
 
 
 def write_comparison(report: ComparisonReport, path, fmt: str) -> None:
@@ -249,18 +242,16 @@ def comparison_table(report: ComparisonReport) -> str:
 
 
 def _load_cli_config(args) -> EdgeCloudConfig:
-    if getattr(args, "paper_defaults", False):
+    if args.paper_defaults or args.config is None:
         config = EdgeCloudConfig()
-    elif args.config is not None:
-        config = load_config(args.config)
     else:
-        config = EdgeCloudConfig()
+        config = load_config(args.config)
     overrides = {}
-    if getattr(args, "tasks", None) is not None:
+    if args.tasks is not None:
         overrides["task_count"] = args.tasks
-    rate = getattr(args, "arrival_rate", None)
-    if rate is not None and not isinstance(rate, list):
-        overrides["arrival_rate"] = rate
+    # compare takes a list of rates, swept by run_comparison
+    if args.arrival_rate is not None and not isinstance(args.arrival_rate, list):
+        overrides["arrival_rate"] = args.arrival_rate
     if overrides:
         try:
             config = config.override(**overrides)
@@ -281,11 +272,6 @@ def _resolve_seed(args, config: EdgeCloudConfig) -> int:
     return config.seed
 
 
-def _ensure_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_generate(args) -> int:
     config = _load_cli_config(args)
     seed = _resolve_seed(args, config)
@@ -296,7 +282,8 @@ def cmd_generate(args) -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
     else:
-        out_path = os.path.join(_ensure_out_dir(args.out), "trace.csv")
+        os.makedirs(args.out, exist_ok=True)
+        out_path = os.path.join(args.out, "trace.csv")
     save_trace(trace, out_path)
     print(f"wrote {len(trace)} tasks to {out_path} (seed {seed})")
     return 0
@@ -316,11 +303,11 @@ def cmd_run(args) -> int:
     result = simulate(config, trace, args.scheduler, seed)
     summary = summarize(result.records, result.topology)
 
-    out_dir = _ensure_out_dir(args.out)
-    records_path = os.path.join(out_dir, "records.csv")
+    os.makedirs(args.out, exist_ok=True)
+    records_path = os.path.join(args.out, "records.csv")
     write_records_csv(result.records, records_path)
     suffix = "csv" if args.format == "csv" else "jsonl"
-    summary_path = os.path.join(out_dir, f"summary.{suffix}")
+    summary_path = os.path.join(args.out, f"summary.{suffix}")
     write_summary(summary, summary_path, args.format,
                   extra={"scheduler": args.scheduler, "seed": seed})
 
@@ -373,12 +360,12 @@ def cmd_compare(args) -> int:
 
     report = run_comparison(config, schedulers, lambdas, replicates, seed)
 
-    out_dir = _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     suffix = "csv" if args.format == "csv" else "jsonl"
-    table_path = os.path.join(out_dir, f"comparison.{suffix}")
+    table_path = os.path.join(args.out, f"comparison.{suffix}")
     write_comparison(report, table_path, args.format)
     text = comparison_table(report)
-    text_path = os.path.join(out_dir, "comparison.txt")
+    text_path = os.path.join(args.out, "comparison.txt")
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")

@@ -227,32 +227,20 @@ def cloud_times(profile: Profile, net: NetworkParams) -> tuple[float, float]:
     return profile.cloud_exec_time, profile.data_volume / net.cloud_bandwidth + net.cloud_rtt
 
 
-Route = tuple[float, float, float, float | None]
+def placement_times(profile: Profile, daemon: Cloudlet, executor: Cloudlet) -> tuple[float, float]:
+    """(exec, comm) of a task with ``profile`` sent from ``daemon`` to ``executor``: the one
+    cloudlet completion formula.
 
-
-def placement_route(daemon: Cloudlet, executor: Cloudlet) -> Route:
-    """What a cloudlet placement's cost depends on besides the task.
-
-    ``(speed_factor, cloudlet_bandwidth, daemon_rtt, redirect_rtt)``;
-    the redirect RTT is None when the executor is the daemon itself.
+    ``comm`` is the transfer at the executor's access bandwidth plus the
+    daemon RTT, plus the daemon's redirect RTT when the executor is
+    another cloudlet.  Callers add ``start + exec + comm`` left to right:
+    the sums are kept apart because floating-point addition in another
+    order can move the last bit of a completion time.
     """
-    redirect = None if executor.id == daemon.id else daemon.net.rtt_to(executor.id)
-    return (executor.speed_factor, executor.net.cloudlet_bandwidth, daemon.net.daemon_rtt,
-            redirect)
-
-
-def placement_times(profile: Profile, route: Route) -> tuple[float, float]:
-    """(exec, comm) of a task with ``profile`` on a route: the one cloudlet completion formula.
-
-    Callers add ``start + exec + comm`` left to right: the sums are kept
-    apart because floating-point addition in another order can move the
-    last bit of a completion time.
-    """
-    speed_factor, bandwidth, daemon_rtt, redirect = route
-    comm = profile.data_volume / bandwidth + daemon_rtt
-    if redirect is not None:
-        comm = comm + redirect
-    return profile.base_service_time / speed_factor, comm
+    comm = profile.data_volume / executor.net.cloudlet_bandwidth + daemon.net.daemon_rtt
+    if executor.id != daemon.id:
+        comm = comm + daemon.net.rtt_to(executor.id)
+    return profile.base_service_time / executor.speed_factor, comm
 
 
 class _CostRow(dict):
@@ -270,8 +258,8 @@ class _CostRow(dict):
         self._by_id, self._daemon, self._profile = by_id, by_id[daemon_id], profile
 
     def __missing__(self, executor_id: int) -> tuple[float, float]:
-        route = placement_route(self._daemon, self._by_id[executor_id])
-        times = self[executor_id] = placement_times(self._profile, route)
+        times = self[executor_id] = placement_times(self._profile, self._daemon,
+                                                    self._by_id[executor_id])
         return times
 
 

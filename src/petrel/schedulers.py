@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -94,37 +94,10 @@ def _pick_two(others: tuple[int, ...], below: Callable[[int], int]) -> tuple[int
 _COMPLETION_THEN_ID = itemgetter(1, 0)
 
 
-def daa_decide(
-    task: Task,
-    daemon_probe: ProbeResult,
-    candidate_probes: Sequence[ProbeResult],
-    delayed_daemon_completion: Callable[[], float],
-    delay_quantum: float,
-) -> SchedulingDecision:
-    """Adaptive decision for one task.
-
-    An idle daemon VM always wins.  Otherwise the better of the two
-    sampled cloudlets becomes the candidate: sensitive tasks go wherever
-    finishes first, tolerant tasks take an idle candidate VM if there is
-    one and otherwise wait a quantum on the daemon, unless even the
-    delayed daemon projection would already overrun their bound.
-
-    ``delayed_daemon_completion()`` projects the daemon completion if the
-    task committed one quantum from now; it is called only on the
-    tolerant, all-busy branch.
-    """
-    if daemon_probe.has_idle_vm:
-        return _assign(daemon_probe.cloudlet_id)
-    candidate = min(candidate_probes, key=_COMPLETION_THEN_ID)
-    if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
-        if candidate.expected_completion < daemon_probe.expected_completion:
-            return _assign(candidate.cloudlet_id)
-        return _assign(daemon_probe.cloudlet_id)
-    if candidate.has_idle_vm:
-        return _assign(candidate.cloudlet_id)
-    if delayed_daemon_completion() >= task.deadline:
-        return _assign(daemon_probe.cloudlet_id)
-    return _delay(delay_quantum)
+def _best_of_two(view, below: Callable[[int], int]) -> ProbeResult:
+    """Probe two sampled non-daemon cloudlets, in draw order, and return the least loaded."""
+    pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), below)
+    return min([view.probe(c) for c in pair], key=_COMPLETION_THEN_ID)
 
 
 class DaaScheduler:
@@ -139,18 +112,28 @@ class DaaScheduler:
         self.delay_quantum = delay_quantum
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        daemon_probe = view.probe(view.daemon_id)
+        """An idle daemon VM always wins, before anything is drawn.
+
+        Otherwise the better of two sampled cloudlets becomes the
+        candidate: sensitive tasks go wherever finishes first, tolerant
+        tasks take an idle candidate VM if there is one and otherwise wait
+        a quantum on the daemon, unless even the delayed daemon projection,
+        computed only on that branch, would already overrun their bound.
+        """
+        daemon_id = view.daemon_id
+        daemon_probe = view.probe(daemon_id)
         if daemon_probe.has_idle_vm:
-            return _assign(view.daemon_id)
-        pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), self._below)
-        probes = [view.probe(c) for c in pair]
-        return daa_decide(
-            task,
-            daemon_probe,
-            probes,
-            lambda: view.daemon_completion_if_delayed(self.delay_quantum),
-            self.delay_quantum,
-        )
+            return _assign(daemon_id)
+        candidate = _best_of_two(view, self._below)
+        if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
+            if candidate.expected_completion < daemon_probe.expected_completion:
+                return _assign(candidate.cloudlet_id)
+            return _assign(daemon_id)
+        if candidate.has_idle_vm:
+            return _assign(candidate.cloudlet_id)
+        if view.daemon_completion_if_delayed(self.delay_quantum) >= task.deadline:
+            return _assign(daemon_id)  # waiting would overrun the bound: settle on the daemon
+        return _delay(self.delay_quantum)
 
 
 class DaemonOnlyScheduler:
@@ -204,9 +187,7 @@ class TwoChoicesScheduler:
         self._below = bounded_draws(rng)  # owns rng: draws are read ahead
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), self._below)
-        best = min([view.probe(c) for c in pair], key=_COMPLETION_THEN_ID)
-        return _assign(best.cloudlet_id)
+        return _assign(_best_of_two(view, self._below).cloudlet_id)
 
 
 class CloudOnlyScheduler:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from petrel.model import (Cloudlet, EdgeCloud, NetworkParams, Profile, Task, TaskClass,
-                          placement_route, placement_times)
+                          placement_times)
 
 
 def make_net(
@@ -70,5 +70,5 @@ def make_task(
 def cloudlet_completion(task: Task, daemon: Cloudlet, executor: Cloudlet, wait: float) -> float:
     """Completion relative to arrival on ``executor``, reached through ``daemon``: the
     queue wait, then the placement's execution and communication, summed as the engine does."""
-    exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
+    exec_time, comm = placement_times(task.profile, daemon, executor)
     return wait + exec_time + comm

@@ -16,17 +16,17 @@ import pytest
 from scipy import stats
 
 from fixtures import cloudlet_completion, make_cloudlet, make_net, make_task, make_topology
-from petrel.cli import main, run_comparison
+from petrel.cli import COMPARE_METRICS, main, run_comparison
 from petrel.config import EdgeCloudConfig, build_topology
 from petrel.engine import DELAY_EXPIRED, Simulation, simulate
 from petrel.metrics import summarize
 from petrel.model import cloud_times, speedup
-from petrel.schedulers import Delay, SCHEDULER_NAMES, daa_decide, make_scheduler
+from petrel.schedulers import Delay, SCHEDULER_NAMES, make_scheduler
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import generate_arrivals, generate_trace
 from replay_oracle import ReplayOracle
 from sampling_reference import sample_two
-from test_schedulers import DECISION_TABLE, QUANTUM
+from test_schedulers import DECISION_TABLE, daa_decides
 
 BASE_SEED = 1234
 LAMBDAS = (1.0, 2.0)
@@ -52,7 +52,7 @@ def criterion(capsys, number, label, budget_s, body):
 @pytest.fixture(scope="module")
 def sweep():
     """The reference comparison: five cloudlet policies, 200 tasks,
-    30 replicates at each arrival rate.  Shared by criteria 4, 5, 7."""
+    30 replicates at each arrival rate.  Shared by criteria 4 and 5."""
     config = EdgeCloudConfig()
     started = time.perf_counter()
     report = run_comparison(
@@ -60,7 +60,7 @@ def sweep():
     )
     elapsed = time.perf_counter() - started
     rows = {(r.scheduler, r.arrival_rate): r for r in report.rows}
-    return config, report, rows, elapsed
+    return rows, elapsed
 
 
 def test_criterion_1_completion_model_identities(capsys):
@@ -110,7 +110,7 @@ def test_criterion_2_decision_rule_conformance(capsys):
     def body():
         assert len(DECISION_TABLE) >= 20
         for label, task, daemon_probe, candidates, delayed, expected in DECISION_TABLE:
-            got = daa_decide(task, daemon_probe, candidates, lambda: delayed, QUANTUM)
+            got, _ = daa_decides(task, daemon_probe, candidates, delayed)
             assert got == expected, f"case {label!r}: got {got}, expected {expected}"
         kinds = {type(case[-1]).__name__ for case in DECISION_TABLE}
         assert kinds == {"Assign", "Delay"}
@@ -200,7 +200,7 @@ def test_criterion_3_replay_oracle_equivalence(capsys):
 
 def test_criterion_4_weighted_turnaround_ordering(sweep, capsys):
     def body():
-        _, _, rows, elapsed = sweep
+        rows, elapsed = sweep
         assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
         for lam in LAMBDAS:
             awt = {s: rows[(s, lam)].stats["awt"][0] for s in CLOUDLET_SCHEDULERS}
@@ -222,7 +222,7 @@ def test_criterion_4_weighted_turnaround_ordering(sweep, capsys):
 
 def test_criterion_5_makespan_ordering(sweep, capsys):
     def body():
-        _, _, rows, _ = sweep
+        rows, _ = sweep
         for lam in LAMBDAS:
             mk_max = {s: rows[(s, lam)].stats["makespan_max"][0] for s in CLOUDLET_SCHEDULERS}
             mk_avg = {s: rows[(s, lam)].stats["makespan_avg"][0] for s in CLOUDLET_SCHEDULERS}
@@ -268,12 +268,9 @@ class AuditingDaa:
         return decision
 
 
-def test_criterion_7_delay_scheduling_safety(sweep, capsys):
+def test_criterion_7_delay_scheduling_safety(capsys):
     def body():
-        config, report, _, _ = sweep
-        by_cell = {
-            (c.scheduler, c.arrival_rate, c.replicate): c.summary for c in report.cells
-        }
+        config = EdgeCloudConfig()
         delayed_at = {lam: 0 for lam in LAMBDAS}
         for lam in LAMBDAS:
             for rep in REPLICATES:
@@ -296,7 +293,9 @@ def test_criterion_7_delay_scheduling_safety(sweep, capsys):
 
                 assert audit.violations == [], audit.violations
                 # the audited rerun is the same run the comparison saw
-                assert summarize(result.records, topology) == by_cell[("daa", lam, rep)]
+                summary = summarize(result.records, topology)
+                [row] = run_comparison(config, ["daa"], [lam], [rep], BASE_SEED).rows
+                assert row.stats == {m: (getattr(summary, m), 0.0) for m in COMPARE_METRICS}
 
                 wakes = sum(1 for e in result.events if e.kind == DELAY_EXPIRED)
                 assert wakes == sum(r.delays_taken for r in result.records)

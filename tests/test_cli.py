@@ -306,6 +306,29 @@ class TestCompare:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scheduler", "daa,greedy", "--scheduler", "daa", "--lambda", "1"],
+         "error: compare lists scheduler daa more than once\n"),
+        (["--scheduler", "daa", "--lambda", "1,2", "--lambda", "1.0"],
+         "error: compare lists lambda 1 more than once\n"),
+    ], ids=["scheduler", "lambda"])
+    def test_a_repeated_value_exits_2_naming_it(self, tmp_path, small_config, capsys, flags,
+                                                message):
+        # pooled, a repeated value's runs would print as one row with doubled replicates
+        out = tmp_path / "out"
+        code = main(["compare", "--config", small_config, *flags, "--seeds", "1..3",
+                     "--out", str(out), "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lambdas, replicates, message", [
+        ([2, 1.5, 2.0], [1], "lambda 2"), ([1.0], [1, 2, 1], "replicate 1")])
+    def test_run_comparison_rejects_a_repeated_value(self, lambdas, replicates, message):
+        # 2 and 2.0 are one λ; the seed range of the command line cannot repeat a replicate
+        with pytest.raises(ConfigError, match=f"^compare lists {message} more than once$"):
+            run_comparison(EdgeCloudConfig(task_count=20), ["daemon-only"], lambdas, replicates, 7)
+
 
 class TestSeedPrecedence:
     def test_env_seed_used_when_no_flag(self, tmp_path, small_config, capsys, monkeypatch):

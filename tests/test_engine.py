@@ -25,7 +25,7 @@ from petrel.engine import (
     simulate,
 )
 from petrel.config import EdgeCloudConfig
-from petrel.model import cloud_times, placement_route, placement_times
+from petrel.model import cloud_times, placement_times
 from petrel.schedulers import (
     Assign,
     AssignCloud,
@@ -394,8 +394,8 @@ class TestSimulationRuns:
             if record.executor is None:
                 exec_time, comm = cloud_times(task.profile, daemon.net)
             else:
-                route = placement_route(daemon, topo.get(record.executor))
-                exec_time, comm = placement_times(task.profile, route)
+                exec_time, comm = placement_times(task.profile, daemon,
+                                                  topo.get(record.executor))
             assert record.completion_time == record.start_time + exec_time + comm
 
     def test_decision_log_is_time_ordered(self):
@@ -953,11 +953,11 @@ class TestProbeMatchesTheModel:
                 ready = sim.vm_schedules[executor.id].earliest_ready()
             else:
                 ready = refs[executor.id].asof(max(0.0, now - latency))
-            exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
+            exec_time, comm = placement_times(task.profile, daemon, executor)
             probe = view.probe(executor.id)
             assert probe.expected_completion == max(now, ready) + exec_time + comm
             assert probe.has_idle_vm == (ready <= now)
-        exec_time, comm = placement_times(task.profile, placement_route(daemon, daemon))
+        exec_time, comm = placement_times(task.profile, daemon, daemon)
         ready = sim.vm_schedules[daemon.id].earliest_ready()
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import cloudlet_completion, make_cloudlet, make_net, make_task, make_topology
 from petrel.engine import Simulation
-from petrel.model import TaskClass, cloud_times, placement_route, placement_times, speedup
+from petrel.model import TaskClass, cloud_times, placement_times, speedup
 from petrel.schedulers import CloudOnlyScheduler
 
 
@@ -64,13 +64,13 @@ class TestDaemon:
     def test_all_four_terms(self):
         task = make_task(base_service_time=1000.0, data_volume=2_500_000.0)
         node = make_cloudlet(net=make_net(daemon_rtt=10.0, cloudlet_bandwidth=12500.0))
-        assert placement_times(task.profile, placement_route(node, node)) == (1000.0, 210.0)
+        assert placement_times(task.profile, node, node) == (1000.0, 210.0)
         assert cloudlet_completion(task, node, node, wait=500.0) == 1710.0
 
     def test_speed_factor_divides_execution(self):
         task = make_task(base_service_time=1000.0, data_volume=0.0)
         node = make_cloudlet(speed_factor=2.0, net=make_net(daemon_rtt=10.0))
-        exec_time, _ = placement_times(task.profile, placement_route(node, node))
+        exec_time, _ = placement_times(task.profile, node, node)
         assert exec_time == 500.0
         assert cloudlet_completion(task, node, node, wait=0.0) == 510.0
 
@@ -95,7 +95,7 @@ class TestRemote:
         net = make_net(daemon_rtt=10.0, cloudlet_bandwidth=125.0, remote_rtt=50.0)
         daemon = make_cloudlet(0, net=net)
         executor = make_cloudlet(1, net=net)
-        assert placement_times(task.profile, placement_route(daemon, executor)) == (1000.0, 160.0)
+        assert placement_times(task.profile, daemon, executor) == (1000.0, 160.0)
         assert cloudlet_completion(task, daemon, executor, wait=0.0) == 1160.0
 
     def test_remote_minus_daemon_is_pair_rtt(self):
@@ -233,7 +233,7 @@ def test_remote_matches_handwritten_formula(
     )
     daemon = make_cloudlet(0, net=net)
     executor = make_cloudlet(1, speed_factor=speed, net=net)
-    exec_time, comm = placement_times(task.profile, placement_route(daemon, executor))
+    exec_time, comm = placement_times(task.profile, daemon, executor)
     assert exec_time == base / speed
     assert comm == data / bandwidth + daemon_rtt + pair_rtt
     expected = base / speed + wait + (data / bandwidth + daemon_rtt + pair_rtt)

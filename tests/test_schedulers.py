@@ -22,7 +22,6 @@ from petrel.schedulers import (
     RoundRobinScheduler,
     SCHEDULER_NAMES,
     TwoChoicesScheduler,
-    daa_decide,
     make_scheduler,
 )
 from sampling_reference import sample_two
@@ -44,7 +43,8 @@ def tolerant(arrival=0.0, bound=8000.0):
 
 QUANTUM = 500.0
 
-# (label, task, daemon_probe, candidates, delayed_projection, expected_decision)
+# (label, task, daemon_probe, candidates, delayed_projection, expected_decision);
+# the candidates are the daemon's whole peer set, so the sampled pair is fixed
 DECISION_TABLE = [
     (
         "idle daemon wins for sensitive tasks",
@@ -164,34 +164,6 @@ DECISION_TABLE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "task, daemon_probe, candidates, delayed, expected",
-    [case[1:] for case in DECISION_TABLE],
-    ids=[case[0] for case in DECISION_TABLE],
-)
-def test_decision_table(task, daemon_probe, candidates, delayed, expected):
-    decision = daa_decide(task, daemon_probe, candidates, lambda: delayed, QUANTUM)
-    assert decision == expected
-
-
-def test_projection_computed_lazily_only_on_the_busy_tolerant_branch():
-    calls = []
-
-    def projection():
-        calls.append(1)
-        return 7000.0
-
-    daa_decide(sensitive(), P(0, 6000.0), [P(1, 4000.0)], projection, QUANTUM)
-    assert not calls
-
-    daa_decide(tolerant(), P(0, 6000.0), [P(1, 5000.0, idle=True)], projection, QUANTUM)
-    assert not calls
-
-    decision = daa_decide(tolerant(), P(0, 6000.0), [P(1, 9000.0)], projection, QUANTUM)
-    assert decision == Delay(QUANTUM)
-    assert calls == [1]
-
-
 class StubView:
     """Scripted probe answers standing in for a live cluster."""
 
@@ -210,6 +182,67 @@ class StubView:
     def daemon_completion_if_delayed(self, delay):
         self.projection_calls += 1
         return self._delayed
+
+
+def daa_decides(task, daemon_probe, candidates, delayed, seed=0):
+    """One table case through the real daa policy: ``(decision, view)``.
+
+    The view holds the daemon and the candidates, in the order the case
+    lists them, and answers ``delayed`` for the delayed projection.
+    """
+    probes = [daemon_probe, *candidates]
+    view = StubView(0.0, daemon_probe.cloudlet_id, probes, delayed=delayed,
+                    ids=tuple(p.cloudlet_id for p in probes))
+    return DaaScheduler(np.random.default_rng(seed), QUANTUM).decide(task, view), view
+
+
+@pytest.mark.parametrize(
+    "task, daemon_probe, candidates, delayed, expected",
+    [case[1:] for case in DECISION_TABLE],
+    ids=[case[0] for case in DECISION_TABLE],
+)
+def test_decision_table(task, daemon_probe, candidates, delayed, expected):
+    # every case samples the daemon's whole peer set, so no draw changes the rule
+    for seed in range(4):
+        decision, _ = daa_decides(task, daemon_probe, candidates, delayed, seed)
+        assert decision == expected
+
+
+def test_projection_computed_lazily_only_on_the_busy_tolerant_branch():
+    _, view = daa_decides(sensitive(), P(0, 6000.0), [P(1, 4000.0)], 7000.0)
+    assert view.projection_calls == 0
+
+    _, view = daa_decides(tolerant(), P(0, 6000.0), [P(1, 5000.0, idle=True)], 7000.0)
+    assert view.projection_calls == 0
+
+    decision, view = daa_decides(tolerant(), P(0, 6000.0), [P(1, 9000.0)], 7000.0)
+    assert decision == Delay(QUANTUM)
+    assert view.projection_calls == 1
+
+
+# (label, daemon, the peers' (id, completion, idle) probes, in topology order)
+SHARED_SAMPLING_TABLE = [
+    ("distinct completions", 0, [(1, 4000.0, False), (2, 3000.0, False), (3, 5000.0, True)]),
+    ("every peer tied", 2, [(0, 4000.0, False), (1, 4000.0, True), (3, 4000.0, False)]),
+    ("a tied pair among five", 4, [(3, 100.0, True), (0, 200.0, False), (1, 100.0, False),
+                                   (2, 300.0, True), (5, 250.0, False)]),
+    ("one peer", 1, [(0, 9000.0, False)]),
+]
+
+
+@pytest.mark.parametrize("daemon, peers", [case[1:] for case in SHARED_SAMPLING_TABLE],
+                         ids=[case[0] for case in SHARED_SAMPLING_TABLE])
+def test_daa_candidate_is_the_two_choices_pick(daemon, peers):
+    # a busy daemon that finishes last sends a sensitive task to daa's candidate
+    probes = [P(daemon, 1e9), *(P(c, done, idle) for c, done, idle in peers)]
+    ids = tuple(p.cloudlet_id for p in probes)
+    task = make_task(daemon_id=daemon)
+    for seed in range(20):
+        daa = DaaScheduler(np.random.default_rng(seed), QUANTUM)
+        two = TwoChoicesScheduler(np.random.default_rng(seed))
+        for _ in range(5):
+            candidate = daa.decide(task, StubView(0.0, daemon, probes, ids=ids))
+            assert candidate == two.decide(task, StubView(0.0, daemon, probes, ids=ids))
 
 
 class TestDaaScheduler:
