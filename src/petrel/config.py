@@ -149,13 +149,8 @@ def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
     speeds = config.speed_factors if config.speed_factors is not None else tuple(float(s) for s in drawn_speeds)
 
     rlo, rhi = config.remote_rtt_range_ms
-    remote: list[dict[int, float]] = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rtt = float(rng.uniform(rlo, rhi))
-            remote[i][j] = rtt
+    rtts = iter(rng.uniform(rlo, rhi, size=n * (n - 1)).tolist())  # as n * (n - 1) scalar draws
+    remote = [{j: next(rtts) for j in range(n) if j != i} for i in range(n)]
 
     cloudlets = tuple(
         Cloudlet(

@@ -157,10 +157,11 @@ class ClusterView:
     a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "_sim", "_schedules", "_stale_ready", "_costs")
+    __slots__ = ("now", "daemon_id", "cloudlet_ids", "_sim", "_schedules", "_stale_ready", "_costs")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self._sim = sim
+        self.cloudlet_ids: tuple[int, ...] = sim.topology.ids  # fixed for the run
         self._schedules = sim.vm_schedules
         # None when every probe reads live state
         self._stale_ready = None if sim.commit_log is None else sim.stale_ready
@@ -188,10 +189,6 @@ class ClusterView:
             _, cloudlet_id, stale, vm_index, ready = log.popleft()
             stale[vm_index] = ready
             stale_ready[cloudlet_id] = min(stale)
-
-    @property
-    def cloudlet_ids(self) -> tuple[int, ...]:
-        return self._sim.topology.ids
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
         now = self.now

@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
-from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .model import Task, TaskClass
-from .seeding import bounded_draws
+from .seeding import uint32s
 
 
 @dataclass(frozen=True)
@@ -72,32 +71,53 @@ def _peers(cloudlet_ids: tuple[int, ...], daemon_id: int) -> tuple[int, ...]:
     return tuple(c for c in cloudlet_ids if c != daemon_id)
 
 
-def _pick_two(others: tuple[int, ...], below: Callable[[int], int]) -> tuple[int, ...]:
-    """Floyd's algorithm for two of ``others`` and a shuffle; ``below(n)`` draws ``integers(0, n)``."""
-    n = len(others)
-    if not n:
-        raise ValueError(
-            "sampling needs at least one non-daemon cloudlet; add cloudlets to the topology"
-        )
-    if n == 1:
-        return (others[0],)
-    first = below(n - 1)
-    second = below(n)
-    if second == first:
-        second = n - 1
-    if below(2):
-        return (others[first], others[second])
-    return (others[second], others[first])
+def _sampler(next_uint32: Callable[[], int]) -> Callable[[object], ProbeResult]:
+    """``best_of_two(view)``: probe two sampled non-daemon cloudlets, in draw order,
+    and return the probe lower by ``(expected_completion, cloudlet_id)``.
 
+    The pair is ``Generator.choice(len(peers), 2, replace=False)``, draw for
+    draw: Floyd's ``integers(0, n - 1)`` (nothing is drawn when n == 2) and
+    ``integers(0, n)``, then the shuffle's ``integers(0, 2)``.  Each is numpy's
+    Lemire draw ("Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019) on ``next_uint32`` words.  A single peer is probed without a draw.
+    """
 
-# least loaded first, by (expected_completion, cloudlet_id): ties go to the lower id
-_COMPLETION_THEN_ID = itemgetter(1, 0)
+    def redraw(m: int, n: int) -> int:
+        """Lemire's rare branch: redraw while the low half is below ``2**32 % n``."""
+        threshold = 0x100000000 % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32() * n
+        return m >> 32
 
+    def best_of_two(view) -> ProbeResult:
+        peers = _peers(view.cloudlet_ids, view.daemon_id)
+        n = len(peers)
+        if n < 2:
+            if n:
+                return view.probe(peers[0])
+            raise ValueError(
+                "sampling needs at least one non-daemon cloudlet; add cloudlets to the topology"
+            )
+        first = 0
+        if n > 2:
+            m = next_uint32() * (n - 1)
+            first = m >> 32 if m & 0xFFFFFFFF >= n - 1 else redraw(m, n - 1)
+        m = next_uint32() * n
+        second = m >> 32 if m & 0xFFFFFFFF >= n else redraw(m, n)
+        if second == first:
+            second = n - 1
+        probe = view.probe
+        if next_uint32() >> 31:  # integers(0, 2): a power of two, so Lemire never redraws
+            a, b = probe(peers[first]), probe(peers[second])
+        else:
+            a, b = probe(peers[second]), probe(peers[first])
+        # ties on completion go to the lower id
+        if b.expected_completion < a.expected_completion or (
+                b.expected_completion == a.expected_completion and b.cloudlet_id < a.cloudlet_id):
+            return b
+        return a
 
-def _best_of_two(view, below: Callable[[int], int]) -> ProbeResult:
-    """Probe two sampled non-daemon cloudlets, in draw order, and return the least loaded."""
-    pair = _pick_two(_peers(view.cloudlet_ids, view.daemon_id), below)
-    return min([view.probe(c) for c in pair], key=_COMPLETION_THEN_ID)
+    return best_of_two
 
 
 class DaaScheduler:
@@ -108,7 +128,7 @@ class DaaScheduler:
     def __init__(self, rng: np.random.Generator, delay_quantum: float):
         if not 0 < delay_quantum < inf:
             raise ValueError(f"delay_quantum must be finite and > 0, got {delay_quantum}")
-        self._below = bounded_draws(rng)  # owns rng: draws are read ahead
+        self._best_of_two = _sampler(uint32s(rng))  # owns rng: words are read ahead
         self.delay_quantum = delay_quantum
 
     def decide(self, task: Task, view) -> SchedulingDecision:
@@ -124,7 +144,7 @@ class DaaScheduler:
         daemon_probe = view.probe(daemon_id)
         if daemon_probe.has_idle_vm:
             return _assign(daemon_id)
-        candidate = _best_of_two(view, self._below)
+        candidate = self._best_of_two(view)
         if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
             if candidate.expected_completion < daemon_probe.expected_completion:
                 return _assign(candidate.cloudlet_id)
@@ -184,10 +204,10 @@ class TwoChoicesScheduler:
     name = "two-choices"
 
     def __init__(self, rng: np.random.Generator):
-        self._below = bounded_draws(rng)  # owns rng: draws are read ahead
+        self._best_of_two = _sampler(uint32s(rng))  # owns rng: words are read ahead
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        return _assign(_best_of_two(view, self._below).cloudlet_id)
+        return _assign(self._best_of_two(view).cloudlet_id)
 
 
 class CloudOnlyScheduler:

@@ -9,6 +9,7 @@ shifts the draws of another.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,35 +30,26 @@ def new_rng(*parts: object) -> np.random.Generator:
 BATCH = 256  # words a policy stream reads ahead at a time
 
 
-def _halves(raw: Callable[[int], np.ndarray], buffered: list[int]) -> Iterator[int]:
-    """32-bit halves in ``next_uint32`` order: low half of a fresh word, then its high half."""
-    yield from buffered
-    while True:
-        yield from raw(BATCH).astype("<u8", copy=False).view("<u4").tolist()
+def uint32s(rng: np.random.Generator) -> Callable[[], int]:
+    """``next_uint32()``: the 32-bit words ``rng`` hands its bounded draws, in order.
 
-
-def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
-    """``below(n)``, drawing what ``rng.integers(0, n)`` would for ``1 <= n <= 2**32``.
-
-    On a 64-bit bit generator it is numpy's Lemire draw ("Fast Random Integer
-    Generation in an Interval", ACM TOMACS 2019) on halves read ahead, when
-    first needed, from ``random_raw`` batches after the generator's buffered
-    half.  The draws match; the generator's state after them does not.
+    Each call returns what ``rng.integers(0, 2**32, dtype=np.uint32)`` would.
+    A 64-bit bit generator first gives its buffered half, if it holds one,
+    then the low and the high half of each ``random_raw`` word; MT19937's raw
+    words are 32-bit already.  Words are read ahead in ``BATCH`` batches, when
+    first needed, so the draws match but the generator's state after them
+    does not.
     """
     state = rng.bit_generator.state
-    if "has_uint32" not in state:
-        return lambda n: int(rng.integers(0, n))  # MT19937 draws native 32-bit words
-    halves = _halves(rng.bit_generator.random_raw,
-                     [state["uinteger"]] if state["has_uint32"] else [])
+    raw = rng.bit_generator.random_raw
 
-    def below(n: int) -> int:
-        if n == 1:
-            return 0  # numpy draws nothing for a one-value range
-        m = next(halves) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = 0x100000000 % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next(halves) * n
-        return m >> 32
+    def batches() -> Iterator[list[int]]:
+        if "has_uint32" not in state:  # MT19937
+            while True:
+                yield raw(BATCH).tolist()
+        if state["has_uint32"]:
+            yield [state["uinteger"]]
+        while True:
+            yield raw(BATCH).astype("<u8", copy=False).view("<u4").tolist()
 
-    return below
+    return chain.from_iterable(batches()).__next__

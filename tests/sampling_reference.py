@@ -1,15 +1,13 @@
 """Reference sampler the sampling policies are twin-tested against.
 
-``sample_two`` draws through ``rng.integers`` what the policies draw
-through :func:`petrel.seeding.bounded_draws`, so a policy and this
-function fed twin generators must pick the same pair.
+``sample_two`` spells the pair draw on ``rng.integers`` and imports
+nothing from ``petrel``, so a policy that draws its own way, fed a twin
+generator, must still pick the same pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from petrel.schedulers import _peers, _pick_two
 
 
 def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
@@ -17,11 +15,24 @@ def sample_two(cloudlet_ids: tuple[int, ...], daemon_id: int,
     """Two distinct non-daemon cloudlets, uniform without replacement.
 
     Draw for draw the same as ``rng.choice(len(others), size=2,
-    replace=False)``, which is Floyd's algorithm followed by a shuffle of
-    the two picks, without that call's overhead.
+    replace=False)``: Floyd's algorithm picks ``integers(0, n - 1)`` and
+    then ``integers(0, n)``, taking ``n - 1`` when the second repeats the
+    first, and one ``integers(0, 2)`` shuffles the two picks.
 
     With a single non-daemon cloudlet the sample degenerates to that one
-    node; with none there is nothing to probe and the topology is too
-    small for sampling policies.
+    node, with no draw; with none there is nothing to probe and the
+    topology is too small for sampling policies.
     """
-    return _pick_two(_peers(cloudlet_ids, daemon_id), lambda n: int(rng.integers(0, n)))
+    others = [c for c in cloudlet_ids if c != daemon_id]
+    n = len(others)
+    if n == 0:
+        raise ValueError("sampling needs at least one non-daemon cloudlet")
+    if n == 1:
+        return (others[0],)
+    first = int(rng.integers(0, n - 1))
+    second = int(rng.integers(0, n))
+    if second == first:
+        second = n - 1
+    if rng.integers(0, 2):
+        return (others[first], others[second])
+    return (others[second], others[first])

@@ -14,6 +14,7 @@ from petrel.config import (
     to_mapping,
 )
 from petrel.model import TaskClass
+from petrel.seeding import new_rng
 from petrel.workload import Benchmark
 
 
@@ -402,3 +403,18 @@ class TestBuildTopology:
         topo = build_topology(config, seed=21)
         node0, node1 = topo.get(0), topo.get(1)
         assert node0.net.rtt_to(1) != node1.net.rtt_to(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 37])
+    def test_remote_rtts_are_the_scalar_draws_in_row_major_order(self, n):
+        # one array draw stands in for n * (n - 1) scalar draws on a twin generator
+        config = EdgeCloudConfig(cloudlet_count=n, remote_rtt_range_ms=(50.0, 70.0))
+        for seed in range(3):
+            twin = new_rng(seed, "topology")
+            lo, hi = config.vm_count_range
+            twin.integers(lo, hi + 1, size=n)
+            twin.uniform(*config.speed_factor_range, size=n)
+            want = [{j: float(twin.uniform(50.0, 70.0)) for j in range(n) if j != i}
+                    for i in range(n)]
+            topo = build_topology(config, seed=seed)
+            assert [list(node.net.remote_rtt.items()) for node in topo] == [
+                list(row.items()) for row in want]

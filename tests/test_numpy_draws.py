@@ -33,11 +33,10 @@ def test_uniform_arrays_as_build_topology_draws_speed_factors():
                       1.0537850110190372], moved("Generator.uniform")
 
 
-def test_uniform_scalars_as_build_topology_draws_remote_rtts():
-    rng = new_rng(1234, "topology")
-    rtts = [float(rng.uniform(50.0, 70.0)) for _ in range(3)]
+def test_uniform_array_as_build_topology_draws_remote_rtts():
+    rtts = new_rng(1234, "topology").uniform(50.0, 70.0, size=3).tolist()
     assert rtts == [52.23693518399878, 51.00398267380244, 63.366600245589765], \
-        moved("scalar Generator.uniform")
+        moved("Generator.uniform")
 
 
 def test_random_raw_under_new_rng():

@@ -22,9 +22,11 @@ from petrel.schedulers import (
     RoundRobinScheduler,
     SCHEDULER_NAMES,
     TwoChoicesScheduler,
+    _sampler,
     make_scheduler,
 )
 from sampling_reference import sample_two
+from test_seeding import lemire
 
 
 def P(cid, expected, idle=False):
@@ -323,6 +325,75 @@ class TestSampledPairsMatchSampleTwo:
             view = RecordingView(0.0, daemon, probes)
             policy.decide(sensitive(), view)
             assert tuple(view.probed) == sample_two(ids, daemon, twin)
+
+
+class ScriptedIntegers:
+    """``integers(0, n)`` by the test-side Lemire method on scripted 32-bit words."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def integers(self, low, high):
+        assert low == 0
+        return lemire(self.words.__next__, high)
+
+
+def scripted_words(seed, zero_at):
+    """Sixteen words from a seeded stream with a ``0`` word at ``zero_at``."""
+    words = [int(w) for w in np.random.default_rng(seed).integers(0, 2**32, size=16)]
+    words[zero_at] = 0
+    return words
+
+
+class TestSamplerOnScriptedWords:
+    """The policies' sampler fed scripted words; a ``0`` word is rejected below
+    every bound that is not a power of two, so it exercises Lemire's redraw."""
+
+    @given(count=st.integers(3, 12), daemon_pick=st.integers(0, 11),
+           seed=st.integers(0, 2**32 - 1), zero_at=st.integers(0, 2))
+    def test_pair_and_probe_order_match_the_reference(self, count, daemon_pick, seed, zero_at):
+        ids = tuple(range(count))
+        daemon = daemon_pick % count
+        words = scripted_words(seed, zero_at)
+        view = RecordingView(0.0, daemon, [P(c, 1000.0 + c) for c in ids])
+        stream = iter(words)
+        best = _sampler(stream.__next__)(view)
+        reference = ScriptedIntegers(words)
+        assert tuple(view.probed) == sample_two(ids, daemon, reference)
+        assert best == min(P(c, 1000.0 + c) for c in view.probed)
+        assert list(stream) == list(reference.words)  # as many words consumed
+
+    @pytest.mark.parametrize("peers", [4, 6, 7, 12])
+    def test_a_zero_word_is_redrawn(self, peers):
+        # n - 1 is not a power of two, so the first Floyd draw rejects its 0 word
+        ids = tuple(range(peers + 1))
+        words = [0, 0x9E3779B9, 0x7F4A7C15, 0x6A09E667]
+        view = RecordingView(0.0, 0, [P(c, 1000.0) for c in ids])
+        stream = iter([*words, 7])
+        _sampler(stream.__next__)(view)
+        reference = ScriptedIntegers(words)
+        assert tuple(view.probed) == sample_two(ids, 0, reference)
+        assert list(reference.words) == []  # three draws took four words
+        assert list(stream) == [7]
+
+    def test_two_peers_skip_the_first_floyd_draw(self):
+        view = RecordingView(0.0, 0, [P(0, 1.0), P(1, 9.0), P(2, 8.0)])
+        # integers(0, 2) twice, as a power of two never redraws: both 0, so the
+        # repeat takes the last peer and the shuffle puts it first
+        stream = iter([0, 0, 7])
+        assert _sampler(stream.__next__)(view) == P(2, 8.0)
+        assert view.probed == [2, 1]
+        assert list(stream) == [7]
+
+    def test_a_single_peer_is_probed_without_a_draw(self):
+        view = RecordingView(0.0, 0, [P(0, 1.0), P(1, 9.0)])
+        assert _sampler(iter(()).__next__)(view) == P(1, 9.0)
+        assert view.probed == [1]
+
+    def test_no_peer_is_an_error(self):
+        view = StubView(0.0, 4, [P(4, 1.0)])
+        with pytest.raises(ValueError, match="sampling needs at least one non-daemon cloudlet"):
+            _sampler(iter(()).__next__)(view)
 
 
 class TestCachedDecisions:
