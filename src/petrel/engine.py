@@ -148,6 +148,10 @@ class SimulationResult:
 class ClusterView:
     """Read-only probe interface the engine hands to a policy.
 
+    A policy reads ``now``, ``daemon_id`` and ``cloudlet_ids`` and calls
+    three read methods: :meth:`probe` for one cloudlet's expected
+    completion, :meth:`least_completion` for the first of several ids whose
+    expected completion is least, and :meth:`daemon_completion_if_delayed`.
     With a probe latency set, probes of non-daemon cloudlets read
     ``sim.stale_ready``: per cloudlet, the least over its VMs of the last
     commit at or before the horizon ``max(now - probe_latency, 0)``, else
@@ -200,6 +204,23 @@ class ClusterView:
         exec_time, comm = self._costs[cloudlet_id]
         start = ready if ready > now else now
         return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
+
+    def least_completion(self, cloudlet_ids: Sequence[int]) -> int:
+        """The first id in the non-empty ``cloudlet_ids`` whose expected completion,
+        read as :meth:`probe` reads it, is least."""
+        now, daemon_id, schedules, costs = self.now, self.daemon_id, self._schedules, self._costs
+        stale_ready = self._stale_ready
+        best_id = best = None
+        for cloudlet_id in cloudlet_ids:
+            if stale_ready is None or cloudlet_id == daemon_id:
+                ready = schedules[cloudlet_id]._heap[0][0]  # earliest_ready(), inlined
+            else:
+                ready = stale_ready[cloudlet_id]
+            exec_time, comm = costs[cloudlet_id]
+            done = (ready if ready > now else now) + exec_time + comm
+            if best_id is None or done < best:  # the first id seeds best, even at inf
+                best, best_id = done, cloudlet_id
+        return best_id
 
     def daemon_completion_if_delayed(self, delay: float) -> float:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
@@ -354,7 +375,6 @@ class Simulation:
                     f"task {task.id} names unknown daemon cloudlet {task.daemon_id}"
                 )
         return tasks
-
 
 
 def simulate(config, trace: Sequence[Task], scheduler, seed: int,

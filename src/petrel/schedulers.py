@@ -180,22 +180,20 @@ class RoundRobinScheduler:
         return _assign(ids[cursor])
 
 
+@lru_cache(maxsize=1024)
+def _greedy_order(cloudlet_ids: tuple[int, ...], daemon_id: int) -> tuple[int, ...]:
+    """The daemon, then its peers by ascending id: greedy's tie order, kept per daemon."""
+    return (daemon_id, *sorted(_peers(cloudlet_ids, daemon_id)))
+
+
 class GreedyScheduler:
     """Probe every cloudlet and take the earliest expected completion."""
 
     name = "greedy"
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        # earliest expected completion; ties prefer the daemon, then the lower id
-        daemon_id = best_id = view.daemon_id
-        probe = view.probe
-        best = probe(daemon_id).expected_completion
-        for c in view.cloudlet_ids:
-            if c != daemon_id:
-                done = probe(c).expected_completion
-                if done < best or (done == best and best_id != daemon_id and c < best_id):
-                    best, best_id = done, c
-        return _assign(best_id)
+        # the first least in the order: ties prefer the daemon, then the lower id
+        return _assign(view.least_completion(_greedy_order(view.cloudlet_ids, view.daemon_id)))
 
 
 class TwoChoicesScheduler:

@@ -108,6 +108,15 @@ class _OracleView:
             has_idle_vm=ready <= self.now,
         )
 
+    def least_completion(self, cloudlet_ids):
+        # the first strict minimum over this view's own probes
+        best_id = best = None
+        for cloudlet_id in cloudlet_ids:
+            done = self.probe(cloudlet_id).expected_completion
+            if best_id is None or done < best:
+                best, best_id = done, cloudlet_id
+        return best_id
+
     def daemon_completion_if_delayed(self, delay: float) -> float:
         oracle = self._oracle
         task = self._task

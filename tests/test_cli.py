@@ -474,6 +474,9 @@ def _write(tmp_path, name, text):
 # a finite mean gap whose running sum over 200 tasks still overflows the float range
 OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-7, time_unit_ms: 1.0e+300, task_count: 200}\n"
 ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
+# a finite arrival whose completion on any cloudlet overflows the float range
+HUGE = TRACE_HEADER + "0,1.7e308,0,x,sensitive,1e308,1e308,800,2000,\n"
+OVERFLOW = "simulation failed: task 0: completion time overflows the float range"
 # each catalog value is finite, but the tolerant bound, or the sum of the weights, is not
 OVERFLOWING_BOUND = ("catalog:\n  - {name: big, class: tolerant, base_service_ms: 1.0e+300,"
                      " mobile_ms: 1, cloud_ms: 1, data_bytes: 0, bound_factor: 1.0e+10}\n")
@@ -537,10 +540,10 @@ ERROR_PATHS = [
     error_path("zero-turnaround-trace", 1, ZERO_TURNAROUND,
                lambda d: ["run", "--scheduler", "daemon-only", "--trace",
                           _write(d, "late.csv", TRACE_HEADER + "0,1e25,0,x,sensitive,1,1,1,0,\n")]),
-    error_path("overflowing-completion-trace", 1,
-               "simulation failed: task 0: completion time overflows the float range",
-               lambda d: ["run", "--scheduler", "daemon-only", "--trace", _write(
-                   d, "over.csv", TRACE_HEADER + "0,1.7e308,0,x,sensitive,1e308,1e308,800,2000,\n")]),
+    error_path("overflowing-completion-trace", 1, OVERFLOW,
+               lambda d: ["run", "--scheduler", "daemon-only", "--trace", _write(d, "over.csv", HUGE)]),
+    error_path("overflowing-completion-trace-greedy", 1, OVERFLOW,
+               lambda d: ["run", "--scheduler", "greedy", "--trace", _write(d, "over.csv", HUGE)]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",

@@ -3,6 +3,7 @@
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+import itertools
 import math
 from math import inf, nan
 
@@ -934,6 +935,8 @@ class TestProbeMatchesTheModel:
         for _ in range(2):
             with pytest.raises(ValueError, match="towards cloudlet 2"):
                 view.probe(2)
+            with pytest.raises(ValueError, match="towards cloudlet 2"):
+                view.least_completion((0, 1, 2))
 
     @given(probe_setups())
     def test_probe_is_start_plus_exec_and_comm_exactly(self, setup):
@@ -960,6 +963,20 @@ class TestProbeMatchesTheModel:
         exec_time, comm = placement_times(task.profile, daemon, daemon)
         ready = sim.vm_schedules[daemon.id].earliest_ready()
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
+
+    @given(probe_setups())
+    def test_least_completion_is_the_first_least_probe_in_any_order(self, setup):
+        topo, latency, loads, task, lag = setup
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+        now = 0.0
+        for cloudlet_id, step, exec_time in loads:
+            now += step
+            sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+        view = ClusterView(sim, task, now + lag)
+        for size in range(1, len(topo) + 1):
+            for order in itertools.permutations(topo.ids, size):
+                done = [view.probe(c).expected_completion for c in order]
+                assert view.least_completion(order) == order[done.index(min(done))]
 
 
 arrival_gaps = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: GRID * k))

@@ -181,6 +181,14 @@ class StubView:
     def probe(self, cloudlet_id):
         return self._probes[cloudlet_id]
 
+    def least_completion(self, cloudlet_ids):
+        best_id = best = None
+        for c in cloudlet_ids:
+            done = self.probe(c).expected_completion
+            if best_id is None or done < best:
+                best, best_id = done, c
+        return best_id
+
     def daemon_completion_if_delayed(self, delay):
         self.projection_calls += 1
         return self._delayed
