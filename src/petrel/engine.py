@@ -12,9 +12,11 @@ back.  A task's completion is fixed at commit, so completions are
 recorded, not queued as events.  Communication is charged to the task's
 completion, not to VM occupancy.
 
-Stale probes read one run-wide commit log: commits come in time order
-across the run, so each decision folds the log once, up to its horizon
-(see :class:`ClusterView`), and a stale probe is a lookup.
+Reads of cloudlets other than the task's daemon come from one run-wide
+commit log: commits come in time order across the run, so each decision
+folds the log once, up to its horizon ``max(now - probe_latency, 0)``
+(see :class:`ClusterView`), and such a read is a lookup.  At latency 0
+the horizon is ``now``, so the fold gives the live state.
 
 Two runs with the same config, trace, policy, and seed produce
 bit-identical records.
@@ -67,16 +69,16 @@ class Event(NamedTuple):
 class VmSchedule:
     """Per-VM next-free timestamps for one cloudlet.
 
-    The earliest ready time is the heap head.  Given ``log``, the run's
-    commit log that every cloudlet shares, each commit is also appended
-    to it as ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``,
+    The earliest ready time is the heap head.  Each commit is also
+    appended to ``log``, the run's commit log that every cloudlet shares,
+    as ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``,
     where ``stale`` is this cloudlet's per-VM ready times as stale probes
     see them; :meth:`ClusterView._move` folds the entry into ``stale``
     once the read horizon reaches its commit time.  Commits must come in
     time order, on each cloudlet and through the log.
     """
 
-    def __init__(self, vm_count: int, log: deque | None = None, cloudlet_id: int | None = None):
+    def __init__(self, vm_count: int, log: deque, cloudlet_id: int):
         if vm_count < 1:
             raise ValueError("vm_count must be >= 1")
         self._heap: list[tuple[float, int]] = [(0.0, i) for i in range(vm_count)]
@@ -102,8 +104,7 @@ class VmSchedule:
         start = ready if ready > now else now
         new_ready = start + exec_time
         heapq.heappush(self._heap, (new_ready, vm_index))
-        if log is not None:
-            log.append((now, self._cloudlet_id, self._stale, vm_index, new_ready))
+        log.append((now, self._cloudlet_id, self._stale, vm_index, new_ready))
         return start, vm_index
 
 
@@ -152,13 +153,13 @@ class ClusterView:
     three read methods: :meth:`probe` for one cloudlet's expected
     completion, :meth:`least_completion` for the first of several ids whose
     expected completion is least, and :meth:`daemon_completion_if_delayed`.
-    With a probe latency set, probes of non-daemon cloudlets read
-    ``sim.stale_ready``: per cloudlet, the least over its VMs of the last
-    commit at or before the horizon ``max(now - probe_latency, 0)``, else
-    0.0.  Moving the view folds the commit log up to that horizon, which
-    must not go back.  The daemon always sees its own live state.  A run
-    moves one view from decision to decision, so a policy must not keep
-    a view past ``decide``.
+    Reads of non-daemon cloudlets come from ``sim.stale_ready``: per
+    cloudlet, the least over its VMs of the last commit at or before the
+    horizon ``max(now - probe_latency, 0)``, else 0.0.  Moving the view
+    folds the commit log up to that horizon, which must not go back; at
+    latency 0 that is every commit so far, so these reads are live.  The
+    daemon always sees its own live state.  A run moves one view from
+    decision to decision, so a policy must not keep a view past ``decide``.
     """
 
     __slots__ = ("now", "daemon_id", "cloudlet_ids", "_sim", "_schedules", "_stale_ready", "_costs")
@@ -167,8 +168,7 @@ class ClusterView:
         self._sim = sim
         self.cloudlet_ids: tuple[int, ...] = sim.topology.ids  # fixed for the run
         self._schedules = sim.vm_schedules
-        # None when every probe reads live state
-        self._stale_ready = None if sim.commit_log is None else sim.stale_ready
+        self._stale_ready = sim.stale_ready
         self._move(task, now)
 
     def _move(self, task: Task, now: float) -> None:
@@ -177,8 +177,6 @@ class ClusterView:
         sim = self._sim
         self._costs = sim.topology.cost_row(task.daemon_id, task.profile)  # (exec, comm) per executor
         log = sim.commit_log
-        if log is None:
-            return
         horizon = now - sim.probe_latency
         if horizon < 0.0:
             horizon = 0.0
@@ -196,11 +194,10 @@ class ClusterView:
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
         now = self.now
-        stale_ready = self._stale_ready
-        if stale_ready is None or cloudlet_id == self.daemon_id:
+        if cloudlet_id == self.daemon_id:
             ready = self._schedules[cloudlet_id].earliest_ready()
         else:
-            ready = stale_ready[cloudlet_id]
+            ready = self._stale_ready[cloudlet_id]
         exec_time, comm = self._costs[cloudlet_id]
         start = ready if ready > now else now
         return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
@@ -212,7 +209,7 @@ class ClusterView:
         stale_ready = self._stale_ready
         best_id = best = None
         for cloudlet_id in cloudlet_ids:
-            if stale_ready is None or cloudlet_id == daemon_id:
+            if cloudlet_id == daemon_id:
                 ready = schedules[cloudlet_id]._heap[0][0]  # earliest_ready(), inlined
             else:
                 ready = stale_ready[cloudlet_id]
@@ -256,8 +253,7 @@ class Simulation:
         self.scheduler = scheduler
         self.max_delays = max_delays
         self.probe_latency = probe_latency
-        # the run-wide commit log, folded per decision; None when every probe is live
-        self.commit_log: deque | None = deque() if probe_latency > 0 else None
+        self.commit_log: deque = deque()  # run-wide, folded per decision
         self.vm_schedules: dict[int, VmSchedule] = {
             c.id: VmSchedule(c.vm_count, self.commit_log, c.id) for c in topology
         }

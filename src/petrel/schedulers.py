@@ -2,17 +2,20 @@
 
 Every policy answers one question per task: run it on some cloudlet, on
 the cloud, or try again later.  Policies see the cluster through a probe
-view supplied by the engine (``now``, the cloudlet ids, and expected
-completion probes); they keep no state beyond a seeded RNG and small
+view supplied by the engine (``now``, the cloudlet ids, and reads of
+expected completions); they keep no state beyond a seeded RNG and small
 cursors, so replaying the same observations reproduces the decisions.
+Every "which finishes first?" goes through the view's
+``least_completion``, which takes the first least id in the order given,
+so a policy states its tie rule by the order it passes.
 
 Policy names, as accepted on the command line:
 
     daa          adaptive two-choice scheduling with delay scheduling
     daemon-only  keep every task on its daemon cloudlet
     round-robin  cycle the full cloudlet list, one cursor per daemon
-    greedy       probe everything, take the earliest expected completion
-    two-choices  probe two random non-daemon cloudlets, take the better
+    greedy       read every cloudlet, take the earliest expected completion
+    two-choices  sample two non-daemon cloudlets, take the earlier completion
     cloud-only   send everything to the cloud
 """
 
@@ -71,15 +74,15 @@ def _peers(cloudlet_ids: tuple[int, ...], daemon_id: int) -> tuple[int, ...]:
     return tuple(c for c in cloudlet_ids if c != daemon_id)
 
 
-def _sampler(next_uint32: Callable[[], int]) -> Callable[[object], ProbeResult]:
-    """``best_of_two(view)``: probe two sampled non-daemon cloudlets, in draw order,
-    and return the probe lower by ``(expected_completion, cloudlet_id)``.
+def _sampler(next_uint32: Callable[[], int]) -> Callable[[object], tuple[int, ...]]:
+    """``sample_pair(view)``: the ids of two sampled non-daemon cloudlets, lower id first.
 
     The pair is ``Generator.choice(len(peers), 2, replace=False)``, draw for
     draw: Floyd's ``integers(0, n - 1)`` (nothing is drawn when n == 2) and
-    ``integers(0, n)``, then the shuffle's ``integers(0, 2)``.  Each is numpy's
-    Lemire draw ("Fast Random Integer Generation in an Interval", ACM TOMACS
-    2019) on ``next_uint32`` words.  A single peer is probed without a draw.
+    ``integers(0, n)``, then the shuffle's ``integers(0, 2)``, whose word is
+    drawn although id order replaces the shuffle.  Each is numpy's Lemire
+    draw ("Fast Random Integer Generation in an Interval", ACM TOMACS 2019)
+    on ``next_uint32`` words.  A single peer is returned alone, without a draw.
     """
 
     def redraw(m: int, n: int) -> int:
@@ -89,12 +92,12 @@ def _sampler(next_uint32: Callable[[], int]) -> Callable[[object], ProbeResult]:
             m = next_uint32() * n
         return m >> 32
 
-    def best_of_two(view) -> ProbeResult:
+    def sample_pair(view) -> tuple[int, ...]:
         peers = _peers(view.cloudlet_ids, view.daemon_id)
         n = len(peers)
         if n < 2:
             if n:
-                return view.probe(peers[0])
+                return peers
             raise ValueError(
                 "sampling needs at least one non-daemon cloudlet; add cloudlets to the topology"
             )
@@ -106,18 +109,11 @@ def _sampler(next_uint32: Callable[[], int]) -> Callable[[object], ProbeResult]:
         second = m >> 32 if m & 0xFFFFFFFF >= n else redraw(m, n)
         if second == first:
             second = n - 1
-        probe = view.probe
-        if next_uint32() >> 31:  # integers(0, 2): a power of two, so Lemire never redraws
-            a, b = probe(peers[first]), probe(peers[second])
-        else:
-            a, b = probe(peers[second]), probe(peers[first])
-        # ties on completion go to the lower id
-        if b.expected_completion < a.expected_completion or (
-                b.expected_completion == a.expected_completion and b.cloudlet_id < a.cloudlet_id):
-            return b
-        return a
+        next_uint32()  # the shuffle's integers(0, 2): a power of two, so Lemire never redraws
+        a, b = peers[first], peers[second]
+        return (a, b) if a < b else (b, a)  # so ties on completion go to the lower id
 
-    return best_of_two
+    return sample_pair
 
 
 class DaaScheduler:
@@ -128,29 +124,29 @@ class DaaScheduler:
     def __init__(self, rng: np.random.Generator, delay_quantum: float):
         if not 0 < delay_quantum < inf:
             raise ValueError(f"delay_quantum must be finite and > 0, got {delay_quantum}")
-        self._best_of_two = _sampler(uint32s(rng))  # owns rng: words are read ahead
+        self._sample_pair = _sampler(uint32s(rng))  # owns rng: words are read ahead
         self.delay_quantum = delay_quantum
 
     def decide(self, task: Task, view) -> SchedulingDecision:
         """An idle daemon VM always wins, before anything is drawn.
 
-        Otherwise the better of two sampled cloudlets becomes the
-        candidate: sensitive tasks go wherever finishes first, tolerant
-        tasks take an idle candidate VM if there is one and otherwise wait
-        a quantum on the daemon, unless even the delayed daemon projection,
-        computed only on that branch, would already overrun their bound.
+        Otherwise two cloudlets are sampled: sensitive tasks go wherever
+        finishes first among the daemon and the pair, the daemon winning
+        ties; tolerant tasks take the pair's earlier finisher if it has an
+        idle VM and otherwise wait a quantum on the daemon, unless even the
+        delayed daemon projection, computed only on that branch, would
+        already overrun their bound.
         """
         daemon_id = view.daemon_id
-        daemon_probe = view.probe(daemon_id)
-        if daemon_probe.has_idle_vm:
+        if view.probe(daemon_id).has_idle_vm:
             return _assign(daemon_id)
-        candidate = self._best_of_two(view)
+        pair = self._sample_pair(view)
         if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
-            if candidate.expected_completion < daemon_probe.expected_completion:
-                return _assign(candidate.cloudlet_id)
-            return _assign(daemon_id)
-        if candidate.has_idle_vm:
-            return _assign(candidate.cloudlet_id)
+            # the first least wins: the daemon on a tie, then the lower id
+            return _assign(view.least_completion((daemon_id, *pair)))
+        candidate = view.least_completion(pair)
+        if view.probe(candidate).has_idle_vm:
+            return _assign(candidate)
         if view.daemon_completion_if_delayed(self.delay_quantum) >= task.deadline:
             return _assign(daemon_id)  # waiting would overrun the bound: settle on the daemon
         return _delay(self.delay_quantum)
@@ -202,10 +198,10 @@ class TwoChoicesScheduler:
     name = "two-choices"
 
     def __init__(self, rng: np.random.Generator):
-        self._best_of_two = _sampler(uint32s(rng))  # owns rng: words are read ahead
+        self._sample_pair = _sampler(uint32s(rng))  # owns rng: words are read ahead
 
     def decide(self, task: Task, view) -> SchedulingDecision:
-        return _assign(self._best_of_two(view).cloudlet_id)
+        return _assign(view.least_completion(self._sample_pair(view)))
 
 
 class CloudOnlyScheduler:

@@ -1,7 +1,7 @@
 """Event loop behaviour: queueing, waits, delays, probe staleness."""
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 import itertools
 import math
@@ -68,14 +68,19 @@ def small_topology(vms=1, count=2, speed=1.0):
     )
 
 
+def vm_schedule(vm_count):
+    """One cloudlet's VMs, logging to a commit log of their own."""
+    return VmSchedule(vm_count, deque(), 0)
+
+
 class TestVmSchedule:
     def test_all_vms_start_idle(self):
-        vms = VmSchedule(3)
+        vms = vm_schedule(3)
         assert vms.earliest_ready() == 0.0
         assert sorted(vms.commit(0.0, 100.0) for _ in range(3)) == [(0.0, 0), (0.0, 1), (0.0, 2)]
 
     def test_commit_occupies_the_earliest_vm(self):
-        vms = VmSchedule(1)
+        vms = vm_schedule(1)
         start, index = vms.commit(0.0, 800.0)
         assert (start, index) == (0.0, 0)
         start, _ = vms.commit(0.0, 500.0)
@@ -84,7 +89,7 @@ class TestVmSchedule:
         assert vms.commit(0.0, 1.0) == (1300.0, 0)
 
     def test_commit_spreads_over_idle_vms(self):
-        vms = VmSchedule(2)
+        vms = vm_schedule(2)
         vms.commit(0.0, 1000.0)
         start, index = vms.commit(0.0, 1000.0)
         assert start == 0.0
@@ -93,23 +98,23 @@ class TestVmSchedule:
         assert sorted(vms.commit(0.0, 1.0) for _ in range(2)) == [(1000.0, 0), (1000.0, 1)]
 
     def test_late_commit_starts_at_now(self):
-        vms = VmSchedule(1)
+        vms = vm_schedule(1)
         start, _ = vms.commit(700.0, 100.0)
         assert start == 700.0
         assert vms.earliest_ready() == 800.0
         assert vms.commit(700.0, 1.0) == (800.0, 0)
 
     def test_start_follows_the_clock(self):
-        vms = VmSchedule(1)
+        vms = vm_schedule(1)
         vms.commit(0.0, 400.0)
         assert vms.commit(399.0, 1.0) == (400.0, 0)  # still busy at 399
-        vms = VmSchedule(1)
+        vms = vm_schedule(1)
         vms.commit(0.0, 400.0)
         assert vms.commit(400.0, 1.0) == (400.0, 0)  # idle again at 400
 
     def test_a_commit_at_the_ready_instant_starts_at_now(self):
         # on a tie the start is ``now`` itself, as ``max(now, ready)`` gives: -0.0 == 0.0
-        start, _ = VmSchedule(1).commit(-0.0, 1.0)
+        start, _ = vm_schedule(1).commit(-0.0, 1.0)
         assert math.copysign(1.0, start) == -1.0
 
 
@@ -573,11 +578,29 @@ class TestProbeStaleness:
         assert stale_ready_at(sim, 1300.0) == {0: 0.0, 1: 1000.0, 2: 1700.0}
         assert not sim.commit_log
 
-    def test_live_probes_keep_no_log(self):
-        sim = self._sim(0.0)
-        sim.vm_schedules[1].commit(600.0, 5000.0)
-        assert sim.commit_log is None
-        assert stale_ready_at(sim, 1000.0) == {0: 0.0, 1: 0.0}
+    @given(st.deferred(lambda: shared_log_runs()))  # the strategy is defined below
+    def test_zero_latency_reads_the_live_heap_heads(self, run):
+        # at latency 0 the horizon is now, so folding the log to it gives the live state
+        topo, _, ops = run
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=0.0)
+        now = 0.0
+        for commit, cloudlet_id, step, exec_time in ops:
+            now += step
+            task = make_task(daemon_id=cloudlet_id)
+            view = ClusterView(sim, task, now)
+            daemon = topo.get(cloudlet_id)
+            live = {}
+            for executor in topo:
+                ready = sim.vm_schedules[executor.id].earliest_ready()
+                exec_cost, comm = placement_times(task.profile, daemon, executor)
+                live[executor.id] = (executor.id, max(now, ready) + exec_cost + comm, ready <= now)
+                assert view.probe(executor.id) == live[executor.id]
+            for size in range(1, len(topo) + 1):
+                for order in itertools.permutations(topo.ids, size):
+                    done = [live[c][1] for c in order]
+                    assert view.least_completion(order) == order[done.index(min(done))]
+            if commit:
+                sim.vm_schedules[cloudlet_id].commit(now, exec_time)
 
     def test_a_commit_at_zero_is_visible_inside_the_first_latency(self):
         # the horizon is max(now - latency, 0): 0 here, not -75, so the commit at 0 shows
@@ -883,7 +906,7 @@ class TestStaleReadsMatchFullHistory:
                 self._commit(sim, refs, cloudlet_id, now, exec_time)
 
     def test_a_backwards_commit_raises(self):
-        vms = VmSchedule(2)
+        vms = vm_schedule(2)
         vms.commit(100.0, 500.0)
         with pytest.raises(ValueError):
             vms.commit(99.0, 500.0)
@@ -963,6 +986,14 @@ class TestProbeMatchesTheModel:
         exec_time, comm = placement_times(task.profile, daemon, daemon)
         ready = sim.vm_schedules[daemon.id].earliest_ready()
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
+
+    def test_an_all_infinite_scan_returns_its_first_id(self):
+        # exec is base_service_time / speed_factor, and 1e308 / 0.5 overflows everywhere
+        sim = Simulation(small_topology(count=3, speed=0.5), DaemonOnlyScheduler())
+        view = ClusterView(sim, make_task(daemon_id=1, base_service_time=1e308), now=0.0)
+        for order in itertools.permutations(range(3)):
+            assert [view.probe(c).expected_completion for c in order] == [inf] * 3
+            assert view.least_completion(order) == order[0]
 
     @given(probe_setups())
     def test_least_completion_is_the_first_least_probe_in_any_order(self, setup):

@@ -184,7 +184,7 @@ class StubView:
     def least_completion(self, cloudlet_ids):
         best_id = best = None
         for c in cloudlet_ids:
-            done = self.probe(c).expected_completion
+            done = self._probes[c].expected_completion
             if best_id is None or done < best:
                 best, best_id = done, c
         return best_id
@@ -255,6 +255,68 @@ def test_daa_candidate_is_the_two_choices_pick(daemon, peers):
             assert candidate == two.decide(task, StubView(0.0, daemon, probes, ids=ids))
 
 
+def pair_best(pair, probes):
+    """The comparator the sampling policies applied to their two probes, kept as the
+    reference: the lower probe by ``(expected_completion, cloudlet_id)``."""
+    return min((probes[c] for c in pair), key=lambda p: (p.expected_completion, p.cloudlet_id))
+
+
+# forced ties, an infinite completion, or any float
+completions = st.one_of(st.sampled_from([1000.0, 2000.0, inf]),
+                        st.floats(0.0, 5000.0, allow_nan=False))
+
+
+@st.composite
+def sampled_cases(draw):
+    """Cloudlets with scattered ids in any order, their probes, a daemon and a task class."""
+    ids = tuple(draw(st.lists(st.integers(0, 30), min_size=2, max_size=6, unique=True)))
+    probes = {c: P(c, draw(completions), draw(st.booleans())) for c in ids}
+    # a delayed projection before, at or after the tolerant deadline of 8000
+    delayed = draw(st.sampled_from([7999.0, 8000.0, 9000.0]))
+    return ids, probes, draw(st.sampled_from(ids)), draw(st.booleans()), delayed
+
+
+class TestDecisionsMatchThePairComparator:
+    """The real sampling policies against the rule they were written as: the
+    drawn pair's best by ``(expected_completion, cloudlet_id)``, which daa's
+    sensitive branch takes only when it finishes strictly before the daemon."""
+
+    cases = st.lists(sampled_cases(), min_size=1, max_size=20)
+
+    @given(seed=st.integers(0, 2**64 - 1), cases=cases)
+    def test_daa(self, seed, cases):
+        policy = DaaScheduler(np.random.default_rng(seed), QUANTUM)
+        twin = np.random.default_rng(seed)
+        for ids, probes, daemon, is_sensitive, delayed in cases:
+            task = (make_task(daemon_id=daemon) if is_sensitive else
+                    make_task(daemon_id=daemon, task_class="tolerant", latency_bound=8000.0))
+            home = probes[daemon]
+            if home.has_idle_vm:
+                want = Assign(daemon)
+            else:
+                best = pair_best(sample_two(ids, daemon, twin), probes)
+                if is_sensitive:
+                    won = best.expected_completion < home.expected_completion
+                    want = Assign(best.cloudlet_id if won else daemon)
+                elif best.has_idle_vm:
+                    want = Assign(best.cloudlet_id)
+                elif delayed >= task.deadline:
+                    want = Assign(daemon)
+                else:
+                    want = Delay(QUANTUM)
+            view = StubView(0.0, daemon, list(probes.values()), delayed=delayed, ids=ids)
+            assert policy.decide(task, view) == want
+
+    @given(seed=st.integers(0, 2**64 - 1), cases=cases)
+    def test_two_choices(self, seed, cases):
+        policy = TwoChoicesScheduler(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for ids, probes, daemon, _, _ in cases:  # class-blind: every task is alike
+            want = Assign(pair_best(sample_two(ids, daemon, twin), probes).cloudlet_id)
+            view = StubView(0.0, daemon, list(probes.values()), ids=ids)
+            assert policy.decide(make_task(daemon_id=daemon), view) == want
+
+
 class TestDaaScheduler:
     def test_idle_daemon_skips_sampling_entirely(self):
         rng = np.random.default_rng(42)
@@ -288,20 +350,25 @@ class TestDaaScheduler:
 
 
 class RecordingView(StubView):
-    """A stub view that logs the cloudlets probed, in order."""
+    """A stub view that logs the cloudlets probed and the orders scanned, in order."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.probed = []
+        self.scanned = []
 
     def probe(self, cloudlet_id):
         self.probed.append(cloudlet_id)
         return super().probe(cloudlet_id)
 
+    def least_completion(self, cloudlet_ids):
+        self.scanned.append(tuple(cloudlet_ids))
+        return super().least_completion(cloudlet_ids)
+
 
 class TestSampledPairsMatchSampleTwo:
     """The sampling policies draw from a read-ahead word stream; every pair
-    they probe must be the one ``sample_two`` draws on a twin generator."""
+    they scan must be the one ``sample_two`` draws on a twin generator, in id order."""
 
     decisions = st.lists(
         st.tuples(st.integers(2, 12), st.integers(0, 11), st.booleans()),
@@ -319,8 +386,10 @@ class TestSampledPairsMatchSampleTwo:
             view = RecordingView(0.0, daemon, probes)
             policy.decide(tolerant(), view)
             # an idle daemon takes the task before anything is drawn
-            want = () if daemon_idle else sample_two(ids, daemon, twin)
-            assert tuple(view.probed) == (daemon, *want)
+            pair = () if daemon_idle else tuple(sorted(sample_two(ids, daemon, twin)))
+            assert view.scanned == ([pair] if pair else [])
+            # the lower id finishes first, and only its idle flag is read
+            assert view.probed == [daemon, *pair[:1]]
 
     @given(seed=st.integers(0, 2**64 - 1), decisions=decisions)
     def test_two_choices(self, seed, decisions):
@@ -332,7 +401,8 @@ class TestSampledPairsMatchSampleTwo:
             probes = [P(c, 1000.0 + c, idle=(c == daemon and daemon_idle)) for c in ids]
             view = RecordingView(0.0, daemon, probes)
             policy.decide(sensitive(), view)
-            assert tuple(view.probed) == sample_two(ids, daemon, twin)
+            assert view.scanned == [tuple(sorted(sample_two(ids, daemon, twin)))]
+            assert view.probed == []
 
 
 class ScriptedIntegers:
@@ -359,44 +429,42 @@ class TestSamplerOnScriptedWords:
 
     @given(count=st.integers(3, 12), daemon_pick=st.integers(0, 11),
            seed=st.integers(0, 2**32 - 1), zero_at=st.integers(0, 2))
-    def test_pair_and_probe_order_match_the_reference(self, count, daemon_pick, seed, zero_at):
+    def test_pair_matches_the_reference(self, count, daemon_pick, seed, zero_at):
         ids = tuple(range(count))
         daemon = daemon_pick % count
         words = scripted_words(seed, zero_at)
         view = RecordingView(0.0, daemon, [P(c, 1000.0 + c) for c in ids])
         stream = iter(words)
-        best = _sampler(stream.__next__)(view)
+        pair = _sampler(stream.__next__)(view)
         reference = ScriptedIntegers(words)
-        assert tuple(view.probed) == sample_two(ids, daemon, reference)
-        assert best == min(P(c, 1000.0 + c) for c in view.probed)
-        assert list(stream) == list(reference.words)  # as many words consumed
+        assert pair == tuple(sorted(sample_two(ids, daemon, reference)))
+        assert list(stream) == list(reference.words)  # as many words consumed, the shuffle's too
+        assert view.probed == view.scanned == []  # sampling reads no completion
 
     @pytest.mark.parametrize("peers", [4, 6, 7, 12])
     def test_a_zero_word_is_redrawn(self, peers):
         # n - 1 is not a power of two, so the first Floyd draw rejects its 0 word
         ids = tuple(range(peers + 1))
         words = [0, 0x9E3779B9, 0x7F4A7C15, 0x6A09E667]
-        view = RecordingView(0.0, 0, [P(c, 1000.0) for c in ids])
+        view = StubView(0.0, 0, [P(c, 1000.0) for c in ids])
         stream = iter([*words, 7])
-        _sampler(stream.__next__)(view)
+        pair = _sampler(stream.__next__)(view)
         reference = ScriptedIntegers(words)
-        assert tuple(view.probed) == sample_two(ids, 0, reference)
+        assert pair == tuple(sorted(sample_two(ids, 0, reference)))
         assert list(reference.words) == []  # three draws took four words
         assert list(stream) == [7]
 
     def test_two_peers_skip_the_first_floyd_draw(self):
-        view = RecordingView(0.0, 0, [P(0, 1.0), P(1, 9.0), P(2, 8.0)])
+        view = StubView(0.0, 0, [P(0, 1.0), P(2, 8.0), P(1, 9.0)], ids=(0, 2, 1))
         # integers(0, 2) twice, as a power of two never redraws: both 0, so the
-        # repeat takes the last peer and the shuffle puts it first
+        # repeat takes the last peer; the shuffle's word is drawn, and id order kept
         stream = iter([0, 0, 7])
-        assert _sampler(stream.__next__)(view) == P(2, 8.0)
-        assert view.probed == [2, 1]
+        assert _sampler(stream.__next__)(view) == (1, 2)
         assert list(stream) == [7]
 
-    def test_a_single_peer_is_probed_without_a_draw(self):
-        view = RecordingView(0.0, 0, [P(0, 1.0), P(1, 9.0)])
-        assert _sampler(iter(()).__next__)(view) == P(1, 9.0)
-        assert view.probed == [1]
+    def test_a_single_peer_is_returned_without_a_draw(self):
+        view = StubView(0.0, 0, [P(0, 1.0), P(1, 9.0)])
+        assert _sampler(iter(()).__next__)(view) == (1,)
 
     def test_no_peer_is_an_error(self):
         view = StubView(0.0, 4, [P(4, 1.0)])
@@ -478,12 +546,12 @@ class TestBaselines:
     def test_greedy_tie_between_others_takes_the_lower_id_not_the_first(self):
         view = RecordingView(0.0, 0, [P(0, 5000.0), P(1, 3000.0), P(2, 3000.0)], ids=(0, 2, 1))
         assert GreedyScheduler().decide(sensitive(), view) == Assign(1)
-        assert sorted(view.probed) == [0, 1, 2]
+        assert [sorted(order) for order in view.scanned] == [[0, 1, 2]]
 
     def test_greedy_tie_with_an_earlier_lower_peer_takes_the_daemon(self):
         view = RecordingView(0.0, 2, [P(0, 3000.0), P(1, 4000.0), P(2, 3000.0)], ids=(0, 2, 1))
         assert GreedyScheduler().decide(make_task(daemon_id=2), view) == Assign(2)
-        assert sorted(view.probed) == [0, 1, 2]
+        assert [sorted(order) for order in view.scanned] == [[0, 1, 2]]
 
     def test_greedy_is_the_least_completion_then_daemon_then_id_key_in_any_order(self):
         # every tie pattern of four cloudlets, every daemon and every id order
@@ -495,7 +563,8 @@ class TestBaselines:
                     view = RecordingView(0.0, daemon, probes, ids=ids)
                     expected = Assign(min(ids, key=lambda c: (values[c], c != daemon, c)))
                     assert greedy.decide(make_task(daemon_id=daemon), view) == expected
-                    assert sorted(view.probed) == [0, 1, 2, 3]  # each probed once
+                    # one scan reads each cloudlet once
+                    assert [sorted(order) for order in view.scanned] == [[0, 1, 2, 3]]
 
     def test_two_choices_takes_the_better_sample(self):
         view = StubView(0.0, 0, [P(0, 1.0), P(1, 5000.0), P(2, 3000.0)])
