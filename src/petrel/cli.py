@@ -87,7 +87,7 @@ def write_records_csv(records, path) -> None:
                 turnaround, weighted, speedup = (fmt(r.turnaround), fmt(r.weighted_turnaround),
                                                  fmt(r.speedup))
             fh.write(
-                f"{r.task_id},{r.task_class.token},{r.daemon_id},"
+                f"{r.task_id},{r.task_class.value},{r.daemon_id},"
                 f"{'cloud' if r.executor is None else r.executor},"
                 f"{assign},{start},{fmt(r.completion_time)},{turnaround},"
                 f"{memo[r.service_time]},{weighted},{speedup},{r.delays_taken},"

@@ -220,7 +220,7 @@ def _plain(value):
     if isinstance(value, Benchmark):
         return {key: _plain(getattr(value, name)) for key, name, _ in _ENTRY_LAYOUT
                 if getattr(value, name) is not None}
-    return value.token if isinstance(value, TaskClass) else value
+    return value.value if isinstance(value, TaskClass) else value
 
 
 def to_mapping(config: EdgeCloudConfig) -> dict[str, Any]:

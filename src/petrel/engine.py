@@ -5,18 +5,19 @@ wake-ups, the only moments a decision is made.  One loop makes every
 decision: each turn takes the next arrival from the sorted trace, or the
 heap's earliest wake-up if it comes strictly before that arrival (so at
 an equal time the arrival goes first), asks the policy, and applies the
-decision in the same turn.  Each cloudlet keeps one
-ready time per VM in a min heap; committing a task pops the earliest
-VM, starts the task at ``max(now, ready)``, and pushes the ready time
-back.  A task's completion is fixed at commit, so completions are
-recorded, not queued as events.  Communication is charged to the task's
-completion, not to VM occupancy.
+decision in the same turn.  :class:`Simulation` owns every cloudlet's
+VM state: one ready time per VM in a min heap.  Committing a task
+replaces the earliest VM's ready time, starting the task at
+``max(now, ready)``.  A task's completion is fixed at commit, so
+completions are recorded, not queued as events.  Communication is
+charged to the task's completion, not to VM occupancy.
 
 Reads of cloudlets other than the task's daemon come from one run-wide
-commit log: commits come in time order across the run, so each decision
-folds the log once, up to its horizon ``max(now - probe_latency, 0)``
-(see :class:`ClusterView`), and such a read is a lookup.  At latency 0
-the horizon is ``now``, so the fold gives the live state.
+commit log: commits come in time order across the run, so the
+simulation folds the log once per decision, up to the horizon
+``max(now - probe_latency, 0)``, and such a read is a lookup.  At
+latency 0 the horizon is ``now``, so the fold gives the live state.
+:class:`ClusterView` only reads; the simulation commits and folds.
 
 Two runs with the same config, trace, policy, and seed produce
 bit-identical records.
@@ -66,48 +67,6 @@ class Event(NamedTuple):
     task_id: int
 
 
-class VmSchedule:
-    """Per-VM next-free timestamps for one cloudlet.
-
-    The earliest ready time is the heap head.  Each commit is also
-    appended to ``log``, the run's commit log that every cloudlet shares,
-    as ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``,
-    where ``stale`` is this cloudlet's per-VM ready times as stale probes
-    see them; :meth:`ClusterView._move` folds the entry into ``stale``
-    once the read horizon reaches its commit time.  Commits must come in
-    time order, on each cloudlet and through the log.
-    """
-
-    def __init__(self, vm_count: int, log: deque, cloudlet_id: int):
-        if vm_count < 1:
-            raise ValueError("vm_count must be >= 1")
-        self._heap: list[tuple[float, int]] = [(0.0, i) for i in range(vm_count)]
-        heapq.heapify(self._heap)
-        self._log = log
-        self._cloudlet_id = cloudlet_id
-        self._stale = [0.0] * vm_count
-        self._last_commit = -inf
-
-    def earliest_ready(self) -> float:
-        return self._heap[0][0]
-
-    def commit(self, now: float, exec_time: float) -> tuple[float, int]:
-        """Occupy the earliest-ready VM; returns (start, vm_index)."""
-        if now < self._last_commit:
-            raise ValueError(f"commit at {now} before the previous commit at {self._last_commit}")
-        log = self._log
-        if log and now < log[-1][0]:  # the fold stops at the first commit past the horizon
-            raise ValueError(f"commit at {now} before the previous commit at {log[-1][0]}"
-                             f" on cloudlet {log[-1][1]}")
-        self._last_commit = now
-        ready, vm_index = heapq.heappop(self._heap)
-        start = ready if ready > now else now
-        new_ready = start + exec_time
-        heapq.heappush(self._heap, (new_ready, vm_index))
-        log.append((now, self._cloudlet_id, self._stale, vm_index, new_ready))
-        return start, vm_index
-
-
 class TaskRecord(NamedTuple):
     """Final outcome of one task; the input to every metric."""
 
@@ -153,21 +112,22 @@ class ClusterView:
     three read methods: :meth:`probe` for one cloudlet's expected
     completion, :meth:`least_completion` for the first of several ids whose
     expected completion is least, and :meth:`daemon_completion_if_delayed`.
-    Reads of non-daemon cloudlets come from ``sim.stale_ready``: per
-    cloudlet, the least over its VMs of the last commit at or before the
-    horizon ``max(now - probe_latency, 0)``, else 0.0.  Moving the view
-    folds the commit log up to that horizon, which must not go back; at
-    latency 0 that is every commit so far, so these reads are live.  The
-    daemon always sees its own live state.  A run moves one view from
-    decision to decision, so a policy must not keep a view past ``decide``.
+    The daemon's ready time is its live heap head in ``sim.heaps``.  Reads
+    of non-daemon cloudlets come from ``sim.stale_ready``: per cloudlet,
+    the least over its VMs of the last commit at or before the horizon
+    ``max(now - probe_latency, 0)``, else 0.0.  Moving the view has the
+    simulation fold its commit log up to that horizon, which must not go
+    back; at latency 0 that is every commit so far, so these reads are
+    live.  A run moves one view from decision to decision, so a policy
+    must not keep a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "cloudlet_ids", "_sim", "_schedules", "_stale_ready", "_costs")
+    __slots__ = ("now", "daemon_id", "cloudlet_ids", "_sim", "_heaps", "_stale_ready", "_costs")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
         self._sim = sim
         self.cloudlet_ids: tuple[int, ...] = sim.topology.ids  # fixed for the run
-        self._schedules = sim.vm_schedules
+        self._heaps = sim.heaps
         self._stale_ready = sim.stale_ready
         self._move(task, now)
 
@@ -176,26 +136,12 @@ class ClusterView:
         self.daemon_id = task.daemon_id
         sim = self._sim
         self._costs = sim.topology.cost_row(task.daemon_id, task.profile)  # (exec, comm) per executor
-        log = sim.commit_log
-        horizon = now - sim.probe_latency
-        if horizon < 0.0:
-            horizon = 0.0
-        if horizon < sim.stale_horizon:
-            raise ValueError(
-                f"stale probes at {horizon} would read before the folded horizon {sim.stale_horizon}"
-            )
-        sim.stale_horizon = horizon
-        # the last commit per VM at or before the horizon wins
-        stale_ready = self._stale_ready
-        while log and log[0][0] <= horizon:
-            _, cloudlet_id, stale, vm_index, ready = log.popleft()
-            stale[vm_index] = ready
-            stale_ready[cloudlet_id] = min(stale)
+        sim._fold(now)
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
         now = self.now
         if cloudlet_id == self.daemon_id:
-            ready = self._schedules[cloudlet_id].earliest_ready()
+            ready = self._heaps[cloudlet_id][0][0]
         else:
             ready = self._stale_ready[cloudlet_id]
         exec_time, comm = self._costs[cloudlet_id]
@@ -205,12 +151,12 @@ class ClusterView:
     def least_completion(self, cloudlet_ids: Sequence[int]) -> int:
         """The first id in the non-empty ``cloudlet_ids`` whose expected completion,
         read as :meth:`probe` reads it, is least."""
-        now, daemon_id, schedules, costs = self.now, self.daemon_id, self._schedules, self._costs
+        now, daemon_id, heaps, costs = self.now, self.daemon_id, self._heaps, self._costs
         stale_ready = self._stale_ready
         best_id = best = None
         for cloudlet_id in cloudlet_ids:
             if cloudlet_id == daemon_id:
-                ready = schedules[cloudlet_id]._heap[0][0]  # earliest_ready(), inlined
+                ready = heaps[cloudlet_id][0][0]
             else:
                 ready = stale_ready[cloudlet_id]
             exec_time, comm = costs[cloudlet_id]
@@ -223,7 +169,7 @@ class ClusterView:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
         daemon_id = self.daemon_id
         earliest = self.now + delay
-        ready = self._schedules[daemon_id].earliest_ready()
+        ready = self._heaps[daemon_id][0][0]
         start = ready if ready > earliest else earliest
         exec_time, comm = self._costs[daemon_id]
         return start + exec_time + comm
@@ -232,7 +178,14 @@ class ClusterView:
 class Simulation:
     """One single-threaded simulation run over a fixed topology and policy.
 
-    A run leaves its commits in the VM schedules, so an instance runs once.
+    The simulation owns every cloudlet's VM state.  ``heaps[cid]`` is a
+    min heap of ``(ready, vm_index)``, one entry per VM.  :meth:`commit`
+    is the one writer of ``commit_log``, the run-wide log of
+    ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``, where
+    ``stale`` is the cloudlet's per-VM ready times as stale reads see
+    them.  :meth:`_fold` applies each entry once the read horizon reaches
+    its commit time.  A run leaves its commits behind, so an instance
+    runs once.
     """
 
     def __init__(
@@ -253,13 +206,49 @@ class Simulation:
         self.scheduler = scheduler
         self.max_delays = max_delays
         self.probe_latency = probe_latency
+        # heap order is VM order: (0.0, i) tuples are already a heap
+        self.heaps = {c.id: [(0.0, i) for i in range(c.vm_count)] for c in topology}
+        self._stale = {c.id: [0.0] * c.vm_count for c in topology}
+        self.stale_ready = dict.fromkeys(self.heaps, 0.0)
         self.commit_log: deque = deque()  # run-wide, folded per decision
-        self.vm_schedules: dict[int, VmSchedule] = {
-            c.id: VmSchedule(c.vm_count, self.commit_log, c.id) for c in topology
-        }
-        self.stale_ready = dict.fromkeys(self.vm_schedules, 0.0)
         self.stale_horizon = -inf  # the last horizon folded to
+        self.last_commit = -inf
         self._ran = False
+
+    def commit(self, cloudlet_id: int, now: float, exec_time: float) -> float:
+        """Occupy the cloudlet's earliest-ready VM for ``exec_time``; returns the start.
+
+        Commits must come in time order across the run: the fold stops at
+        the first logged commit past its horizon, and a folded commit is
+        gone from the log.
+        """
+        if now < self.last_commit:
+            raise ValueError(f"commit at {now} before the previous commit at {self.last_commit}")
+        heap = self.heaps[cloudlet_id]
+        self.last_commit = now
+        ready, vm_index = heap[0]
+        start = ready if ready > now else now
+        new_ready = start + exec_time
+        heapq.heapreplace(heap, (new_ready, vm_index))
+        self.commit_log.append((now, cloudlet_id, self._stale[cloudlet_id], vm_index, new_ready))
+        return start
+
+    def _fold(self, now: float) -> None:
+        """Apply every logged commit at or before the horizon ``max(now - probe_latency, 0)``."""
+        horizon = now - self.probe_latency
+        if horizon < 0.0:
+            horizon = 0.0
+        if horizon < self.stale_horizon:
+            raise ValueError(
+                f"stale probes at {horizon} would read before the folded horizon {self.stale_horizon}"
+            )
+        self.stale_horizon = horizon
+        # the last commit per VM at or before the horizon wins
+        log, stale_ready = self.commit_log, self.stale_ready
+        while log and log[0][0] <= horizon:
+            _, cloudlet_id, stale, vm_index, ready = log.popleft()
+            stale[vm_index] = ready
+            stale_ready[cloudlet_id] = min(stale)
 
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         if self._ran:
@@ -278,7 +267,7 @@ class Simulation:
         decide = self.scheduler.decide
         view = ClusterView(self, trace[0], 0.0) if trace else None  # moved per decision
         move = ClusterView._move
-        vm_schedules, get_cloudlet = self.vm_schedules, self.topology.get
+        commit, get_cloudlet = self.commit, self.topology.get
         heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
         tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
 
@@ -309,7 +298,7 @@ class Simulation:
                     raise SimulationError(
                         f"scheduler assigned task {task_id} to unknown cloudlet {executor_id}"
                     ) from None
-                start, _ = vm_schedules[executor_id].commit(now, service_time)
+                start = commit(executor_id, now, service_time)
             elif isinstance(decision, AssignCloud):
                 service_time, comm = cloud_times(profile, get_cloudlet(task.daemon_id).net)
                 start = now
@@ -366,7 +355,7 @@ class Simulation:
             if task.id in tasks:
                 raise SimulationError(f"duplicate task id {task.id} in trace")
             tasks[task.id] = task
-            if task.daemon_id not in self.vm_schedules:
+            if task.daemon_id not in self.heaps:
                 raise SimulationError(
                     f"task {task.id} names unknown daemon cloudlet {task.daemon_id}"
                 )

@@ -22,10 +22,6 @@ class TaskClass(Enum):
     LATENCY_SENSITIVE = "sensitive"
     LATENCY_TOLERANT = "tolerant"
 
-    @property
-    def token(self) -> str:
-        return self.value
-
     @classmethod
     def from_token(cls, token: str) -> "TaskClass":
         try:

@@ -229,7 +229,7 @@ def save_trace(trace: Sequence[Task], path) -> None:
             tail = tails.get(id(profile))
             if tail is None:
                 bound = profile.latency_bound
-                render((profile.benchmark, profile.task_class.token,
+                render((profile.benchmark, profile.task_class.value,
                         format_number(profile.base_service_time),
                         format_number(profile.mobile_exec_time),
                         format_number(profile.cloud_exec_time),

@@ -64,14 +64,22 @@ MUTANTS = (
            "            if cloudlet_id == daemon_id:\n",
            "            if cloudlet_id is None:\n",
            (ANY_ORDER, REPLAY)),
-    Mutant("_move ignores probe_latency", ENGINE,
-           "horizon = now - sim.probe_latency",
+    Mutant("the fold ignores probe_latency", ENGINE,
+           "horizon = now - self.probe_latency",
            "horizon = now",
            (E + "TestProbeStaleness::test_remote_probes_lag_behind_commits", REPLAY)),
     Mutant("the fold leaves out commits at the horizon", ENGINE,
            "while log and log[0][0] <= horizon:",
            "while log and log[0][0] < horizon:",
            (E + "TestProbeStaleness::test_stale_reads_see_older_state", LIVE_AT_ZERO)),
+    Mutant("a commit behind the last commit is accepted", ENGINE,
+           "if now < self.last_commit:",
+           "if False:",
+           (E + "TestStaleReadsMatchFullHistory::test_a_commit_behind_a_folded_commit_raises",)),
+    Mutant("the heap takes back the start, not the new ready time", ENGINE,
+           "heapq.heapreplace(heap, (new_ready, vm_index))",
+           "heapq.heapreplace(heap, (start, vm_index))",
+           (E + "TestVmSchedule::test_commit_occupies_the_earliest_vm", REPLAY)),
     Mutant("the pair comes back in draw order", SCHEDULERS,
            "return (a, b) if a < b else (b, a)",
            "return (a, b)",

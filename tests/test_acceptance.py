@@ -1,10 +1,11 @@
 """Acceptance checklist for the simulator.
 
-Eight criteria, one test each, run in order: completion-model
+Nine criteria, one test each, run in order: completion-model
 identities, decision-rule conformance, engine-vs-replay equivalence on
 random small instances, the weighted-turnaround and makespan orderings
 at the reference scale, the cloud-only calibration anchor, delay
-safety, and determinism plus sampling statistics.  Each test prints a
+safety, determinism plus sampling statistics, and the mean queue wait
+of single-VM cloudlets against Pollaczek-Khinchine.  Each test prints a
 status line straight to the terminal so a full run reads as a
 checklist even with output capture on.
 """
@@ -302,7 +303,7 @@ def test_criterion_7_delay_scheduling_safety(capsys):
                 for record in result.records:
                     assert record.delays_taken == audit.delay_counts.get(record.task_id, 0)
                     if record.delays_taken > 0:
-                        assert record.task_class.token == "tolerant"
+                        assert record.task_class.value == "tolerant"
                 delayed_at[lam] += sum(1 for r in result.records if r.delays_taken > 0)
         assert delayed_at[2.0] > 0
 
@@ -347,3 +348,39 @@ def test_criterion_8_determinism_and_statistics(tmp_path, capsys):
         assert abs(mean_gap - 1000.0) / 1000.0 < 0.01
 
     criterion(capsys, 8, "determinism and sampling statistics", 120.0, body)
+
+
+def test_criterion_9_mg1_mean_wait_matches_pollaczek_khinchine(capsys):
+    # Kleinrock, Queueing Systems, Vol. 1 (1975): an M/G/1 queue's mean wait is
+    # lam * E[S^2] / (2 (1 - rho)).  Daemon-only on single-VM cloudlets makes each
+    # cloudlet one: Poisson arrivals thinned by the uniform daemon draw, service from
+    # the catalog mix at speed 1, communication charged outside VM occupancy.
+    # The estimator is fixed: drop the first 10% of tasks, take 20 batch means of
+    # start - arrival per seed in task order, and a 99% t-interval over the 60 means.
+    def body():
+        config = EdgeCloudConfig(vm_count_range=(1, 1), arrival_rate=0.2, task_count=100_000)
+        weights = [b.weight for b in config.catalog]
+        services = [b.base_service_ms for b in config.catalog]
+        mean_s = sum(w * x for w, x in zip(weights, services)) / sum(weights)
+        mean_s2 = sum(w * x * x for w, x in zip(weights, services)) / sum(weights)
+        lam = config.arrival_rate / config.time_unit_ms / config.cloudlet_count  # per ms per cloudlet
+        rho = lam * mean_s
+        expected = lam * mean_s2 / (2 * (1 - rho))
+        assert (round(rho, 4), round(expected)) == (0.4928, 27_589)
+
+        batches, warmup = 20, config.task_count // 10
+        means = []
+        for seed in (1, 2, 3):
+            trace = generate_trace(config, derive_seed(seed, "trace"))
+            records = simulate(config, trace, "daemon-only", seed).records[warmup:]
+            size = len(records) // batches
+            for b in range(batches):
+                batch = records[b * size:(b + 1) * size]
+                means.append(sum(r.start_time - r.arrival_time for r in batch) / size)
+        mean = sum(means) / len(means)
+        sd = (sum((m - mean) ** 2 for m in means) / (len(means) - 1)) ** 0.5
+        half = 2.662 * sd / len(means) ** 0.5  # t at 0.995 with 59 degrees of freedom
+        assert mean - half <= expected <= mean + half, (
+            f"mean wait {mean:.0f} +- {half:.0f} ms misses P-K {expected:.0f} ms")
+
+    criterion(capsys, 9, "M/G/1 mean wait against Pollaczek-Khinchine", 60.0, body)

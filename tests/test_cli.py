@@ -158,7 +158,7 @@ def csv_writer_row(r):
         violated = "true" if r.bound_violated else "false"
     return [
         str(r.task_id),
-        r.task_class.token,
+        r.task_class.value,
         str(r.daemon_id),
         "cloud" if r.executor is None else str(r.executor),
         format_number(r.assign_time),

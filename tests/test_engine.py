@@ -1,7 +1,7 @@
 """Event loop behaviour: queueing, waits, delays, probe staleness."""
 
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 import itertools
 import math
@@ -22,7 +22,6 @@ from petrel.engine import (
     Simulation,
     SimulationError,
     TaskRecord,
-    VmSchedule,
     simulate,
 )
 from petrel.config import EdgeCloudConfig
@@ -68,53 +67,63 @@ def small_topology(vms=1, count=2, speed=1.0):
     )
 
 
-def vm_schedule(vm_count):
-    """One cloudlet's VMs, logging to a commit log of their own."""
-    return VmSchedule(vm_count, deque(), 0)
+def one_cloudlet(vm_count):
+    """A simulation of one cloudlet with ``vm_count`` VMs, for driving ``commit`` directly."""
+    return Simulation(make_topology(make_cloudlet(0, vm_count=vm_count)), DaemonOnlyScheduler())
+
+
+def commit(sim, now, exec_time, cloudlet_id=0):
+    """The start ``sim.commit`` returns, and the VM it took, read from the log entry it wrote."""
+    start = sim.commit(cloudlet_id, now, exec_time)
+    return start, sim.commit_log[-1][3]
+
+
+def earliest_ready(sim, cloudlet_id=0):
+    return sim.heaps[cloudlet_id][0][0]
 
 
 class TestVmSchedule:
+    """One cloudlet's VM heap, driven through ``Simulation.commit``."""
+
     def test_all_vms_start_idle(self):
-        vms = vm_schedule(3)
-        assert vms.earliest_ready() == 0.0
-        assert sorted(vms.commit(0.0, 100.0) for _ in range(3)) == [(0.0, 0), (0.0, 1), (0.0, 2)]
+        sim = one_cloudlet(3)
+        assert earliest_ready(sim) == 0.0
+        assert sorted(commit(sim, 0.0, 100.0) for _ in range(3)) == [(0.0, 0), (0.0, 1), (0.0, 2)]
 
     def test_commit_occupies_the_earliest_vm(self):
-        vms = vm_schedule(1)
-        start, index = vms.commit(0.0, 800.0)
+        sim = one_cloudlet(1)
+        start, index = commit(sim, 0.0, 800.0)
         assert (start, index) == (0.0, 0)
-        start, _ = vms.commit(0.0, 500.0)
-        assert start == 800.0
-        assert vms.earliest_ready() == 1300.0
-        assert vms.commit(0.0, 1.0) == (1300.0, 0)
+        assert sim.commit(0, 0.0, 500.0) == 800.0
+        assert earliest_ready(sim) == 1300.0
+        assert commit(sim, 0.0, 1.0) == (1300.0, 0)
 
     def test_commit_spreads_over_idle_vms(self):
-        vms = vm_schedule(2)
-        vms.commit(0.0, 1000.0)
-        start, index = vms.commit(0.0, 1000.0)
+        sim = one_cloudlet(2)
+        sim.commit(0, 0.0, 1000.0)
+        start, index = commit(sim, 0.0, 1000.0)
         assert start == 0.0
         assert index == 1
-        assert vms.earliest_ready() == 1000.0
-        assert sorted(vms.commit(0.0, 1.0) for _ in range(2)) == [(1000.0, 0), (1000.0, 1)]
+        assert earliest_ready(sim) == 1000.0
+        assert sorted(commit(sim, 0.0, 1.0) for _ in range(2)) == [(1000.0, 0), (1000.0, 1)]
 
     def test_late_commit_starts_at_now(self):
-        vms = vm_schedule(1)
-        start, _ = vms.commit(700.0, 100.0)
-        assert start == 700.0
-        assert vms.earliest_ready() == 800.0
-        assert vms.commit(700.0, 1.0) == (800.0, 0)
+        sim = one_cloudlet(1)
+        assert sim.commit(0, 700.0, 100.0) == 700.0
+        assert earliest_ready(sim) == 800.0
+        assert commit(sim, 700.0, 1.0) == (800.0, 0)
 
     def test_start_follows_the_clock(self):
-        vms = vm_schedule(1)
-        vms.commit(0.0, 400.0)
-        assert vms.commit(399.0, 1.0) == (400.0, 0)  # still busy at 399
-        vms = vm_schedule(1)
-        vms.commit(0.0, 400.0)
-        assert vms.commit(400.0, 1.0) == (400.0, 0)  # idle again at 400
+        sim = one_cloudlet(1)
+        sim.commit(0, 0.0, 400.0)
+        assert commit(sim, 399.0, 1.0) == (400.0, 0)  # still busy at 399
+        sim = one_cloudlet(1)
+        sim.commit(0, 0.0, 400.0)
+        assert commit(sim, 400.0, 1.0) == (400.0, 0)  # idle again at 400
 
     def test_a_commit_at_the_ready_instant_starts_at_now(self):
         # on a tie the start is ``now`` itself, as ``max(now, ready)`` gives: -0.0 == 0.0
-        start, _ = vm_schedule(1).commit(-0.0, 1.0)
+        start = one_cloudlet(1).commit(0, -0.0, 1.0)
         assert math.copysign(1.0, start) == -1.0
 
 
@@ -126,7 +135,7 @@ class TestProbeAndCommitHelpers:
         node = make_cloudlet(0, vm_count=vm_count, net=zero_data_net(daemon_rtt=daemon_rtt))
         sim = Simulation(make_topology(node), DaemonOnlyScheduler())
         for exec_time in busy_until:
-            sim.vm_schedules[0].commit(0.0, exec_time)
+            sim.commit(0, 0.0, exec_time)
         return sim
 
     def test_probe_is_a_duration_from_now(self):
@@ -157,8 +166,8 @@ class TestProbeAndCommitHelpers:
         sim = Simulation(topo, Scripted([Assign(0)]))
         record = sim.run([task]).records[0]
         assert (record.start_time, record.completion_time) == (800.0, 1310.0)
-        assert sim.vm_schedules[0].earliest_ready() == 1300.0
-        assert sim.vm_schedules[0].commit(800.0, 1.0) == (1300.0, 0)
+        assert earliest_ready(sim) == 1300.0
+        assert commit(sim, 800.0, 1.0) == (1300.0, 0)
 
     def test_remote_commit_charges_the_pair_rtt(self):
         net = zero_data_net(daemon_rtt=10.0, remote_rtt=60.0)
@@ -484,7 +493,7 @@ class TestTraceValidation:
         with pytest.raises(SimulationError) as caught:
             sim.run(trace)
         assert str(caught.value) == "scheduler assigned task 3 to unknown cloudlet 99"
-        assert [s.earliest_ready() for s in sim.vm_schedules.values()] == [0.0, 0.0]
+        assert [earliest_ready(sim, c) for c in sim.heaps] == [0.0, 0.0]
         assert not sim.commit_log
 
     @pytest.mark.parametrize("latency", [0.0, 125.0])
@@ -501,7 +510,7 @@ class TestTraceValidation:
         with pytest.raises(SimulationError) as caught:
             sim.run(trace)
         assert str(caught.value) == f"scheduler returned unknown decision {decision!r}"
-        assert [s.earliest_ready() for s in sim.vm_schedules.values()] == [0.0, 0.0]
+        assert [earliest_ready(sim, c) for c in sim.heaps] == [0.0, 0.0]
         assert not sim.commit_log
 
     @pytest.mark.parametrize("new_scheduler", [DaemonOnlyScheduler,
@@ -554,24 +563,24 @@ class TestProbeStaleness:
 
     def test_stale_reads_see_older_state(self):
         sim = self._sim(1000.0)
-        sim.vm_schedules[1].commit(600.0, 5000.0)
-        assert sim.vm_schedules[1].earliest_ready() == 5600.0
+        sim.commit(1, 600.0, 5000.0)
+        assert earliest_ready(sim, 1) == 5600.0
         assert stale_ready_at(sim, 1599.0)[1] == 0.0
         assert stale_ready_at(sim, 1600.0)[1] == 5600.0  # a commit at the horizon is visible
         assert stale_ready_at(sim, 11_000.0)[1] == 5600.0
 
     def test_stale_reads_take_the_min_across_vms(self):
         sim = self._sim(1000.0, vms=2)
-        sim.vm_schedules[1].commit(100.0, 1000.0)
-        sim.vm_schedules[1].commit(200.0, 2000.0)
+        sim.commit(1, 100.0, 1000.0)
+        sim.commit(1, 200.0, 2000.0)
         assert stale_ready_at(sim, 1150.0)[1] == 0.0
         assert stale_ready_at(sim, 1250.0)[1] == 1100.0
 
     def test_cloudlets_share_one_log_folded_per_decision(self):
         sim = self._sim(1000.0, vms=1, count=3)
-        sim.vm_schedules[2].commit(100.0, 900.0)
-        sim.vm_schedules[1].commit(200.0, 800.0)
-        sim.vm_schedules[2].commit(300.0, 700.0)
+        sim.commit(2, 100.0, 900.0)
+        sim.commit(1, 200.0, 800.0)
+        sim.commit(2, 300.0, 700.0)
         assert [entry[:2] for entry in sim.commit_log] == [(100.0, 2), (200.0, 1), (300.0, 2)]
         assert stale_ready_at(sim, 1250.0) == {0: 0.0, 1: 1000.0, 2: 1000.0}
         assert [entry[:2] for entry in sim.commit_log] == [(300.0, 2)]
@@ -591,7 +600,7 @@ class TestProbeStaleness:
             daemon = topo.get(cloudlet_id)
             live = {}
             for executor in topo:
-                ready = sim.vm_schedules[executor.id].earliest_ready()
+                ready = earliest_ready(sim, executor.id)
                 exec_cost, comm = placement_times(task.profile, daemon, executor)
                 live[executor.id] = (executor.id, max(now, ready) + exec_cost + comm, ready <= now)
                 assert view.probe(executor.id) == live[executor.id]
@@ -600,19 +609,19 @@ class TestProbeStaleness:
                     done = [live[c][1] for c in order]
                     assert view.least_completion(order) == order[done.index(min(done))]
             if commit:
-                sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+                sim.commit(cloudlet_id, now, exec_time)
 
     def test_a_commit_at_zero_is_visible_inside_the_first_latency(self):
         # the horizon is max(now - latency, 0): 0 here, not -75, so the commit at 0 shows
         sim = self._sim(125.0)
-        sim.vm_schedules[1].commit(0.0, 5000.0)
+        sim.commit(1, 0.0, 5000.0)
         probe = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=50.0).probe(1)
         assert not probe.has_idle_vm
         assert probe.expected_completion == 5000.0 + 1000.0 + 70.0
 
     def test_a_backwards_horizon_raises(self):
         sim = self._sim(50.0)
-        sim.vm_schedules[1].commit(100.0, 500.0)
+        sim.commit(1, 100.0, 500.0)
         assert stale_ready_at(sim, 150.0)[1] == 600.0
         assert stale_ready_at(sim, 150.0)[1] == 600.0  # ties are fine
         with pytest.raises(ValueError, match="^stale probes at 99.0 would read before"
@@ -621,7 +630,7 @@ class TestProbeStaleness:
 
     def test_remote_probes_lag_behind_commits(self):
         sim = self._sim(1500.0)
-        sim.vm_schedules[1].commit(600.0, 5000.0)
+        sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
         view = ClusterView(sim, task, now=1000.0)
         probe = view.probe(1)
@@ -630,7 +639,7 @@ class TestProbeStaleness:
 
     def test_remote_probes_catch_up_once_the_lag_passes(self):
         sim = self._sim(1500.0)
-        sim.vm_schedules[1].commit(600.0, 5000.0)
+        sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
         probe = ClusterView(sim, task, now=2200.0).probe(1)
         assert not probe.has_idle_vm
@@ -638,7 +647,7 @@ class TestProbeStaleness:
 
     def test_daemon_probes_are_always_live(self):
         sim = self._sim(1500.0)
-        sim.vm_schedules[0].commit(600.0, 5000.0)
+        sim.commit(0, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
         probe = ClusterView(sim, task, now=1000.0).probe(0)
         assert not probe.has_idle_vm
@@ -646,14 +655,14 @@ class TestProbeStaleness:
 
     def test_zero_latency_means_fresh_probes_everywhere(self):
         sim = self._sim(0.0)
-        sim.vm_schedules[1].commit(600.0, 5000.0)
+        sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
         probe = ClusterView(sim, task, now=1000.0).probe(1)
         assert not probe.has_idle_vm
 
     def test_delayed_daemon_projection_uses_live_state(self):
         sim = self._sim(1500.0)
-        sim.vm_schedules[0].commit(600.0, 5000.0)
+        sim.commit(0, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
         view = ClusterView(sim, task, now=1000.0)
         assert view.daemon_completion_if_delayed(400.0) == 5600.0 + 1000.0 + 10.0
@@ -719,7 +728,7 @@ class TestPhysicalInvariants:
             assert r.completion_time > r.start_time
             assert r.turnaround == r.completion_time - r.arrival_time
             assert r.speedup == pytest.approx(5000.0 / r.turnaround)
-            if r.delays_taken == 0 and r.task_class.token == "sensitive":
+            if r.delays_taken == 0 and r.task_class.value == "sensitive":
                 assert r.assign_time == r.arrival_time
 
 
@@ -866,7 +875,7 @@ class TestStaleReadsMatchFullHistory:
 
     @staticmethod
     def _commit(sim, refs, cloudlet_id, now, exec_time):
-        start, vm_index = sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+        start, vm_index = commit(sim, now, exec_time, cloudlet_id)
         refs[cloudlet_id].commit(now, vm_index, start + exec_time)
 
     @staticmethod
@@ -906,19 +915,31 @@ class TestStaleReadsMatchFullHistory:
                 self._commit(sim, refs, cloudlet_id, now, exec_time)
 
     def test_a_backwards_commit_raises(self):
-        vms = vm_schedule(2)
-        vms.commit(100.0, 500.0)
+        sim = one_cloudlet(2)
+        sim.commit(0, 100.0, 500.0)
         with pytest.raises(ValueError):
-            vms.commit(99.0, 500.0)
+            sim.commit(0, 99.0, 500.0)
 
     def test_a_commit_behind_another_cloudlets_logged_commit_raises(self):
         sim = Simulation(small_topology(count=3), DaemonOnlyScheduler(), probe_latency=100.0)
-        sim.vm_schedules[1].commit(200.0, 500.0)
+        sim.commit(1, 200.0, 500.0)
         with pytest.raises(ValueError, match="^commit at 100.0 before the previous commit"
-                                             " at 200.0 on cloudlet 1$"):
-            sim.vm_schedules[2].commit(100.0, 500.0)
-        assert sim.vm_schedules[2].earliest_ready() == 0.0
+                                             " at 200.0$"):
+            sim.commit(2, 100.0, 500.0)
+        assert earliest_ready(sim, 2) == 0.0
         assert stale_ready_at(sim, 300.0) == {0: 0.0, 1: 700.0, 2: 0.0}
+
+    def test_a_commit_behind_a_folded_commit_raises(self):
+        # the fold empties the log, so only a run-wide last commit still sees the one at 200
+        sim = Simulation(small_topology(count=3), DaemonOnlyScheduler(), probe_latency=100.0)
+        sim.commit(1, 200.0, 500.0)
+        assert stale_ready_at(sim, 400.0) == {0: 0.0, 1: 700.0, 2: 0.0}
+        assert not sim.commit_log
+        with pytest.raises(ValueError, match="^commit at 150.0 before the previous commit"
+                                             " at 200.0$"):
+            sim.commit(2, 150.0, 500.0)
+        assert earliest_ready(sim, 2) == 0.0
+        assert stale_ready_at(sim, 400.0) == {0: 0.0, 1: 700.0, 2: 0.0}
 
 
 speed_factors = st.floats(0.25, 4.0, allow_nan=False)
@@ -969,14 +990,14 @@ class TestProbeMatchesTheModel:
         now = 0.0
         for cloudlet_id, step, exec_time in loads:
             now += step
-            start, vm_index = sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+            start, vm_index = commit(sim, now, exec_time, cloudlet_id)
             refs[cloudlet_id].commit(now, vm_index, start + exec_time)
         now += lag
         view = ClusterView(sim, task, now)
         daemon = topo.get(task.daemon_id)
         for executor in topo:
             if executor.id == daemon.id or latency <= 0:
-                ready = sim.vm_schedules[executor.id].earliest_ready()
+                ready = earliest_ready(sim, executor.id)
             else:
                 ready = refs[executor.id].asof(max(0.0, now - latency))
             exec_time, comm = placement_times(task.profile, daemon, executor)
@@ -984,7 +1005,7 @@ class TestProbeMatchesTheModel:
             assert probe.expected_completion == max(now, ready) + exec_time + comm
             assert probe.has_idle_vm == (ready <= now)
         exec_time, comm = placement_times(task.profile, daemon, daemon)
-        ready = sim.vm_schedules[daemon.id].earliest_ready()
+        ready = earliest_ready(sim, daemon.id)
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
 
     def test_an_all_infinite_scan_returns_its_first_id(self):
@@ -1002,7 +1023,7 @@ class TestProbeMatchesTheModel:
         now = 0.0
         for cloudlet_id, step, exec_time in loads:
             now += step
-            sim.vm_schedules[cloudlet_id].commit(now, exec_time)
+            sim.commit(cloudlet_id, now, exec_time)
         view = ClusterView(sim, task, now + lag)
         for size in range(1, len(topo) + 1):
             for order in itertools.permutations(topo.ids, size):

@@ -362,7 +362,7 @@ def csv_writer_trace(trace):
     for t in trace:
         p = t.profile
         writer.writerow([
-            t.id, format_number(t.arrival_time), t.daemon_id, p.benchmark, p.task_class.token,
+            t.id, format_number(t.arrival_time), t.daemon_id, p.benchmark, p.task_class.value,
             format_number(p.base_service_time), format_number(p.mobile_exec_time),
             format_number(p.cloud_exec_time), format_number(p.data_volume),
             "" if p.latency_bound is None else format_number(p.latency_bound),
