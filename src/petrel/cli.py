@@ -14,9 +14,9 @@ import csv
 import gc
 import json
 import os
-import statistics
 import sys
 from dataclasses import dataclass
+from math import fsum, isqrt
 
 from .config import ConfigError, EdgeCloudConfig, build_topology, load_config
 from .engine import SimulationError, simulate
@@ -136,9 +136,24 @@ class ComparisonReport:
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
+    """Mean and sample standard deviation, each correctly rounded, so that every
+    Python gives the same bits; the deviation is what ``statistics.stdev`` gives
+    from 3.11 on."""
+    n = len(values)
+    if n < 2:
+        return fsum(values) / n, 0.0
+    # as integer multiples of their least power-of-two step, the values have the
+    # exact sample variance p / q; its root is taken to at least 55 bits and
+    # rounded to odd (a sticky last bit), so rounding that once to a float is correct
+    ratios = [v.as_integer_ratio() for v in values]
+    step = max(d for _, d in ratios)
+    units = [m * (step // d) for m, d in ratios]
+    p, q = n * sum(u * u for u in units) - sum(units) ** 2, n * (n - 1) * step * step
+    shift = (p.bit_length() - q.bit_length() - 109) // 2
+    p, q = (p, q << 2 * shift) if shift >= 0 else (p << -2 * shift, q)
+    root = isqrt(p // q)
+    root |= root * root * q != p
+    return fsum(values) / n, float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,

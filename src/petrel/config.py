@@ -119,7 +119,10 @@ class EdgeCloudConfig:
         tolerant = [b.base_service_ms for b in self.catalog
                     if b.task_class is TaskClass.LATENCY_TOLERANT]
         pool = tolerant or [b.base_service_ms for b in self.catalog]
-        return sum(pool) / len(pool) / 40.0
+        total = 0.0
+        for value in pool:  # left to right: sum() of floats is compensated from Python 3.12
+            total += value
+        return total / len(pool) / 40.0
 
     def override(self, **changes) -> "EdgeCloudConfig":
         return replace(self, **changes)
@@ -314,6 +317,9 @@ def load_config(path) -> EdgeCloudConfig:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
+                          f" ({exc.reason})") from None
     return from_mapping(data)
 
 

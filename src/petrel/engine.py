@@ -13,9 +13,10 @@ completions are recorded, not queued as events.  Communication is
 charged to the task's completion, not to VM occupancy.
 
 Reads of cloudlets other than the task's daemon come from one run-wide
-commit log: commits come in time order across the run, so the
-simulation folds the log once per decision, up to the horizon
-``max(now - probe_latency, 0)``, and such a read is a lookup.  At
+commit log: commits come in time order across the run, so before a
+decision the simulation folds the log up to the horizon
+``max(now - probe_latency, 0)``, once a logged commit has reached it,
+and such a read is a lookup.  At
 latency 0 the horizon is ``now``, so the fold gives the live state.
 :class:`ClusterView` only reads; the simulation commits and folds.
 
@@ -31,12 +32,13 @@ from dataclasses import dataclass
 from math import inf, isfinite
 from typing import NamedTuple, Sequence
 
-from .model import EdgeCloud, Task, TaskClass, cloud_times, speedup
+from .model import EdgeCloud, Task, TaskClass, speedup
 from .schedulers import (
     Assign,
     AssignCloud,
     Delay,
     ProbeResult,
+    SAMPLING_SCHEDULERS,
     SchedulingDecision,
     make_scheduler,
 )
@@ -115,26 +117,21 @@ class ClusterView:
     The daemon's ready time is its live heap head in ``sim.heaps``.  Reads
     of non-daemon cloudlets come from ``sim.stale_ready``: per cloudlet,
     the least over its VMs of the last commit at or before the horizon
-    ``max(now - probe_latency, 0)``, else 0.0.  Moving the view has the
+    ``max(now - probe_latency, 0)``, else 0.0.  Building a view has the
     simulation fold its commit log up to that horizon, which must not go
     back; at latency 0 that is every commit so far, so these reads are
-    live.  A run moves one view from decision to decision, so a policy
-    must not keep a view past ``decide``.
+    live.  A run builds one view and positions it at each decision
+    itself, so a policy must not keep a view past ``decide``.
     """
 
-    __slots__ = ("now", "daemon_id", "cloudlet_ids", "_sim", "_heaps", "_stale_ready", "_costs")
+    __slots__ = ("now", "daemon_id", "cloudlet_ids", "_heaps", "_stale_ready", "_costs")
 
     def __init__(self, sim: "Simulation", task: Task, now: float):
-        self._sim = sim
         self.cloudlet_ids: tuple[int, ...] = sim.topology.ids  # fixed for the run
         self._heaps = sim.heaps
         self._stale_ready = sim.stale_ready
-        self._move(task, now)
-
-    def _move(self, task: Task, now: float) -> None:
         self.now = now
         self.daemon_id = task.daemon_id
-        sim = self._sim
         self._costs = sim.topology.cost_row(task.daemon_id, task.profile)  # (exec, comm) per executor
         sim._fold(now)
 
@@ -265,9 +262,9 @@ class Simulation:
         sequence = count = len(trace)
         arrived = 0
         decide = self.scheduler.decide
-        view = ClusterView(self, trace[0], 0.0) if trace else None  # moved per decision
-        move = ClusterView._move
-        commit, get_cloudlet = self.commit, self.topology.get
+        view = ClusterView(self, trace[0], 0.0) if trace else None  # positioned per decision
+        log, fold, latency = self.commit_log, self._fold, self.probe_latency
+        commit, cost_row = self.commit, self.topology.cost_row
         heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
         tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
 
@@ -284,23 +281,29 @@ class Simulation:
             else:
                 break
             now = event.time
-            task_id = task.id
+            task_id, arrival, daemon_id, profile = task
             events.append(event)
-            move(view, task, now)
+            # what the view's constructor does, with the fold skipped while
+            # no logged commit has reached the horizon and it has not gone back
+            view.now = now
+            view.daemon_id = daemon_id
+            view._costs = costs = cost_row(daemon_id, profile)
+            horizon = now - latency if now > latency else 0.0
+            if log and log[0][0] <= horizon or horizon < self.stale_horizon:
+                fold(now)
             decision = decide(task, view)
             decisions.append(new(DecisionEntry, (now, task_id, decision)))
-            profile = task.profile
             if isinstance(decision, Assign):
                 executor_id = decision.cloudlet_id
                 try:
-                    service_time, comm = view._costs[executor_id]
+                    service_time, comm = costs[executor_id]
                 except KeyError:
                     raise SimulationError(
                         f"scheduler assigned task {task_id} to unknown cloudlet {executor_id}"
                     ) from None
                 start = commit(executor_id, now, service_time)
             elif isinstance(decision, AssignCloud):
-                service_time, comm = cloud_times(profile, get_cloudlet(task.daemon_id).net)
+                service_time, comm = costs.cloud
                 start = now
                 executor_id = None
             elif isinstance(decision, Delay):
@@ -323,19 +326,19 @@ class Simulation:
             completion = start + service_time + comm
             if not isfinite(completion):
                 raise SimulationError(f"task {task_id}: completion time overflows the float range"
-                                      f" (arrival {task.arrival_time!r} ms)")
-            turnaround = completion - task.arrival_time
+                                      f" (arrival {arrival!r} ms)")
+            turnaround = completion - arrival
             try:
                 gain = speedup(task, turnaround)
             except ValueError:  # the service is below half a float step of the arrival
                 raise SimulationError(
-                    f"task {task_id}: turnaround rounds to 0 at arrival {task.arrival_time!r} ms;"
+                    f"task {task_id}: turnaround rounds to 0 at arrival {arrival!r} ms;"
                     " arrival times this large cannot resolve the task's service time") from None
             violated = None
             if profile.task_class is tolerant:
                 violated = turnaround > profile.latency_bound
             records[task_id] = new(TaskRecord, (
-                task_id, profile.task_class, task.daemon_id, executor_id, task.arrival_time,
+                task_id, profile.task_class, daemon_id, executor_id, arrival,
                 now, start, completion, turnaround, service_time,
                 gain, delays_taken[task_id], violated,
             ))
@@ -376,9 +379,10 @@ def simulate(config, trace: Sequence[Task], scheduler, seed: int,
     if topology is None:
         topology = build_topology(config, seed=seed)
     if isinstance(scheduler, str):
+        # the other policies draw nothing, so only a sampling policy gets a stream
         scheduler = make_scheduler(
             scheduler,
-            rng=new_rng(seed, "policy"),
+            rng=new_rng(seed, "policy") if scheduler in SAMPLING_SCHEDULERS else None,
             delay_quantum=config.resolve_delay_quantum(),
         )
     sim = Simulation(

@@ -1,9 +1,10 @@
 """Evaluation metrics over finished runs.
 
-All functions are pure and permutation-invariant over the record list.
-The weighted turnaround of a task divides its turnaround by the
-execution time on the platform that actually ran it, so 1.0 is the
-floor: a task served instantly with no waiting and no transfer.
+:func:`summarize` is pure and, up to the rounding of its sums,
+permutation-invariant over the record list.  The weighted turnaround
+of a task divides its turnaround by the execution time on the platform
+that actually ran it, so 1.0 is the floor: a task served instantly
+with no waiting and no transfer.
 """
 
 from __future__ import annotations
@@ -33,59 +34,42 @@ class RunSummary:
             raise ValueError("makespan ordering violated: min <= avg <= max")
 
 
-def awt(records: Sequence[TaskRecord]) -> float:
-    """Mean weighted turnaround (turnaround / service time)."""
-    if not records:
-        raise ValueError("awt of an empty record list")
-    total = 0.0
-    for r in records:
-        if r.service_time <= 0:
-            raise ValueError(f"task {r.task_id} has non-positive service time")
-        total += r.weighted_turnaround
-    return total / len(records)
-
-
-def average_speedup(records: Sequence[TaskRecord]) -> float:
-    if not records:
-        raise ValueError("average speedup of an empty record list")
-    return sum(r.speedup for r in records) / len(records)
-
-
-def makespans(
-    records: Sequence[TaskRecord], topology: EdgeCloud
-) -> tuple[float, float, float, dict[int, float]]:
-    """(min, max, avg, per-cloudlet) time of last completion per cloudlet.
-
-    Every cloudlet in the topology contributes, idle ones as 0.  Tasks
-    run on the cloud have no cloudlet and are left out here (they still
-    count toward awt and speedup).
-    """
+def summarize(records: Sequence[TaskRecord], topology: EdgeCloud) -> RunSummary:
+    """Roll one run's records up into a RunSummary in one pass, adding left to right
+    so that every Python gives the same bits.  Every cloudlet's last completion is
+    a makespan, an idle one's 0; tasks run on the cloud count toward awt and speedup only."""
     per: dict[int, float] = dict.fromkeys(topology.ids, 0.0)
     if not per:
         raise ValueError("makespans over an empty cloudlet set")
-    for r in records:
-        cid = r.executor
-        if cid is None:
-            continue
-        if cid not in per:
-            raise ValueError(f"task {r.task_id} ran on unknown cloudlet {cid}")
-        if r.completion_time > per[cid]:
-            per[cid] = r.completion_time
-    values = list(per.values())
-    return min(values), max(values), sum(values) / len(values), per
-
-
-def summarize(records: Sequence[TaskRecord], topology: EdgeCloud) -> RunSummary:
-    """Roll one run's records up into a RunSummary."""
-    mk_min, mk_max, mk_avg, per = makespans(records, topology)
-    violations = sum(1 for r in records if r.bound_violated is True)
+    if not records:
+        raise ValueError("awt of an empty record list")
+    weighted = gains = 0.0
+    violations = 0
+    for (task_id, _, _, cid, _, _, _, completion, turnaround, service, gain, _,
+         violated) in records:
+        if cid is not None:
+            last = per.get(cid)
+            if last is None:
+                raise ValueError(f"task {task_id} ran on unknown cloudlet {cid}")
+            if completion > last:
+                per[cid] = completion
+        if service <= 0:
+            raise ValueError(f"task {task_id} has non-positive service time")
+        weighted += turnaround / service
+        gains += gain
+        if violated is True:
+            violations += 1
+    total = 0.0
+    for makespan in per.values():
+        total += makespan
+    count = len(records)
     return RunSummary(
-        task_count=len(records),
-        awt=awt(records),
-        avg_speedup=average_speedup(records),
-        makespan_min=mk_min,
-        makespan_max=mk_max,
-        makespan_avg=mk_avg,
+        task_count=count,
+        awt=weighted / count,
+        avg_speedup=gains / count,
+        makespan_min=min(per.values()),
+        makespan_max=max(per.values()),
+        makespan_avg=total / len(per),
         bound_violations=violations,
         per_cloudlet_makespan=per,
     )

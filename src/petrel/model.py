@@ -211,7 +211,8 @@ class EdgeCloud:
             raise KeyError(f"unknown cloudlet id {cloudlet_id}") from None
 
     def cost_row(self, daemon_id: int, profile: Profile) -> _CostRow:
-        """executor_id -> :func:`placement_times` of ``profile`` placed from ``daemon_id``."""
+        """executor_id -> :func:`placement_times` of ``profile`` placed from ``daemon_id``,
+        and the cloud's price as ``.cloud``."""
         row = self._costs.get((daemon_id, id(profile)))
         if row is None:
             row = self._costs[daemon_id, id(profile)] = _CostRow(self._by_id, daemon_id, profile)
@@ -242,16 +243,19 @@ def placement_times(profile: Profile, daemon: Cloudlet, executor: Cloudlet) -> t
 class _CostRow(dict):
     """executor_id -> ``(exec, comm)`` of one profile from one daemon, filled on first use.
 
+    ``cloud`` is :func:`cloud_times` of the profile over the daemon's net,
+    kept beside the entries, not under a key, so no executor id reaches it.
     The row holds its profile, so the profile's id, which keys the row,
     is not reused while the row lives.  A missing redirect RTT raises at
     every use and is not cached; an unknown executor raises ``KeyError``.
     """
 
-    __slots__ = ("_by_id", "_daemon", "_profile")
+    __slots__ = ("_by_id", "_daemon", "_profile", "cloud")
 
     def __init__(self, by_id: dict[int, Cloudlet], daemon_id: int, profile: Profile):
         super().__init__()
         self._by_id, self._daemon, self._profile = by_id, by_id[daemon_id], profile
+        self.cloud = cloud_times(profile, self._daemon.net)
 
     def __missing__(self, executor_id: int) -> tuple[float, float]:
         times = self[executor_id] = placement_times(self._profile, self._daemon,

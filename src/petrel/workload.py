@@ -256,7 +256,8 @@ def _parse_field(row_num: int, name: str, raw: str, kind=float):
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
-    Errors carry the offending line number and field name.  Rows that
+    Errors carry the offending line number and field name; a file that is
+    not UTF-8, or a field over csv's size limit, is named too.  Rows that
     spell a profile alike share one :class:`Profile`, keyed on its seven
     raw fields.
     """
@@ -267,58 +268,66 @@ def load_trace(path) -> list[Task]:
     width = len(TRACE_COLUMNS)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TraceFormatError("line 1: empty trace file (missing header)")
-        if tuple(header) != TRACE_COLUMNS:
-            raise TraceFormatError(f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            # each field is checked once, in column order, and the first fault
-            # raises; the profile columns are checked only for a new spelling
-            if len(row) != width:
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise TraceFormatError("line 1: empty trace file (missing header)")
+            if tuple(header) != TRACE_COLUMNS:
                 raise TraceFormatError(
-                    f"line {row_num}: expected {width} fields, got {len(row)}")
-            task_id = _parse_field(row_num, "task_id", row[0], int)
-            if task_id in seen_ids:
-                raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
-            arrival = _parse_field(row_num, "arrival_ms", row[1])
-            if arrival < last_arrival:
-                raise TraceFormatError(
-                    f"line {row_num}: field 'arrival_ms' goes backwards ({arrival} < {last_arrival})")
-            daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
-            key = tuple(row[3:])
-            profile = profiles.get(key)
-            if profile is None:
-                name, token, *times, data, bound = key
-                try:
-                    task_class = TaskClass.from_token(token)
-                except ValueError:
-                    raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
-                                           f" or 'tolerant', got {token!r}") from None
-                values = []
-                for field, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), times):
-                    value = _parse_field(row_num, field, raw)
-                    if value <= 0:
-                        raise TraceFormatError(
-                            f"line {row_num}: field {field!r} must be > 0, got {raw}")
-                    values.append(value)
-                data_bytes = _parse_field(row_num, "data_bytes", data)
-                if data_bytes < 0:
+                    f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                # each field is checked once, in column order, and the first fault
+                # raises; the profile columns are checked only for a new spelling
+                if len(row) != width:
                     raise TraceFormatError(
-                        f"line {row_num}: field 'data_bytes' must be >= 0, got {data}")
-                values.append(data_bytes)
-                values.append(None if bound == "" else _parse_field(row_num, "bound_ms", bound))
-            # after the field checks, the task's own: its arrival, then a new profile
-            if arrival < 0:
-                raise TraceFormatError(f"line {row_num}: task {task_id}: arrival_time must be >= 0")
-            if profile is None:
-                try:
-                    profile = profiles[key] = Profile(name, task_class, *values)
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
-            seen_ids.add(task_id)
-            last_arrival = arrival
-            tasks.append(Task(task_id, arrival, daemon_id, profile))
+                        f"line {row_num}: expected {width} fields, got {len(row)}")
+                task_id = _parse_field(row_num, "task_id", row[0], int)
+                if task_id in seen_ids:
+                    raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
+                arrival = _parse_field(row_num, "arrival_ms", row[1])
+                if arrival < last_arrival:
+                    raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards"
+                                           f" ({arrival} < {last_arrival})")
+                daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
+                key = tuple(row[3:])
+                profile = profiles.get(key)
+                if profile is None:
+                    name, token, *times, data, bound = key
+                    try:
+                        task_class = TaskClass.from_token(token)
+                    except ValueError:
+                        raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
+                                               f" or 'tolerant', got {token!r}") from None
+                    values = []
+                    for field, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), times):
+                        value = _parse_field(row_num, field, raw)
+                        if value <= 0:
+                            raise TraceFormatError(
+                                f"line {row_num}: field {field!r} must be > 0, got {raw}")
+                        values.append(value)
+                    data_bytes = _parse_field(row_num, "data_bytes", data)
+                    if data_bytes < 0:
+                        raise TraceFormatError(
+                            f"line {row_num}: field 'data_bytes' must be >= 0, got {data}")
+                    values.append(data_bytes)
+                    values.append(None if bound == "" else _parse_field(row_num, "bound_ms", bound))
+                # after the field checks, the task's own: its arrival, then a new profile
+                if arrival < 0:
+                    raise TraceFormatError(
+                        f"line {row_num}: task {task_id}: arrival_time must be >= 0")
+                if profile is None:
+                    try:
+                        profile = profiles[key] = Profile(name, task_class, *values)
+                    except ValueError as exc:
+                        raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
+                seen_ids.add(task_id)
+                last_arrival = arrival
+                tasks.append(Task(task_id, arrival, daemon_id, profile))
+        except UnicodeDecodeError as exc:  # the text layer decodes ahead of csv, so no line
+            raise TraceFormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
+                                   f" ({exc.reason})") from None
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return tasks

@@ -72,6 +72,15 @@ MUTANTS = (
            "while log and log[0][0] <= horizon:",
            "while log and log[0][0] < horizon:",
            (E + "TestProbeStaleness::test_stale_reads_see_older_state", LIVE_AT_ZERO)),
+    Mutant("the run skips a commit due at its horizon", ENGINE,
+           "if log and log[0][0] <= horizon or",
+           "if log and log[0][0] < horizon or",
+           (E + "TestProbeStaleness::"
+                "test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon",)),
+    Mutant("the run skips the horizon check", ENGINE,
+           " or horizon < self.stale_horizon:",
+           ":",
+           (E + "TestProbeStaleness::test_a_run_raises_when_a_policy_folded_past_its_horizon",)),
     Mutant("a commit behind the last commit is accepted", ENGINE,
            "if now < self.last_commit:",
            "if False:",
@@ -133,6 +142,10 @@ MUTANTS = (
            "        if row is None:\n"
            "            row = self._costs[daemon_id, profile.benchmark]",
            (E + "TestSharedCostRows", REPLAY)),
+    Mutant("the cloud is priced over the first cloudlet's net", MODEL,
+           "self.cloud = cloud_times(profile, self._daemon.net)",
+           "self.cloud = cloud_times(profile, next(iter(by_id.values())).net)",
+           (E + "TestSimulationRuns::test_the_cloud_is_priced_over_the_daemons_own_net",)),
     Mutant("remote RTTs are drawn column by column", CONFIG,
            "    remote = [{j: next(rtts) for j in range(n) if j != i} for i in range(n)]\n",
            "    remote = [{} for _ in range(n)]\n"

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import petrel
-from petrel.cli import RECORD_COLUMNS, main, run_comparison, write_records_csv
+from petrel.cli import RECORD_COLUMNS, _mean_std, main, run_comparison, write_records_csv
 from petrel.config import ConfigError, EdgeCloudConfig, save_config
 from petrel.engine import TaskRecord
 from petrel.model import TaskClass
@@ -330,6 +331,25 @@ class TestCompare:
             run_comparison(EdgeCloudConfig(task_count=20), ["daemon-only"], lambdas, replicates, 7)
 
 
+class TestMeanStd:
+    """The sweep's mean and sample deviation give the same bits on every Python."""
+
+    def test_the_deviation_is_correctly_rounded(self):
+        # statistics.stdev on Python 3.10 gives 0x1.78647e8221a16p-1, an ulp short
+        mean, std = _mean_std([2.3, 2.58, 1.19])
+        assert (mean.hex(), std.hex()) == ("0x1.02fc962fc9630p+1", "0x1.78647e8221a17p-1")
+
+    def test_the_mean_is_the_correctly_rounded_sum_over_n(self):
+        assert _mean_std([1.0, 1e-16, 1e-16])[0] == 1.0000000000000002 / 3
+        assert _mean_std([7.25]) == (7.25, 0.0)
+        assert _mean_std([0.1] * 5) == (0.1, 0.0)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev is correctly rounded from 3.11")
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=30))
+    def test_matches_statistics_where_it_is_correctly_rounded(self, values):
+        assert _mean_std(values) == (statistics.fmean(values), statistics.stdev(values))
+
+
 class TestSeedPrecedence:
     def test_env_seed_used_when_no_flag(self, tmp_path, small_config, capsys, monkeypatch):
         monkeypatch.setenv("PETREL_SEED", "321")
@@ -467,7 +487,10 @@ TRACE_HEADER = ("task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mo
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -544,6 +567,17 @@ ERROR_PATHS = [
                lambda d: ["run", "--scheduler", "daemon-only", "--trace", _write(d, "over.csv", HUGE)]),
     error_path("overflowing-completion-trace-greedy", 1, OVERFLOW,
                lambda d: ["run", "--scheduler", "greedy", "--trace", _write(d, "over.csv", HUGE)]),
+    error_path("non-utf8-trace", 2, "error: {dir}/latin1.csv: not UTF-8 text: byte 0xe9",
+               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
+                   d, "latin1.csv",
+                   (TRACE_HEADER + "0,1,0,caf\xe9,sensitive,1,1,1,0,\n").encode("latin-1"))]),
+    error_path("oversized-trace-field", 2,
+               "error: {dir}/wide.csv: line 2: field larger than field limit (131072)\n",
+               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
+                   d, "wide.csv", TRACE_HEADER + f'0,1,0,"{"x" * 131_073}",sensitive,1,1,1,0,\n')]),
+    error_path("non-utf8-config", 2, "error: {dir}/c.yaml: not UTF-8 text: byte 0xe9",
+               lambda d: ["generate", "--config", _write(
+                   d, "c.yaml", "# caf\xe9\ntrace: {task_count: 5}\n".encode("latin-1"))]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",

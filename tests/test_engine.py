@@ -413,6 +413,21 @@ class TestSimulationRuns:
                                                   topo.get(record.executor))
             assert record.completion_time == record.start_time + exec_time + comm
 
+    def test_the_cloud_is_priced_over_the_daemons_own_net(self):
+        topo = make_topology(*(
+            make_cloudlet(i, net=make_net(cloud_rtt=100.0 * k, cloud_bandwidth=400.0 * k))
+            for i, k in enumerate((1, 2, 3))))
+        trace = [make_task(task_id=i, daemon_id=d, arrival_time=10.0 * i, data_volume=800_000.0)
+                 for i, d in enumerate((2, 1, 0, 2, 1))]
+        result = Simulation(topo, Scripted([AssignCloud()] * len(trace))).run(trace)
+        # the cloud's comm is 2100, 1200 and 966.7 ms from daemons 0, 1 and 2, after 800 ms of work
+        for task, record in zip(trace, result.records):
+            net = topo.get(task.daemon_id).net
+            assert record.service_time == 800.0
+            assert record.completion_time == (task.arrival_time + 800.0
+                                              + (800_000.0 / net.cloud_bandwidth + net.cloud_rtt))
+        assert len({r.turnaround for r in result.records}) == 3
+
     def test_decision_log_is_time_ordered(self):
         topo = small_topology(vms=1, count=2)
         trace = [
@@ -495,6 +510,13 @@ class TestTraceValidation:
         assert str(caught.value) == "scheduler assigned task 3 to unknown cloudlet 99"
         assert [earliest_ready(sim, c) for c in sim.heaps] == [0.0, 0.0]
         assert not sim.commit_log
+
+    def test_an_assignment_to_cloudlet_none_is_not_the_cloud(self):
+        # the row keeps the cloud's price beside its entries, never under None
+        sim = Simulation(small_topology(), Scripted([Assign(None)]))
+        with pytest.raises(SimulationError, match="^scheduler assigned task 3 to unknown"
+                                                  " cloudlet None$"):
+            sim.run([make_task(task_id=3)])
 
     @pytest.mark.parametrize("latency", [0.0, 125.0])
     def test_probing_an_unknown_cloudlet_raises_key_error(self, latency):
@@ -618,6 +640,34 @@ class TestProbeStaleness:
         probe = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=50.0).probe(1)
         assert not probe.has_idle_vm
         assert probe.expected_completion == 5000.0 + 1000.0 + 70.0
+
+    def test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon(self):
+        # at latency 100 the decision at 100 reads at horizon 0, the commit's own instant
+        seen = []
+
+        class Watching:
+            def decide(self, task, view):
+                seen.append(view.probe(1))
+                return Assign(1)
+
+        trace = [make_task(task_id=i, daemon_id=0, arrival_time=t, data_volume=0.0)
+                 for i, t in enumerate((0.0, 100.0))]
+        Simulation(small_topology(), Watching(), probe_latency=100.0).run(trace)
+        assert seen == [(1, 0.0 + 1000.0 + 70.0, True), (1, 1000.0 + 1000.0 + 70.0, False)]
+
+    def test_a_run_raises_when_a_policy_folded_past_its_horizon(self):
+        # the run skips folds while no logged commit is due, yet still checks the horizon
+        class FoldingAhead:
+            def decide(self, task, view):
+                ClusterView(sim, task, view.now + 1000.0)
+                return AssignCloud()  # so the log stays empty
+
+        trace = [make_task(task_id=i, arrival_time=t, data_volume=0.0)
+                 for i, t in enumerate((200.0, 300.0))]
+        sim = Simulation(small_topology(), FoldingAhead(), probe_latency=100.0)
+        with pytest.raises(ValueError, match="^stale probes at 200.0 would read before"
+                                             " the folded horizon 1100.0$"):
+            sim.run(trace)
 
     def test_a_backwards_horizon_raises(self):
         sim = self._sim(50.0)
@@ -774,6 +824,19 @@ class TestSimulateEntryPoint:
         a = simulate(config, trace, "daemon-only", seed=1, topology=topo).records
         b = simulate(config, trace, "daemon-only", seed=2, topology=topo).records
         assert a == b  # daemon-only consumes no randomness
+
+    def test_only_sampling_policies_get_a_policy_stream(self, monkeypatch):
+        import petrel.engine as engine
+
+        drawn = []
+        real_rng = engine.new_rng
+        monkeypatch.setattr(engine, "new_rng",
+                            lambda *parts: drawn.append(parts) or real_rng(*parts))
+        config = EdgeCloudConfig(cloudlet_count=3)
+        trace = busy_mixed_trace(10)
+        for name in SCHEDULER_NAMES:
+            simulate(config, trace, name, seed=7)
+        assert drawn == [(7, "policy")] * len(SAMPLING_SCHEDULERS)
 
 
 def scaled_twins(trace, k):

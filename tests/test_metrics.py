@@ -6,7 +6,7 @@ import pytest
 
 from fixtures import make_cloudlet, make_topology
 from petrel.engine import TaskRecord
-from petrel.metrics import RunSummary, average_speedup, awt, makespans, summarize
+from petrel.metrics import RunSummary, summarize
 from petrel.model import EdgeCloud, TaskClass
 
 
@@ -63,39 +63,42 @@ class TestAwt:
             record(0, turnaround=1000.0, service=1000.0),
             record(1, turnaround=2000.0, service=1000.0),
         ]
-        assert awt(records) == 1.5
+        assert summarize(records, topology(0)).awt == 1.5
 
     def test_weights_divide_by_the_actual_service_time(self):
         records = [
             record(0, turnaround=4000.0, service=2000.0),
             record(1, turnaround=3000.0, service=1000.0),
         ]
-        assert awt(records) == 2.5
+        assert summarize(records, topology(0)).awt == 2.5
 
     def test_instant_service_is_the_floor(self):
-        assert awt([record(0, turnaround=777.0, service=777.0)]) == 1.0
+        assert summarize([record(0, turnaround=777.0, service=777.0)], topology(0)).awt == 1.0
 
     def test_rejects_empty_and_bad_service(self):
-        with pytest.raises(ValueError):
-            awt([])
-        with pytest.raises(ValueError):
-            awt([record(0, service=0.0)])
+        with pytest.raises(ValueError, match="^awt of an empty record list$"):
+            summarize([], topology(0))
+        with pytest.raises(ValueError, match="^task 0 has non-positive service time$"):
+            summarize([record(0, service=0.0)], topology(0))
 
     def test_permutation_invariant(self):
         records = [record(i, turnaround=100.0 * (i + 1), service=50.0) for i in range(9)]
         shuffled = records[:]
         random.Random(4).shuffle(shuffled)
-        assert awt(shuffled) == pytest.approx(awt(records))
+        assert summarize(shuffled, topology(0)).awt == pytest.approx(
+            summarize(records, topology(0)).awt)
 
 
 class TestAverageSpeedup:
     def test_arithmetic_mean(self):
         records = [record(0, speedup=5.0), record(1, speedup=3.0)]
-        assert average_speedup(records) == 4.0
+        assert summarize(records, topology(0)).avg_speedup == 4.0
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            average_speedup([])
+    def test_speedups_add_left_to_right(self):
+        # 1e-16 is below half an ulp of 1.0, so each add leaves 1.0; a compensated
+        # sum, as sum() of floats is from Python 3.12, would keep them
+        records = [record(i, speedup=s) for i, s in enumerate([1.0, 1e-16, 1e-16])]
+        assert summarize(records, topology(0)).avg_speedup == 1.0 / 3
 
 
 class TestMakespans:
@@ -105,45 +108,63 @@ class TestMakespans:
             record(1, cloudlet=1, completion=20.0),
             record(2, cloudlet=2, completion=30.0),
         ]
-        mk_min, mk_max, mk_avg, per = makespans(records, topology(0, 1, 2))
-        assert (mk_min, mk_max, mk_avg) == (10.0, 30.0, 20.0)
-        assert per == {0: 10.0, 1: 20.0, 2: 30.0}
+        summary = summarize(records, topology(0, 1, 2))
+        assert (summary.makespan_min, summary.makespan_max, summary.makespan_avg) == (
+            10.0, 30.0, 20.0)
+        assert summary.per_cloudlet_makespan == {0: 10.0, 1: 20.0, 2: 30.0}
 
     def test_last_completion_wins_per_cloudlet(self):
         records = [
             record(0, cloudlet=0, completion=500.0),
             record(1, cloudlet=0, completion=300.0),
         ]
-        _, mk_max, _, per = makespans(records, topology(0))
-        assert per[0] == 500.0
-        assert mk_max == 500.0
+        summary = summarize(records, topology(0))
+        assert summary.per_cloudlet_makespan[0] == 500.0
+        assert summary.makespan_max == 500.0
 
     def test_idle_cloudlets_count_as_zero(self):
         records = [record(0, cloudlet=1, completion=800.0)]
-        mk_min, mk_max, mk_avg, per = makespans(records, topology(0, 1))
-        assert mk_min == 0.0
-        assert per[0] == 0.0
-        assert mk_avg == 400.0
+        summary = summarize(records, topology(0, 1))
+        assert summary.makespan_min == 0.0
+        assert summary.per_cloudlet_makespan[0] == 0.0
+        assert summary.makespan_avg == 400.0
 
     def test_cloud_tasks_are_left_out(self):
         records = [
             record(0, cloudlet=0, completion=100.0),
             record(1, cloudlet=None, completion=99_999.0),
         ]
-        _, mk_max, _, _ = makespans(records, topology(0))
-        assert mk_max == 100.0
+        assert summarize(records, topology(0)).makespan_max == 100.0
 
     def test_unknown_cloudlet_is_an_error(self):
-        with pytest.raises(ValueError):
-            makespans([record(0, cloudlet=9)], topology(0, 1))
+        with pytest.raises(ValueError, match="^task 0 ran on unknown cloudlet 9$"):
+            summarize([record(0, cloudlet=9)], topology(0, 1))
 
     def test_empty_cloudlet_set_is_an_error(self):
-        with pytest.raises(ValueError):
-            makespans([], EdgeCloud(()))
+        with pytest.raises(ValueError, match="^makespans over an empty cloudlet set$"):
+            summarize([record(0, cloudlet=None)], EdgeCloud(()))
 
-    def test_no_records_means_all_idle(self):
-        mk_min, mk_max, mk_avg, _ = makespans([], topology(0, 1))
-        assert (mk_min, mk_max, mk_avg) == (0.0, 0.0, 0.0)
+    def test_only_cloud_records_means_all_idle(self):
+        summary = summarize([record(0, cloudlet=None)], topology(0, 1))
+        assert (summary.makespan_min, summary.makespan_max, summary.makespan_avg) == (
+            0.0, 0.0, 0.0)
+
+    def test_makespans_add_left_to_right(self):
+        records = [record(i, cloudlet=i, completion=c) for i, c in enumerate([1.0, 1e-16, 1e-16])]
+        assert summarize(records, topology(0, 1, 2)).makespan_avg == 1.0 / 3
+
+
+class TestFaultOrder:
+    def test_an_empty_topology_is_named_before_empty_records(self):
+        with pytest.raises(ValueError, match="^makespans over an empty cloudlet set$"):
+            summarize([], EdgeCloud(()))
+
+    def test_the_first_faulty_record_is_named_and_its_cloudlet_first(self):
+        both = record(0, cloudlet=9, service=0.0)
+        with pytest.raises(ValueError, match="^task 0 ran on unknown cloudlet 9$"):
+            summarize([both], topology(0))
+        with pytest.raises(ValueError, match="^task 1 has non-positive service time$"):
+            summarize([record(0), record(1, service=0.0), record(2, cloudlet=9)], topology(0))
 
 
 class TestSummarize:
