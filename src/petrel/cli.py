@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import fsum, isqrt
+from math import fsum, isfinite, isqrt, nan
 
 from .config import ConfigError, EdgeCloudConfig, build_topology, load_config
 from .engine import SimulationError, simulate
@@ -138,10 +138,12 @@ class ComparisonReport:
 def _mean_std(values: list[float]) -> tuple[float, float]:
     """Mean and sample standard deviation, each correctly rounded, so that every
     Python gives the same bits; the deviation is what ``statistics.stdev`` gives
-    from 3.11 on."""
+    from 3.11 on; with an infinite or nan value, the deviation is nan."""
     n = len(values)
     if n < 2:
         return fsum(values) / n, 0.0
+    if not all(map(isfinite, values)):
+        return fsum(values) / n, nan
     # as integer multiples of their least power-of-two step, the values have the
     # exact sample variance p / q; its root is taken to at least 55 bits and
     # rounded to odd (a sticky last bit), so rounding that once to a float is correct

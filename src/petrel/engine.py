@@ -5,7 +5,9 @@ wake-ups, the only moments a decision is made.  One loop makes every
 decision: each turn takes the next arrival from the sorted trace, or the
 heap's earliest wake-up if it comes strictly before that arrival (so at
 an equal time the arrival goes first), asks the policy, and applies the
-decision in the same turn.  :class:`Simulation` owns every cloudlet's
+decision in the same turn.  A wake-up carries its task's trace index and
+the delays the task has taken, and every decision is logged once, with
+what prompted it.  :class:`Simulation` owns every cloudlet's
 VM state: one ready time per VM in a min heap.  Committing a task
 replaces the earliest VM's ready time, starting the task at
 ``max(now, ready)``.  A task's completion is fixed at commit, so
@@ -52,21 +54,9 @@ class SimulationError(RuntimeError):
 ARRIVAL = "arrival"
 DELAY_EXPIRED = "delay-expired"
 
-# Event, DecisionEntry, TaskRecord and ProbeResult are built per decision or probe
+# DecisionEntry, TaskRecord and ProbeResult are built per decision or probe
 # as tuple.__new__(Cls, (...)): a NamedTuple's generated __new__ is a Python-level
 # call that checks nothing, and a measurable share of a run (shape pinned in tests).
-
-
-class Event(NamedTuple):
-    """One entry of the event queue; processed in (time, sequence) order.
-
-    Sequences are unique, so heap order never looks past them.
-    """
-
-    time: float
-    sequence: int
-    kind: str
-    task_id: int
 
 
 class TaskRecord(NamedTuple):
@@ -92,19 +82,26 @@ class TaskRecord(NamedTuple):
 
 
 class DecisionEntry(NamedTuple):
-    """One scheduler invocation and its outcome, for post-run audits."""
+    """One scheduler invocation, its outcome and what prompted it, for post-run audits."""
 
     time: float
     task_id: int
     decision: SchedulingDecision
+    kind: str  # ARRIVAL or DELAY_EXPIRED
 
 
 @dataclass
 class SimulationResult:
+    """A run's records, in trace order, and its one log, in decision order."""
+
     records: list[TaskRecord]
     decisions: list[DecisionEntry]
-    events: list[Event]
     topology: EdgeCloud
+
+    @property
+    def events(self) -> list[DecisionEntry]:
+        """The decision log: every arrival and wake-up is decided exactly once."""
+        return self.decisions
 
 
 class ClusterView:
@@ -250,17 +247,16 @@ class Simulation:
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         if self._ran:
             raise SimulationError("a Simulation runs once; build a new one for another run")
-        tasks = self._index_trace(trace)
+        self._check_trace(trace)
         self._ran = True
-        records: dict[int, TaskRecord] = {}
-        delays_taken: dict[int, int] = dict.fromkeys(tasks, 0)
+        count = len(trace)
+        records: list = [None] * count  # TaskRecords by trace index
         decisions: list[DecisionEntry] = []
-        events: list[Event] = []
-        wakeups: list[Event] = []
-        # arrivals take sequences 0..n-1 and wake-ups the ones after; a wake-up
-        # goes first only when it is strictly earlier than the next arrival
-        sequence = count = len(trace)
-        arrived = 0
+        # (time, sequence, trace index, delays taken); the sequence keeps tied
+        # wake-ups in push order, and a wake-up goes first only when it is
+        # strictly earlier than the next arrival
+        wakeups: list[tuple[float, int, int, int]] = []
+        sequence = arrived = 0
         decide = self.scheduler.decide
         view = ClusterView(self, trace[0], 0.0) if trace else None  # positioned per decision
         log, fold, latency = self.commit_log, self._fold, self.probe_latency
@@ -268,21 +264,20 @@ class Simulation:
         heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
         tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
 
-        # a task has one pending event at a time (its arrival or its one
+        # a task has one pending entry at a time (its arrival or its one
         # wake-up), so no task is decided after it was placed
         while True:
-            if wakeups and (arrived == count or wakeups[0].time < trace[arrived].arrival_time):
-                event = heappop(wakeups)
-                task = tasks[event.task_id]
+            if wakeups and (arrived == count or wakeups[0][0] < trace[arrived].arrival_time):
+                now, _, index, delays = heappop(wakeups)
+                task = trace[index]
+                kind = DELAY_EXPIRED
             elif arrived < count:
                 task = trace[arrived]
-                event = new(Event, (task.arrival_time, arrived, ARRIVAL, task.id))
+                now, index, delays, kind = task.arrival_time, arrived, 0, ARRIVAL
                 arrived += 1
             else:
                 break
-            now = event.time
             task_id, arrival, daemon_id, profile = task
-            events.append(event)
             # what the view's constructor does, with the fold skipped while
             # no logged commit has reached the horizon and it has not gone back
             view.now = now
@@ -292,7 +287,7 @@ class Simulation:
             if log and log[0][0] <= horizon or horizon < self.stale_horizon:
                 fold(now)
             decision = decide(task, view)
-            decisions.append(new(DecisionEntry, (now, task_id, decision)))
+            decisions.append(new(DecisionEntry, (now, task_id, decision, kind)))
             if isinstance(decision, Assign):
                 executor_id = decision.cloudlet_id
                 try:
@@ -307,8 +302,8 @@ class Simulation:
                 start = now
                 executor_id = None
             elif isinstance(decision, Delay):
-                delays_taken[task_id] += 1
-                if delays_taken[task_id] > max_delays:
+                delays += 1
+                if delays > max_delays:
                     raise SimulationError(
                         f"task {task_id} delayed more than max_delays={max_delays};"
                         " the bound check should have terminated this"
@@ -318,7 +313,7 @@ class Simulation:
                 delay = decision.duration
                 if not 0 < delay < inf:
                     raise SimulationError(f"task {task_id}: delay must be finite and > 0, got {delay}")
-                heappush(wakeups, new(Event, (now + delay, sequence, DELAY_EXPIRED, task_id)))
+                heappush(wakeups, (now + delay, sequence, index, delays))
                 sequence += 1
                 continue
             else:
@@ -337,32 +332,27 @@ class Simulation:
             violated = None
             if profile.task_class is tolerant:
                 violated = turnaround > profile.latency_bound
-            records[task_id] = new(TaskRecord, (
+            records[index] = new(TaskRecord, (
                 task_id, profile.task_class, daemon_id, executor_id, arrival,
                 now, start, completion, turnaround, service_time,
-                gain, delays_taken[task_id], violated,
+                gain, delays, violated,
             ))
 
-        ordered = [records[t.id] for t in trace]
-        return SimulationResult(ordered, decisions, events, self.topology)
+        return SimulationResult(records, decisions, self.topology)
 
-    def _index_trace(self, trace: Sequence[Task]) -> dict[int, Task]:
-        tasks: dict[int, Task] = {}
+    def _check_trace(self, trace: Sequence[Task]) -> None:
+        """Reject an unsorted trace, a repeated task id and an unknown daemon."""
+        seen: set[int] = set()
         last = -inf
         for task in trace:
             if task.arrival_time < last:
-                raise SimulationError(
-                    f"trace not sorted by arrival time at task {task.id}"
-                )
+                raise SimulationError(f"trace not sorted by arrival time at task {task.id}")
             last = task.arrival_time
-            if task.id in tasks:
+            if task.id in seen:
                 raise SimulationError(f"duplicate task id {task.id} in trace")
-            tasks[task.id] = task
+            seen.add(task.id)
             if task.daemon_id not in self.heaps:
-                raise SimulationError(
-                    f"task {task.id} names unknown daemon cloudlet {task.daemon_id}"
-                )
-        return tasks
+                raise SimulationError(f"task {task.id} names unknown daemon cloudlet {task.daemon_id}")
 
 
 def simulate(config, trace: Sequence[Task], scheduler, seed: int,

@@ -62,14 +62,16 @@ def summarize(records: Sequence[TaskRecord], topology: EdgeCloud) -> RunSummary:
     total = 0.0
     for makespan in per.values():
         total += makespan
+    low, high = min(per.values()), max(per.values())
     count = len(records)
     return RunSummary(
         task_count=count,
         awt=weighted / count,
         avg_speedup=gains / count,
-        makespan_min=min(per.values()),
-        makespan_max=max(per.values()),
-        makespan_avg=total / len(per),
+        makespan_min=low,
+        makespan_max=high,
+        # a rounded or overflowed sum can put the mean outside the makespans, even equal ones
+        makespan_avg=min(max(total / len(per), low), high),
         bound_violations=violations,
         per_cloudlet_makespan=per,
     )

@@ -81,6 +81,15 @@ MUTANTS = (
            " or horizon < self.stale_horizon:",
            ":",
            (E + "TestProbeStaleness::test_a_run_raises_when_a_policy_folded_past_its_horizon",)),
+    Mutant("tied wake-ups pop in trace order", ENGINE,
+           "heappush(wakeups, (now + delay, sequence, index, delays))",
+           "heappush(wakeups, (now + delay, index, index, delays))",
+           (E + "TestReplayAgreement",)),
+    Mutant("a wake-up goes before an arrival at the same instant", ENGINE,
+           "wakeups[0][0] < trace[arrived].arrival_time",
+           "wakeups[0][0] <= trace[arrived].arrival_time",
+           (E + "TestOracleOnRandomTopologies::"
+                "test_an_arrival_is_decided_before_a_wakeup_at_the_same_instant",)),
     Mutant("a commit behind the last commit is accepted", ENGINE,
            "if now < self.last_commit:",
            "if False:",

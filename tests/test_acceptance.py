@@ -298,7 +298,7 @@ def test_criterion_7_delay_scheduling_safety(capsys):
                 [row] = run_comparison(config, ["daa"], [lam], [rep], BASE_SEED).rows
                 assert row.stats == {m: (getattr(summary, m), 0.0) for m in COMPARE_METRICS}
 
-                wakes = sum(1 for e in result.events if e.kind == DELAY_EXPIRED)
+                wakes = sum(1 for d in result.decisions if d.kind == DELAY_EXPIRED)
                 assert wakes == sum(r.delays_taken for r in result.records)
                 for record in result.records:
                     assert record.delays_taken == audit.delay_counts.get(record.task_id, 0)

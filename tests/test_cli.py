@@ -344,10 +344,49 @@ class TestMeanStd:
         assert _mean_std([7.25]) == (7.25, 0.0)
         assert _mean_std([0.1] * 5) == (0.1, 0.0)
 
+    @pytest.mark.parametrize("values, mean", [
+        ([math.inf, 2.0], math.inf), ([1.0, math.inf, math.inf], math.inf),
+        ([math.nan, 2.0], math.nan), ([math.inf, math.nan], math.nan)])
+    def test_a_value_that_is_not_finite_has_no_deviation(self, values, mean):
+        got_mean, std = _mean_std(values)
+        assert got_mean == mean or math.isnan(got_mean) and math.isnan(mean)
+        assert math.isnan(std)
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev is correctly rounded from 3.11")
     @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=30))
     def test_matches_statistics_where_it_is_correctly_rounded(self, values):
         assert _mean_std(values) == (statistics.fmean(values), statistics.stdev(values))
+
+
+class TestRoundingEdges:
+    """Runs whose metrics round to the edge of the float range, or past it, still write them."""
+
+    def test_equal_makespans_summarize_to_their_value(self, tmp_path):
+        config = _write(tmp_path, "c.yaml", "cloudlets: {count: 3, vm_counts: [1, 1, 1]}\n"
+                                            "network: {daemon_rtt_ms: 0}\n")
+        trace = _write(tmp_path, "t.csv", TRACE_HEADER + "".join(
+            f"{i},0,{i},x,sensitive,0.1,1,1,0,\n" for i in range(3)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--trace", trace, "--scheduler", "daemon-only",
+                     "--out", str(out)]) == 0
+        [header, row] = read_csv(out / "summary.csv")
+        summary = dict(zip(header, row))
+        assert [summary[f"makespan_{m}"] for m in ("min", "max", "avg")] == ["0.1"] * 3
+
+    def test_compare_writes_an_infinite_mean_as_run_does(self, tmp_path, capsys):
+        config = _write(tmp_path, "c.yaml", "catalog:\n  - {name: tiny, class: sensitive,"
+                        " base_service_ms: 1.0e-310, mobile_ms: 1, cloud_ms: 1, data_bytes: 0}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--tasks", "5", "--seeds", "1..2",
+                     "--scheduler", "daemon-only", "--out", str(out)]) == 0
+        rows = read_csv(out / "comparison.csv")
+        stats = [dict(zip(rows[0], row)) for row in rows[1:]]
+        assert stats and all((s["awt_mean"], s["awt_std"]) == ("inf", "nan") for s in stats)
+        assert "inf ± nan" in capsys.readouterr().out
+        assert main(["run", "--config", config, "--tasks", "5", "--scheduler", "daemon-only",
+                     "--out", str(tmp_path / "run")]) == 0
+        [header, row] = read_csv(tmp_path / "run" / "summary.csv")
+        assert dict(zip(header, row))["awt"] == "inf"
 
 
 class TestSeedPrecedence:

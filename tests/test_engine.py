@@ -18,7 +18,6 @@ from petrel.engine import (
     DELAY_EXPIRED,
     ClusterView,
     DecisionEntry,
-    Event,
     Simulation,
     SimulationError,
     TaskRecord,
@@ -177,15 +176,17 @@ class TestProbeAndCommitHelpers:
         assert record.completion_time == 570.0
 
     def test_wake_event_lands_a_quantum_later(self):
-        # seven arrivals take sequences 0..6, so the first wake-up takes 7
+        # the six other arrivals at 100 are decided before the wake-up at 350
         trace = [make_task(task_id=i, arrival_time=100.0, task_class="tolerant",
                            latency_bound=9000.0, data_volume=0.0) for i in range(7)]
         policy = Scripted([Delay(250.0)] + [Assign(0)] * 7)
-        event = Simulation(small_topology(), policy).run(trace).events[-1]
-        assert event.time == 350.0
-        assert event.kind == "delay-expired"
-        assert event.sequence == 7
-        assert event.task_id == 0
+        result = Simulation(small_topology(), policy).run(trace)
+        entry = result.decisions[-1]
+        assert entry.time == 350.0
+        assert entry.kind == "delay-expired"
+        assert entry.task_id == 0
+        assert entry.decision == Assign(0)
+        assert (result.records[0].assign_time, result.records[0].delays_taken) == (350.0, 1)
 
     def test_only_tolerant_tasks_may_wait(self):
         task = make_task(task_id=3)
@@ -243,7 +244,7 @@ class TestSimulationRuns:
     def test_empty_trace_is_a_quiet_run(self):
         result = Simulation(small_topology(), DaemonOnlyScheduler()).run([])
         assert result.records == []
-        assert result.events == []
+        assert result.decisions == []
 
     def test_independent_daemons_never_queue_on_each_other(self):
         topo = small_topology(vms=1, count=2)
@@ -458,8 +459,8 @@ class TestBuiltTupleShapes:
         kinds = Counter(type(d.decision).__name__ for d in result.decisions)
         assert kinds == {"Assign": 3, "AssignCloud": 1, "Delay": 1}
         assert {r.executor for r in result.records} == {0, 1, None}
-        groups = [(TaskRecord, result.records), (Event, result.events),
-                  (DecisionEntry, result.decisions), (ProbeResult, probes)]
+        groups = [(TaskRecord, result.records), (DecisionEntry, result.decisions),
+                  (ProbeResult, probes)]
         for cls, items in groups:
             assert items
             for item in items:
@@ -762,12 +763,27 @@ class TestPhysicalInvariants:
         policy = DaaScheduler(np.random.default_rng(5), delay_quantum=200.0)
         trace = busy_mixed_trace()
         result = Simulation(topo, policy, probe_latency=300.0).run(trace)
-        arrivals = Counter(e.task_id for e in result.events if e.kind == ARRIVAL)
-        wakeups = Counter(e.task_id for e in result.events if e.kind == DELAY_EXPIRED)
+        arrivals = Counter(d.task_id for d in result.decisions if d.kind == ARRIVAL)
+        wakeups = Counter(d.task_id for d in result.decisions if d.kind == DELAY_EXPIRED)
         assert arrivals == Counter(t.id for t in trace)
         assert sum(wakeups.values()) > 0
         assert wakeups == Counter({r.task_id: r.delays_taken for r in result.records})
-        assert len(result.events) == len(trace) + sum(r.delays_taken for r in result.records)
+        assert len(result.decisions) == len(trace) + sum(r.delays_taken for r in result.records)
+        # a task's first decision is its arrival, and each later one the wake-up of a Delay
+        last = {}
+        for d in result.decisions:
+            previous = last.get(d.task_id)
+            if previous is None:
+                assert d.kind == ARRIVAL
+            else:
+                assert d.kind == DELAY_EXPIRED and isinstance(previous.decision, Delay)
+            last[d.task_id] = d
+
+    def test_events_are_the_decision_log(self):
+        # the benchmark harness counts events, decisions and wake-ups on this one log
+        result = Simulation(small_topology(count=3), DaemonOnlyScheduler()).run(busy_mixed_trace(n=5))
+        assert result.events is result.decisions
+        assert len(result.events) == 5
 
     def test_record_ordering_invariants(self):
         topo = small_topology(vms=2, count=3)
@@ -1181,7 +1197,7 @@ class TestOracleOnRandomTopologies:
         script = [Delay(100.0), Assign(1), Assign(0)]  # the wake-up lands at 100.0
         result = Simulation(topo, Scripted(script)).run(trace)
         assert [(d.time, d.task_id) for d in result.decisions] == [(0.0, 0), (100.0, 1), (100.0, 0)]
-        assert [(e.time, e.kind, e.task_id) for e in result.events] == [
+        assert [(d.time, d.kind, d.task_id) for d in result.decisions] == [
             (0.0, ARRIVAL, 0), (100.0, ARRIVAL, 1), (100.0, DELAY_EXPIRED, 0)]
         assert [r.executor for r in result.records] == [0, 1]
         assert_matches_the_oracle(result, ReplayOracle(topo).run(trace, Scripted(script)))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fixtures import make_cloudlet, make_topology
 from petrel.engine import TaskRecord
@@ -152,6 +154,19 @@ class TestMakespans:
     def test_makespans_add_left_to_right(self):
         records = [record(i, cloudlet=i, completion=c) for i, c in enumerate([1.0, 1e-16, 1e-16])]
         assert summarize(records, topology(0, 1, 2)).makespan_avg == 1.0 / 3
+
+    def test_the_mean_of_equal_makespans_is_their_value(self):
+        # 0.1 + 0.1 + 0.1 rounds up to 0.30000000000000004, and a third of that is above 0.1
+        records = [record(i, cloudlet=i, completion=0.1) for i in range(3)]
+        summary = summarize(records, topology(0, 1, 2))
+        assert (summary.makespan_min, summary.makespan_max, summary.makespan_avg) == (0.1, 0.1, 0.1)
+
+    @given(st.lists(st.floats(0.0, 1e308), min_size=1, max_size=8))
+    def test_the_mean_lies_between_the_extremes(self, completions):
+        # the rounded sum of large makespans can even overflow to inf
+        records = [record(i, cloudlet=i, completion=c) for i, c in enumerate(completions)]
+        summary = summarize(records, topology(*range(len(completions))))
+        assert summary.makespan_min <= summary.makespan_avg <= summary.makespan_max
 
 
 class TestFaultOrder:
