@@ -143,19 +143,25 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     if n < 2:
         return fsum(values) / n, 0.0
     if not all(map(isfinite, values)):
-        return fsum(values) / n, nan
+        # what fsum gives with an inf or nan among the values, even where the finite ones overflow
+        return fsum(v for v in values if not isfinite(v)) / n, nan
     # as integer multiples of their least power-of-two step, the values have the
     # exact sample variance p / q; its root is taken to at least 55 bits and
     # rounded to odd (a sticky last bit), so rounding that once to a float is correct
     ratios = [v.as_integer_ratio() for v in values]
     step = max(d for _, d in ratios)
     units = [m * (step // d) for m, d in ratios]
-    p, q = n * sum(u * u for u in units) - sum(units) ** 2, n * (n - 1) * step * step
+    total = sum(units)
+    p, q = n * sum(u * u for u in units) - total ** 2, n * (n - 1) * step * step
     shift = (p.bit_length() - q.bit_length() - 109) // 2
     p, q = (p, q << 2 * shift) if shift >= 0 else (p << -2 * shift, q)
     root = isqrt(p // q)
     root |= root * root * q != p
-    return fsum(values) / n, float(root << shift) if shift >= 0 else root / (1 << -shift)
+    try:
+        mean = fsum(values) / n
+    except OverflowError:  # the sum overflows, but the mean of finite values cannot
+        mean = total / (n * step)  # int division rounds correctly
+    return mean, float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,

@@ -15,11 +15,11 @@ completions are recorded, not queued as events.  Communication is
 charged to the task's completion, not to VM occupancy.
 
 Reads of cloudlets other than the task's daemon come from one run-wide
-commit log: commits come in time order across the run, so before a
-decision the simulation folds the log up to the horizon
-``max(now - probe_latency, 0)``, once a logged commit has reached it,
-and such a read is a lookup.  At
-latency 0 the horizon is ``now``, so the fold gives the live state.
+commit log: each commit logs its cloudlet's new earliest ready time, and
+commits come in time order across the run, so before a decision the
+simulation folds the log up to the horizon ``max(now - probe_latency,
+0)``, once a logged commit has reached it, and such a read is a lookup.
+At latency 0 the horizon is ``now``, so the fold gives the live state.
 :class:`ClusterView` only reads; the simulation commits and folds.
 
 Two runs with the same config, trace, policy, and seed produce
@@ -113,8 +113,8 @@ class ClusterView:
     expected completion is least, and :meth:`daemon_completion_if_delayed`.
     The daemon's ready time is its live heap head in ``sim.heaps``.  Reads
     of non-daemon cloudlets come from ``sim.stale_ready``: per cloudlet,
-    the least over its VMs of the last commit at or before the horizon
-    ``max(now - probe_latency, 0)``, else 0.0.  Building a view has the
+    the earliest ready time logged by its last commit at or before the
+    horizon ``max(now - probe_latency, 0)``, else 0.0.  Building a view has the
     simulation fold its commit log up to that horizon, which must not go
     back; at latency 0 that is every commit so far, so these reads are
     live.  A run builds one view and positions it at each decision
@@ -135,7 +135,7 @@ class ClusterView:
     def probe(self, cloudlet_id: int) -> ProbeResult:
         now = self.now
         if cloudlet_id == self.daemon_id:
-            ready = self._heaps[cloudlet_id][0][0]
+            ready = self._heaps[cloudlet_id][0]
         else:
             ready = self._stale_ready[cloudlet_id]
         exec_time, comm = self._costs[cloudlet_id]
@@ -150,7 +150,7 @@ class ClusterView:
         best_id = best = None
         for cloudlet_id in cloudlet_ids:
             if cloudlet_id == daemon_id:
-                ready = heaps[cloudlet_id][0][0]
+                ready = heaps[cloudlet_id][0]
             else:
                 ready = stale_ready[cloudlet_id]
             exec_time, comm = costs[cloudlet_id]
@@ -163,7 +163,7 @@ class ClusterView:
         """Projected wall-clock daemon completion if committed ``delay`` from now."""
         daemon_id = self.daemon_id
         earliest = self.now + delay
-        ready = self._heaps[daemon_id][0][0]
+        ready = self._heaps[daemon_id][0]
         start = ready if ready > earliest else earliest
         exec_time, comm = self._costs[daemon_id]
         return start + exec_time + comm
@@ -173,13 +173,13 @@ class Simulation:
     """One single-threaded simulation run over a fixed topology and policy.
 
     The simulation owns every cloudlet's VM state.  ``heaps[cid]`` is a
-    min heap of ``(ready, vm_index)``, one entry per VM.  :meth:`commit`
-    is the one writer of ``commit_log``, the run-wide log of
-    ``(commit_time, cloudlet_id, stale, vm_index, new_ready)``, where
-    ``stale`` is the cloudlet's per-VM ready times as stale reads see
-    them.  :meth:`_fold` applies each entry once the read horizon reaches
-    its commit time.  A run leaves its commits behind, so an instance
-    runs once.
+    min heap of ready times, one per VM; a cloudlet's VMs are alike, so
+    none is named.  :meth:`commit` is the one writer of ``commit_log``,
+    the run-wide log of ``(commit_time, cloudlet_id, earliest_ready)``,
+    where ``earliest_ready`` is the cloudlet's heap head just after the
+    commit.  :meth:`_fold` sets ``stale_ready`` from each entry once the
+    read horizon reaches its commit time.  A run leaves its commits
+    behind, so an instance runs once.
     """
 
     def __init__(
@@ -200,9 +200,7 @@ class Simulation:
         self.scheduler = scheduler
         self.max_delays = max_delays
         self.probe_latency = probe_latency
-        # heap order is VM order: (0.0, i) tuples are already a heap
-        self.heaps = {c.id: [(0.0, i) for i in range(c.vm_count)] for c in topology}
-        self._stale = {c.id: [0.0] * c.vm_count for c in topology}
+        self.heaps = {c.id: [0.0] * c.vm_count for c in topology}
         self.stale_ready = dict.fromkeys(self.heaps, 0.0)
         self.commit_log: deque = deque()  # run-wide, folded per decision
         self.stale_horizon = -inf  # the last horizon folded to
@@ -220,11 +218,10 @@ class Simulation:
             raise ValueError(f"commit at {now} before the previous commit at {self.last_commit}")
         heap = self.heaps[cloudlet_id]
         self.last_commit = now
-        ready, vm_index = heap[0]
+        ready = heap[0]
         start = ready if ready > now else now
-        new_ready = start + exec_time
-        heapq.heapreplace(heap, (new_ready, vm_index))
-        self.commit_log.append((now, cloudlet_id, self._stale[cloudlet_id], vm_index, new_ready))
+        heapq.heapreplace(heap, start + exec_time)
+        self.commit_log.append((now, cloudlet_id, heap[0]))
         return start
 
     def _fold(self, now: float) -> None:
@@ -237,12 +234,11 @@ class Simulation:
                 f"stale probes at {horizon} would read before the folded horizon {self.stale_horizon}"
             )
         self.stale_horizon = horizon
-        # the last commit per VM at or before the horizon wins
+        # commits fold in log order, so a cloudlet's last one at or before the horizon wins
         log, stale_ready = self.commit_log, self.stale_ready
         while log and log[0][0] <= horizon:
-            _, cloudlet_id, stale, vm_index, ready = log.popleft()
-            stale[vm_index] = ready
-            stale_ready[cloudlet_id] = min(stale)
+            _, cloudlet_id, ready = log.popleft()
+            stale_ready[cloudlet_id] = ready
 
     def run(self, trace: Sequence[Task]) -> SimulationResult:
         if self._ran:

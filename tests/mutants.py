@@ -48,6 +48,9 @@ U = "tests/test_seeding.py::"
 REPLAY = E + "TestReplayAgreement::test_engine_matches_the_handwritten_replay"
 ANY_ORDER = E + "TestProbeMatchesTheModel::test_least_completion_is_the_first_least_probe_in_any_order"
 LIVE_AT_ZERO = E + "TestProbeStaleness::test_zero_latency_reads_the_live_heap_heads"
+MIN_ACROSS_VMS = E + "TestProbeStaleness::test_stale_reads_take_the_min_across_vms"
+LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
+                 "test_each_log_entry_is_its_cloudlets_live_earliest_ready_time")
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 
@@ -95,9 +98,17 @@ MUTANTS = (
            "if False:",
            (E + "TestStaleReadsMatchFullHistory::test_a_commit_behind_a_folded_commit_raises",)),
     Mutant("the heap takes back the start, not the new ready time", ENGINE,
-           "heapq.heapreplace(heap, (new_ready, vm_index))",
-           "heapq.heapreplace(heap, (start, vm_index))",
+           "heapq.heapreplace(heap, start + exec_time)",
+           "heapq.heapreplace(heap, start)",
            (E + "TestVmSchedule::test_commit_occupies_the_earliest_vm", REPLAY)),
+    Mutant("the log records the committed VM's new ready time", ENGINE,
+           "self.commit_log.append((now, cloudlet_id, heap[0]))",
+           "self.commit_log.append((now, cloudlet_id, start + exec_time))",
+           (MIN_ACROSS_VMS, LOG_ENTRY)),
+    Mutant("the log records the earliest ready time from before the commit", ENGINE,
+           "self.commit_log.append((now, cloudlet_id, heap[0]))",
+           "self.commit_log.append((now, cloudlet_id, ready))",
+           (MIN_ACROSS_VMS, LOG_ENTRY)),
     Mutant("the pair comes back in draw order", SCHEDULERS,
            "return (a, b) if a < b else (b, a)",
            "return (a, b)",

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, including exit codes and file formats."""
 
 import csv
+from fractions import Fraction
 import gc
 import io
 import json
@@ -346,11 +347,23 @@ class TestMeanStd:
 
     @pytest.mark.parametrize("values, mean", [
         ([math.inf, 2.0], math.inf), ([1.0, math.inf, math.inf], math.inf),
-        ([math.nan, 2.0], math.nan), ([math.inf, math.nan], math.nan)])
+        ([math.nan, 2.0], math.nan), ([math.inf, math.nan], math.nan),
+        ([math.inf, 1e308, 1e308], math.inf), ([math.nan, 1e308, 1e308], math.nan)])
     def test_a_value_that_is_not_finite_has_no_deviation(self, values, mean):
         got_mean, std = _mean_std(values)
         assert got_mean == mean or math.isnan(got_mean) and math.isnan(mean)
         assert math.isnan(std)
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308], [sys.float_info.max, sys.float_info.max, 1.0],
+        [1.5e308, 1.25e308, 0.1, -2.5e307]])
+    def test_a_sum_that_overflows_has_the_correctly_rounded_mean(self, values):
+        # fsum raises "intermediate overflow" here, though the mean of finite values is finite
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        mean, std = _mean_std(values)
+        assert mean == float(sum(map(Fraction, values)) / len(values))
+        assert math.isfinite(std)
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev is correctly rounded from 3.11")
     @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=30))
@@ -387,6 +400,22 @@ class TestRoundingEdges:
                      "--out", str(tmp_path / "run")]) == 0
         [header, row] = read_csv(tmp_path / "run" / "summary.csv")
         assert dict(zip(header, row))["awt"] == "inf"
+
+    def test_compare_averages_metrics_whose_sum_overflows(self, tmp_path):
+        # two replicates of one task each: the makespans sum past the float range
+        config = _write(tmp_path, "c.yaml", "catalog:\n  - {name: big, class: sensitive,"
+                        " base_service_ms: 1.0e+308, mobile_ms: 1.0e+308, cloud_ms: 1,"
+                        " data_bytes: 0}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--tasks", "1", "--seeds", "1..2",
+                     "--scheduler", "daemon-only", "--lambda", "1", "--out", str(out)]) == 0
+        rows = read_csv(out / "comparison.csv")
+        [stats] = [dict(zip(rows[0], row)) for row in rows[1:]]
+        assert (stats["makespan_max_mean"], stats["makespan_max_std"]) == ("1e+308", "0")
+        assert main(["run", "--config", config, "--tasks", "1", "--scheduler", "daemon-only",
+                     "--out", str(tmp_path / "run")]) == 0
+        [header, row] = read_csv(tmp_path / "run" / "summary.csv")
+        assert dict(zip(header, row))["makespan_max"] == "1e+308"
 
 
 class TestSeedPrecedence:

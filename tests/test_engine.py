@@ -72,53 +72,56 @@ def one_cloudlet(vm_count):
 
 
 def commit(sim, now, exec_time, cloudlet_id=0):
-    """The start ``sim.commit`` returns, and the VM it took, read from the log entry it wrote."""
-    start = sim.commit(cloudlet_id, now, exec_time)
-    return start, sim.commit_log[-1][3]
+    """The start ``sim.commit`` returns for one task on ``cloudlet_id``."""
+    return sim.commit(cloudlet_id, now, exec_time)
 
 
 def earliest_ready(sim, cloudlet_id=0):
-    return sim.heaps[cloudlet_id][0][0]
+    return sim.heaps[cloudlet_id][0]
+
+
+def ready_times(sim, cloudlet_id=0):
+    return sorted(sim.heaps[cloudlet_id])
 
 
 class TestVmSchedule:
-    """One cloudlet's VM heap, driven through ``Simulation.commit``."""
+    """One cloudlet's VM heap of ready times, driven through ``Simulation.commit``."""
 
     def test_all_vms_start_idle(self):
         sim = one_cloudlet(3)
-        assert earliest_ready(sim) == 0.0
-        assert sorted(commit(sim, 0.0, 100.0) for _ in range(3)) == [(0.0, 0), (0.0, 1), (0.0, 2)]
+        assert ready_times(sim) == [0.0, 0.0, 0.0]
+        assert [commit(sim, 0.0, 100.0) for _ in range(3)] == [0.0, 0.0, 0.0]
+        assert ready_times(sim) == [100.0, 100.0, 100.0]
 
     def test_commit_occupies_the_earliest_vm(self):
         sim = one_cloudlet(1)
-        start, index = commit(sim, 0.0, 800.0)
-        assert (start, index) == (0.0, 0)
-        assert sim.commit(0, 0.0, 500.0) == 800.0
+        assert commit(sim, 0.0, 800.0) == 0.0
+        assert commit(sim, 0.0, 500.0) == 800.0
         assert earliest_ready(sim) == 1300.0
-        assert commit(sim, 0.0, 1.0) == (1300.0, 0)
+        assert commit(sim, 0.0, 1.0) == 1300.0
 
     def test_commit_spreads_over_idle_vms(self):
         sim = one_cloudlet(2)
-        sim.commit(0, 0.0, 1000.0)
-        start, index = commit(sim, 0.0, 1000.0)
-        assert start == 0.0
-        assert index == 1
-        assert earliest_ready(sim) == 1000.0
-        assert sorted(commit(sim, 0.0, 1.0) for _ in range(2)) == [(1000.0, 0), (1000.0, 1)]
+        assert commit(sim, 0.0, 1000.0) == 0.0
+        assert ready_times(sim) == [0.0, 1000.0]
+        assert commit(sim, 0.0, 1000.0) == 0.0
+        assert ready_times(sim) == [1000.0, 1000.0]
+        assert [commit(sim, 0.0, 1.0) for _ in range(2)] == [1000.0, 1000.0]
+        assert ready_times(sim) == [1001.0, 1001.0]
 
     def test_late_commit_starts_at_now(self):
         sim = one_cloudlet(1)
-        assert sim.commit(0, 700.0, 100.0) == 700.0
+        assert commit(sim, 700.0, 100.0) == 700.0
         assert earliest_ready(sim) == 800.0
-        assert commit(sim, 700.0, 1.0) == (800.0, 0)
+        assert commit(sim, 700.0, 1.0) == 800.0
 
     def test_start_follows_the_clock(self):
         sim = one_cloudlet(1)
         sim.commit(0, 0.0, 400.0)
-        assert commit(sim, 399.0, 1.0) == (400.0, 0)  # still busy at 399
+        assert commit(sim, 399.0, 1.0) == 400.0  # still busy at 399
         sim = one_cloudlet(1)
         sim.commit(0, 0.0, 400.0)
-        assert commit(sim, 400.0, 1.0) == (400.0, 0)  # idle again at 400
+        assert commit(sim, 400.0, 1.0) == 400.0  # idle again at 400
 
     def test_a_commit_at_the_ready_instant_starts_at_now(self):
         # on a tie the start is ``now`` itself, as ``max(now, ready)`` gives: -0.0 == 0.0
@@ -159,14 +162,14 @@ class TestProbeAndCommitHelpers:
         assert on_time == 5100.0
         assert late == 5600.0
 
-    def test_commit_returns_start_completion_and_vm(self):
+    def test_commit_returns_start_and_completion(self):
         topo = make_topology(make_cloudlet(0, net=zero_data_net(daemon_rtt=10.0)))
         task = make_task(arrival_time=800.0, base_service_time=500.0, data_volume=0.0)
         sim = Simulation(topo, Scripted([Assign(0)]))
         record = sim.run([task]).records[0]
         assert (record.start_time, record.completion_time) == (800.0, 1310.0)
         assert earliest_ready(sim) == 1300.0
-        assert commit(sim, 800.0, 1.0) == (1300.0, 0)
+        assert commit(sim, 800.0, 1.0) == 1300.0
 
     def test_remote_commit_charges_the_pair_rtt(self):
         net = zero_data_net(daemon_rtt=10.0, remote_rtt=60.0)
@@ -917,13 +920,17 @@ class TestSharedCostRows:
 
 
 class HistoryReference:
-    """Brute-force stale reads: every VM's full commit history, bisected."""
+    """Brute-force VM state: every VM's full commit history, bisected for stale reads."""
 
     def __init__(self, vm_count):
         self.history = [[(-inf, 0.0)] for _ in range(vm_count)]
 
-    def commit(self, now, vm_index, new_ready):
-        self.history[vm_index].append((now, new_ready))
+    def commit(self, now, exec_time):
+        """Start the task on the VM that is ready first; returns the start."""
+        vm = min(self.history, key=lambda h: h[-1][1])
+        start = max(now, vm[-1][1])
+        vm.append((now, start + exec_time))
+        return start
 
     def asof(self, when):
         return min(h[bisect_right(h, (when, inf)) - 1][1] for h in self.history)
@@ -954,8 +961,7 @@ class TestStaleReadsMatchFullHistory:
 
     @staticmethod
     def _commit(sim, refs, cloudlet_id, now, exec_time):
-        start, vm_index = commit(sim, now, exec_time, cloudlet_id)
-        refs[cloudlet_id].commit(now, vm_index, start + exec_time)
+        assert commit(sim, now, exec_time, cloudlet_id) == refs[cloudlet_id].commit(now, exec_time)
 
     @staticmethod
     def _assert_reads(sim, refs, now):
@@ -992,6 +998,16 @@ class TestStaleReadsMatchFullHistory:
             assert [entry[0] for entry in sim.commit_log] == sorted(newer)
             if commit:
                 self._commit(sim, refs, cloudlet_id, now, exec_time)
+
+    @given(shared_log_runs())
+    def test_each_log_entry_is_its_cloudlets_live_earliest_ready_time(self, run):
+        topo, _, ops = run
+        sim = Simulation(topo, DaemonOnlyScheduler())
+        now = 0.0
+        for _, cloudlet_id, step, exec_time in ops:
+            now += step
+            sim.commit(cloudlet_id, now, exec_time)
+            assert sim.commit_log[-1] == (now, cloudlet_id, min(sim.heaps[cloudlet_id]))
 
     def test_a_backwards_commit_raises(self):
         sim = one_cloudlet(2)
@@ -1069,8 +1085,7 @@ class TestProbeMatchesTheModel:
         now = 0.0
         for cloudlet_id, step, exec_time in loads:
             now += step
-            start, vm_index = commit(sim, now, exec_time, cloudlet_id)
-            refs[cloudlet_id].commit(now, vm_index, start + exec_time)
+            assert commit(sim, now, exec_time, cloudlet_id) == refs[cloudlet_id].commit(now, exec_time)
         now += lag
         view = ClusterView(sim, task, now)
         daemon = topo.get(task.daemon_id)

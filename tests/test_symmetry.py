@@ -1,13 +1,19 @@
-"""Whole runs under a change of units or of labels that must leave them alone.
+"""Whole runs under a change of units or of labels that must leave them alone,
+and greedy against the one queue it must equal.
 
-Neither check shares the engine's design, as the replay oracle does; each
-states a symmetry of the model itself (metamorphic testing, Chen et al.,
-ACM CSUR 2018).  Both run every policy, with fresh and with stale probes.
+No check here shares the engine's design, as the replay oracle does.  Two
+state a symmetry of the model itself (metamorphic testing, Chen et al.,
+ACM CSUR 2018) and run every policy, with fresh and with stale probes.
+The third states an exact queueing relation: least-work-left routing over
+equal servers is one FCFS queue with that many servers (Harchol-Balter,
+*Performance Modeling and Design of Computer Systems*, 2013).
 """
 
 from dataclasses import replace
 import itertools
 
+from hypothesis import given
+from hypothesis import strategies as st
 import pytest
 
 from petrel import workload
@@ -15,7 +21,7 @@ from petrel.config import EdgeCloudConfig, build_topology
 from petrel.engine import simulate
 from petrel.model import Cloudlet, EdgeCloud, Task
 from petrel.schedulers import SCHEDULER_NAMES
-from petrel.workload import generate_trace
+from petrel.workload import Benchmark, TaskClass, generate_trace
 
 LATENCIES = (0.0, EdgeCloudConfig().probe_latency_ms)  # fresh probes, and the default lag
 RATES = (1.0, 4.0, 6.0)
@@ -98,3 +104,39 @@ def test_an_order_preserving_relabel_relabels_every_record(name, latency):
         assert got == [w._replace(daemon_id=label(w.daemon_id),
                                   executor=None if w.executor is None else label(w.executor))
                        for w in want]
+
+
+times = st.floats(1.0, 5000.0, allow_nan=False)
+
+
+@st.composite
+def catalogs(draw):
+    """One to three benchmarks of either class, with any sizes, data and weights."""
+    catalog = []
+    for i in range(draw(st.integers(1, 3))):
+        tolerant = draw(st.booleans())
+        catalog.append(Benchmark(
+            f"b{i}", TaskClass.LATENCY_TOLERANT if tolerant else TaskClass.LATENCY_SENSITIVE,
+            draw(times), draw(times), draw(times), draw(st.floats(0.0, 1e6, allow_nan=False)),
+            bound_factor=draw(st.floats(1.5, 10.0)) if tolerant else None,
+            weight=draw(st.floats(0.1, 10.0))))
+    return tuple(catalog)
+
+
+@given(catalog=catalogs(), n=st.integers(2, 10), rate=st.floats(0.25, 8.0),
+       speed=st.floats(0.25, 4.0), seed=st.integers(0, 10_000))
+def test_fresh_greedy_over_equal_single_vm_cloudlets_is_one_multi_vm_queue(
+        catalog, n, rate, speed, seed):
+    # with no RTT every executor charges the same transfer, so greedy takes the cloudlet
+    # that is ready first, as one cloudlet of n VMs takes its earliest-ready VM
+    config = EdgeCloudConfig(cloudlet_count=n, vm_counts=(1,) * n, speed_factors=(speed,) * n,
+                             daemon_rtt_ms=0.0, remote_rtt_range_ms=(0.0, 0.0),
+                             probe_latency_ms=0.0, task_count=300, arrival_rate=rate,
+                             catalog=catalog)
+    trace = generate_trace(config, seed)
+    spread = simulate(config, trace, "greedy", seed).records
+    pooled_config = config.override(cloudlet_count=1, vm_counts=(n,), speed_factors=(speed,))
+    pooled = simulate(pooled_config, [Task(t.id, t.arrival_time, 0, t.profile) for t in trace],
+                      "daemon-only", seed).records
+    assert [(r.start_time, r.completion_time) for r in spread] == [
+        (r.start_time, r.completion_time) for r in pooled]
