@@ -95,6 +95,11 @@ def write_records_csv(records, path) -> None:
             )
 
 
+def _json_number(x):
+    """``x``, or for a non-finite float its CSV spelling as a string, which JSON allows."""
+    return format_number(x) if isinstance(x, float) and not isfinite(x) else x
+
+
 def _summary_scalars(summary: RunSummary) -> dict[str, float | int]:
     return {name: getattr(summary, name) for name in SUMMARY_FIELDS}
 
@@ -111,12 +116,12 @@ def write_summary(summary: RunSummary, path, fmt: str, *, extra: dict | None = N
                 for v in scalars.values()
             )
     else:
-        payload = dict(scalars)
+        payload = {k: _json_number(v) for k, v in scalars.items()}
         payload["per_cloudlet_makespan"] = {
-            str(k): v for k, v in sorted(summary.per_cloudlet_makespan.items())
+            str(k): _json_number(v) for k, v in sorted(summary.per_cloudlet_makespan.items())
         }
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -243,8 +248,8 @@ def write_comparison(report: ComparisonReport, path, fmt: str) -> None:
                 }
                 for metric in COMPARE_METRICS:
                     mean, std = row.stats[metric]
-                    payload[metric] = {"mean": mean, "std": std}
-                fh.write(json.dumps(payload, sort_keys=True) + "\n")
+                    payload[metric] = {"mean": _json_number(mean), "std": _json_number(std)}
+                fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def comparison_table(report: ComparisonReport) -> str:
@@ -252,7 +257,7 @@ def comparison_table(report: ComparisonReport) -> str:
     header = ["scheduler", "lambda"] + list(COMPARE_METRICS)
     lines = [header]
     for row in report.rows:
-        cells = [row.scheduler, f"{row.arrival_rate:g}"]
+        cells = [row.scheduler, format_number(row.arrival_rate)]
         for metric in COMPARE_METRICS:
             mean, std = row.stats[metric]
             cells.append(f"{mean:.4f} ± {std:.4f}")

@@ -17,10 +17,10 @@ charged to the task's completion, not to VM occupancy.
 Reads of cloudlets other than the task's daemon come from one run-wide
 commit log: each commit logs its cloudlet's new earliest ready time, and
 commits come in time order across the run, so before a decision the
-simulation folds the log up to the horizon ``max(now - probe_latency,
-0)``, once a logged commit has reached it, and such a read is a lookup.
-At latency 0 the horizon is ``now``, so the fold gives the live state.
-:class:`ClusterView` only reads; the simulation commits and folds.
+run folds the log up to the horizon ``max(now - probe_latency, 0)``,
+once a logged commit has reached it, and such a read is a lookup.  At
+latency 0 the horizon is ``now``, so the fold gives the live state.
+The run is the one place that folds; :class:`ClusterView` only reads.
 
 Two runs with the same config, trace, policy, and seed produce
 bit-identical records.
@@ -112,13 +112,14 @@ class ClusterView:
     completion, :meth:`least_completion` for the first of several ids whose
     expected completion is least, and :meth:`daemon_completion_if_delayed`.
     The daemon's ready time is its live heap head in ``sim.heaps``.  Reads
-    of non-daemon cloudlets come from ``sim.stale_ready``: per cloudlet,
-    the earliest ready time logged by its last commit at or before the
-    horizon ``max(now - probe_latency, 0)``, else 0.0.  Building a view has the
-    simulation fold its commit log up to that horizon, which must not go
-    back; at latency 0 that is every commit so far, so these reads are
-    live.  A run builds one view and positions it at each decision
-    itself, so a policy must not keep a view past ``decide``.
+    of non-daemon cloudlets come from ``sim.stale_ready``, which the run
+    folds before each decision: per cloudlet, the earliest ready time
+    logged by its last commit at or before the horizon
+    ``max(now - probe_latency, 0)``, else 0.0.  At latency 0 that is every
+    commit so far, so these reads are live.  Building a view folds
+    nothing, so a view built outside the run reads stale state as the
+    run last folded it.  A run builds one view and positions it at each
+    decision itself, so a policy must not keep a view past ``decide``.
     """
 
     __slots__ = ("now", "daemon_id", "cloudlet_ids", "_heaps", "_stale_ready", "_costs")
@@ -130,7 +131,6 @@ class ClusterView:
         self.now = now
         self.daemon_id = task.daemon_id
         self._costs = sim.topology.cost_row(task.daemon_id, task.profile)  # (exec, comm) per executor
-        sim._fold(now)
 
     def probe(self, cloudlet_id: int) -> ProbeResult:
         now = self.now
@@ -177,9 +177,10 @@ class Simulation:
     none is named.  :meth:`commit` is the one writer of ``commit_log``,
     the run-wide log of ``(commit_time, cloudlet_id, earliest_ready)``,
     where ``earliest_ready`` is the cloudlet's heap head just after the
-    commit.  :meth:`_fold` sets ``stale_ready`` from each entry once the
-    read horizon reaches its commit time.  A run leaves its commits
-    behind, so an instance runs once.
+    commit.  Before each decision, :meth:`run` computes the read horizon
+    and calls :meth:`_fold`, which sets ``stale_ready`` from each entry at
+    or before it; nothing else folds.  A run leaves its commits behind,
+    so an instance runs once.
     """
 
     def __init__(
@@ -203,7 +204,6 @@ class Simulation:
         self.heaps = {c.id: [0.0] * c.vm_count for c in topology}
         self.stale_ready = dict.fromkeys(self.heaps, 0.0)
         self.commit_log: deque = deque()  # run-wide, folded per decision
-        self.stale_horizon = -inf  # the last horizon folded to
         self.last_commit = -inf
         self._ran = False
 
@@ -224,16 +224,8 @@ class Simulation:
         self.commit_log.append((now, cloudlet_id, heap[0]))
         return start
 
-    def _fold(self, now: float) -> None:
-        """Apply every logged commit at or before the horizon ``max(now - probe_latency, 0)``."""
-        horizon = now - self.probe_latency
-        if horizon < 0.0:
-            horizon = 0.0
-        if horizon < self.stale_horizon:
-            raise ValueError(
-                f"stale probes at {horizon} would read before the folded horizon {self.stale_horizon}"
-            )
-        self.stale_horizon = horizon
+    def _fold(self, horizon: float) -> None:
+        """Apply every logged commit at or before ``horizon``."""
         # commits fold in log order, so a cloudlet's last one at or before the horizon wins
         log, stale_ready = self.commit_log, self.stale_ready
         while log and log[0][0] <= horizon:
@@ -274,14 +266,14 @@ class Simulation:
             else:
                 break
             task_id, arrival, daemon_id, profile = task
-            # what the view's constructor does, with the fold skipped while
-            # no logged commit has reached the horizon and it has not gone back
+            # what the view's constructor binds, then the one fold of the run,
+            # skipped while no logged commit has reached the horizon
             view.now = now
             view.daemon_id = daemon_id
             view._costs = costs = cost_row(daemon_id, profile)
             horizon = now - latency if now > latency else 0.0
-            if log and log[0][0] <= horizon or horizon < self.stale_horizon:
-                fold(now)
+            if log and log[0][0] <= horizon:
+                fold(horizon)
             decision = decide(task, view)
             decisions.append(new(DecisionEntry, (now, task_id, decision, kind)))
             if isinstance(decision, Assign):

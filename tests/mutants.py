@@ -67,23 +67,24 @@ MUTANTS = (
            "            if cloudlet_id == daemon_id:\n",
            "            if cloudlet_id is None:\n",
            (ANY_ORDER, REPLAY)),
-    Mutant("the fold ignores probe_latency", ENGINE,
-           "horizon = now - self.probe_latency",
+    Mutant("the run's horizon ignores probe_latency", ENGINE,
+           "horizon = now - latency if now > latency else 0.0",
            "horizon = now",
-           (E + "TestProbeStaleness::test_remote_probes_lag_behind_commits", REPLAY)),
+           (E + "TestProbeStaleness::"
+                "test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon", REPLAY)),
+    Mutant("the run's horizon is not clamped at 0", ENGINE,
+           "horizon = now - latency if now > latency else 0.0",
+           "horizon = now - latency",
+           (E + "TestProbeStaleness::test_a_commit_at_zero_is_visible_inside_the_first_latency",)),
     Mutant("the fold leaves out commits at the horizon", ENGINE,
            "while log and log[0][0] <= horizon:",
            "while log and log[0][0] < horizon:",
            (E + "TestProbeStaleness::test_stale_reads_see_older_state", LIVE_AT_ZERO)),
     Mutant("the run skips a commit due at its horizon", ENGINE,
-           "if log and log[0][0] <= horizon or",
-           "if log and log[0][0] < horizon or",
+           "if log and log[0][0] <= horizon:",
+           "if log and log[0][0] < horizon:",
            (E + "TestProbeStaleness::"
                 "test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon",)),
-    Mutant("the run skips the horizon check", ENGINE,
-           " or horizon < self.stale_horizon:",
-           ":",
-           (E + "TestProbeStaleness::test_a_run_raises_when_a_policy_folded_past_its_horizon",)),
     Mutant("tied wake-ups pop in trace order", ENGINE,
            "heappush(wakeups, (now + delay, sequence, index, delays))",
            "heappush(wakeups, (now + delay, index, index, delays))",

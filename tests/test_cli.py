@@ -38,6 +38,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_strict_json_lines(path):
+    """Each line of ``path`` parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+
+
 class TestGenerate:
     def test_writes_a_loadable_trace(self, tmp_path, small_config, capsys):
         out = tmp_path / "out"
@@ -275,6 +283,17 @@ class TestCompare:
         assert payload["lambda"] == 1.5
         assert set(payload["awt"]) == {"mean", "std"}
 
+    def test_the_table_spells_each_lambda_as_the_csv_does(self, tmp_path, small_config):
+        # with :g both rates would print as 1, leaving two rows with one label
+        out = tmp_path / "out"
+        assert main([
+            "compare", "--config", small_config, "--scheduler", "daemon-only",
+            "--lambda", "1,1.0000001", "--seeds", "1", "--out", str(out),
+        ]) == 0
+        table = (out / "comparison.txt").read_text().splitlines()
+        assert [line.split()[1] for line in table[1:]] == ["1", "1.0000001"]
+        assert [row[1] for row in read_csv(out / "comparison.csv")[1:]] == ["1", "1.0000001"]
+
     def test_reruns_are_byte_identical(self, tmp_path, small_config):
         outs = []
         for name in ("one", "two"):
@@ -400,6 +419,22 @@ class TestRoundingEdges:
                      "--out", str(tmp_path / "run")]) == 0
         [header, row] = read_csv(tmp_path / "run" / "summary.csv")
         assert dict(zip(header, row))["awt"] == "inf"
+
+    def test_json_lines_spell_a_non_finite_value_as_the_csv_does(self, tmp_path):
+        config = _write(tmp_path, "c.yaml", "catalog:\n  - {name: tiny, class: sensitive,"
+                        " base_service_ms: 1.0e-310, mobile_ms: 1, cloud_ms: 1, data_bytes: 0}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--tasks", "5", "--seeds", "1..2",
+                     "--scheduler", "daemon-only", "--format", "json-lines", "--out", str(out)]) == 0
+        rows = read_strict_json_lines(out / "comparison.jsonl")
+        assert rows and all(row["awt"] == {"mean": "inf", "std": "nan"} for row in rows)
+        assert all(isinstance(row["makespan_max"]["mean"], float) for row in rows)
+        run = tmp_path / "run"
+        assert main(["run", "--config", config, "--tasks", "5", "--scheduler", "daemon-only",
+                     "--format", "json-lines", "--out", str(run)]) == 0
+        [summary] = read_strict_json_lines(run / "summary.jsonl")
+        assert summary["awt"] == "inf"
+        assert isinstance(summary["avg_speedup"], float)
 
     def test_compare_averages_metrics_whose_sum_overflows(self, tmp_path):
         # two replicates of one task each: the makespans sum past the float range

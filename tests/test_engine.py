@@ -576,10 +576,21 @@ class TestTraceValidation:
             Simulation(EdgeCloud(cloudlets=()), DaemonOnlyScheduler())
 
 
+def fold_to(sim, now):
+    """Fold the log to a decision's horizon at ``now``, by this test's own formula."""
+    sim._fold(max(now - sim.probe_latency, 0.0))
+
+
 def stale_ready_at(sim, now):
-    """The stale ready times a decision at ``now`` reads, once its view has folded the log."""
-    ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now)
+    """The stale ready times a decision at ``now`` reads, once the log is folded for it."""
+    fold_to(sim, now)
     return dict(sim.stale_ready)
+
+
+def view_at(sim, task, now):
+    """A view of ``task`` at ``now`` over the log folded to that decision's horizon."""
+    fold_to(sim, now)
+    return ClusterView(sim, task, now)
 
 
 class TestProbeStaleness:
@@ -622,7 +633,7 @@ class TestProbeStaleness:
         for commit, cloudlet_id, step, exec_time in ops:
             now += step
             task = make_task(daemon_id=cloudlet_id)
-            view = ClusterView(sim, task, now)
+            view = view_at(sim, task, now)
             daemon = topo.get(cloudlet_id)
             live = {}
             for executor in topo:
@@ -638,15 +649,22 @@ class TestProbeStaleness:
                 sim.commit(cloudlet_id, now, exec_time)
 
     def test_a_commit_at_zero_is_visible_inside_the_first_latency(self):
-        # the horizon is max(now - latency, 0): 0 here, not -75, so the commit at 0 shows
-        sim = self._sim(125.0)
-        sim.commit(1, 0.0, 5000.0)
-        probe = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=50.0).probe(1)
-        assert not probe.has_idle_vm
-        assert probe.expected_completion == 5000.0 + 1000.0 + 70.0
+        # the run's horizon is max(now - latency, 0): 0 at 50, not -75, so the commit at 0 shows
+        seen = []
+
+        class Watching:
+            def decide(self, task, view):
+                seen.append(view.probe(1))
+                return Assign(1)
+
+        trace = [make_task(task_id=0, arrival_time=0.0, base_service_time=5000.0, data_volume=0.0),
+                 make_task(task_id=1, arrival_time=50.0, data_volume=0.0)]
+        Simulation(small_topology(), Watching(), probe_latency=125.0).run(trace)
+        assert seen[1] == (1, 5000.0 + 1000.0 + 70.0, False)
 
     def test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon(self):
-        # at latency 100 the decision at 100 reads at horizon 0, the commit's own instant
+        # at latency 100 the decision at 100 reads at horizon 0, the commit's own instant,
+        # and the one at 150 reads at horizon 50, before the commit at 100
         seen = []
 
         class Watching:
@@ -655,38 +673,34 @@ class TestProbeStaleness:
                 return Assign(1)
 
         trace = [make_task(task_id=i, daemon_id=0, arrival_time=t, data_volume=0.0)
-                 for i, t in enumerate((0.0, 100.0))]
+                 for i, t in enumerate((0.0, 100.0, 150.0))]
         Simulation(small_topology(), Watching(), probe_latency=100.0).run(trace)
-        assert seen == [(1, 0.0 + 1000.0 + 70.0, True), (1, 1000.0 + 1000.0 + 70.0, False)]
+        assert seen == [(1, 0.0 + 1000.0 + 70.0, True), (1, 1000.0 + 1000.0 + 70.0, False),
+                        (1, 1000.0 + 1000.0 + 70.0, False)]
 
-    def test_a_run_raises_when_a_policy_folded_past_its_horizon(self):
-        # the run skips folds while no logged commit is due, yet still checks the horizon
-        class FoldingAhead:
+    def test_a_view_a_policy_builds_moves_no_later_read(self):
+        # only the run folds, so probing through a view built 1000 ms ahead reads, nothing more
+        topo, trace = small_topology(vms=2, count=3), busy_mixed_trace()
+
+        class ProbingAhead:
+            def __init__(self):
+                self._greedy = make_scheduler("greedy")
+
             def decide(self, task, view):
-                ClusterView(sim, task, view.now + 1000.0)
-                return AssignCloud()  # so the log stays empty
+                ahead = ClusterView(sim, task, view.now + 1000.0)
+                ahead.least_completion(topo.ids)
+                return self._greedy.decide(task, view)
 
-        trace = [make_task(task_id=i, arrival_time=t, data_volume=0.0)
-                 for i, t in enumerate((200.0, 300.0))]
-        sim = Simulation(small_topology(), FoldingAhead(), probe_latency=100.0)
-        with pytest.raises(ValueError, match="^stale probes at 200.0 would read before"
-                                             " the folded horizon 1100.0$"):
-            sim.run(trace)
-
-    def test_a_backwards_horizon_raises(self):
-        sim = self._sim(50.0)
-        sim.commit(1, 100.0, 500.0)
-        assert stale_ready_at(sim, 150.0)[1] == 600.0
-        assert stale_ready_at(sim, 150.0)[1] == 600.0  # ties are fine
-        with pytest.raises(ValueError, match="^stale probes at 99.0 would read before"
-                                             " the folded horizon 100.0$"):
-            stale_ready_at(sim, 149.0)
+        sim = Simulation(topo, ProbingAhead(), probe_latency=300.0)
+        records = sim.run(trace).records
+        plain = Simulation(topo, make_scheduler("greedy"), probe_latency=300.0).run(trace)
+        assert records == plain.records
 
     def test_remote_probes_lag_behind_commits(self):
         sim = self._sim(1500.0)
         sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
-        view = ClusterView(sim, task, now=1000.0)
+        view = view_at(sim, task, now=1000.0)
         probe = view.probe(1)
         assert probe.has_idle_vm  # the 600ms commit is not visible yet
         assert probe.expected_completion == 1000.0 + 1000.0 + 70.0
@@ -695,7 +709,7 @@ class TestProbeStaleness:
         sim = self._sim(1500.0)
         sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
-        probe = ClusterView(sim, task, now=2200.0).probe(1)
+        probe = view_at(sim, task, now=2200.0).probe(1)
         assert not probe.has_idle_vm
         assert probe.expected_completion == 5600.0 + 1000.0 + 70.0
 
@@ -711,7 +725,7 @@ class TestProbeStaleness:
         sim = self._sim(0.0)
         sim.commit(1, 600.0, 5000.0)
         task = make_task(daemon_id=0, data_volume=0.0)
-        probe = ClusterView(sim, task, now=1000.0).probe(1)
+        probe = view_at(sim, task, now=1000.0).probe(1)
         assert not probe.has_idle_vm
 
     def test_delayed_daemon_projection_uses_live_state(self):
@@ -993,8 +1007,9 @@ class TestStaleReadsMatchFullHistory:
             now += step
             self._assert_reads(sim, refs, now)
             # once folded, the log holds exactly the commits newer than the horizon, in time order
+            horizon = max(now - latency, 0.0)
             newer = [t for ref in refs.values() for h in ref.history for t, _ in h
-                     if t > sim.stale_horizon]
+                     if t > horizon]
             assert [entry[0] for entry in sim.commit_log] == sorted(newer)
             if commit:
                 self._commit(sim, refs, cloudlet_id, now, exec_time)
@@ -1087,7 +1102,7 @@ class TestProbeMatchesTheModel:
             now += step
             assert commit(sim, now, exec_time, cloudlet_id) == refs[cloudlet_id].commit(now, exec_time)
         now += lag
-        view = ClusterView(sim, task, now)
+        view = view_at(sim, task, now)
         daemon = topo.get(task.daemon_id)
         for executor in topo:
             if executor.id == daemon.id or latency <= 0:
@@ -1118,7 +1133,7 @@ class TestProbeMatchesTheModel:
         for cloudlet_id, step, exec_time in loads:
             now += step
             sim.commit(cloudlet_id, now, exec_time)
-        view = ClusterView(sim, task, now + lag)
+        view = view_at(sim, task, now + lag)
         for size in range(1, len(topo) + 1):
             for order in itertools.permutations(topo.ids, size):
                 done = [view.probe(c).expected_completion for c in order]
