@@ -76,22 +76,23 @@ def write_records_csv(records, path) -> None:
     memo = _Formatted()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for r in records:
-            assign = fmt(r.assign_time)
-            if r.start_time == r.assign_time:
+        for (task_id, task_class, daemon_id, executor, _arrival, assign_time, start_time,
+             completion, turnaround, service, speedup, delays, violated) in records:
+            assign = fmt(assign_time)
+            # turnaround / service is weighted_turnaround; _value_ skips Enum.value's property
+            if start_time == assign_time:
                 start = assign
-                turnaround, weighted, speedup = (memo[r.turnaround], memo[r.weighted_turnaround],
-                                                 memo[r.speedup])
+                cells = memo[turnaround], memo[turnaround / service], memo[speedup]
             else:
-                start = fmt(r.start_time)
-                turnaround, weighted, speedup = (fmt(r.turnaround), fmt(r.weighted_turnaround),
-                                                 fmt(r.speedup))
+                start = fmt(start_time)
+                cells = fmt(turnaround), fmt(turnaround / service), fmt(speedup)
+            turnaround_cell, weighted_cell, speedup_cell = cells
             fh.write(
-                f"{r.task_id},{r.task_class.value},{r.daemon_id},"
-                f"{'cloud' if r.executor is None else r.executor},"
-                f"{assign},{start},{fmt(r.completion_time)},{turnaround},"
-                f"{memo[r.service_time]},{weighted},{speedup},{r.delays_taken},"
-                f"{'' if r.bound_violated is None else 'true' if r.bound_violated else 'false'}\n"
+                f"{task_id},{task_class._value_},{daemon_id},"
+                f"{'cloud' if executor is None else executor},"
+                f"{assign},{start},{fmt(completion)},{turnaround_cell},"
+                f"{memo[service]},{weighted_cell},{speedup_cell},{delays},"
+                f"{'' if violated is None else 'true' if violated else 'false'}\n"
             )
 
 

@@ -308,11 +308,32 @@ def from_mapping(data: Mapping[str, Any] | None) -> EdgeCloudConfig:
     return config
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, except that a key repeated in one mapping
+    is an error rather than a silent override.  A key written beside a merge
+    key (``<<``) may still override what the merge brings in, as YAML allows."""
+
+    def construct_mapping(self, node, deep=False):
+        entries = list(node.value) if isinstance(node, yaml.MappingNode) else []
+        mapping = super().construct_mapping(node, deep=deep)  # merges, checks hashability
+        seen = set()
+        for key_node, _ in entries:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)  # built above, so cached
+            if key in seen:
+                mark = key_node.start_mark
+                raise ConfigError(f"{mark.name}: line {mark.line + 1}: repeated key {key!r}")
+            seen.add(key)
+        return mapping
+
+
 def load_config(path) -> EdgeCloudConfig:
-    """Parse a YAML config file; an empty file yields the defaults."""
+    """Parse a YAML config file; an empty file yields the defaults, and a
+    key repeated in one mapping is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:

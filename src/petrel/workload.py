@@ -183,7 +183,10 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
     cdf /= cdf[-1]
     profiles = [b.profile for b in config.catalog]
     picks, daemons = _mix(config, seed, cdf.tolist())
-    return [Task(i, arrival, daemon, profiles[pick])
+    # tuple.__new__ skips the two arrival checks of Task(...), which hold already:
+    # the last arrival is finite and none decreases, and the first gap starts from 0
+    new = tuple.__new__
+    return [new(Task, (i, arrival, daemon, profiles[pick]))
             for i, (arrival, pick, daemon) in enumerate(zip(arrivals, picks, daemons))]
 
 
@@ -253,16 +256,31 @@ def _parse_field(row_num: int, name: str, raw: str, kind=float):
     return value
 
 
+def _raise_first_fault(row_num: int, row: list[str], seen_ids: set[int], last_arrival: float):
+    """Raise the first fault of a faulty row's id, arrival and daemon, in column order."""
+    task_id = _parse_field(row_num, "task_id", row[0], int)
+    if task_id in seen_ids:
+        raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
+    arrival = _parse_field(row_num, "arrival_ms", row[1])
+    if arrival < last_arrival:
+        raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards"
+                               f" ({arrival} < {last_arrival})")
+    _parse_field(row_num, "daemon_id", row[2], int)
+
+
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
-    Errors carry the offending line number and field name; a file that is
-    not UTF-8, or a field over csv's size limit, is named too.  Rows that
-    spell a profile alike share one :class:`Profile`, keyed on its seven
-    raw fields.
+    Errors carry the offending field's name and the file line its row
+    starts on (a quoted field may span lines); a file that is not UTF-8,
+    or a field over csv's size limit, is named too.  Rows that spell a
+    profile alike share one :class:`Profile`, keyed on its seven raw
+    fields.  Only a faulty row is parsed again, to name its first fault,
+    and tasks skip ``Task``'s arrival checks, which are made here.
     """
     tasks: list[Task] = []
     seen_ids: set[int] = set()
+    append, add_id, new = tasks.append, seen_ids.add, tuple.__new__
     last_arrival = -inf
     profiles: dict[tuple[str, ...], Profile] = {}
     width = len(TRACE_COLUMNS)
@@ -275,7 +293,10 @@ def load_trace(path) -> list[Task]:
             if tuple(header) != TRACE_COLUMNS:
                 raise TraceFormatError(
                     f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
-            for row_num, row in enumerate(reader, start=2):
+            line = reader.line_num
+            for row in reader:
+                # the row starts after the last one's end; a quoted field may span lines
+                row_num, line = line + 1, reader.line_num
                 if not row:
                     continue
                 # each field is checked once, in column order, and the first fault
@@ -283,14 +304,14 @@ def load_trace(path) -> list[Task]:
                 if len(row) != width:
                     raise TraceFormatError(
                         f"line {row_num}: expected {width} fields, got {len(row)}")
-                task_id = _parse_field(row_num, "task_id", row[0], int)
-                if task_id in seen_ids:
-                    raise TraceFormatError(f"line {row_num}: duplicate task_id {task_id}")
-                arrival = _parse_field(row_num, "arrival_ms", row[1])
-                if arrival < last_arrival:
-                    raise TraceFormatError(f"line {row_num}: field 'arrival_ms' goes backwards"
-                                           f" ({arrival} < {last_arrival})")
-                daemon_id = _parse_field(row_num, "daemon_id", row[2], int)
+                try:
+                    task_id, arrival, daemon_id = int(row[0]), float(row[1]), int(row[2])
+                    fault = (not isfinite(arrival) or task_id in seen_ids
+                             or arrival < last_arrival)
+                except ValueError:
+                    fault = True
+                if fault:
+                    _raise_first_fault(row_num, row, seen_ids, last_arrival)
                 key = tuple(row[3:])
                 profile = profiles.get(key)
                 if profile is None:
@@ -322,9 +343,9 @@ def load_trace(path) -> list[Task]:
                         profile = profiles[key] = Profile(name, task_class, *values)
                     except ValueError as exc:
                         raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
-                seen_ids.add(task_id)
+                add_id(task_id)
                 last_arrival = arrival
-                tasks.append(Task(task_id, arrival, daemon_id, profile))
+                append(new(Task, (task_id, arrival, daemon_id, profile)))
         except UnicodeDecodeError as exc:  # the text layer decodes ahead of csv, so no line
             raise TraceFormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
                                    f" ({exc.reason})") from None

@@ -41,10 +41,15 @@ SCHEDULERS = "src/petrel/schedulers.py"
 SEEDING = "src/petrel/seeding.py"
 MODEL = "src/petrel/model.py"
 CONFIG = "src/petrel/config.py"
+WORKLOAD = "src/petrel/workload.py"
+CLI = "src/petrel/cli.py"
 
 E = "tests/test_engine.py::"
 S = "tests/test_schedulers.py::"
 U = "tests/test_seeding.py::"
+W = "tests/test_workload.py::"
+C = "tests/test_cli.py::"
+ERROR_PATH = C + "TestEveryErrorPath::test_one_line_and_the_documented_exit_code"
 REPLAY = E + "TestReplayAgreement::test_engine_matches_the_handwritten_replay"
 ANY_ORDER = E + "TestProbeMatchesTheModel::test_least_completion_is_the_first_least_probe_in_any_order"
 LIVE_AT_ZERO = E + "TestProbeStaleness::test_zero_latency_reads_the_live_heap_heads"
@@ -175,6 +180,29 @@ MUTANTS = (
            "            if i != j:\n"
            "                remote[i][j] = next(rtts)\n",
            ("tests/test_goldens.py::test_run_outputs_match_goldens",)),
+    Mutant("the loader drops its inline arrival isfinite test", WORKLOAD,
+           "fault = (not isfinite(arrival) or task_id in seen_ids",
+           "fault = (task_id in seen_ids",
+           (W + "TestLoadErrors::test_non_finite_values_name_the_column",)),
+    Mutant("the loader counts rows instead of lines", WORKLOAD,
+           "row_num, line = line + 1, reader.line_num",
+           "row_num = line = line + 1",
+           (W + "TestLoadErrorMessages::test_a_fault_names_the_file_line_its_row_starts_on",
+            ERROR_PATH + "[trace-row-after-quoted-line-breaks]")),
+    Mutant("the writer reuses the cells of a task that queued", CLI,
+           "if start_time == assign_time:",
+           "if start_time != assign_time:",
+           (C + "TestRecordsFile::test_bytes_equal_csv_writer",
+            "tests/test_goldens.py::test_run_outputs_match_goldens")),
+    Mutant("a repeated YAML key is accepted", CONFIG,
+           "data = yaml.load(fh, Loader=_UniqueKeyLoader)",
+           "data = yaml.safe_load(fh)",
+           ("tests/test_config.py::TestFiles::test_a_repeated_key_names_its_line",
+            ERROR_PATH + "[repeated-config-key]")),
+    Mutant("a merge key is checked as a key", CONFIG,
+           '            if key_node.tag == "tag:yaml.org,2002:merge":\n                continue\n',
+           "",
+           ("tests/test_config.py::TestFiles::test_keys_beside_a_merge_key_override_it",)),
 )
 
 # left out of the copy: history, caches and benchmark output

@@ -651,6 +651,11 @@ ERROR_PATHS = [
     error_path("non-finite-trace-field", 2, "error: line 2: field 'arrival_ms'",
                lambda d: ["run", "--scheduler", "daa", "--trace",
                           _write(d, "nan.csv", TRACE_HEADER + "0,nan,0,x,sensitive,1,1,1,0,\n")]),
+    error_path("trace-row-after-quoted-line-breaks", 2,
+               "error: line 6: field 'arrival_ms' is not a valid float: 'x'\n",
+               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
+                   d, "lines.csv", TRACE_HEADER + '0,1,0,"a\r\nb",sensitive,1,1,1,0,\n'
+                   '1,2,0,"a\r\nb",sensitive,1,1,1,0,\n2,x,0,x,sensitive,1,1,1,0,\n')]),
     error_path("unknown-trace-class", 2, "error: line 2: field 'class'",
                lambda d: ["run", "--scheduler", "daa", "--trace",
                           _write(d, "cls.csv", TRACE_HEADER + "0,1,0,x,urgent,1,1,1,0,\n")]),
@@ -686,6 +691,9 @@ ERROR_PATHS = [
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),
+    error_path("repeated-config-key", 2, "error: {dir}/c.yaml: line 1: repeated key 'task_count'\n",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", "trace: {task_count: 5, task_count: 7}\n")]),
     error_path("config-top-level-list", 2, "error: <root>: expected a mapping, got list",
                lambda d: ["generate", "--config", _write(d, "c.yaml", "- 1\n- 2\n")]),
     error_path("config-top-level-scalar", 2, "error: <root>: expected a mapping, got int",

@@ -356,6 +356,32 @@ class TestFiles:
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, line, key", [
+        pytest.param("trace: {task_count: 5, task_count: 7}\n", 1, "task_count", id="flow"),
+        pytest.param("trace: {task_count: 5}\nseed: 3\ntrace: {task_count: 7}\n", 3, "trace",
+                     id="section"),
+        pytest.param("trace:\n  task_count: 5\n  'task_count': 7\n", 3, "task_count",
+                     id="quoted"),
+        pytest.param("catalog:\n  - name: a\n    class: sensitive\n    base_service_ms: 1\n"
+                     "    mobile_ms: 1\n    cloud_ms: 1\n    base_service_ms: 2\n"
+                     "    data_bytes: 0\n", 7, "base_service_ms", id="catalog-entry"),
+    ])
+    def test_a_repeated_key_names_its_line(self, tmp_path, text, line, key):
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: line {line}: repeated key {key!r}"
+
+    def test_keys_beside_a_merge_key_override_it(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("catalog:\n  - &face {name: face, class: sensitive, base_service_ms: 9,"
+                        " mobile_ms: 5, cloud_ms: 1, data_bytes: 0}\n"
+                        "  - <<: *face\n    name: copy\n    mobile_ms: 6\n")
+        face, copy = load_config(path).catalog
+        assert (copy.name, copy.mobile_ms) == ("copy", 6.0)
+        assert (copy.base_service_ms, copy.cloud_ms) == (face.base_service_ms, face.cloud_ms)
+
     def test_top_level_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -437,6 +438,47 @@ class TestSaveTraceProfileCache:
                 assert fh.read() == csv_writer_trace(trace)
 
 
+def assert_checked_tasks(trace):
+    """Each task is exactly a ``Task`` and equals the one its checking constructor builds."""
+    for task in trace:
+        assert type(task) is Task
+        assert len(task) == len(Task._fields)
+        assert task == Task(*task)
+        assert (type(task.id), type(task.arrival_time), type(task.daemon_id)) == (int, float, int)
+
+
+class TestBuiltTaskShapes:
+    """``generate_trace`` and ``load_trace`` build tasks without ``Task``'s
+    checks, which they have made already, so pin what they build."""
+
+    @given(
+        entries=st.lists(st.tuples(st.sampled_from(default_catalog()), st.floats(1e-6, 1e6)),
+                         min_size=1, max_size=5, unique_by=lambda e: e[0].name),
+        task_count=st.integers(0, 150),
+        cloudlet_count=st.integers(1, 12),
+        arrival_rate=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_tasks(self, entries, task_count, cloudlet_count, arrival_rate, seed):
+        catalog = tuple(replace(b, weight=w) for b, w in entries)
+        c = config(task_count=task_count, catalog=catalog, cloudlet_count=cloudlet_count,
+                   arrival_rate=arrival_rate)
+        trace = generate_trace(c, seed)
+        assert len(trace) == task_count
+        assert_checked_tasks(trace)
+
+    @given(trace=profile_traces())
+    def test_loaded_tasks(self, trace):
+        trace = sorted(trace, key=lambda t: t.arrival_time)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            save_trace(trace, path)
+            loaded = load_trace(path)
+        # the strategy's int-valued profile fields load back as floats
+        assert [t[:3] for t in loaded] == [t[:3] for t in trace]
+        assert_checked_tasks(loaded)
+
+
 HEADER = "task_id,arrival_ms,daemon_id,benchmark,class,base_service_ms,mobile_ms,cloud_ms,data_bytes,bound_ms"
 GOOD_ROW = "0,100,1,face,sensitive,1000,5000,800,2000,"
 TOLERANT_ROW = "0,100,1,sandwich,tolerant,1000,5000,800,2000,4000"
@@ -646,6 +688,11 @@ LOAD_ERROR_MESSAGES = {
     "blank lines still count": (
         [GOOD_ROW, "", "1,50,1,face,sensitive,1000,5000,800,2000,"],
         "line 4: field 'arrival_ms' goes backwards (50.0 < 100.0)"),
+    "quoted line breaks count as lines": (
+        ['0,100,1,"a\r\nb",sensitive,1000,5000,800,2000,',
+         '1,200,1,"a\r\nb",sensitive,1000,5000,800,2000,',
+         "2,x,1,face,sensitive,1000,5000,800,2000,"],
+        "line 6: field 'arrival_ms' is not a valid float: 'x'"),
 }
 
 
@@ -656,6 +703,22 @@ class TestLoadErrorMessages:
         with pytest.raises(TraceFormatError) as info:
             load_trace(write_lines(tmp_path, HEADER, *rows))
         assert str(info.value) == message
+
+    @given(trace=profile_traces())
+    def test_a_fault_names_the_file_line_its_row_starts_on(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            save_trace(sorted(trace, key=lambda t: t.arrival_time), path)
+            with open(path, "a", newline="", encoding="utf-8") as fh:
+                fh.write("x,0,0,face,sensitive,1,1,1,0,\r\n")
+            with open(path, newline="", encoding="utf-8") as fh:
+                text = fh.read()
+            # the faulty row is the last line, so its number is the count of line
+            # breaks, as a file read with newline="" splits them
+            line = len(re.findall("\r\n|\r|\n", text))
+            with pytest.raises(TraceFormatError) as info:
+                load_trace(path)
+        assert str(info.value) == f"line {line}: field 'task_id' is not a valid int: 'x'"
 
     def test_values_near_the_float_limit_load(self, tmp_path):
         row = "0,1e308,1,sandwich,tolerant,1e308,1e308,1e308,1e308,1e308"
