@@ -281,12 +281,7 @@ def _load_cli_config(args) -> EdgeCloudConfig:
     # compare takes a list of rates, swept by run_comparison
     if args.arrival_rate is not None and not isinstance(args.arrival_rate, list):
         overrides["arrival_rate"] = args.arrival_rate
-    if overrides:
-        try:
-            config = config.override(**overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return config
+    return config.override(**overrides)
 
 
 def _resolve_seed(args, config: EdgeCloudConfig) -> int:

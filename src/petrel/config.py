@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 from math import inf, isfinite
+from operator import ge, gt
 from typing import Any, Mapping
 
 import yaml
@@ -35,70 +36,73 @@ class ConfigError(ValueError):
 DEFAULT_SEED = 1234
 
 
+def _key(path: str, default, kind, bound: str | None = None, shape: str = "value"):
+    """The field for config key ``path`` (no dot: a top-level key), whose value, or each
+    entry, is a ``kind``; a callable ``default`` is a factory.  ``shape`` is "value", "pair"
+    (a [low, high] list) or "list" (left out of the file when None); ``bound``, such as
+    ">= 1" or "> 0", holds for the value, every list entry or a pair's low end."""
+    default = {"default_factory" if callable(default) else "default": default}
+    return field(**default, metadata={"layout": (path, shape, kind, bound)})
+
+
 @dataclass(frozen=True)
 class EdgeCloudConfig:
-    """Full description of an experiment, minus the trace itself."""
+    """Full description of an experiment, minus the trace itself.
 
-    cloudlet_count: int = 10
-    vm_count_range: tuple[int, int] = (1, 10)
-    vm_counts: tuple[int, ...] | None = None
-    speed_factor_range: tuple[float, float] = (1.0, 1.0)
-    speed_factors: tuple[float, ...] | None = None
+    Each field declares its key once (see ``_key``), in file order; the file
+    layout, the finiteness checks and the range checks follow from those
+    declarations, and only the checks that read two fields are written out."""
 
-    daemon_rtt_ms: float = 10.0
-    remote_rtt_range_ms: tuple[float, float] = (50.0, 70.0)
-    cloud_rtt_ms: float = 250.0
-    cloudlet_bandwidth_bytes_per_ms: float = 12500.0
-    cloud_bandwidth_bytes_per_ms: float = 800.0
+    seed: int = _key("seed", DEFAULT_SEED, int)
+    cloudlet_count: int = _key("cloudlets.count", 10, int, ">= 1")
+    vm_count_range: tuple[int, int] = _key("cloudlets.vm_count_range", (1, 10), int, ">= 1", "pair")
+    speed_factor_range: tuple[float, float] = _key(
+        "cloudlets.speed_factor_range", (1.0, 1.0), float, "> 0", "pair")
+    vm_counts: tuple[int, ...] | None = _key("cloudlets.vm_counts", None, int, ">= 1", "list")
+    speed_factors: tuple[float, ...] | None = _key(
+        "cloudlets.speed_factors", None, float, "> 0", "list")
 
-    task_count: int = 200
-    arrival_rate: float = 1.0
-    time_unit_ms: float = 1000.0
+    daemon_rtt_ms: float = _key("network.daemon_rtt_ms", 10.0, float, ">= 0")
+    remote_rtt_range_ms: tuple[float, float] = _key(
+        "network.remote_rtt_range_ms", (50.0, 70.0), float, ">= 0", "pair")
+    cloud_rtt_ms: float = _key("network.cloud_rtt_ms", 250.0, float, ">= 0")
+    cloudlet_bandwidth_bytes_per_ms: float = _key(
+        "network.cloudlet_bandwidth_bytes_per_ms", 12500.0, float, "> 0")
+    cloud_bandwidth_bytes_per_ms: float = _key(
+        "network.cloud_bandwidth_bytes_per_ms", 800.0, float, "> 0")
 
-    delay_quantum_ms: float | None = None
-    max_delays: int = 1000
-    probe_latency_ms: float = 1500.0
+    task_count: int = _key("trace.task_count", 200, int, ">= 0")
+    arrival_rate: float = _key("trace.arrival_rate", 1.0, float, "> 0")
+    time_unit_ms: float = _key("trace.time_unit_ms", 1000.0, float, "> 0")
 
-    seed: int = DEFAULT_SEED
-    catalog: tuple[Benchmark, ...] = field(default_factory=lambda: tuple(default_catalog()))
+    delay_quantum_ms: float | None = _key("scheduler.delay_quantum_ms", None, float, "> 0")
+    max_delays: int = _key("scheduler.max_delays", 1000, int, ">= 1")
+    probe_latency_ms: float = _key("scheduler.probe_latency_ms", 1500.0, float, ">= 0")
+
+    catalog: tuple[Benchmark, ...] = _key("catalog", lambda: tuple(default_catalog()),
+                                          Benchmark, shape="list")
 
     def __post_init__(self) -> None:
-        for _, name, shape, kind in _LAYOUT:
+        for name, _, shape, kind, bound in _LAYOUT:
             value = getattr(self, name)
-            if kind is float and value is not None:
-                _check(all(map(isfinite, (value,) if shape == "value" else value)), name,
-                       "must be finite")
-        _check(self.cloudlet_count >= 1, "cloudlet_count", "must be >= 1")
-        lo, hi = self.vm_count_range
-        _check(1 <= lo <= hi, "vm_count_range", "needs 1 <= low <= high")
-        if self.vm_counts is not None:
-            _check(len(self.vm_counts) == self.cloudlet_count, "vm_counts",
-                   f"needs exactly {self.cloudlet_count} entries")
-            _check(all(v >= 1 for v in self.vm_counts), "vm_counts", "every entry must be >= 1")
-        slo, shi = self.speed_factor_range
-        _check(0 < slo <= shi, "speed_factor_range", "needs 0 < low <= high")
-        if self.speed_factors is not None:
-            _check(len(self.speed_factors) == self.cloudlet_count, "speed_factors",
-                   f"needs exactly {self.cloudlet_count} entries")
-            _check(all(s > 0 for s in self.speed_factors), "speed_factors",
-                   "every entry must be > 0")
-        _check(self.daemon_rtt_ms >= 0, "daemon_rtt_ms", "must be >= 0")
-        rlo, rhi = self.remote_rtt_range_ms
-        _check(0 <= rlo <= rhi, "remote_rtt_range_ms", "needs 0 <= low <= high")
-        _check(self.cloud_rtt_ms >= 0, "cloud_rtt_ms", "must be >= 0")
-        _check(self.cloudlet_bandwidth_bytes_per_ms > 0, "cloudlet_bandwidth_bytes_per_ms",
-               "must be > 0")
-        _check(self.cloud_bandwidth_bytes_per_ms > 0, "cloud_bandwidth_bytes_per_ms",
-               "must be > 0")
-        _check(self.task_count >= 0, "task_count", "must be >= 0")
-        _check(self.arrival_rate > 0, "arrival_rate", "must be > 0")
-        _check(self.time_unit_ms > 0, "time_unit_ms", "must be > 0")
+            entries = () if value is None else (value,) if shape == "value" else value
+            if kind is float:
+                _check(all(map(isfinite, entries)), name, "must be finite")
+            if bound is None or value is None:
+                continue
+            op, low = bound.split()
+            above, low = gt if op == ">" else ge, int(low)
+            if shape == "pair":
+                _check(above(value[0], low) and value[0] <= value[1], name,
+                       f"needs {low} {op.replace('>', '<')} low <= high")
+                continue
+            if shape == "list":
+                _check(len(value) == self.cloudlet_count, name,
+                       f"needs exactly {self.cloudlet_count} entries")
+            _check(all(above(v, low) for v in entries), name,
+                   f"{'every entry ' if shape == 'list' else ''}must be {bound}")
         _check(isfinite(self.time_unit_ms / self.arrival_rate), "arrival_rate",
                "the mean arrival gap time_unit_ms / arrival_rate must be finite")
-        if self.delay_quantum_ms is not None:
-            _check(self.delay_quantum_ms > 0, "delay_quantum_ms", "must be > 0")
-        _check(self.max_delays >= 1, "max_delays", "must be >= 1")
-        _check(self.probe_latency_ms >= 0, "probe_latency_ms", "must be >= 0")
         _check(len(self.catalog) >= 1, "catalog", "must have at least one benchmark")
         names = [b.name for b in self.catalog]
         _check(len(set(names)) == len(names), "catalog", "benchmark names must be unique")
@@ -173,29 +177,8 @@ def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
     return EdgeCloud(cloudlets)
 
 
-# The file layout, in file order: (key path, field, shape, kind).  A path
-# without a dot is a top-level key.  Shape "pair" is a [low, high] list and
-# shape "list" a list that is left out of the file when the field is None.
-_LAYOUT = (
-    ("seed", "seed", "value", int),
-    ("cloudlets.count", "cloudlet_count", "value", int),
-    ("cloudlets.vm_count_range", "vm_count_range", "pair", int),
-    ("cloudlets.speed_factor_range", "speed_factor_range", "pair", float),
-    ("cloudlets.vm_counts", "vm_counts", "list", int),
-    ("cloudlets.speed_factors", "speed_factors", "list", float),
-    ("network.daemon_rtt_ms", "daemon_rtt_ms", "value", float),
-    ("network.remote_rtt_range_ms", "remote_rtt_range_ms", "pair", float),
-    ("network.cloud_rtt_ms", "cloud_rtt_ms", "value", float),
-    ("network.cloudlet_bandwidth_bytes_per_ms", "cloudlet_bandwidth_bytes_per_ms", "value", float),
-    ("network.cloud_bandwidth_bytes_per_ms", "cloud_bandwidth_bytes_per_ms", "value", float),
-    ("trace.task_count", "task_count", "value", int),
-    ("trace.arrival_rate", "arrival_rate", "value", float),
-    ("trace.time_unit_ms", "time_unit_ms", "value", float),
-    ("scheduler.delay_quantum_ms", "delay_quantum_ms", "value", float),
-    ("scheduler.max_delays", "max_delays", "value", int),
-    ("scheduler.probe_latency_ms", "probe_latency_ms", "value", float),
-    ("catalog", "catalog", "list", Benchmark),
-)
+# The file layout, in file order: (field, key path, shape, kind, bound), as declared.
+_LAYOUT = tuple((f.name, *f.metadata["layout"]) for f in fields(EdgeCloudConfig))
 # A catalog entry's layout, in file order: (key, Benchmark field, kind).  An
 # entry may leave out the keys whose field has a default; a None is left out.
 _ENTRY_LAYOUT = (
@@ -208,7 +191,7 @@ _ENTRY_LAYOUT = (
     ("weight", "weight", float),
     ("bound_factor", "bound_factor", float),
 )
-_PATHS = {name: path for path, name, _, _ in _LAYOUT}
+_PATHS = {name: path for name, path, *_ in _LAYOUT}
 _SECTIONS = tuple(dict.fromkeys(path.partition(".")[0] for path in _PATHS.values() if "." in path))
 # every (section, key) a file may hold; section "" is the top level
 _KNOWN = {("", s) for s in _SECTIONS} | {path.rpartition(".")[::2] for path in _PATHS.values()}
@@ -229,7 +212,7 @@ def _plain(value):
 def to_mapping(config: EdgeCloudConfig) -> dict[str, Any]:
     """Nested plain-data form of a config, ready for YAML."""
     out: dict[str, Any] = {}
-    for path, name, shape, _ in _LAYOUT:
+    for name, path, shape, _, _ in _LAYOUT:
         value = getattr(config, name)
         if value is not None or shape != "list":
             section, _, key = path.rpartition(".")
@@ -295,7 +278,7 @@ def from_mapping(data: Mapping[str, Any] | None) -> EdgeCloudConfig:
     root = _mapping({} if data is None else data, "<root>")
     sections = {"": root} | {s: _mapping(root.get(s, {}), s) for s in _SECTIONS}
     values = {}
-    for path, name, shape, kind in _LAYOUT:
+    for name, path, shape, kind, _ in _LAYOUT:
         section, _, key = path.rpartition(".")
         raw = sections[section].get(key)
         if raw is not None:
@@ -330,14 +313,18 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 def load_config(path) -> EdgeCloudConfig:
     """Parse a YAML config file; an empty file yields the defaults, and a
-    key repeated in one mapping is an error."""
+    key repeated in one mapping is an error.  A YAML fault is one line,
+    naming the file line where PyYAML found it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}: " if mark and exc.problem else ""
+        what = exc.problem if where else str(exc).partition("\n")[0]  # PyYAML's first line
+        raise ConfigError(f"{path}: {where}invalid YAML: {what}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
                           f" ({exc.reason})") from None

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
+from numbers import Integral
 from typing import Mapping, NamedTuple, Union
 
 
@@ -174,8 +175,12 @@ class Cloudlet:
     net: NetworkParams
 
     def __post_init__(self) -> None:
+        if not isinstance(self.vm_count, Integral):
+            raise ValueError(f"cloudlet {self.id}: vm_count must be an int, got {self.vm_count!r}")
         if self.vm_count < 1:
             raise ValueError(f"cloudlet {self.id}: vm_count must be >= 1")
+        if not isfinite(self.speed_factor):
+            raise ValueError(f"cloudlet {self.id}: speed_factor must be finite")
         if self.speed_factor <= 0:
             raise ValueError(f"cloudlet {self.id}: speed_factor must be > 0")
 

@@ -58,6 +58,7 @@ LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
                  "test_each_log_entry_is_its_cloudlets_live_earliest_ready_time")
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
+BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
 
 MUTANTS = (
     Mutant("least_completion seeds best from inf", ENGINE,
@@ -203,6 +204,33 @@ MUTANTS = (
            '            if key_node.tag == "tag:yaml.org,2002:merge":\n                continue\n',
            "",
            ("tests/test_config.py::TestFiles::test_keys_beside_a_merge_key_override_it",)),
+    Mutant("a strict bound is checked as >=", CONFIG,
+           'above, low = gt if op == ">" else ge, int(low)',
+           "above, low = ge, int(low)",
+           (BOUNDS, "tests/test_config.py::TestValidation::test_errors_carry_key_paths")),
+    Mutant("the pair check drops low <= high", CONFIG,
+           "_check(above(value[0], low) and value[0] <= value[1], name,",
+           "_check(above(value[0], low), name,",
+           (BOUNDS, "tests/test_config.py::TestValidation::test_errors_carry_key_paths")),
+    Mutant("the list-length check is removed", CONFIG,
+           '            if shape == "list":\n'
+           "                _check(len(value) == self.cloudlet_count, name,\n"
+           '                       f"needs exactly {self.cloudlet_count} entries")\n',
+           "",
+           (BOUNDS,
+            "tests/test_config.py::TestValidation::test_explicit_vm_counts_must_match_the_count")),
+    Mutant("the invalid-YAML message is PyYAML's whole text", CONFIG,
+           'raise ConfigError(f"{path}: {where}invalid YAML: {what}")',
+           'raise ConfigError(f"{path}: invalid YAML: {exc}")',
+           ("tests/test_config.py::TestFiles::test_invalid_yaml_is_one_line",
+            ERROR_PATH + "[invalid-yaml-syntax]", ERROR_PATH + "[invalid-yaml-python-tag]",
+            ERROR_PATH + "[invalid-yaml-unhashable-key]")),
+    Mutant("a cloudlet takes a non-finite speed", MODEL,
+           "        if not isfinite(self.speed_factor):\n"
+           '            raise ValueError(f"cloudlet {self.id}: speed_factor must be finite")\n',
+           "",
+           ("tests/test_model.py::TestCloudletValidation::"
+            "test_rejects_non_finite_speed_and_non_int_vm_count",)),
 )
 
 # left out of the copy: history, caches and benchmark output

@@ -694,6 +694,16 @@ ERROR_PATHS = [
     error_path("repeated-config-key", 2, "error: {dir}/c.yaml: line 1: repeated key 'task_count'\n",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "trace: {task_count: 5, task_count: 7}\n")]),
+    error_path("invalid-yaml-syntax", 2, "error: {dir}/c.yaml: line 2: invalid YAML: expected the"
+               " node content, but found '<stream end>'\n",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", "a: [\n")]),
+    error_path("invalid-yaml-python-tag", 2, "error: {dir}/c.yaml: line 1: invalid YAML: could not"
+               " determine a constructor for the tag 'tag:yaml.org,2002:python/object:os.system'\n",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", '!!python/object:os.system "echo hi"\n')]),
+    error_path("invalid-yaml-unhashable-key", 2,
+               "error: {dir}/c.yaml: line 1: invalid YAML: found unhashable key\n",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", "{? [1,2] : 3}\n")]),
     error_path("config-top-level-list", 2, "error: <root>: expected a mapping, got list",
                lambda d: ["generate", "--config", _write(d, "c.yaml", "- 1\n- 2\n")]),
     error_path("config-top-level-scalar", 2, "error: <root>: expected a mapping, got int",
@@ -721,6 +731,9 @@ ERROR_PATHS = [
                lambda d: ["compare", "--lambda", "inf", "--seeds", "1"]),
     error_path("empty-seed-range", 2, "error: --seeds",
                lambda d: ["compare", "--seeds", "5..1"]),
+    error_path("compare-empty-scheduler-list", 2,
+               "error: compare needs at least one scheduler, one lambda, one seed\n",
+               lambda d: ["compare", "--scheduler", ",", "--seeds", "1"]),
     error_path("unknown-compare-scheduler", 2, "error: unknown scheduler",
                lambda d: ["compare", "--scheduler", "random", "--seeds", "1"]),
     error_path("bad-env-seed", 2, "error: PETREL_SEED",

@@ -128,6 +128,49 @@ class TestValidation:
         with pytest.raises(ConfigError, match="catalog"):
             EdgeCloudConfig(catalog=(bench, bench))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(cloudlet_count=0), "cloudlets.count: must be >= 1"),
+        (dict(vm_count_range=(0, 5)), "cloudlets.vm_count_range: needs 1 <= low <= high"),
+        (dict(vm_count_range=(3, 2)), "cloudlets.vm_count_range: needs 1 <= low <= high"),
+        (dict(speed_factor_range=(0.0, 1.0)),
+         "cloudlets.speed_factor_range: needs 0 < low <= high"),
+        (dict(speed_factor_range=(2.0, 1.0)),
+         "cloudlets.speed_factor_range: needs 0 < low <= high"),
+        (dict(vm_counts=(1,) * 9), "cloudlets.vm_counts: needs exactly 10 entries"),
+        (dict(vm_counts=(1,) * 9 + (0,)), "cloudlets.vm_counts: every entry must be >= 1"),
+        (dict(cloudlet_count=2, speed_factors=(1.0,)),
+         "cloudlets.speed_factors: needs exactly 2 entries"),
+        (dict(cloudlet_count=2, speed_factors=(1.0, 0.0)),
+         "cloudlets.speed_factors: every entry must be > 0"),
+        (dict(daemon_rtt_ms=-0.5), "network.daemon_rtt_ms: must be >= 0"),
+        (dict(remote_rtt_range_ms=(-1.0, 0.0)),
+         "network.remote_rtt_range_ms: needs 0 <= low <= high"),
+        (dict(remote_rtt_range_ms=(2.0, 1.0)),
+         "network.remote_rtt_range_ms: needs 0 <= low <= high"),
+        (dict(cloud_rtt_ms=-0.5), "network.cloud_rtt_ms: must be >= 0"),
+        (dict(cloudlet_bandwidth_bytes_per_ms=0.0),
+         "network.cloudlet_bandwidth_bytes_per_ms: must be > 0"),
+        (dict(cloud_bandwidth_bytes_per_ms=0.0),
+         "network.cloud_bandwidth_bytes_per_ms: must be > 0"),
+        (dict(task_count=-1), "trace.task_count: must be >= 0"),
+        (dict(arrival_rate=0.0), "trace.arrival_rate: must be > 0"),
+        (dict(time_unit_ms=0.0), "trace.time_unit_ms: must be > 0"),
+        (dict(delay_quantum_ms=0.0), "scheduler.delay_quantum_ms: must be > 0"),
+        (dict(max_delays=0), "scheduler.max_delays: must be >= 1"),
+        (dict(probe_latency_ms=-0.5), "scheduler.probe_latency_ms: must be >= 0"),
+    ])
+    def test_each_bound_names_its_rule(self, overrides, message):
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(**overrides)
+        assert str(caught.value) == message
+
+    def test_each_bound_admits_its_edge(self):
+        config = EdgeCloudConfig(
+            cloudlet_count=1, vm_count_range=(1, 1), vm_counts=(1,), speed_factors=(5e-324,),
+            daemon_rtt_ms=0.0, remote_rtt_range_ms=(0.0, 0.0), cloud_rtt_ms=0.0, task_count=0,
+            delay_quantum_ms=5e-324, max_delays=1, probe_latency_ms=0.0)
+        assert (config.vm_counts, config.task_count, config.max_delays) == ((1,), 0, 1)
+
     def test_override_revalidates(self):
         with pytest.raises(ConfigError):
             EdgeCloudConfig().override(cloudlet_count=0)
@@ -355,6 +398,19 @@ class TestFiles:
         path.write_text("trace: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("a: [\n", "line 2: invalid YAML: expected the node content, but found"
+                     " '<stream end>'", id="marked"),
+        pytest.param("a: \x00\n", "invalid YAML: unacceptable character #x0000: special"
+                     " characters are not allowed", id="unmarked"),
+    ])
+    def test_invalid_yaml_is_one_line(self, tmp_path, text, message):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("text, line, key", [
         pytest.param("trace: {task_count: 5, task_count: 7}\n", 1, "task_count", id="flow"),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fixtures import cloudlet_completion, make_cloudlet, make_net, make_task, make_topology
 from petrel.engine import Simulation
 from petrel.model import TaskClass, cloud_times, placement_times, speedup
-from petrel.schedulers import CloudOnlyScheduler
+from petrel.schedulers import CloudOnlyScheduler, DaemonOnlyScheduler
 
 
 class TestMobile:
@@ -213,6 +214,54 @@ class TestNetworkValidation:
     def test_rejects_non_finite_remote_rtt_entries(self):
         with pytest.raises(ValueError, match="remote_rtt entries must be finite"):
             make_net(remote_rtt={1: 60.0, 2: math.inf})
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(daemon_rtt=-1.0), "RTTs must be >= 0"),
+        (dict(cloud_rtt=-1.0), "RTTs must be >= 0"),
+        (dict(cloudlet_bandwidth=0.0), "bandwidths must be > 0"),
+        (dict(cloud_bandwidth=-1.0), "bandwidths must be > 0"),
+        (dict(remote_rtt=-1.0), "remote_rtt must be >= 0"),
+        (dict(remote_rtt={1: 60.0, 2: -1.0}), "remote_rtt entries must be >= 0"),
+    ])
+    def test_rejects_out_of_range_values(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_net(**changes)
+
+
+class TestCloudletValidation:
+    @pytest.mark.parametrize("changes, message", [
+        (dict(vm_count=0), "vm_count must be >= 1"),
+        (dict(speed_factor=0.0), "speed_factor must be > 0"),
+    ])
+    def test_rejects_out_of_range_values(self, changes, message):
+        with pytest.raises(ValueError, match=f"^cloudlet 3: {message}$"):
+            make_cloudlet(3, **changes)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(speed_factor=math.inf), "speed_factor must be finite"),
+        (dict(speed_factor=-math.inf), "speed_factor must be finite"),
+        (dict(speed_factor=math.nan), "speed_factor must be finite"),
+        (dict(vm_count=2.0), "vm_count must be an int, got 2.0"),
+        (dict(vm_count=1.5), "vm_count must be an int, got 1.5"),
+    ])
+    def test_rejects_non_finite_speed_and_non_int_vm_count(self, changes, message):
+        with pytest.raises(ValueError, match=f"^cloudlet 3: {message}$"):
+            make_cloudlet(3, **changes)
+
+    def test_a_numpy_int_vm_count_is_an_int(self):
+        topology = make_topology(make_cloudlet(0, vm_count=np.int64(2)))
+        result = Simulation(topology, DaemonOnlyScheduler()).run((make_task(), make_task(1)))
+        assert [r.start_time for r in result.records] == [0.0, 0.0]  # both VMs start at once
+
+
+class TestEdgeCloudValidation:
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(ValueError, match="^duplicate cloudlet ids$"):
+            make_topology(make_cloudlet(0), make_cloudlet(1), make_cloudlet(0))
+
+    def test_get_names_an_unknown_id(self):
+        with pytest.raises(KeyError, match="unknown cloudlet id 5"):
+            make_topology().get(5)
 
 
 @given(
