@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 from math import inf, isfinite
-from operator import ge, gt
+from numbers import Integral
 from typing import Any, Mapping
 
 import yaml
 
-from .model import Cloudlet, EdgeCloud, NetworkParams
+from .model import Cloudlet, EdgeCloud, NetworkParams, in_range
 from .seeding import new_rng
 from .workload import Benchmark, TaskClass, default_catalog
 
@@ -39,8 +39,9 @@ DEFAULT_SEED = 1234
 def _key(path: str, default, kind, bound: str | None = None, shape: str = "value"):
     """The field for config key ``path`` (no dot: a top-level key), whose value, or each
     entry, is a ``kind``; a callable ``default`` is a factory.  ``shape`` is "value", "pair"
-    (a [low, high] list) or "list" (left out of the file when None); ``bound``, such as
-    ">= 1" or "> 0", holds for the value, every list entry or a pair's low end."""
+    (a [low, high] list) or "list" (left out of the file when None); ``bound``, one of
+    ``model._BOUNDS`` such as ">= 1" or "> 0", holds for the value, every list entry or a
+    pair's low end."""
     default = {"default_factory" if callable(default) else "default": default}
     return field(**default, metadata={"layout": (path, shape, kind, bound)})
 
@@ -50,8 +51,9 @@ class EdgeCloudConfig:
     """Full description of an experiment, minus the trace itself.
 
     Each field declares its key once (see ``_key``), in file order; the file
-    layout, the finiteness checks and the range checks follow from those
-    declarations, and only the checks that read two fields are written out."""
+    layout, the type checks of int keys, the finiteness checks and the range
+    checks follow from those declarations, and only the checks that read two
+    fields are written out."""
 
     seed: int = _key("seed", DEFAULT_SEED, int)
     cloudlet_count: int = _key("cloudlets.count", 10, int, ">= 1")
@@ -86,20 +88,25 @@ class EdgeCloudConfig:
         for name, _, shape, kind, bound in _LAYOUT:
             value = getattr(self, name)
             entries = () if value is None else (value,) if shape == "value" else value
+            if kind is int and value is not None:  # as from a file: no bool, no float
+                _check(all(isinstance(v, Integral) and not isinstance(v, bool) for v in entries),
+                       name, "expected int entries" if shape != "value" else
+                       f"expected int, got {value!r}")
+                value = int(value) if shape == "value" else tuple(map(int, value))
+                object.__setattr__(self, name, value)  # so a numpy integer draws and saves as one
             if kind is float:
                 _check(all(map(isfinite, entries)), name, "must be finite")
             if bound is None or value is None:
                 continue
-            op, low = bound.split()
-            above, low = gt if op == ">" else ge, int(low)
             if shape == "pair":
-                _check(above(value[0], low) and value[0] <= value[1], name,
+                op, low = bound.split()
+                _check(in_range(value[0], bound) and value[0] <= value[1], name,
                        f"needs {low} {op.replace('>', '<')} low <= high")
                 continue
             if shape == "list":
                 _check(len(value) == self.cloudlet_count, name,
                        f"needs exactly {self.cloudlet_count} entries")
-            _check(all(above(v, low) for v in entries), name,
+            _check(all(in_range(v, bound) for v in entries), name,
                    f"{'every entry ' if shape == 'list' else ''}must be {bound}")
         _check(isfinite(self.time_unit_ms / self.arrival_rate), "arrival_rate",
                "the mean arrival gap time_unit_ms / arrival_rate must be finite")

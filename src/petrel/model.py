@@ -12,9 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
-from numbers import Integral
+from math import inf
+from numbers import Integral, Real
+from operator import ge, gt
 from typing import Mapping, NamedTuple, Union
+
+# each lower bound a value may declare, as a config key spells it; None is no bound
+_BOUNDS = {"> 0": (gt, 0), ">= 0": (ge, 0), ">= 1": (ge, 1), None: (ge, -inf)}
+
+
+def in_range(value, bound: str | None = None) -> bool:
+    """Whether ``value`` is finite and meets ``bound``; an int too large for a float is finite."""
+    above, low = _BOUNDS[bound]
+    return -inf < value < inf and above(value, low)
+
+
+def check_range(value, name: str, bound: str | None = None) -> None:
+    """The one range rule: raise ``"<name> must be finite"`` or ``"<name> must be <bound>"``."""
+    if not in_range(value, bound):
+        raise ValueError(f"{name} must be {bound if -inf < value < inf else 'finite'}")
 
 
 class TaskClass(Enum):
@@ -45,7 +61,8 @@ class Profile:
     speed factor.  ``latency_bound`` is a turnaround bound relative to
     arrival, required for tolerant tasks and forbidden for sensitive
     ones.  Each catalog entry builds its profile once and a trace shares
-    it across that entry's tasks, so the values are checked once.  A
+    it across that entry's tasks, so the values are checked once, in
+    column order, against the bounds ``_PROFILE_COLUMNS`` declares.  A
     message names a value by its trace column.
     """
 
@@ -58,18 +75,10 @@ class Profile:
     latency_bound: float | None = None
 
     def __post_init__(self) -> None:
-        for name, column in _PROFILE_COLUMNS:
+        for name, column, bound in _PROFILE_COLUMNS:
             value = getattr(self, name)
-            if value is not None and not isfinite(value):
-                raise ValueError(f"{column} must be finite")
-        if self.base_service_time <= 0:
-            raise ValueError("base_service_ms must be > 0")
-        if self.mobile_exec_time <= 0:
-            raise ValueError("mobile_ms must be > 0")
-        if self.cloud_exec_time <= 0:
-            raise ValueError("cloud_ms must be > 0")
-        if self.data_volume < 0:
-            raise ValueError("data_bytes must be >= 0")
+            if value is not None or bound is not None:  # only the unbounded bound_ms may be None
+                check_range(value, column, bound)
         if self.task_class is TaskClass.LATENCY_TOLERANT:
             if self.latency_bound is None or self.latency_bound <= 0:
                 raise ValueError("tolerant tasks need a positive latency_bound")
@@ -77,10 +86,12 @@ class Profile:
             raise ValueError("sensitive tasks must not carry a latency_bound")
 
 
-# each float and its trace column; the first four are catalog keys too
-_PROFILE_COLUMNS = (("base_service_time", "base_service_ms"), ("mobile_exec_time", "mobile_ms"),
-                    ("cloud_exec_time", "cloud_ms"), ("data_volume", "data_bytes"),
-                    ("latency_bound", "bound_ms"))
+# each float, its trace column and its lower bound, in column order; four are catalog keys too
+_PROFILE_COLUMNS = (("base_service_time", "base_service_ms", "> 0"),
+                    ("mobile_exec_time", "mobile_ms", "> 0"),
+                    ("cloud_exec_time", "cloud_ms", "> 0"),
+                    ("data_volume", "data_bytes", ">= 0"),
+                    ("latency_bound", "bound_ms", None))
 
 
 class _TaskFields(NamedTuple):
@@ -101,10 +112,7 @@ class Task(_TaskFields):
     __slots__ = ()
 
     def __new__(cls, id: int, arrival_time: float, daemon_id: int, profile: Profile) -> "Task":
-        if not isfinite(arrival_time):
-            raise ValueError(f"task {id}: arrival_time must be finite")
-        if arrival_time < 0:
-            raise ValueError(f"task {id}: arrival_time must be >= 0")
+        check_range(arrival_time, f"task {id}: arrival_time", ">= 0")
         return tuple.__new__(cls, (id, arrival_time, daemon_id, profile))
 
     @classmethod
@@ -127,7 +135,9 @@ class NetworkParams:
 
     ``remote_rtt`` is the extra round trip paid when this node, acting
     as a daemon, redirects a task to another cloudlet.  It is either one
-    value applied to every target or a mapping keyed by executor id.
+    real number (a numpy scalar will do) applied to every target or a
+    mapping keyed by executor id.  A message names the faulty field, or
+    the entry as ``remote_rtt[id]``.
     """
 
     daemon_rtt: float
@@ -137,27 +147,20 @@ class NetworkParams:
     remote_rtt: Union[float, Mapping[int, float]] = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("daemon_rtt", "cloudlet_bandwidth", "cloud_rtt", "cloud_bandwidth"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.daemon_rtt < 0 or self.cloud_rtt < 0:
-            raise ValueError("RTTs must be >= 0")
-        if self.cloudlet_bandwidth <= 0 or self.cloud_bandwidth <= 0:
-            raise ValueError("bandwidths must be > 0")
-        if isinstance(self.remote_rtt, (int, float)):
-            if not isfinite(self.remote_rtt):
-                raise ValueError("remote_rtt must be finite")
-            if self.remote_rtt < 0:
-                raise ValueError("remote_rtt must be >= 0")
+        for name, bound in (("daemon_rtt", ">= 0"), ("cloudlet_bandwidth", "> 0"),
+                            ("cloud_rtt", ">= 0"), ("cloud_bandwidth", "> 0")):
+            check_range(getattr(self, name), name, bound)
+        rtt = self.remote_rtt
+        if isinstance(rtt, Real):
+            check_range(rtt, "remote_rtt", ">= 0")
         else:
-            if not all(isfinite(v) for v in self.remote_rtt.values()):
-                raise ValueError("remote_rtt entries must be finite")
-            if any(v < 0 for v in self.remote_rtt.values()):
-                raise ValueError("remote_rtt entries must be >= 0")
+            for target, value in rtt.items():
+                if not in_range(value, ">= 0"):  # an entry's name is built only if it is faulty
+                    check_range(value, f"remote_rtt[{target}]", ">= 0")
 
     def rtt_to(self, executor_id: int) -> float:
         """Redirect round trip from this daemon to the given executor."""
-        if isinstance(self.remote_rtt, (int, float)):
+        if isinstance(self.remote_rtt, Real):
             return float(self.remote_rtt)
         try:
             return float(self.remote_rtt[executor_id])
@@ -177,12 +180,8 @@ class Cloudlet:
     def __post_init__(self) -> None:
         if not isinstance(self.vm_count, Integral):
             raise ValueError(f"cloudlet {self.id}: vm_count must be an int, got {self.vm_count!r}")
-        if self.vm_count < 1:
-            raise ValueError(f"cloudlet {self.id}: vm_count must be >= 1")
-        if not isfinite(self.speed_factor):
-            raise ValueError(f"cloudlet {self.id}: speed_factor must be finite")
-        if self.speed_factor <= 0:
-            raise ValueError(f"cloudlet {self.id}: speed_factor must be > 0")
+        check_range(self.vm_count, f"cloudlet {self.id}: vm_count", ">= 1")
+        check_range(self.speed_factor, f"cloudlet {self.id}: speed_factor", "> 0")
 
 
 @dataclass(frozen=True)
@@ -268,11 +267,12 @@ class _CostRow(dict):
         return times
 
 
-def speedup(task: Task, completion: float) -> float:
-    """Benefit of a placement: device execution time over achieved completion.
+def speedup(task: Task, turnaround: float) -> float:
+    """Benefit of a placement: device execution time over the achieved turnaround,
+    completion minus arrival, not the absolute completion time.
 
     Values above 1 mean offloading beat running the task locally.
     """
-    if completion <= 0:
-        raise ValueError("completion must be > 0")
-    return task.profile.mobile_exec_time / completion
+    if turnaround <= 0:
+        raise ValueError("turnaround must be > 0")
+    return task.profile.mobile_exec_time / turnaround

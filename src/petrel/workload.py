@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import Profile, Task, TaskClass
+from .model import _PROFILE_COLUMNS, Profile, Task, TaskClass, check_range, in_range
 from .seeding import derive_seed, new_rng
 
 if TYPE_CHECKING:  # config imports this module for Benchmark
@@ -48,12 +48,9 @@ class Benchmark:
     profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for key in ("bound_factor", "weight"):
-            value = getattr(self, key)
-            if value is not None and not isfinite(value):
-                raise ValueError(f"benchmark {self.name}: {key} must be finite")
-        if self.weight <= 0:
-            raise ValueError(f"benchmark {self.name}: weight must be > 0")
+        if self.bound_factor is not None:
+            check_range(self.bound_factor, f"benchmark {self.name}: bound_factor")
+        check_range(self.weight, f"benchmark {self.name}: weight", "> 0")
         bound = None
         if self.task_class is TaskClass.LATENCY_TOLERANT:
             if self.bound_factor is None or self.bound_factor <= 1:
@@ -246,13 +243,15 @@ def save_trace(trace: Sequence[Task], path) -> None:
             fh.write(f"{t.id},{format_number(t.arrival_time)},{t.daemon_id},{tail}")
 
 
-def _parse_field(row_num: int, name: str, raw: str, kind=float):
+def _parse_field(row_num: int, name: str, raw: str, kind=float, bound: str | None = None):
     try:
         value = kind(raw)
     except ValueError:
         raise TraceFormatError(f"line {row_num}: field {name!r} is not a valid {kind.__name__}: {raw!r}") from None
     if kind is float and not isfinite(value):
         raise TraceFormatError(f"line {row_num}: field {name!r} must be finite, got {raw!r}")
+    if bound is not None and not in_range(value, bound):
+        raise TraceFormatError(f"line {row_num}: field {name!r} must be {bound}, got {raw}")
     return value
 
 
@@ -315,25 +314,16 @@ def load_trace(path) -> list[Task]:
                 key = tuple(row[3:])
                 profile = profiles.get(key)
                 if profile is None:
-                    name, token, *times, data, bound = key
+                    name, token, *raws = key
                     try:
                         task_class = TaskClass.from_token(token)
                     except ValueError:
                         raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
                                                f" or 'tolerant', got {token!r}") from None
-                    values = []
-                    for field, raw in zip(("base_service_ms", "mobile_ms", "cloud_ms"), times):
-                        value = _parse_field(row_num, field, raw)
-                        if value <= 0:
-                            raise TraceFormatError(
-                                f"line {row_num}: field {field!r} must be > 0, got {raw}")
-                        values.append(value)
-                    data_bytes = _parse_field(row_num, "data_bytes", data)
-                    if data_bytes < 0:
-                        raise TraceFormatError(
-                            f"line {row_num}: field 'data_bytes' must be >= 0, got {data}")
-                    values.append(data_bytes)
-                    values.append(None if bound == "" else _parse_field(row_num, "bound_ms", bound))
+                    # the profile's own bounds; only bound_ms, which has none, may be empty
+                    values = [None if raw == "" and bound is None
+                              else _parse_field(row_num, column, raw, bound=bound)
+                              for (_, column, bound), raw in zip(_PROFILE_COLUMNS, raws)]
                 # after the field checks, the task's own: its arrival, then a new profile
                 if arrival < 0:
                     raise TraceFormatError(

@@ -59,6 +59,9 @@ LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
+INT_KEYS = ("tests/test_config.py::TestValidation::"
+            "test_an_int_key_takes_no_other_type_as_a_file_would",
+            "tests/test_config.py::TestValidation::test_an_integral_float_is_not_an_int_key")
 
 MUTANTS = (
     Mutant("least_completion seeds best from inf", ENGINE,
@@ -204,13 +207,14 @@ MUTANTS = (
            '            if key_node.tag == "tag:yaml.org,2002:merge":\n                continue\n',
            "",
            ("tests/test_config.py::TestFiles::test_keys_beside_a_merge_key_override_it",)),
-    Mutant("a strict bound is checked as >=", CONFIG,
-           'above, low = gt if op == ">" else ge, int(low)',
-           "above, low = ge, int(low)",
-           (BOUNDS, "tests/test_config.py::TestValidation::test_errors_carry_key_paths")),
+    Mutant("a strict bound is checked as >=", MODEL,
+           '"> 0": (gt, 0)',
+           '"> 0": (ge, 0)',
+           (BOUNDS, "tests/test_model.py::TestCloudletValidation::test_rejects_out_of_range_values",
+            W + "TestLoadErrors::test_nonpositive_service_time")),
     Mutant("the pair check drops low <= high", CONFIG,
-           "_check(above(value[0], low) and value[0] <= value[1], name,",
-           "_check(above(value[0], low), name,",
+           "_check(in_range(value[0], bound) and value[0] <= value[1], name,",
+           "_check(in_range(value[0], bound), name,",
            (BOUNDS, "tests/test_config.py::TestValidation::test_errors_carry_key_paths")),
     Mutant("the list-length check is removed", CONFIG,
            '            if shape == "list":\n'
@@ -226,11 +230,24 @@ MUTANTS = (
             ERROR_PATH + "[invalid-yaml-syntax]", ERROR_PATH + "[invalid-yaml-python-tag]",
             ERROR_PATH + "[invalid-yaml-unhashable-key]")),
     Mutant("a cloudlet takes a non-finite speed", MODEL,
-           "        if not isfinite(self.speed_factor):\n"
-           '            raise ValueError(f"cloudlet {self.id}: speed_factor must be finite")\n',
-           "",
+           "return -inf < value < inf and above(value, low)",
+           "return above(value, low)",
            ("tests/test_model.py::TestCloudletValidation::"
             "test_rejects_non_finite_speed_and_non_int_vm_count",)),
+    Mutant("load_trace skips the column bound", WORKLOAD,
+           "if bound is not None and not in_range(value, bound):",
+           "if False:",
+           (W + "TestLoadErrorMessages::test_message",
+            W + "TestProfileAndLoaderAgree::test_one_value")),
+    Mutant("the int-kind check is removed", CONFIG,
+           "_check(all(isinstance(v, Integral) and not isinstance(v, bool) for v in entries),",
+           "_check(True,",
+           INT_KEYS),
+    Mutant("rtt_to's scalar test goes back to (int, float)", MODEL,
+           "if isinstance(self.remote_rtt, Real):",
+           "if isinstance(self.remote_rtt, (int, float)):",
+           ("tests/test_model.py::TestNetworkValidation::"
+            "test_a_numpy_scalar_remote_rtt_applies_to_every_target",)),
 )
 
 # left out of the copy: history, caches and benchmark output

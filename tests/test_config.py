@@ -2,7 +2,9 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+import yaml
 
 from petrel.config import (
     ConfigError,
@@ -15,7 +17,7 @@ from petrel.config import (
 )
 from petrel.model import TaskClass
 from petrel.seeding import new_rng
-from petrel.workload import Benchmark
+from petrel.workload import Benchmark, generate_trace
 
 
 class TestDefaults:
@@ -170,6 +172,45 @@ class TestValidation:
             daemon_rtt_ms=0.0, remote_rtt_range_ms=(0.0, 0.0), cloud_rtt_ms=0.0, task_count=0,
             delay_quantum_ms=5e-324, max_delays=1, probe_latency_ms=0.0)
         assert (config.vm_counts, config.task_count, config.max_delays) == ((1,), 0, 1)
+
+    @pytest.mark.parametrize("overrides, data", [
+        (dict(cloudlet_count=2.5), {"cloudlets": {"count": 2.5}}),
+        (dict(cloudlet_count=True), {"cloudlets": {"count": True}}),
+        (dict(task_count=True), {"trace": {"task_count": True}}),
+        (dict(task_count=3.5), {"trace": {"task_count": 3.5}}),
+        (dict(max_delays=1.5), {"scheduler": {"max_delays": 1.5}}),
+        (dict(seed=1.5), {"seed": 1.5}),
+        (dict(vm_count_range=(1.5, 3)), {"cloudlets": {"vm_count_range": [1.5, 3]}}),
+        (dict(vm_count_range=(1, False)), {"cloudlets": {"vm_count_range": [1, False]}}),
+        (dict(vm_counts=(1,) * 9 + (1.5,)), {"cloudlets": {"vm_counts": [1] * 9 + [1.5]}}),
+    ])
+    def test_an_int_key_takes_no_other_type_as_a_file_would(self, overrides, data):
+        with pytest.raises(ConfigError) as from_file:
+            from_mapping(data)
+        with pytest.raises(ConfigError) as direct:
+            EdgeCloudConfig(**overrides)
+        assert str(direct.value) == str(from_file.value)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(cloudlet_count=2.0), "cloudlets.count: expected int, got 2.0"),
+        (dict(seed=7.0, cloudlet_count=0), "seed: expected int, got 7.0"),
+        (dict(vm_counts=(1.0,) * 10), "cloudlets.vm_counts: expected int entries"),
+        (dict(cloudlet_count=2, vm_counts=(1, np.float64(2.0))),
+         "cloudlets.vm_counts: expected int entries"),
+    ])
+    def test_an_integral_float_is_not_an_int_key(self, overrides, message):
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(**overrides)
+        assert str(caught.value) == message
+
+    def test_numpy_ints_are_int_keys(self):
+        config = EdgeCloudConfig(
+            seed=np.int64(7), cloudlet_count=np.int32(3), vm_count_range=(np.int64(1), 2),
+            vm_counts=(np.int64(1), np.uint8(2), 3), task_count=np.int64(20),
+            max_delays=np.int16(5))
+        assert [c.vm_count for c in build_topology(config, 7)] == [1, 2, 3]
+        assert len(generate_trace(config, 7)) == 20
+        assert from_mapping(yaml.safe_load(yaml.safe_dump(to_mapping(config)))) == config
 
     def test_override_revalidates(self):
         with pytest.raises(ConfigError):

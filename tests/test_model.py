@@ -135,6 +135,12 @@ class TestSpeedup:
         with pytest.raises(ValueError):
             speedup(make_task(), 0.0)
 
+    def test_takes_the_turnaround_and_names_it(self):
+        task = make_task(arrival_time=1000.0, mobile_exec_time=10000.0)
+        assert speedup(task, turnaround=2000.0) == 5.0
+        with pytest.raises(ValueError, match="^turnaround must be > 0$"):
+            speedup(task, turnaround=-1.0)
+
 
 class TestTaskValidation:
     def test_tolerant_requires_bound(self):
@@ -170,6 +176,17 @@ class TestTaskValidation:
     def test_rejects_non_finite_latency_bound(self, bad):
         with pytest.raises(ValueError, match="^bound_ms must be finite$"):
             make_task(task_class="tolerant", latency_bound=bad)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(base_service_time=0.0, mobile_exec_time=math.inf), "base_service_ms must be > 0"),
+        (dict(mobile_exec_time=-1.0, data_volume=math.nan), "mobile_ms must be > 0"),
+        (dict(cloud_exec_time=math.nan, data_volume=-1.0), "cloud_ms must be finite"),
+        (dict(data_volume=-1.0, task_class="tolerant", latency_bound=math.inf),
+         "data_bytes must be >= 0"),
+    ])
+    def test_two_faults_report_the_first_in_column_order(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_task(**changes)
 
     def test_replace_checks_the_arrival(self):
         task = make_task(arrival_time=5.0)
@@ -212,20 +229,34 @@ class TestNetworkValidation:
             make_net(**{field: bad})
 
     def test_rejects_non_finite_remote_rtt_entries(self):
-        with pytest.raises(ValueError, match="remote_rtt entries must be finite"):
+        with pytest.raises(ValueError, match=r"^remote_rtt\[2\] must be finite$"):
             make_net(remote_rtt={1: 60.0, 2: math.inf})
 
     @pytest.mark.parametrize("changes, message", [
-        (dict(daemon_rtt=-1.0), "RTTs must be >= 0"),
-        (dict(cloud_rtt=-1.0), "RTTs must be >= 0"),
-        (dict(cloudlet_bandwidth=0.0), "bandwidths must be > 0"),
-        (dict(cloud_bandwidth=-1.0), "bandwidths must be > 0"),
+        (dict(daemon_rtt=-1.0), "daemon_rtt must be >= 0"),
+        (dict(cloud_rtt=-1.0), "cloud_rtt must be >= 0"),
+        (dict(cloudlet_bandwidth=0.0), "cloudlet_bandwidth must be > 0"),
+        (dict(cloud_bandwidth=-1.0), "cloud_bandwidth must be > 0"),
         (dict(remote_rtt=-1.0), "remote_rtt must be >= 0"),
-        (dict(remote_rtt={1: 60.0, 2: -1.0}), "remote_rtt entries must be >= 0"),
+        (dict(remote_rtt={1: 60.0, 2: -1.0}), r"remote_rtt\[2\] must be >= 0"),
     ])
     def test_rejects_out_of_range_values(self, changes, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_net(**changes)
+
+    @pytest.mark.parametrize("rtt", [np.int64(5), np.float32(5.0), 5])
+    def test_a_numpy_scalar_remote_rtt_applies_to_every_target(self, rtt):
+        net = make_net(remote_rtt=rtt)
+        assert (net.rtt_to(1), net.rtt_to(7)) == (5.0, 5.0)
+        daemon, executor = make_cloudlet(0, net=net), make_cloudlet(1, net=net)
+        comm = placement_times(make_task().profile, daemon, executor)[1]
+        assert comm == 1_000_000.0 / 12500.0 + 10.0 + 5.0
+
+    @pytest.mark.parametrize("rtt, message", [(np.float64(-1.0), "remote_rtt must be >= 0"),
+                                              (np.float32("nan"), "remote_rtt must be finite")])
+    def test_a_numpy_scalar_remote_rtt_is_checked_as_one_value(self, rtt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_net(remote_rtt=rtt)
 
 
 class TestCloudletValidation:

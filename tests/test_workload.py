@@ -571,6 +571,53 @@ class TestLoadErrors:
         assert len(tasks) == 1
 
 
+# each profile column of a trace, in column order, and its Profile keyword
+PROFILE_KEYWORDS = {"base_service_ms": "base_service_time", "mobile_ms": "mobile_exec_time",
+                    "cloud_ms": "cloud_exec_time", "data_bytes": "data_volume",
+                    "bound_ms": "latency_bound"}
+# the bounds' edges (0, -0 and the least float above 0), and values below and beyond them
+EDGE_AND_BAD = ["0", "-0", "5e-324", "-1", "inf", "-inf", "nan"]
+
+
+def assert_profile_and_loader_agree(tmp_path, changes):
+    """A tolerant profile with ``changes`` (trace column -> raw text) fails alike built as a
+    ``Profile`` and loaded from a trace: both accept, or both name the same column."""
+    raws = dict(zip(PROFILE_KEYWORDS, TOLERANT_ROW.split(",")[5:])) | changes
+    profile_error = trace_error = None
+    try:
+        Profile("sandwich", TaskClass.LATENCY_TOLERANT,
+                **{PROFILE_KEYWORDS[c]: float(raw) for c, raw in raws.items()})
+    except ValueError as exc:
+        profile_error = str(exc)
+    try:
+        row = ",".join(["0,100,1,sandwich,tolerant", *raws.values()])
+        load_trace(write_lines(tmp_path, HEADER, row))
+    except TraceFormatError as exc:
+        trace_error = str(exc)
+    assert (profile_error is None) == (trace_error is None), (profile_error, trace_error)
+    if profile_error is None:
+        return None
+    column = profile_error.split()[0]
+    if column in PROFILE_KEYWORDS:  # a column's own rule
+        rule = profile_error[len(column) + 1:]
+        assert trace_error.startswith(f"line 2: field {column!r} {rule}, got "), trace_error
+    else:  # a rule of the task class, which the loader leaves to the profile
+        assert trace_error == f"line 2: task 0: {profile_error}"
+    return column
+
+
+class TestProfileAndLoaderAgree:
+    @pytest.mark.parametrize("raw", EDGE_AND_BAD)
+    @pytest.mark.parametrize("column", PROFILE_KEYWORDS)
+    def test_one_value(self, tmp_path, column, raw):
+        assert_profile_and_loader_agree(tmp_path, {column: raw})
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for i, a in enumerate(PROFILE_KEYWORDS) for b in list(PROFILE_KEYWORDS)[i + 1:]])
+    def test_two_faults_name_the_first_column(self, tmp_path, first, second):
+        assert assert_profile_and_loader_agree(tmp_path, {first: "-1", second: "nan"}) == first
+
+
 NEXT_ROW = "1,200,1,face,sensitive,1000,5000,800,2000,"
 
 # rows after the header -> the whole message; the first faulty column of a
