@@ -38,6 +38,9 @@ SUMMARY_FIELDS = (
 
 COMPARE_METRICS = ("awt", "avg_speedup", "makespan_min", "makespan_max", "makespan_avg")
 
+# each --format and the suffix of the table files it writes
+_SUFFIXES = {"csv": "csv", "json-lines": "jsonl"}
+
 
 def _check_policy_fits(config: EdgeCloudConfig, scheduler: str) -> None:
     if scheduler in SAMPLING_SCHEDULERS and config.cloudlet_count < 2:
@@ -96,33 +99,49 @@ def write_records_csv(records, path) -> None:
             )
 
 
-def _json_number(x):
-    """``x``, or for a non-finite float its CSV spelling as a string, which JSON allows."""
-    return format_number(x) if isinstance(x, float) and not isfinite(x) else x
+def _csv_cell(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_csv_cell, value))
+    return format_number(value) if isinstance(value, float) else str(value)
 
 
-def _summary_scalars(summary: RunSummary) -> dict[str, float | int]:
-    return {name: getattr(summary, name) for name in SUMMARY_FIELDS}
+def _json_value(value):
+    """``value`` with each non-finite float spelled as its CSV cell, a string, which JSON allows."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_json_value, value))
+    return format_number(value) if isinstance(value, float) and not isfinite(value) else value
+
+
+def write_table(path, fmt: str, columns, rows) -> None:
+    """Write ``rows``, each mapping a field to a scalar, a list or a mapping, as CSV or JSON lines.
+
+    The CSV header is ``columns``: a mapping spreads into ``<field>_<key>`` columns, a list
+    joins with commas, a float is spelled by ``format_number``, and a field no column names
+    is left out.  JSON lines holds every field and spells a non-finite float as CSV does."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt != "csv":
+            fh.writelines(json.dumps(_json_value(row), sort_keys=True, allow_nan=False) + "\n"
+                          for row in rows)
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            cells = {}
+            for name, value in row.items():
+                if isinstance(value, dict):
+                    cells.update((f"{name}_{key}", _csv_cell(v)) for key, v in value.items())
+                else:
+                    cells[name] = _csv_cell(value)
+            writer.writerow([cells[column] for column in columns])
 
 
 def write_summary(summary: RunSummary, path, fmt: str, *, extra: dict | None = None) -> None:
-    scalars = dict(extra or {})
-    scalars.update(_summary_scalars(summary))
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(scalars.keys())
-            writer.writerow(
-                format_number(v) if isinstance(v, float) else str(v)
-                for v in scalars.values()
-            )
-    else:
-        payload = {k: _json_number(v) for k, v in scalars.items()}
-        payload["per_cloudlet_makespan"] = {
-            str(k): _json_number(v) for k, v in sorted(summary.per_cloudlet_makespan.items())
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    row = {**(extra or {}), **{name: getattr(summary, name) for name in SUMMARY_FIELDS}}
+    columns = list(row)  # only JSON lines has the per-cloudlet makespans
+    row["per_cloudlet_makespan"] = {str(k): v for k, v in summary.per_cloudlet_makespan.items()}
+    write_table(path, fmt, columns, [row])
 
 
 @dataclass(frozen=True)
@@ -223,34 +242,15 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
 
 
 def write_comparison(report: ComparisonReport, path, fmt: str) -> None:
-    seeds_label = ",".join(str(s) for s in report.seeds)
-    if fmt == "csv":
-        header = ["scheduler", "lambda", "replicates", "seeds"]
-        for metric in COMPARE_METRICS:
-            header += [f"{metric}_mean", f"{metric}_std"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in report.rows:
-                out = [row.scheduler, format_number(row.arrival_rate),
-                       str(row.replicates), seeds_label]
-                for metric in COMPARE_METRICS:
-                    mean, std = row.stats[metric]
-                    out += [format_number(mean), format_number(std)]
-                writer.writerow(out)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in report.rows:
-                payload = {
-                    "scheduler": row.scheduler,
-                    "lambda": row.arrival_rate,
-                    "replicates": row.replicates,
-                    "seeds": report.seeds,
-                }
-                for metric in COMPARE_METRICS:
-                    mean, std = row.stats[metric]
-                    payload[metric] = {"mean": _json_number(mean), "std": _json_number(std)}
-                fh.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    columns = ["scheduler", "lambda", "replicates", "seeds",
+               *(f"{metric}_{stat}" for metric in COMPARE_METRICS for stat in ("mean", "std"))]
+    rows = (
+        {"scheduler": row.scheduler, "lambda": row.arrival_rate, "replicates": row.replicates,
+         "seeds": report.seeds,
+         **{metric: dict(zip(("mean", "std"), row.stats[metric])) for metric in COMPARE_METRICS}}
+        for row in report.rows
+    )
+    write_table(path, fmt, columns, rows)
 
 
 def comparison_table(report: ComparisonReport) -> str:
@@ -330,8 +330,7 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     records_path = os.path.join(args.out, "records.csv")
     write_records_csv(result.records, records_path)
-    suffix = "csv" if args.format == "csv" else "jsonl"
-    summary_path = os.path.join(args.out, f"summary.{suffix}")
+    summary_path = os.path.join(args.out, f"summary.{_SUFFIXES[args.format]}")
     write_summary(summary, summary_path, args.format,
                   extra={"scheduler": args.scheduler, "seed": seed})
 
@@ -385,8 +384,7 @@ def cmd_compare(args) -> int:
     report = run_comparison(config, schedulers, lambdas, replicates, seed)
 
     os.makedirs(args.out, exist_ok=True)
-    suffix = "csv" if args.format == "csv" else "jsonl"
-    table_path = os.path.join(args.out, f"comparison.{suffix}")
+    table_path = os.path.join(args.out, f"comparison.{_SUFFIXES[args.format]}")
     write_comparison(report, table_path, args.format)
     text = comparison_table(report)
     text_path = os.path.join(args.out, "comparison.txt")
@@ -432,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheduler", required=True, choices=SCHEDULER_NAMES, metavar="NAME",
                      help="one of: " + ", ".join(SCHEDULER_NAMES))
     run.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    run.add_argument("--format", choices=("csv", "json-lines"), default="csv",
+    run.add_argument("--format", choices=tuple(_SUFFIXES), default="csv",
                      help="summary format")
     run.set_defaults(func=cmd_run)
 
@@ -443,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--seeds", metavar="A..B", default="1..10",
                       help="replicate range, inclusive")
     comp.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    comp.add_argument("--format", choices=("csv", "json-lines"), default="csv",
+    comp.add_argument("--format", choices=tuple(_SUFFIXES), default="csv",
                       help="table format")
     comp.set_defaults(func=cmd_compare)
     return parser

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 from math import inf, isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 import yaml
@@ -34,6 +34,8 @@ class ConfigError(ValueError):
 
 
 DEFAULT_SEED = 1234
+# the numbers an int or float key takes, bool aside
+_NUMBERS = {int: Integral, float: Real}
 
 
 def _key(path: str, default, kind, bound: str | None = None, shape: str = "value"):
@@ -51,7 +53,7 @@ class EdgeCloudConfig:
     """Full description of an experiment, minus the trace itself.
 
     Each field declares its key once (see ``_key``), in file order; the file
-    layout, the type checks of int keys, the finiteness checks and the range
+    layout, the type checks of number keys, the finiteness checks and the range
     checks follow from those declarations, and only the checks that read two
     fields are written out."""
 
@@ -88,10 +90,11 @@ class EdgeCloudConfig:
         for name, _, shape, kind, bound in _LAYOUT:
             value = getattr(self, name)
             entries = () if value is None else (value,) if shape == "value" else value
-            if kind is int and value is not None:  # as from a file: no bool, no float
-                _check(all(isinstance(v, Integral) and not isinstance(v, bool) for v in entries),
-                       name, "expected int entries" if shape != "value" else
-                       f"expected int, got {value!r}")
+            if kind in _NUMBERS:  # no bool, as from a file; no str; no float for an int
+                _check(all(isinstance(v, _NUMBERS[kind]) and not isinstance(v, bool)
+                           for v in entries), name, f"expected {kind.__name__} entries"
+                       if shape != "value" else f"expected {kind.__name__}, got {value!r}")
+            if kind is int and value is not None:
                 value = int(value) if shape == "value" else tuple(map(int, value))
                 object.__setattr__(self, name, value)  # so a numpy integer draws and saves as one
             if kind is float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import inf, isfinite
 from typing import NamedTuple, Sequence
 
-from .model import EdgeCloud, Task, TaskClass, speedup
+from .model import EdgeCloud, Task, TaskClass, in_range, speedup
 from .schedulers import (
     Assign,
     AssignCloud,
@@ -193,9 +193,9 @@ class Simulation:
     ):
         if len(topology) == 0:
             raise SimulationError("topology has no cloudlets")
-        if not (isfinite(probe_latency) and probe_latency >= 0):
+        if not in_range(probe_latency, ">= 0"):
             raise SimulationError(f"probe_latency must be finite and >= 0, got {probe_latency!r}")
-        if max_delays < 1:
+        if not in_range(max_delays, ">= 1"):
             raise SimulationError(f"max_delays must be >= 1, got {max_delays!r}")
         self.topology = topology
         self.scheduler = scheduler

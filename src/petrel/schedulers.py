@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .model import Task, TaskClass
+from .model import Task, TaskClass, in_range
 from .seeding import uint32s
 
 
@@ -122,7 +121,7 @@ class DaaScheduler:
     name = "daa"
 
     def __init__(self, rng: np.random.Generator, delay_quantum: float):
-        if not 0 < delay_quantum < inf:
+        if not in_range(delay_quantum, "> 0"):
             raise ValueError(f"delay_quantum must be finite and > 0, got {delay_quantum}")
         self._sample_pair = _sampler(uint32s(rng))  # owns rng: words are read ahead
         self.delay_quantum = delay_quantum

@@ -95,12 +95,9 @@ def generate_arrivals(arrival_rate: float, count: int, seed: int,
     Interarrival gaps are i.i.d. exponential with mean
     ``time_unit_ms / arrival_rate``.
     """
-    if not (isfinite(arrival_rate) and arrival_rate > 0):
-        raise ValueError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
-    if not (isfinite(time_unit_ms) and time_unit_ms > 0):
-        raise ValueError(f"time_unit_ms must be finite and > 0, got {time_unit_ms!r}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_range(arrival_rate, "arrival_rate", "> 0")
+    check_range(time_unit_ms, "time_unit_ms", "> 0")
+    check_range(count, "count", ">= 0")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(time_unit_ms / arrival_rate, size=count)
     arrivals: list[float] = []

@@ -59,9 +59,11 @@ LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
-INT_KEYS = ("tests/test_config.py::TestValidation::"
-            "test_an_int_key_takes_no_other_type_as_a_file_would",
+NUMBER_KEYS = ("tests/test_config.py::TestValidation::"
+               "test_a_number_key_takes_no_other_type_as_a_file_would")
+INT_KEYS = (NUMBER_KEYS,
             "tests/test_config.py::TestValidation::test_an_integral_float_is_not_an_int_key")
+FLOAT_KEYS = (NUMBER_KEYS, "tests/test_config.py::TestValidation::test_a_float_key_takes_no_str")
 
 MUTANTS = (
     Mutant("least_completion seeds best from inf", ENGINE,
@@ -239,10 +241,34 @@ MUTANTS = (
            "if False:",
            (W + "TestLoadErrorMessages::test_message",
             W + "TestProfileAndLoaderAgree::test_one_value")),
-    Mutant("the int-kind check is removed", CONFIG,
-           "_check(all(isinstance(v, Integral) and not isinstance(v, bool) for v in entries),",
-           "_check(True,",
-           INT_KEYS),
+    Mutant("the number-kind check is removed", CONFIG,
+           "isinstance(v, _NUMBERS[kind]) and not isinstance(v, bool)",
+           "True",
+           (*INT_KEYS, FLOAT_KEYS[1])),
+    Mutant("float keys take any type", CONFIG,
+           "_NUMBERS = {int: Integral, float: Real}",
+           "_NUMBERS = {int: Integral}",
+           FLOAT_KEYS),
+    Mutant("generate_arrivals takes a rate <= 0", WORKLOAD,
+           'check_range(arrival_rate, "arrival_rate", "> 0")',
+           'check_range(arrival_rate, "arrival_rate")',
+           (W + "TestArrivals::test_rejects_bad_arguments",)),
+    Mutant("JSON lines drop the non-finite spelling", CLI,
+           "return format_number(value) if isinstance(value, float) and not isfinite(value)"
+           " else value",
+           "return value",
+           (C + "TestRoundingEdges::test_json_lines_spell_a_non_finite_value_as_the_csv_does",)),
+    Mutant("a CSV float cell is spelled by str", CLI,
+           "return format_number(value) if isinstance(value, float) else str(value)",
+           "return str(value)",
+           ("tests/test_goldens.py::test_run_outputs_match_goldens",
+            "tests/test_goldens.py::test_compare_output_matches_golden")),
+    Mutant("the summary row leaves out the per-cloudlet makespans", CLI,
+           '    row["per_cloudlet_makespan"] = {str(k): v for k, v in'
+           " summary.per_cloudlet_makespan.items()}\n",
+           "",
+           (C + "TestRun::test_json_lines_summary",
+            "tests/test_goldens.py::test_json_lines_run_output_matches_golden")),
     Mutant("rtt_to's scalar test goes back to (int, float)", MODEL,
            "if isinstance(self.remote_rtt, Real):",
            "if isinstance(self.remote_rtt, (int, float)):",

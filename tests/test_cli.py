@@ -453,6 +453,70 @@ class TestRoundingEdges:
         assert dict(zip(header, row))["makespan_max"] == "1e+308"
 
 
+TINY_CATALOG = ("catalog:\n  - {name: tiny, class: sensitive, base_service_ms: 1.0e-310,"
+                " mobile_ms: 1, cloud_ms: 1, data_bytes: 0}\n")
+
+
+class TestCsvAndJsonLinesAgree:
+    """One run and one sweep, written once in each format, hold the same values: each CSV
+    cell is its JSON value spelled by ``format_number``, a ``<field>_mean`` or ``_std``
+    column is a key of the field's JSON mapping, and a comma-joined cell is a JSON list."""
+
+    @staticmethod
+    def spell(value):
+        if isinstance(value, list):
+            return ",".join(map(TestCsvAndJsonLinesAgree.spell, value))
+        # a string is a token, or a non-finite float already spelled as the CSV does
+        return value if isinstance(value, str) else format_number(value)
+
+    @staticmethod
+    def both(tmp_path, argv, name):
+        """The CSV cells by column, row by row, and the JSON-lines rows of one command."""
+        for fmt in ("csv", "json-lines"):
+            assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        header, *rows = read_csv(tmp_path / "csv" / f"{name}.csv")
+        return ([dict(zip(header, row, strict=True)) for row in rows],
+                read_strict_json_lines(tmp_path / "json-lines" / f"{name}.jsonl"))
+
+    @pytest.mark.parametrize("catalog", [None, TINY_CATALOG], ids=["finite", "non-finite"])
+    def test_run_summary(self, tmp_path, small_config, capsys, catalog):
+        config = small_config if catalog is None else _write(tmp_path, "c.yaml", catalog)
+        [cells], [payload] = self.both(tmp_path, [
+            "run", "--config", config, "--tasks", "20", "--scheduler", "greedy", "--seed", "3",
+        ], "summary")
+        capsys.readouterr()
+        assert set(payload) == set(cells) | {"per_cloudlet_makespan"}
+        assert not any(column.startswith("per_cloudlet") for column in cells)
+        assert cells == {column: self.spell(payload[column]) for column in cells}
+        cloudlets = 3 if catalog is None else 10
+        assert set(payload["per_cloudlet_makespan"]) == set(map(str, range(cloudlets)))
+        assert (payload["awt"] == "inf") == (catalog is not None)
+
+    @pytest.mark.parametrize("catalog", [None, TINY_CATALOG], ids=["finite", "non-finite"])
+    def test_comparison_table(self, tmp_path, small_config, capsys, catalog):
+        config = small_config if catalog is None else _write(tmp_path, "c.yaml", catalog)
+        rows, payloads = self.both(tmp_path, [
+            "compare", "--config", config, "--tasks", "20", "--scheduler", "daa,daemon-only",
+            "--lambda", "1,2.5", "--seeds", "1..2", "--seed", "3",
+        ], "comparison")
+        capsys.readouterr()
+        assert len(rows) == len(payloads) == 4
+        for cells, payload in zip(rows, payloads):
+            assert cells["seeds"] == "1,2" and payload["seeds"] == [1, 2]
+            fields = {}
+            for column, cell in cells.items():
+                name, _, stat = column.rpartition("_")
+                if stat in ("mean", "std"):
+                    fields.setdefault(name, set()).add(stat)
+                    assert cell == self.spell(payload[name][stat]), column
+                else:
+                    fields[column] = None
+                    assert cell == self.spell(payload[column]), column
+            assert set(fields) == set(payload)
+            assert (payload["awt"] == {"mean": "inf", "std": "nan"}) == (catalog is not None)
+            assert all(set(payload[name]) == stats for name, stats in fields.items() if stats)
+
+
 class TestSeedPrecedence:
     def test_env_seed_used_when_no_flag(self, tmp_path, small_config, capsys, monkeypatch):
         monkeypatch.setenv("PETREL_SEED", "321")

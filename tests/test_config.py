@@ -183,8 +183,17 @@ class TestValidation:
         (dict(vm_count_range=(1.5, 3)), {"cloudlets": {"vm_count_range": [1.5, 3]}}),
         (dict(vm_count_range=(1, False)), {"cloudlets": {"vm_count_range": [1, False]}}),
         (dict(vm_counts=(1,) * 9 + (1.5,)), {"cloudlets": {"vm_counts": [1] * 9 + [1.5]}}),
+        (dict(cloud_rtt_ms=True), {"network": {"cloud_rtt_ms": True}}),
+        (dict(arrival_rate=False), {"trace": {"arrival_rate": False}}),
+        (dict(delay_quantum_ms=True), {"scheduler": {"delay_quantum_ms": True}}),
+        (dict(arrival_rate=[1.0]), {"trace": {"arrival_rate": [1.0]}}),
+        (dict(speed_factor_range=(1.0, True)), {"cloudlets": {"speed_factor_range": [1.0, True]}}),
+        (dict(remote_rtt_range_ms=(True, 70.0)),
+         {"network": {"remote_rtt_range_ms": [True, 70.0]}}),
+        (dict(speed_factors=(1.0,) * 9 + (True,)),
+         {"cloudlets": {"speed_factors": [1.0] * 9 + [True]}}),
     ])
-    def test_an_int_key_takes_no_other_type_as_a_file_would(self, overrides, data):
+    def test_a_number_key_takes_no_other_type_as_a_file_would(self, overrides, data):
         with pytest.raises(ConfigError) as from_file:
             from_mapping(data)
         with pytest.raises(ConfigError) as direct:
@@ -203,7 +212,24 @@ class TestValidation:
             EdgeCloudConfig(**overrides)
         assert str(caught.value) == message
 
-    def test_numpy_ints_are_int_keys(self):
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(arrival_rate="1"), "trace.arrival_rate: expected float, got '1'"),
+        (dict(speed_factors=("1",) * 10), "cloudlets.speed_factors: expected float entries"),
+        (dict(remote_rtt_range_ms=(50.0, "70")),
+         "network.remote_rtt_range_ms: expected float entries"),
+    ])
+    def test_a_float_key_takes_no_str(self, overrides, message):
+        # unlike a file, whose quoted "1" reads as a float, a direct value is not parsed
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(**overrides)
+        assert str(caught.value) == message
+
+    def test_ints_and_numpy_floats_are_float_keys(self):
+        config = EdgeCloudConfig(
+            cloudlet_count=2, speed_factors=(1, np.float32(2.0)), arrival_rate=2,
+            cloud_rtt_ms=np.float64(250.0), remote_rtt_range_ms=(50, 70))
+        assert [c.speed_factor for c in build_topology(config, 7)] == [1, 2]
+        assert len(generate_trace(config, 7)) == config.task_count
         config = EdgeCloudConfig(
             seed=np.int64(7), cloudlet_count=np.int32(3), vm_count_range=(np.int64(1), 2),
             vm_counts=(np.int64(1), np.uint8(2), 3), task_count=np.int64(20),

@@ -563,7 +563,7 @@ class TestTraceValidation:
                            match=f"^probe_latency must be finite and >= 0, got {latency}$"):
             Simulation(small_topology(), DaemonOnlyScheduler(), probe_latency=latency)
 
-    @pytest.mark.parametrize("max_delays", [0, -1])
+    @pytest.mark.parametrize("max_delays", [0, -1, nan, inf])
     def test_rejects_max_delays_below_one(self, max_delays):
         with pytest.raises(SimulationError,
                            match=f"^max_delays must be >= 1, got {max_delays}$"):

@@ -58,6 +58,15 @@ TRACE_RUN_GOLDENS = {
 # comparison.csv of `petrel compare --seeds 1..3 --seed 1234` (all policies, lambda 1,2).
 COMPARE_GOLDEN = "b1680f580b90eafeeea50c1469566f7102911468f69716c36ba816ede516d6bc"
 
+# summary.jsonl of `petrel run --scheduler daa --tasks 2000 --lambda 4 --seed 1234
+# --format json-lines`, and the files of `petrel compare --seeds 1..3 --seed 1234
+# --format json-lines`; the text table does not depend on the format.
+JSON_LINES_RUN_GOLDEN = "1a872b284e05ab50a1275a76ece0530a3bf68735c07f4b03f7a4686e8eff8f1d"
+JSON_LINES_COMPARE_GOLDENS = {
+    "comparison.jsonl": "2a4a7994cc46c4d72df7d4fa86ec5df0cdf4a1af05bc2410f0c6f76267359d52",
+    "comparison.txt": "789565b1971d6a34193ac38f91c903e36b81c6f3e92e8d15944acd34eeaf696a",
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -79,6 +88,25 @@ def test_compare_output_matches_golden(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert sha256(tmp_path / "comparison.csv") == COMPARE_GOLDEN
+    assert sha256(tmp_path / "comparison.txt") == JSON_LINES_COMPARE_GOLDENS["comparison.txt"]
+
+
+def test_json_lines_run_output_matches_golden(tmp_path, capsys):
+    code = main(["run", "--scheduler", "daa", "--tasks", "2000", "--lambda", "4",
+                 "--seed", "1234", "--format", "json-lines", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    assert sha256(tmp_path / "records.csv") == RUN_GOLDENS[("daa", "4")][0]
+    assert sha256(tmp_path / "summary.jsonl") == JSON_LINES_RUN_GOLDEN
+
+
+def test_json_lines_compare_output_matches_golden(tmp_path, capsys):
+    code = main(["compare", "--seeds", "1..3", "--seed", "1234", "--format", "json-lines",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    assert {name: sha256(tmp_path / name) for name in JSON_LINES_COMPARE_GOLDENS} \
+        == JSON_LINES_COMPARE_GOLDENS
 
 
 def generate_golden_trace(tmp_path, lam):
