@@ -53,9 +53,10 @@ class EdgeCloudConfig:
     """Full description of an experiment, minus the trace itself.
 
     Each field declares its key once (see ``_key``), in file order; the file
-    layout, the type checks of number keys, the finiteness checks and the range
-    checks follow from those declarations, and only the checks that read two
-    fields are written out."""
+    layout, the shape and type checks, the finiteness checks and the range checks
+    follow from those declarations, and only the checks that read two fields are
+    written out.  Only a key whose default is None may be None, and a number key
+    or entry is stored as a plain int or float, a pair or list as a tuple."""
 
     seed: int = _key("seed", DEFAULT_SEED, int)
     cloudlet_count: int = _key("cloudlets.count", 10, int, ">= 1")
@@ -80,7 +81,6 @@ class EdgeCloudConfig:
     time_unit_ms: float = _key("trace.time_unit_ms", 1000.0, float, "> 0")
 
     delay_quantum_ms: float | None = _key("scheduler.delay_quantum_ms", None, float, "> 0")
-    max_delays: int = _key("scheduler.max_delays", 1000, int, ">= 1")
     probe_latency_ms: float = _key("scheduler.probe_latency_ms", 1500.0, float, ">= 0")
 
     catalog: tuple[Benchmark, ...] = _key("catalog", lambda: tuple(default_catalog()),
@@ -89,17 +89,22 @@ class EdgeCloudConfig:
     def __post_init__(self) -> None:
         for name, _, shape, kind, bound in _LAYOUT:
             value = getattr(self, name)
-            entries = () if value is None else (value,) if shape == "value" else value
-            if kind in _NUMBERS:  # no bool, as from a file; no str; no float for an int
-                _check(all(isinstance(v, _NUMBERS[kind]) and not isinstance(v, bool)
-                           for v in entries), name, f"expected {kind.__name__} entries"
-                       if shape != "value" else f"expected {kind.__name__}, got {value!r}")
-            if kind is int and value is not None:
-                value = int(value) if shape == "value" else tuple(map(int, value))
-                object.__setattr__(self, name, value)  # so a numpy integer draws and saves as one
+            if value is None and name in _OPTIONAL:
+                continue
+            if shape != "value":
+                _check_shape(value, _PATHS[name], shape, kind)
+            entries = (value,) if shape == "value" else value
+            # no bool, as from a file; no str; no float for an int; no None
+            _check(all(isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)
+                       for v in entries), name, f"expected {kind.__name__} entries"
+                   if shape != "value" else f"expected {kind.__name__}, got {value!r}")
+            if kind in _NUMBERS:  # stored plain, so a numpy number draws and saves as one
+                entries = tuple(map(kind, entries))
+            value = entries[0] if shape == "value" else tuple(entries)
+            object.__setattr__(self, name, value)
             if kind is float:
                 _check(all(map(isfinite, entries)), name, "must be finite")
-            if bound is None or value is None:
+            if bound is None:
                 continue
             if shape == "pair":
                 op, low = bound.split()
@@ -145,6 +150,15 @@ class EdgeCloudConfig:
 def _check(ok: bool, name: str, message: str) -> None:
     if not ok:
         raise ConfigError.at(name, message)
+
+
+def _check_shape(value, path: str, shape: str, kind) -> None:
+    """Reject a pair or list key's ``value``, from a file or a caller, unless it is a
+    list or tuple of its shape."""
+    if not isinstance(value, (list, tuple)) or shape == "pair" and len(value) != 2:
+        wanted = ("a list of benchmarks" if kind is Benchmark
+                  else "a [low, high] pair" if shape == "pair" else "a list")
+        raise ConfigError(f"{path}: expected {wanted}")
 
 
 def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
@@ -202,6 +216,8 @@ _ENTRY_LAYOUT = (
     ("bound_factor", "bound_factor", float),
 )
 _PATHS = {name: path for name, path, *_ in _LAYOUT}
+# the keys that may be None, as their default is
+_OPTIONAL = {f.name for f in fields(EdgeCloudConfig) if f.default is None}
 _SECTIONS = tuple(dict.fromkeys(path.partition(".")[0] for path in _PATHS.values() if "." in path))
 # every (section, key) a file may hold; section "" is the top level
 _KNOWN = {("", s) for s in _SECTIONS} | {path.rpartition(".")[::2] for path in _PATHS.values()}
@@ -270,13 +286,9 @@ def _read(raw, path: str, shape: str, kind):
             # a class token's own message names the tokens it takes
             wanted = exc if kind is TaskClass else f"expected {kind.__name__}, got {raw!r}"
             raise ConfigError(f"{path}: {wanted}") from None
+    _check_shape(raw, path, shape, kind)
     if kind is Benchmark:
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list of benchmarks")
         return tuple(_benchmark(entry, f"{path}[{i}]") for i, entry in enumerate(raw))
-    if not isinstance(raw, (list, tuple)) or (shape == "pair" and len(raw) != 2):
-        wanted = "a [low, high] pair" if shape == "pair" else "a list"
-        raise ConfigError(f"{path}: expected {wanted}")
     try:
         return tuple(_scalar(v, kind) for v in raw)
     except _BAD_VALUE:

@@ -48,7 +48,7 @@ from .seeding import new_rng
 
 
 class SimulationError(RuntimeError):
-    """A run could not proceed (bad trace, bad decision, or safety cap hit)."""
+    """A run could not proceed (a bad trace or a bad decision)."""
 
 
 ARRIVAL = "arrival"
@@ -183,23 +183,13 @@ class Simulation:
     so an instance runs once.
     """
 
-    def __init__(
-        self,
-        topology: EdgeCloud,
-        scheduler,
-        *,
-        max_delays: int = 1000,
-        probe_latency: float = 0.0,
-    ):
+    def __init__(self, topology: EdgeCloud, scheduler, *, probe_latency: float = 0.0):
         if len(topology) == 0:
             raise SimulationError("topology has no cloudlets")
         if not in_range(probe_latency, ">= 0"):
             raise SimulationError(f"probe_latency must be finite and >= 0, got {probe_latency!r}")
-        if not in_range(max_delays, ">= 1"):
-            raise SimulationError(f"max_delays must be >= 1, got {max_delays!r}")
         self.topology = topology
         self.scheduler = scheduler
-        self.max_delays = max_delays
         self.probe_latency = probe_latency
         self.heaps = {c.id: [0.0] * c.vm_count for c in topology}
         self.stale_ready = dict.fromkeys(self.heaps, 0.0)
@@ -250,7 +240,7 @@ class Simulation:
         log, fold, latency = self.commit_log, self._fold, self.probe_latency
         commit, cost_row = self.commit, self.topology.cost_row
         heappush, heappop, new = heapq.heappush, heapq.heappop, tuple.__new__
-        tolerant, max_delays = TaskClass.LATENCY_TOLERANT, self.max_delays
+        tolerant = TaskClass.LATENCY_TOLERANT
 
         # a task has one pending entry at a time (its arrival or its one
         # wake-up), so no task is decided after it was placed
@@ -290,18 +280,16 @@ class Simulation:
                 start = now
                 executor_id = None
             elif isinstance(decision, Delay):
-                delays += 1
-                if delays > max_delays:
-                    raise SimulationError(
-                        f"task {task_id} delayed more than max_delays={max_delays};"
-                        " the bound check should have terminated this"
-                    )
                 if profile.task_class is not tolerant:
                     raise SimulationError(f"task {task_id}: only latency-tolerant tasks can be delayed")
-                delay = decision.duration
-                if not 0 < delay < inf:
-                    raise SimulationError(f"task {task_id}: delay must be finite and > 0, got {delay}")
-                heappush(wakeups, (now + delay, sequence, index, delays))
+                # a wake-up lands strictly after now and strictly before the deadline
+                # (Task.deadline's sum), so a task is decided finitely often
+                wake, deadline = now + decision.duration, arrival + profile.latency_bound
+                if not now < wake < deadline:
+                    raise SimulationError(
+                        f"task {task_id}: a delay of {decision.duration} ms at {now} ms must end"
+                        f" strictly after now and before the deadline {deadline} ms")
+                heappush(wakeups, (wake, sequence, index, delays + 1))
                 sequence += 1
                 continue
             else:
@@ -363,10 +351,4 @@ def simulate(config, trace: Sequence[Task], scheduler, seed: int,
             rng=new_rng(seed, "policy") if scheduler in SAMPLING_SCHEDULERS else None,
             delay_quantum=config.resolve_delay_quantum(),
         )
-    sim = Simulation(
-        topology,
-        scheduler,
-        max_delays=config.max_delays,
-        probe_latency=config.probe_latency_ms,
-    )
-    return sim.run(trace)
+    return Simulation(topology, scheduler, probe_latency=config.probe_latency_ms).run(trace)

@@ -97,9 +97,17 @@ MUTANTS = (
            (E + "TestProbeStaleness::"
                 "test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon",)),
     Mutant("tied wake-ups pop in trace order", ENGINE,
-           "heappush(wakeups, (now + delay, sequence, index, delays))",
-           "heappush(wakeups, (now + delay, index, index, delays))",
+           "heappush(wakeups, (wake, sequence, index, delays + 1))",
+           "heappush(wakeups, (wake, index, index, delays + 1))",
            (E + "TestReplayAgreement",)),
+    Mutant("a delay may end at the deadline", ENGINE,
+           "if not now < wake < deadline:",
+           "if not now < wake <= deadline:",
+           (E + "TestSimulationRuns::test_a_delay_ending_at_the_deadline_raises",)),
+    Mutant("a delay may end at now", ENGINE,
+           "if not now < wake < deadline:",
+           "if not wake < deadline:",
+           (E + "TestSimulationRuns::test_a_delay_below_a_float_step_raises_at_once",)),
     Mutant("a wake-up goes before an arrival at the same instant", ENGINE,
            "wakeups[0][0] < trace[arrived].arrival_time",
            "wakeups[0][0] <= trace[arrived].arrival_time",
@@ -242,13 +250,28 @@ MUTANTS = (
            (W + "TestLoadErrorMessages::test_message",
             W + "TestProfileAndLoaderAgree::test_one_value")),
     Mutant("the number-kind check is removed", CONFIG,
-           "isinstance(v, _NUMBERS[kind]) and not isinstance(v, bool)",
+           "isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)",
            "True",
            (*INT_KEYS, FLOAT_KEYS[1])),
     Mutant("float keys take any type", CONFIG,
            "_NUMBERS = {int: Integral, float: Real}",
-           "_NUMBERS = {int: Integral}",
+           "_NUMBERS = {int: Integral, float: object}",
            FLOAT_KEYS),
+    Mutant("a numpy float key is kept as given", CONFIG,
+           "if kind in _NUMBERS:  # stored plain",
+           "if kind is int:  # stored plain",
+           ("tests/test_config.py::TestValidation::"
+            "test_numpy_floats_are_stored_plain_and_round_trip",)),
+    Mutant("every key takes None", CONFIG,
+           "if value is None and name in _OPTIONAL:",
+           "if value is None:",
+           ("tests/test_config.py::TestValidation::"
+            "test_only_a_key_whose_default_is_none_takes_none",)),
+    Mutant("a direct pair or list key skips the shape check", CONFIG,
+           "                _check_shape(value, _PATHS[name], shape, kind)\n",
+           "                pass\n",
+           ("tests/test_config.py::TestValidation::"
+            "test_a_pair_or_list_key_takes_no_other_shape_as_a_file_would",)),
     Mutant("generate_arrivals takes a rate <= 0", WORKLOAD,
            'check_range(arrival_rate, "arrival_rate", "> 0")',
            'check_range(arrival_rate, "arrival_rate")',

@@ -285,11 +285,7 @@ def test_criterion_7_delay_scheduling_safety(capsys):
                     rng=new_rng(run_seed, "policy"),
                     delay_quantum=config.resolve_delay_quantum(),
                 ))
-                sim = Simulation(
-                    topology, audit,
-                    max_delays=config.max_delays,
-                    probe_latency=config.probe_latency_ms,
-                )
+                sim = Simulation(topology, audit, probe_latency=config.probe_latency_ms)
                 result = sim.run(trace)
 
                 assert audit.violations == [], audit.violations

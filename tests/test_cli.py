@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import petrel
 from petrel.cli import RECORD_COLUMNS, _mean_std, main, run_comparison, write_records_csv
-from petrel.config import ConfigError, EdgeCloudConfig, save_config
+from petrel.config import ConfigError, EdgeCloudConfig, load_config, save_config
 from petrel.engine import TaskRecord
 from petrel.model import TaskClass
+from petrel.seeding import derive_seed
 from petrel.workload import Benchmark, format_number, generate_trace, load_trace, save_trace
 
 
@@ -145,6 +146,22 @@ class TestRun:
         summary = read_csv(out / "summary.csv")
         by_name = dict(zip(summary[0], summary[1]))
         assert by_name["makespan_max"] == "0"
+
+    def test_every_delay_ends_before_its_deadline_however_many_it_takes(self, tmp_path):
+        # a 50 ms quantum at lambda 4 takes one task through 1,338 delays
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("scheduler: {delay_quantum_ms: 50}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--scheduler", "daa", "--lambda", "4",
+                     "--tasks", "400", "--out", str(out)]) == 0
+        config = load_config(config_path).override(arrival_rate=4.0, task_count=400)
+        deadlines = {task.id: task.deadline
+                     for task in generate_trace(config, derive_seed(config.seed, "trace"))}
+        with open(out / "records.csv", newline="") as fh:
+            delayed = [row for row in csv.DictReader(fh) if int(row["delays"]) > 0]
+        assert max(int(row["delays"]) for row in delayed) > 1000
+        for row in delayed:
+            assert float(row["assign_ms"]) < deadlines[int(row["task_id"])], row
 
     def test_scheduler_flag_is_mandatory(self, tmp_path, small_config):
         with pytest.raises(SystemExit) as exc:
@@ -752,6 +769,9 @@ ERROR_PATHS = [
                    d, "c.yaml", "# caf\xe9\ntrace: {task_count: 5}\n".encode("latin-1"))]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
+    error_path("removed-config-key", 2, "error: scheduler.max_delays: unknown key\n",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", "scheduler: {max_delays: 1000}\n")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),

@@ -17,7 +17,7 @@ from petrel.config import (
 )
 from petrel.model import TaskClass
 from petrel.seeding import new_rng
-from petrel.workload import Benchmark, generate_trace
+from petrel.workload import Benchmark, default_catalog, generate_trace
 
 
 class TestDefaults:
@@ -88,7 +88,6 @@ class TestValidation:
             (dict(task_count=-5), "trace.task_count"),
             (dict(arrival_rate=0.0), "trace.arrival_rate"),
             (dict(delay_quantum_ms=0.0), "scheduler.delay_quantum_ms"),
-            (dict(max_delays=0), "scheduler.max_delays"),
             (dict(probe_latency_ms=-1.0), "scheduler.probe_latency_ms"),
         ]
         for overrides, key in cases:
@@ -158,7 +157,6 @@ class TestValidation:
         (dict(arrival_rate=0.0), "trace.arrival_rate: must be > 0"),
         (dict(time_unit_ms=0.0), "trace.time_unit_ms: must be > 0"),
         (dict(delay_quantum_ms=0.0), "scheduler.delay_quantum_ms: must be > 0"),
-        (dict(max_delays=0), "scheduler.max_delays: must be >= 1"),
         (dict(probe_latency_ms=-0.5), "scheduler.probe_latency_ms: must be >= 0"),
     ])
     def test_each_bound_names_its_rule(self, overrides, message):
@@ -170,15 +168,14 @@ class TestValidation:
         config = EdgeCloudConfig(
             cloudlet_count=1, vm_count_range=(1, 1), vm_counts=(1,), speed_factors=(5e-324,),
             daemon_rtt_ms=0.0, remote_rtt_range_ms=(0.0, 0.0), cloud_rtt_ms=0.0, task_count=0,
-            delay_quantum_ms=5e-324, max_delays=1, probe_latency_ms=0.0)
-        assert (config.vm_counts, config.task_count, config.max_delays) == ((1,), 0, 1)
+            delay_quantum_ms=5e-324, probe_latency_ms=0.0)
+        assert (config.vm_counts, config.task_count) == ((1,), 0)
 
     @pytest.mark.parametrize("overrides, data", [
         (dict(cloudlet_count=2.5), {"cloudlets": {"count": 2.5}}),
         (dict(cloudlet_count=True), {"cloudlets": {"count": True}}),
         (dict(task_count=True), {"trace": {"task_count": True}}),
         (dict(task_count=3.5), {"trace": {"task_count": 3.5}}),
-        (dict(max_delays=1.5), {"scheduler": {"max_delays": 1.5}}),
         (dict(seed=1.5), {"seed": 1.5}),
         (dict(vm_count_range=(1.5, 3)), {"cloudlets": {"vm_count_range": [1.5, 3]}}),
         (dict(vm_count_range=(1, False)), {"cloudlets": {"vm_count_range": [1, False]}}),
@@ -231,12 +228,69 @@ class TestValidation:
         assert [c.speed_factor for c in build_topology(config, 7)] == [1, 2]
         assert len(generate_trace(config, 7)) == config.task_count
         config = EdgeCloudConfig(
-            seed=np.int64(7), cloudlet_count=np.int32(3), vm_count_range=(np.int64(1), 2),
-            vm_counts=(np.int64(1), np.uint8(2), 3), task_count=np.int64(20),
-            max_delays=np.int16(5))
+            seed=np.int16(7), cloudlet_count=np.int32(3), vm_count_range=(np.int64(1), 2),
+            vm_counts=(np.int64(1), np.uint8(2), 3), task_count=np.int64(20))
         assert [c.vm_count for c in build_topology(config, 7)] == [1, 2, 3]
         assert len(generate_trace(config, 7)) == 20
         assert from_mapping(yaml.safe_load(yaml.safe_dump(to_mapping(config)))) == config
+
+    def test_numpy_floats_are_stored_plain_and_round_trip(self, tmp_path):
+        config = EdgeCloudConfig(
+            cloudlet_count=2, speed_factors=(np.float32(0.1), np.float64(2.0)),
+            speed_factor_range=[np.float32(0.5), 1], cloud_rtt_ms=np.float64(3),
+            remote_rtt_range_ms=(np.float32(1.5), np.float64(2)), arrival_rate=np.float32(0.3),
+            delay_quantum_ms=np.float64(50))
+        for name in ("speed_factors", "speed_factor_range", "remote_rtt_range_ms"):
+            value = getattr(config, name)
+            assert type(value) is tuple and {type(v) for v in value} == {float}, name
+        for name in ("cloud_rtt_ms", "arrival_rate", "delay_quantum_ms"):
+            assert type(getattr(config, name)) is float, name
+        assert config.speed_factors[0] == float(np.float32(0.1))
+        path = tmp_path / "config.yaml"
+        save_config(config, path)
+        assert load_config(path) == config
+
+    def test_a_catalog_list_is_stored_as_a_tuple(self):
+        config = EdgeCloudConfig(catalog=default_catalog())
+        assert type(config.catalog) is tuple
+        assert config == EdgeCloudConfig() and hash(config) == hash(EdgeCloudConfig())
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(task_count=None), "trace.task_count: expected int, got None"),
+        (dict(cloudlet_count=None), "cloudlets.count: expected int, got None"),
+        (dict(seed=None), "seed: expected int, got None"),
+        (dict(arrival_rate=None), "trace.arrival_rate: expected float, got None"),
+        (dict(probe_latency_ms=None), "scheduler.probe_latency_ms: expected float, got None"),
+        (dict(vm_count_range=None), "cloudlets.vm_count_range: expected a [low, high] pair"),
+        (dict(catalog=None), "catalog: expected a list of benchmarks"),
+    ])
+    def test_only_a_key_whose_default_is_none_takes_none(self, overrides, message):
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(**overrides)
+        assert str(caught.value) == message
+
+    def test_a_catalog_takes_only_benchmarks(self):
+        with pytest.raises(ConfigError) as caught:
+            EdgeCloudConfig(catalog=(*default_catalog(), "face"))
+        assert str(caught.value) == "catalog: expected Benchmark entries"
+
+    @pytest.mark.parametrize("overrides, data", [
+        (dict(vm_count_range=(1, 2, 3)), {"cloudlets": {"vm_count_range": [1, 2, 3]}}),
+        (dict(vm_count_range=(1,)), {"cloudlets": {"vm_count_range": [1]}}),
+        (dict(vm_count_range=5), {"cloudlets": {"vm_count_range": 5}}),
+        (dict(remote_rtt_range_ms="ab"), {"network": {"remote_rtt_range_ms": "ab"}}),
+        (dict(speed_factors=5.0), {"cloudlets": {"speed_factors": 5.0}}),
+        (dict(vm_counts={1: 2}), {"cloudlets": {"vm_counts": {1: 2}}}),
+        (dict(catalog=3), {"catalog": 3}),
+    ])
+    def test_a_pair_or_list_key_takes_no_other_shape_as_a_file_would(self, overrides, data):
+        with pytest.raises(ConfigError) as from_file:
+            from_mapping(data)
+        with pytest.raises(ConfigError) as direct:
+            EdgeCloudConfig(**overrides)
+        assert str(direct.value) == str(from_file.value)
+        assert str(direct.value).endswith(("expected a [low, high] pair", "expected a list",
+                                           "expected a list of benchmarks"))
 
     def test_override_revalidates(self):
         with pytest.raises(ConfigError):
@@ -286,7 +340,7 @@ class TestMappingErrors:
             from_mapping({"network": [1, 2]})
 
 
-INT_KEYS = ("seed", "cloudlets.count", "trace.task_count", "scheduler.max_delays")
+INT_KEYS = ("seed", "cloudlets.count", "trace.task_count")
 FLOAT_KEYS = (
     "network.daemon_rtt_ms", "network.cloud_rtt_ms", "network.cloudlet_bandwidth_bytes_per_ms",
     "network.cloud_bandwidth_bytes_per_ms", "trace.arrival_rate", "trace.time_unit_ms",
@@ -378,13 +432,13 @@ class TestLayoutPins:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("config, digest", [
-        (EdgeCloudConfig(), "4461c5ad488563a921e831440ada2612d41f69e086abc4c5748c3927334905ec"),
+        (EdgeCloudConfig(), "d4d6716490c02523e3bb9b516d3c3af28ab599f0eb8058fbbf3a070075bc08bf"),
         (EdgeCloudConfig(
             cloudlet_count=4, vm_counts=(2, 1, 3, 2), speed_factors=(1.0, 2.0, 0.5, 1.5),
             delay_quantum_ms=12.0,
             catalog=(Benchmark("only", TaskClass.LATENCY_TOLERANT, 500.0, 2500.0, 400.0,
                                12_000.0, bound_factor=3.0, weight=2.0),)),
-         "81c4f54f3601fc26e12d6d50e32703fd12e4d41d3f197d4608f6addea7c06e88"),
+         "3d72421ecfe1b409e8c1af34bc62248fd23ba9430e83ae8a4b0edb36f47fd0a9"),
     ])
     def test_save_config_bytes(self, tmp_path, config, digest):
         path = tmp_path / "config.yaml"

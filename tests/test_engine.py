@@ -53,6 +53,20 @@ class Scripted:
         return next(self._decisions)
 
 
+class Delaying:
+    """Delays by one duration for its first ``times`` decisions, then assigns to
+    cloudlet 0; counts its decisions."""
+
+    name = "delaying"
+
+    def __init__(self, duration, times):
+        self.duration, self.times, self.calls = duration, times, 0
+
+    def decide(self, task, view):
+        self.calls += 1
+        return Delay(self.duration) if self.calls <= self.times else Assign(0)
+
+
 def zero_data_net(**overrides):
     params = dict(daemon_rtt=10.0, remote_rtt=60.0)
     params.update(overrides)
@@ -199,18 +213,20 @@ class TestProbeAndCommitHelpers:
 
     def test_wait_must_be_positive(self):
         task = make_task(task_id=4, task_class="tolerant", latency_bound=9000.0)
-        with pytest.raises(SimulationError,
-                           match="^task 4: delay must be finite and > 0, got 0.0$"):
+        with pytest.raises(SimulationError) as caught:
             Simulation(small_topology(), Scripted([Delay(0.0)])).run([task])
+        assert str(caught.value) == ("task 4: a delay of 0.0 ms at 0.0 ms must end strictly"
+                                     " after now and before the deadline 9000.0 ms")
 
     @pytest.mark.parametrize("delay", [nan, inf, -inf])
     def test_wait_must_be_finite(self, delay):
         # checked on a wake-up's decision too, not only on an arrival's
         task = make_task(task_id=4, task_class="tolerant", latency_bound=9000.0)
         policy = Scripted([Delay(250.0), Delay(delay)])
-        with pytest.raises(SimulationError,
-                           match=f"^task 4: delay must be finite and > 0, got {delay}$"):
+        with pytest.raises(SimulationError) as caught:
             Simulation(small_topology(), policy).run([task])
+        assert str(caught.value) == (f"task 4: a delay of {delay} ms at 250.0 ms must end strictly"
+                                     " after now and before the deadline 9000.0 ms")
 
 
 class TestOneRunPerSimulation:
@@ -287,12 +303,13 @@ class TestSimulationRuns:
 
     @pytest.mark.parametrize("delay", [nan, inf, -inf])
     def test_a_non_finite_delay_names_the_task_and_duration(self, delay):
-        # not the max_delays message a run re-delaying at time nan used to end with
+        # on the first decision, not after re-delaying at time nan
         topo = small_topology(vms=1, count=1)
         task = make_task(task_id=92, task_class="tolerant", latency_bound=1e12, data_volume=0.0)
-        with pytest.raises(SimulationError,
-                           match=f"^task 92: delay must be finite and > 0, got {delay}$"):
+        with pytest.raises(SimulationError) as caught:
             Simulation(topo, Scripted([Delay(delay)])).run([task])
+        assert str(caught.value) == (f"task 92: a delay of {delay} ms at 0.0 ms must end strictly"
+                                     " after now and before the deadline 1000000000000.0 ms")
 
     def test_one_view_is_moved_through_the_run(self):
         topo = small_topology(vms=1, count=2, speed=1.0)
@@ -321,31 +338,36 @@ class TestSimulationRuns:
         assert [entry[1:] for entry in seen] == [(0.0, 0, 0), (5.0, 1, 1), (12.0, 1, 1)]
         assert seen[0][0] is seen[1][0] is seen[2][0]
 
-    def test_delays_beyond_the_cap_abort(self):
-        topo = small_topology(vms=1, count=1)
-        task = make_task(
-            task_id=0, task_class="tolerant", latency_bound=1e12, data_volume=0.0
-        )
+    def test_delays_are_taken_until_one_would_reach_the_deadline(self):
+        # wake-ups at 10, 20, 30 and 40 are before the deadline 45; one at 50 is not
+        task = make_task(task_id=0, task_class="tolerant", latency_bound=45.0, data_volume=0.0)
+        policy = Delaying(10.0, times=1000)
+        with pytest.raises(SimulationError) as caught:
+            Simulation(small_topology(vms=1, count=1), policy).run([task])
+        assert str(caught.value) == ("task 0: a delay of 10.0 ms at 40.0 ms must end strictly"
+                                     " after now and before the deadline 45.0 ms")
+        assert policy.calls == 5
 
-        class AlwaysDelay:
-            name = "always-delay"
-            calls = 0
+    def test_a_delay_ending_at_the_deadline_raises(self):
+        task = make_task(task_id=0, arrival_time=5.0, task_class="tolerant",
+                         latency_bound=45.0, data_volume=0.0)
+        policy = Scripted([Delay(30.0), Delay(15.0), Assign(0)])
+        with pytest.raises(SimulationError) as caught:
+            Simulation(small_topology(), policy).run([task])
+        assert str(caught.value) == ("task 0: a delay of 15.0 ms at 35.0 ms must end strictly"
+                                     " after now and before the deadline 50.0 ms")
 
-            def decide(self, t, view):
-                self.calls += 1
-                return Delay(10.0)
-
-        policy = AlwaysDelay()
-        sim = Simulation(topo, policy, max_delays=5)
-        with pytest.raises(SimulationError, match="^task 0 delayed more than max_delays=5;"):
-            sim.run([task])
-        assert policy.calls == 6
-
-    def test_delays_up_to_the_cap_are_taken(self):
-        task = make_task(task_id=0, task_class="tolerant", latency_bound=1e12, data_volume=0.0)
-        policy = Scripted([Delay(10.0)] * 5 + [Assign(0)])
-        record = Simulation(small_topology(), policy, max_delays=5).run([task]).records[0]
-        assert (record.delays_taken, record.assign_time) == (5, 50.0)
+    def test_a_delay_below_a_float_step_raises_at_once(self):
+        # a float step at 1e20 ms is 16384 ms, so a 2 s delay would wake the task at now,
+        # and a run that took it would decide the task 1,001 times at that instant
+        task = make_task(task_id=7, arrival_time=1e20, task_class="tolerant",
+                         latency_bound=1e12, data_volume=0.0)
+        policy = Delaying(2000.0, times=1001)
+        with pytest.raises(SimulationError) as caught:
+            Simulation(small_topology(), policy).run([task])
+        assert str(caught.value) == ("task 7: a delay of 2000.0 ms at 1e+20 ms must end strictly"
+                                     " after now and before the deadline 1.00000001e+20 ms")
+        assert policy.calls == 1
 
     def test_records_keep_trace_order_not_completion_order(self):
         topo = small_topology(vms=2, count=2)
@@ -562,12 +584,6 @@ class TestTraceValidation:
         with pytest.raises(SimulationError,
                            match=f"^probe_latency must be finite and >= 0, got {latency}$"):
             Simulation(small_topology(), DaemonOnlyScheduler(), probe_latency=latency)
-
-    @pytest.mark.parametrize("max_delays", [0, -1, nan, inf])
-    def test_rejects_max_delays_below_one(self, max_delays):
-        with pytest.raises(SimulationError,
-                           match=f"^max_delays must be >= 1, got {max_delays}$"):
-            Simulation(small_topology(), DaemonOnlyScheduler(), max_delays=max_delays)
 
     def test_rejects_an_empty_topology(self):
         from petrel.model import EdgeCloud
