@@ -95,11 +95,15 @@ class EdgeCloudConfig:
                 _check_shape(value, _PATHS[name], shape, kind)
             entries = (value,) if shape == "value" else value
             # no bool, as from a file; no str; no float for an int; no None
-            _check(all(isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)
-                       for v in entries), name, f"expected {kind.__name__} entries"
+            typed = all(isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)
+                        for v in entries)
+            if typed and kind in _NUMBERS:  # stored plain: a numpy number draws and saves as one
+                try:
+                    entries = tuple(map(kind, entries))
+                except OverflowError:  # an int past the float range, which a file rejects too
+                    typed = False
+            _check(typed, name, f"expected {kind.__name__} entries"
                    if shape != "value" else f"expected {kind.__name__}, got {value!r}")
-            if kind in _NUMBERS:  # stored plain, so a numpy number draws and saves as one
-                entries = tuple(map(kind, entries))
             value = entries[0] if shape == "value" else tuple(entries)
             object.__setattr__(self, name, value)
             if kind is float:

@@ -144,8 +144,15 @@ class ClusterView:
 
     def least_completion(self, cloudlet_ids: Sequence[int]) -> int:
         """The first id in the non-empty ``cloudlet_ids`` whose expected completion,
-        read as :meth:`probe` reads it, is least."""
+        read as :meth:`probe` reads it, is least.  An idle daemon first in the order that
+        its cost row's :meth:`~petrel.model._CostRow.floor` shows no peer can undercut
+        is returned, and no other id is read."""
         now, daemon_id, heaps, costs = self.now, self.daemon_id, self._heaps, self._costs
+        if cloudlet_ids[0] == daemon_id and heaps[daemon_id][0] <= now:
+            exec_time, comm = costs[daemon_id]
+            floor_exec, floor_comm = costs.floor()
+            if now + exec_time + comm <= now + floor_exec + floor_comm:
+                return daemon_id  # no peer ends before the floor, so the daemon is the first least
         stale_ready = self._stale_ready
         best_id = best = None
         for cloudlet_id in cloudlet_ids:

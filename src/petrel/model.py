@@ -252,19 +252,32 @@ class _CostRow(dict):
     The row holds its profile, so the profile's id, which keys the row,
     is not reused while the row lives.  A missing redirect RTT raises at
     every use and is not cached; an unknown executor raises ``KeyError``.
-    """
+    :meth:`floor` bounds every peer's entry from below."""
 
-    __slots__ = ("_by_id", "_daemon", "_profile", "cloud")
+    __slots__ = ("_by_id", "_daemon", "_profile", "cloud", "_floor")
 
     def __init__(self, by_id: dict[int, Cloudlet], daemon_id: int, profile: Profile):
         super().__init__()
         self._by_id, self._daemon, self._profile = by_id, by_id[daemon_id], profile
         self.cloud = cloud_times(profile, self._daemon.net)
+        self._floor = None
 
     def __missing__(self, executor_id: int) -> tuple[float, float]:
         times = self[executor_id] = placement_times(self._profile, self._daemon,
                                                     self._by_id[executor_id])
         return times
+
+    def floor(self) -> tuple[float, float]:
+        """(least exec, least comm) over the daemon's peers, priced once: ``(inf, inf)``
+        without peers, and ``(-inf, -inf)``, no floor, when a peer has no redirect RTT."""
+        if self._floor is None:
+            daemon_id = self._daemon.id
+            try:
+                peers = [self[c] for c in self._by_id if c != daemon_id]
+            except ValueError:  # the scan prices that peer and raises at each use
+                peers = [(-inf, -inf)]
+            self._floor = tuple(map(min, zip(*peers))) if peers else (inf, inf)
+        return self._floor
 
 
 def speedup(task: Task, turnaround: float) -> float:

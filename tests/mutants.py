@@ -78,6 +78,21 @@ MUTANTS = (
            "            if cloudlet_id == daemon_id:\n",
            "            if cloudlet_id is None:\n",
            (ANY_ORDER, REPLAY)),
+    Mutant("the early exit's floor is the peers' greatest cost", MODEL,
+           "tuple(map(min, zip(*peers)))",
+           "tuple(map(max, zip(*peers)))",
+           (E + "TestProbeMatchesTheModel::test_an_idle_daemon_loses_to_a_faster_idle_peer",)),
+    Mutant("the early exit skips the idle check", ENGINE,
+           "if cloudlet_ids[0] == daemon_id and heaps[daemon_id][0] <= now:",
+           "if cloudlet_ids[0] == daemon_id:",
+           (E + "TestProbeMatchesTheModel::"
+                "test_a_busy_daemon_whose_queue_makes_a_peer_win_yields_the_peer",)),
+    Mutant("a peer without a redirect RTT is left out of the floor", MODEL,
+           "                peers = [(-inf, -inf)]\n",
+           "                peers = [self[c] for c in self._by_id if c != daemon_id\n"
+           "                         and c in self._daemon.net.remote_rtt]\n",
+           (E + "TestProbeMatchesTheModel::"
+                "test_a_missing_redirect_rtt_raises_at_every_use_of_that_pair",)),
     Mutant("the run's horizon ignores probe_latency", ENGINE,
            "horizon = now - latency if now > latency else 0.0",
            "horizon = now",
@@ -258,8 +273,8 @@ MUTANTS = (
            "_NUMBERS = {int: Integral, float: object}",
            FLOAT_KEYS),
     Mutant("a numpy float key is kept as given", CONFIG,
-           "if kind in _NUMBERS:  # stored plain",
-           "if kind is int:  # stored plain",
+           "if typed and kind in _NUMBERS:",
+           "if typed and kind is int:",
            ("tests/test_config.py::TestValidation::"
             "test_numpy_floats_are_stored_plain_and_round_trip",)),
     Mutant("every key takes None", CONFIG,

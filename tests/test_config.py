@@ -189,6 +189,11 @@ class TestValidation:
          {"network": {"remote_rtt_range_ms": [True, 70.0]}}),
         (dict(speed_factors=(1.0,) * 9 + (True,)),
          {"cloudlets": {"speed_factors": [1.0] * 9 + [True]}}),
+        # an int past the float range is no float, directly as from a file
+        (dict(arrival_rate=10**400), {"trace": {"arrival_rate": 10**400}}),
+        (dict(speed_factors=(10**400,) * 10), {"cloudlets": {"speed_factors": [10**400] * 10}}),
+        (dict(remote_rtt_range_ms=(1, 10**400)),
+         {"network": {"remote_rtt_range_ms": [1, 10**400]}}),
     ])
     def test_a_number_key_takes_no_other_type_as_a_file_would(self, overrides, data):
         with pytest.raises(ConfigError) as from_file:

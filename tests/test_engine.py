@@ -53,6 +53,13 @@ class Scripted:
         return next(self._decisions)
 
 
+class Unreadable(dict):
+    """A stale-ready mapping that fails any read."""
+
+    def __getitem__(self, cloudlet_id):
+        raise AssertionError(f"cloudlet {cloudlet_id} was read")
+
+
 class Delaying:
     """Delays by one duration for its first ``times`` decisions, then assigns to
     cloudlet 0; counts its decisions."""
@@ -1073,7 +1080,7 @@ speed_factors = st.floats(0.25, 4.0, allow_nan=False)
 
 @st.composite
 def probe_setups(draw):
-    count = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
     cloudlets = []
     for i in range(count):
         if draw(st.booleans()):
@@ -1140,6 +1147,33 @@ class TestProbeMatchesTheModel:
         for order in itertools.permutations(range(3)):
             assert [view.probe(c).expected_completion for c in order] == [inf] * 3
             assert view.least_completion(order) == order[0]
+
+    def test_an_unbeatable_idle_daemon_is_returned_without_reading_a_peer(self):
+        # equal speeds, and a peer adds its redirect RTT: no peer can end first
+        sim = Simulation(small_topology(count=4), DaemonOnlyScheduler())
+        view = ClusterView(sim, make_task(daemon_id=2, data_volume=0.0), now=0.0)
+        view._stale_ready = Unreadable()
+        assert view.least_completion((2, 0, 1, 3)) == 2
+        assert view.least_completion((2, 99)) == 2  # an id after it is not read, known or not
+        assert view.probe(2) == (2, 1000.0 + 10.0, True)
+
+    def test_an_idle_daemon_loses_to_a_faster_idle_peer(self):
+        net = make_net(daemon_rtt=0.0, remote_rtt=0.0)
+        topo = make_topology(*(make_cloudlet(i, speed_factor=speed, net=net)
+                               for i, speed in enumerate((1.0, 0.5, 4.0))))
+        view = ClusterView(Simulation(topo, DaemonOnlyScheduler()),
+                           make_task(daemon_id=0, data_volume=0.0), now=0.0)
+        assert [view.probe(c).expected_completion for c in (0, 1, 2)] == [1000.0, 2000.0, 250.0]
+        assert view.least_completion((0, 1, 2)) == 2
+        assert view.least_completion((0, 2, 1)) == 2
+
+    def test_a_busy_daemon_whose_queue_makes_a_peer_win_yields_the_peer(self):
+        sim = Simulation(small_topology(count=2), DaemonOnlyScheduler())
+        sim.commit(0, 0.0, 500.0)  # the daemon's one VM is busy until 500
+        view = ClusterView(sim, make_task(daemon_id=0, data_volume=0.0), now=100.0)
+        assert view.probe(0) == (0, 500.0 + 1000.0 + 10.0, False)
+        assert view.probe(1) == (1, 100.0 + 1000.0 + 70.0, True)
+        assert view.least_completion((0, 1)) == 1
 
     @given(probe_setups())
     def test_least_completion_is_the_first_least_probe_in_any_order(self, setup):
