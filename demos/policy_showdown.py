@@ -12,7 +12,7 @@ from petrel.schedulers import SCHEDULER_NAMES
 
 config = EdgeCloudConfig()
 
-report = run_comparison(
+rows = run_comparison(
     config,
     schedulers=list(SCHEDULER_NAMES),
     lambdas=[1.0, 2.0],
@@ -20,12 +20,12 @@ report = run_comparison(
     base_seed=1234,
 )
 
-print(comparison_table(report))
+print(comparison_table(rows))
 
 # pick the story out of the numbers: sampling two probes gets close to
 # probing everyone, and the adaptive policy beats plain two-choice
 # sampling by more when traffic doubles
-rows = {(r.scheduler, r.arrival_rate): r.stats["awt"][0] for r in report.rows}
+awt = {(r["scheduler"], r["lambda"]): r["awt"]["mean"] for r in rows}
 for lam in (1.0, 2.0):
-    gap = rows[("two-choices", lam)] - rows[("daa", lam)]
+    gap = awt[("two-choices", lam)] - awt[("daa", lam)]
     print(f"lambda={lam:.0f}: adaptive beats two-choices by {gap:.3f} awt")

@@ -15,7 +15,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import fsum, isfinite, isqrt, nan
 
 from .config import ConfigError, EdgeCloudConfig, build_topology, load_config
@@ -37,6 +36,9 @@ SUMMARY_FIELDS = (
 )
 
 COMPARE_METRICS = ("awt", "avg_speedup", "makespan_min", "makespan_max", "makespan_avg")
+
+COMPARE_COLUMNS = ("scheduler", "lambda", "replicates", "seeds",
+                   *(f"{metric}_{stat}" for metric in COMPARE_METRICS for stat in ("mean", "std")))
 
 # each --format and the suffix of the table files it writes
 _SUFFIXES = {"csv": "csv", "json-lines": "jsonl"}
@@ -144,22 +146,6 @@ def write_summary(summary: RunSummary, path, fmt: str, *, extra: dict | None = N
     write_table(path, fmt, columns, [row])
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Mean and sample standard deviation over replicates of one cell group."""
-
-    scheduler: str
-    arrival_rate: float
-    replicates: int
-    stats: dict[str, tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: list[ComparisonRow]
-    seeds: list[int]
-
-
 def _mean_std(values: list[float]) -> tuple[float, float]:
     """Mean and sample standard deviation, each correctly rounded, so that every
     Python gives the same bits; the deviation is what ``statistics.stdev`` gives
@@ -190,8 +176,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
-                   base_seed: int) -> ComparisonReport:
-    """Run the full scheduler × λ × replicate sweep.
+                   base_seed: int) -> list[dict]:
+    """Run the full scheduler × λ × replicate sweep; return its table's rows, one per
+    (scheduler, λ), each of ``COMPARE_METRICS`` as ``{"mean": ..., "std": ...}``.
 
     Within one (λ, replicate) cell every scheduler sees the identical
     trace and topology, so differences are attributable to the policy
@@ -226,42 +213,26 @@ def run_comparison(config: EdgeCloudConfig, schedulers, lambdas, replicates,
                 result = simulate(lam_config, trace, name, run_seed, topology=topology)
                 summary = summarize(result.records, topology)
                 grouped.setdefault((name, lam), []).append(summary)
-    rows = [
-        ComparisonRow(
-            scheduler=name,
-            arrival_rate=lam,
-            replicates=len(summaries),
-            stats={
-                metric: _mean_std([getattr(s, metric) for s in summaries])
-                for metric in COMPARE_METRICS
-            },
-        )
+    return [
+        {"scheduler": name, "lambda": lam, "replicates": len(summaries), "seeds": list(replicates),
+         **{metric: dict(zip(("mean", "std"), _mean_std([getattr(s, metric) for s in summaries])))
+            for metric in COMPARE_METRICS}}
         for (name, lam), summaries in grouped.items()
     ]
-    return ComparisonReport(rows=rows, seeds=list(replicates))
 
 
-def write_comparison(report: ComparisonReport, path, fmt: str) -> None:
-    columns = ["scheduler", "lambda", "replicates", "seeds",
-               *(f"{metric}_{stat}" for metric in COMPARE_METRICS for stat in ("mean", "std"))]
-    rows = (
-        {"scheduler": row.scheduler, "lambda": row.arrival_rate, "replicates": row.replicates,
-         "seeds": report.seeds,
-         **{metric: dict(zip(("mean", "std"), row.stats[metric])) for metric in COMPARE_METRICS}}
-        for row in report.rows
-    )
-    write_table(path, fmt, columns, rows)
+def write_comparison(rows, path, fmt: str) -> None:
+    write_table(path, fmt, COMPARE_COLUMNS, rows)
 
 
-def comparison_table(report: ComparisonReport) -> str:
+def comparison_table(rows) -> str:
     """Human-readable aligned table, one line per (scheduler, λ)."""
     header = ["scheduler", "lambda"] + list(COMPARE_METRICS)
     lines = [header]
-    for row in report.rows:
-        cells = [row.scheduler, format_number(row.arrival_rate)]
+    for row in rows:
+        cells = [row["scheduler"], format_number(row["lambda"])]
         for metric in COMPARE_METRICS:
-            mean, std = row.stats[metric]
-            cells.append(f"{mean:.4f} ± {std:.4f}")
+            cells.append(f"{row[metric]['mean']:.4f} ± {row[metric]['std']:.4f}")
         lines.append(cells)
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
     rendered = []
@@ -381,12 +352,12 @@ def cmd_compare(args) -> int:
         raise ConfigError("--lambda expects numbers") from None
     replicates = _parse_seed_range(args.seeds)
 
-    report = run_comparison(config, schedulers, lambdas, replicates, seed)
+    rows = run_comparison(config, schedulers, lambdas, replicates, seed)
 
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, f"comparison.{_SUFFIXES[args.format]}")
-    write_comparison(report, table_path, args.format)
-    text = comparison_table(report)
+    write_comparison(rows, table_path, args.format)
+    text = comparison_table(rows)
     text_path = os.path.join(args.out, "comparison.txt")
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(text)

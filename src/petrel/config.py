@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 from math import inf, isfinite
-from numbers import Integral, Real
 from typing import Any, Mapping
 
 import yaml
 
-from .model import Cloudlet, EdgeCloud, NetworkParams, in_range
+from .model import Cloudlet, EdgeCloud, NetworkParams, in_range, plain_number
 from .seeding import new_rng
 from .workload import Benchmark, TaskClass, default_catalog
 
@@ -34,8 +33,6 @@ class ConfigError(ValueError):
 
 
 DEFAULT_SEED = 1234
-# the numbers an int or float key takes, bool aside
-_NUMBERS = {int: Integral, float: Real}
 
 
 def _key(path: str, default, kind, bound: str | None = None, shape: str = "value"):
@@ -94,14 +91,10 @@ class EdgeCloudConfig:
             if shape != "value":
                 _check_shape(value, _PATHS[name], shape, kind)
             entries = (value,) if shape == "value" else value
-            # no bool, as from a file; no str; no float for an int; no None
-            typed = all(isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)
-                        for v in entries)
-            if typed and kind in _NUMBERS:  # stored plain: a numpy number draws and saves as one
-                try:
-                    entries = tuple(map(kind, entries))
-                except OverflowError:  # an int past the float range, which a file rejects too
-                    typed = False
+            if kind in (int, float):  # stored plain: a numpy number draws and saves as one
+                entries = tuple(plain_number(v, kind) for v in entries)
+            # no bool, as from a file; no str; no float for an int; no None; no huge int
+            typed = all(isinstance(v, kind) for v in entries)
             _check(typed, name, f"expected {kind.__name__} entries"
                    if shape != "value" else f"expected {kind.__name__}, got {value!r}")
             value = entries[0] if shape == "value" else tuple(entries)

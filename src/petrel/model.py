@@ -19,6 +19,19 @@ from typing import Mapping, NamedTuple, Union
 
 # each lower bound a value may declare, as a config key spells it; None is no bound
 _BOUNDS = {"> 0": (gt, 0), ">= 0": (ge, 0), ">= 1": (ge, 1), None: (ge, -inf)}
+# the numbers an int or float takes, bool aside
+_NUMBERS = {int: Integral, float: Real}
+
+
+def plain_number(value, kind: type = float):
+    """``value`` as a plain ``kind``, int or float, or None if it is not one: the one number
+    rule.  A bool is no number, a float no int, and an int past the float range no float."""
+    if isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    return None
 
 
 def in_range(value, bound: str | None = None) -> bool:
@@ -75,6 +88,8 @@ class Profile:
     latency_bound: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.task_class, TaskClass):
+            raise ValueError(f"class must be a TaskClass, got {self.task_class!r}")
         for name, column, bound in _PROFILE_COLUMNS:
             value = getattr(self, name)
             if value is not None or bound is not None:  # only the unbounded bound_ms may be None

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import _PROFILE_COLUMNS, Profile, Task, TaskClass, check_range, in_range
+from .model import (_PROFILE_COLUMNS, Profile, Task, TaskClass, check_range, in_range,
+                    plain_number)
 from .seeding import derive_seed, new_rng
 
 if TYPE_CHECKING:  # config imports this module for Benchmark
@@ -33,8 +34,10 @@ class TraceFormatError(ValueError):
 class Benchmark:
     """One application profile tasks are drawn from, and the :class:`Profile` its tasks share.
 
-    The profile checks the times, the size and the bound; the entry
-    checks only the keys a profile lacks, ``weight`` and ``bound_factor``.
+    Each number is stored as a plain float by :func:`~petrel.model.plain_number`'s
+    rule.  The profile checks the class, the times, the size and the bound; the
+    entry's ranges are only those of the keys a profile lacks, ``weight`` and
+    ``bound_factor``.
     """
 
     name: str
@@ -48,6 +51,13 @@ class Benchmark:
     profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for key in _NUMBER_FIELDS:
+            value = getattr(self, key)
+            if value is not None or key != "bound_factor":
+                number = plain_number(value)
+                if number is None:
+                    raise ValueError(f"benchmark {self.name}: {key}: expected float, got {value!r}")
+                object.__setattr__(self, key, number)
         if self.bound_factor is not None:
             check_range(self.bound_factor, f"benchmark {self.name}: bound_factor")
         check_range(self.weight, f"benchmark {self.name}: weight", "> 0")
@@ -60,7 +70,7 @@ class Benchmark:
             if not isfinite(bound) and isfinite(self.base_service_ms):
                 raise ValueError(f"benchmark {self.name}: bound_factor * base_service_ms"
                                  " must be finite")
-        elif self.bound_factor is not None:
+        elif self.bound_factor is not None and self.task_class is TaskClass.LATENCY_SENSITIVE:
             raise ValueError(f"benchmark {self.name}: bound_factor is tolerant-only")
         try:
             profile = Profile(self.name, self.task_class, self.base_service_ms, self.mobile_ms,
@@ -68,6 +78,10 @@ class Benchmark:
         except ValueError as exc:
             raise ValueError(f"benchmark {self.name}: {exc}") from None
         object.__setattr__(self, "profile", profile)
+
+
+# a catalog entry's number fields, in file order
+_NUMBER_FIELDS = ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "weight", "bound_factor")
 
 
 def default_catalog() -> list[Benchmark]:

@@ -264,17 +264,18 @@ MUTANTS = (
            "if False:",
            (W + "TestLoadErrorMessages::test_message",
             W + "TestProfileAndLoaderAgree::test_one_value")),
-    Mutant("the number-kind check is removed", CONFIG,
-           "isinstance(v, _NUMBERS.get(kind, kind)) and not isinstance(v, bool)",
+    Mutant("the number-kind check is removed", MODEL,
+           "isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)",
            "True",
-           (*INT_KEYS, FLOAT_KEYS[1])),
-    Mutant("float keys take any type", CONFIG,
+           (*INT_KEYS, FLOAT_KEYS[1],
+            W + "TestBenchmark::test_a_number_is_a_real_in_the_float_range")),
+    Mutant("float keys take any type", MODEL,
            "_NUMBERS = {int: Integral, float: Real}",
            "_NUMBERS = {int: Integral, float: object}",
            FLOAT_KEYS),
     Mutant("a numpy float key is kept as given", CONFIG,
-           "if typed and kind in _NUMBERS:",
-           "if typed and kind is int:",
+           "if kind in (int, float):",
+           "if kind is int:",
            ("tests/test_config.py::TestValidation::"
             "test_numpy_floats_are_stored_plain_and_round_trip",)),
     Mutant("every key takes None", CONFIG,
@@ -307,6 +308,15 @@ MUTANTS = (
            "",
            (C + "TestRun::test_json_lines_summary",
             "tests/test_goldens.py::test_json_lines_run_output_matches_golden")),
+    Mutant("a profile takes any task class", MODEL,
+           "if not isinstance(self.task_class, TaskClass):",
+           "if False:",
+           ("tests/test_model.py::TestTaskValidation::test_a_profile_takes_only_a_task_class",
+            W + "TestBenchmark::test_a_class_token_is_no_task_class")),
+    Mutant("a catalog number is kept as given", WORKLOAD,
+           "                object.__setattr__(self, key, number)\n",
+           "",
+           (W + "TestBenchmark::test_each_number_is_stored_as_a_plain_float",)),
     Mutant("rtt_to's scalar test goes back to (int, float)", MODEL,
            "if isinstance(self.remote_rtt, Real):",
            "if isinstance(self.remote_rtt, (int, float)):",

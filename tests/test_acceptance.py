@@ -56,11 +56,11 @@ def sweep():
     30 replicates at each arrival rate.  Shared by criteria 4 and 5."""
     config = EdgeCloudConfig()
     started = time.perf_counter()
-    report = run_comparison(
+    table = run_comparison(
         config, list(CLOUDLET_SCHEDULERS), list(LAMBDAS), list(REPLICATES), BASE_SEED
     )
     elapsed = time.perf_counter() - started
-    rows = {(r.scheduler, r.arrival_rate): r for r in report.rows}
+    rows = {(r["scheduler"], r["lambda"]): r for r in table}
     return rows, elapsed
 
 
@@ -204,7 +204,7 @@ def test_criterion_4_weighted_turnaround_ordering(sweep, capsys):
         rows, elapsed = sweep
         assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
         for lam in LAMBDAS:
-            awt = {s: rows[(s, lam)].stats["awt"][0] for s in CLOUDLET_SCHEDULERS}
+            awt = {s: rows[(s, lam)]["awt"]["mean"] for s in CLOUDLET_SCHEDULERS}
             assert awt["daa"] < awt["two-choices"]
             assert abs(awt["two-choices"] - awt["greedy"]) < 0.5 * (
                 awt["round-robin"] - awt["greedy"]
@@ -212,8 +212,8 @@ def test_criterion_4_weighted_turnaround_ordering(sweep, capsys):
             assert awt["round-robin"] >= 1.10 * awt["daa"]
             assert awt["daemon-only"] >= 1.10 * awt["daa"]
         gaps = {
-            lam: rows[("two-choices", lam)].stats["awt"][0]
-            - rows[("daa", lam)].stats["awt"][0]
+            lam: rows[("two-choices", lam)]["awt"]["mean"]
+            - rows[("daa", lam)]["awt"]["mean"]
             for lam in LAMBDAS
         }
         assert gaps[2.0] > gaps[1.0]
@@ -225,8 +225,8 @@ def test_criterion_5_makespan_ordering(sweep, capsys):
     def body():
         rows, _ = sweep
         for lam in LAMBDAS:
-            mk_max = {s: rows[(s, lam)].stats["makespan_max"][0] for s in CLOUDLET_SCHEDULERS}
-            mk_avg = {s: rows[(s, lam)].stats["makespan_avg"][0] for s in CLOUDLET_SCHEDULERS}
+            mk_max = {s: rows[(s, lam)]["makespan_max"]["mean"] for s in CLOUDLET_SCHEDULERS}
+            mk_avg = {s: rows[(s, lam)]["makespan_avg"]["mean"] for s in CLOUDLET_SCHEDULERS}
             worst_two = sorted(mk_max, key=mk_max.get, reverse=True)[:2]
             assert set(worst_two) == {"daemon-only", "round-robin"}
             assert min(mk_avg, key=mk_avg.get) == "daa"
@@ -291,8 +291,9 @@ def test_criterion_7_delay_scheduling_safety(capsys):
                 assert audit.violations == [], audit.violations
                 # the audited rerun is the same run the comparison saw
                 summary = summarize(result.records, topology)
-                [row] = run_comparison(config, ["daa"], [lam], [rep], BASE_SEED).rows
-                assert row.stats == {m: (getattr(summary, m), 0.0) for m in COMPARE_METRICS}
+                [row] = run_comparison(config, ["daa"], [lam], [rep], BASE_SEED)
+                assert {m: row[m] for m in COMPARE_METRICS} == {
+                    m: {"mean": getattr(summary, m), "std": 0.0} for m in COMPARE_METRICS}
 
                 wakes = sum(1 for d in result.decisions if d.kind == DELAY_EXPIRED)
                 assert wakes == sum(r.delays_taken for r in result.records)

@@ -300,6 +300,17 @@ class TestCompare:
         assert payload["lambda"] == 1.5
         assert set(payload["awt"]) == {"mean", "std"}
 
+    def test_run_comparison_returns_the_rows_the_json_lines_table_holds(self, tmp_path,
+                                                                          small_config):
+        # the writer takes the rows as they are, with no translation between
+        out = tmp_path / "out"
+        assert main(["compare", "--config", small_config, "--scheduler", "daa,greedy",
+                     "--lambda", "1,2", "--seeds", "1..2", "--out", str(out),
+                     "--format", "json-lines", "--seed", "1"]) == 0
+        rows = run_comparison(load_config(small_config), ["daa", "greedy"], [1.0, 2.0], [1, 2], 1)
+        assert len(rows) == 4
+        assert rows == read_strict_json_lines(out / "comparison.jsonl")
+
     def test_the_table_spells_each_lambda_as_the_csv_does(self, tmp_path, small_config):
         # with :g both rates would print as 1, leaving two rows with one label
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fixtures import cloudlet_completion, make_cloudlet, make_net, make_task, make_topology
 from petrel.engine import Simulation
-from petrel.model import TaskClass, cloud_times, placement_times, speedup
+from petrel.model import Profile, TaskClass, cloud_times, placement_times, speedup
 from petrel.schedulers import CloudOnlyScheduler, DaemonOnlyScheduler
 
 
@@ -213,6 +213,12 @@ class TestTaskValidation:
         assert TaskClass.from_token("tolerant") is TaskClass.LATENCY_TOLERANT
         with pytest.raises(ValueError):
             TaskClass.from_token("urgent")
+
+    @pytest.mark.parametrize("task_class", ["sensitive", "tolerant", None])
+    def test_a_profile_takes_only_a_task_class(self, task_class):
+        # a token would pass as sensitive, and its trace would not save
+        with pytest.raises(ValueError, match=f"^class must be a TaskClass, got {task_class!r}$"):
+            Profile("x", task_class, 1000.0, 5000.0, 800.0, 0.0)
 
     @pytest.mark.parametrize("token", ["urgent", "", "Sensitive", None, ["tolerant"]])
     def test_unknown_class_tokens_name_the_choices(self, token):

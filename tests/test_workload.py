@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from petrel import workload
-from petrel.config import ConfigError, EdgeCloudConfig
+from petrel.config import ConfigError, EdgeCloudConfig, load_config, save_config
 from petrel.model import Profile, Task, TaskClass
 from petrel.seeding import derive_seed, new_rng
 from petrel.workload import (
@@ -279,6 +279,36 @@ class TestBenchmark:
         values[field] = bad
         with pytest.raises(ValueError, match=f"benchmark x: {field} must be finite"):
             Benchmark(**values)
+
+    @pytest.mark.parametrize("task_class, bound_factor", [
+        ("sensitive", None), ("tolerant", None), ("tolerant", 2.0)])
+    def test_a_class_token_is_no_task_class(self, task_class, bound_factor):
+        with pytest.raises(ValueError, match=f"^benchmark x: class must be a TaskClass,"
+                                             f" got '{task_class}'$"):
+            Benchmark("x", task_class, 12.0, 1.0, 1.0, 0.0, bound_factor=bound_factor)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("weight", 10**400), ("bound_factor", 10**400), ("base_service_ms", True),
+        ("data_bytes", False), ("mobile_ms", "1"), ("cloud_ms", None), ("weight", None)],
+        ids=["huge-weight", "huge-bound_factor", "bool", "false", "str", "none", "none-weight"])
+    def test_a_number_is_a_real_in_the_float_range(self, field, bad):
+        values = dict(name="x", task_class=TaskClass.LATENCY_TOLERANT, base_service_ms=100.0,
+                      mobile_ms=500.0, cloud_ms=100.0, data_bytes=0.0, bound_factor=4.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^benchmark x: {field}: expected float,"
+                                             f" got {re.escape(repr(bad))}$"):
+            Benchmark(**values)
+
+    @pytest.mark.parametrize("number", [2, np.int64(2), np.float64(2.0)])
+    def test_each_number_is_stored_as_a_plain_float(self, number, tmp_path):
+        b = Benchmark("x", TaskClass.LATENCY_TOLERANT, number, number, number, number,
+                      bound_factor=number, weight=number)
+        for field in ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "bound_factor",
+                      "weight"):
+            assert type(getattr(b, field)) is float and getattr(b, field) == 2.0, field
+        path = tmp_path / "config.yaml"
+        save_config(EdgeCloudConfig(catalog=(b,)), path)
+        assert load_config(path).catalog == (b,)
 
     def test_bound_scales_with_service_time(self):
         b = Benchmark("x", TaskClass.LATENCY_TOLERANT, 100.0, 500.0, 100.0, 0.0, bound_factor=4.0)
