@@ -242,10 +242,7 @@ def comparison_table(rows) -> str:
 
 
 def _load_cli_config(args) -> EdgeCloudConfig:
-    if args.paper_defaults or args.config is None:
-        config = EdgeCloudConfig()
-    else:
-        config = load_config(args.config)
+    config = EdgeCloudConfig() if args.config is None else load_config(args.config)
     overrides = {}
     if args.tasks is not None:
         overrides["task_count"] = args.tasks
@@ -380,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tasks", type=int, metavar="INT", help="tasks per trace")
         if scheduler_list:
             p.add_argument("--lambda", dest="arrival_rate", action="append", metavar="REAL",
-                           help="arrival rate per time unit; repeat or comma-separate")
+                           help="arrival rate in tasks per second; repeat or comma-separate")
         else:
             p.add_argument("--lambda", dest="arrival_rate", type=float, metavar="REAL",
-                           help="arrival rate per time unit")
-        p.add_argument("--paper-defaults", action="store_true",
-                       help="ignore --config and use the built-in reference setup")
+                           help="arrival rate in tasks per second")
 
     gen = sub.add_parser("generate", help="write a task trace")
     common(gen, scheduler_list=False)

@@ -18,9 +18,9 @@ from typing import Any, Mapping
 
 import yaml
 
-from .model import Cloudlet, EdgeCloud, NetworkParams, in_range, plain_number
+from .model import Cloudlet, EdgeCloud, NetworkParams, in_range, plain_number, shown
 from .seeding import new_rng
-from .workload import Benchmark, TaskClass, default_catalog
+from .workload import _ENTRY_LAYOUT, MS_PER_SECOND, Benchmark, TaskClass, default_catalog
 
 
 class ConfigError(ValueError):
@@ -74,8 +74,7 @@ class EdgeCloudConfig:
         "network.cloud_bandwidth_bytes_per_ms", 800.0, float, "> 0")
 
     task_count: int = _key("trace.task_count", 200, int, ">= 0")
-    arrival_rate: float = _key("trace.arrival_rate", 1.0, float, "> 0")
-    time_unit_ms: float = _key("trace.time_unit_ms", 1000.0, float, "> 0")
+    arrival_rate: float = _key("trace.arrival_rate", 1.0, float, "> 0")  # tasks per second
 
     delay_quantum_ms: float | None = _key("scheduler.delay_quantum_ms", None, float, "> 0")
     probe_latency_ms: float = _key("scheduler.probe_latency_ms", 1500.0, float, ">= 0")
@@ -96,7 +95,7 @@ class EdgeCloudConfig:
             # no bool, as from a file; no str; no float for an int; no None; no huge int
             typed = all(isinstance(v, kind) for v in entries)
             _check(typed, name, f"expected {kind.__name__} entries"
-                   if shape != "value" else f"expected {kind.__name__}, got {value!r}")
+                   if shape != "value" else f"expected {kind.__name__}, got {shown(value)}")
             value = entries[0] if shape == "value" else tuple(entries)
             object.__setattr__(self, name, value)
             if kind is float:
@@ -113,8 +112,8 @@ class EdgeCloudConfig:
                        f"needs exactly {self.cloudlet_count} entries")
             _check(all(in_range(v, bound) for v in entries), name,
                    f"{'every entry ' if shape == 'list' else ''}must be {bound}")
-        _check(isfinite(self.time_unit_ms / self.arrival_rate), "arrival_rate",
-               "the mean arrival gap time_unit_ms / arrival_rate must be finite")
+        _check(isfinite(MS_PER_SECOND / self.arrival_rate), "arrival_rate",
+               "the mean arrival gap, 1000 ms / arrival_rate, must be finite")
         _check(len(self.catalog) >= 1, "catalog", "must have at least one benchmark")
         names = [b.name for b in self.catalog]
         _check(len(set(names)) == len(names), "catalog", "benchmark names must be unique")
@@ -200,18 +199,6 @@ def build_topology(config: EdgeCloudConfig, seed: int) -> EdgeCloud:
 
 # The file layout, in file order: (field, key path, shape, kind, bound), as declared.
 _LAYOUT = tuple((f.name, *f.metadata["layout"]) for f in fields(EdgeCloudConfig))
-# A catalog entry's layout, in file order: (key, Benchmark field, kind).  An
-# entry may leave out the keys whose field has a default; a None is left out.
-_ENTRY_LAYOUT = (
-    ("name", "name", str),
-    ("class", "task_class", TaskClass),
-    ("base_service_ms", "base_service_ms", float),
-    ("mobile_ms", "mobile_ms", float),
-    ("cloud_ms", "cloud_ms", float),
-    ("data_bytes", "data_bytes", float),
-    ("weight", "weight", float),
-    ("bound_factor", "bound_factor", float),
-)
 _PATHS = {name: path for name, path, *_ in _LAYOUT}
 # the keys that may be None, as their default is
 _OPTIONAL = {f.name for f in fields(EdgeCloudConfig) if f.default is None}
@@ -248,7 +235,7 @@ def _scalar(raw, kind):
     if (kind is str and not isinstance(raw, str)
             or isinstance(raw, bool) and kind in (int, float)
             or kind is int and isinstance(raw, float) and not raw.is_integer()):
-        raise TypeError(f"expected {kind.__name__}, got {raw!r}")
+        raise TypeError(f"expected {kind.__name__}, got {shown(raw)}")
     return TaskClass.from_token(str(raw)) if kind is TaskClass else kind(raw)
 
 
@@ -281,7 +268,7 @@ def _read(raw, path: str, shape: str, kind):
             return _scalar(raw, kind)
         except _BAD_VALUE as exc:
             # a class token's own message names the tokens it takes
-            wanted = exc if kind is TaskClass else f"expected {kind.__name__}, got {raw!r}"
+            wanted = exc if kind is TaskClass else f"expected {kind.__name__}, got {shown(raw)}"
             raise ConfigError(f"{path}: {wanted}") from None
     _check_shape(raw, path, shape, kind)
     if kind is Benchmark:
@@ -347,6 +334,10 @@ def load_config(path) -> EdgeCloudConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
                           f" ({exc.reason})") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a value Python cannot build, such as an over-long int
+        raise ConfigError(f"{path}: cannot read a value: {exc}") from None
     return from_mapping(data)
 
 

@@ -34,6 +34,14 @@ def plain_number(value, kind: type = float):
     return None
 
 
+def shown(value) -> str:
+    """``repr(value)``, or the size of an int past Python's int-string digit limit."""
+    try:
+        return repr(value)
+    except ValueError:  # an int too long to print
+        return f"an int of {value.bit_length()} bits"
+
+
 def in_range(value, bound: str | None = None) -> bool:
     """Whether ``value`` is finite and meets ``bound``; an int too large for a float is finite."""
     above, low = _BOUNDS[bound]
@@ -89,7 +97,7 @@ class Profile:
 
     def __post_init__(self) -> None:
         if not isinstance(self.task_class, TaskClass):
-            raise ValueError(f"class must be a TaskClass, got {self.task_class!r}")
+            raise ValueError(f"class must be a TaskClass, got {shown(self.task_class)}")
         for name, column, bound in _PROFILE_COLUMNS:
             value = getattr(self, name)
             if value is not None or bound is not None:  # only the unbounded bound_ms may be None
@@ -101,7 +109,7 @@ class Profile:
             raise ValueError("sensitive tasks must not carry a latency_bound")
 
 
-# each float, its trace column and its lower bound, in column order; four are catalog keys too
+# each float, its trace column and lower bound, as the trace lays them out; four are catalog keys
 _PROFILE_COLUMNS = (("base_service_time", "base_service_ms", "> 0"),
                     ("mobile_exec_time", "mobile_ms", "> 0"),
                     ("cloud_exec_time", "cloud_ms", "> 0"),

@@ -12,52 +12,64 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf, isfinite, nextafter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model import (_PROFILE_COLUMNS, Profile, Task, TaskClass, check_range, in_range,
-                    plain_number)
+                    plain_number, shown)
 from .seeding import derive_seed, new_rng
 
 if TYPE_CHECKING:  # config imports this module for Benchmark
     from .config import EdgeCloudConfig
 
 
+# the arrival rate is in tasks per second, and every time in ms
+MS_PER_SECOND = 1000.0
+
+
 class TraceFormatError(ValueError):
     """Raised when a trace file does not parse or violates trace invariants."""
+
+
+def _entry(kind, key: str | None = None, **default):
+    """A catalog entry's field of type ``kind``, under file key ``key``, else its name."""
+    return field(**default, metadata={"key": key, "kind": kind})
 
 
 @dataclass(frozen=True)
 class Benchmark:
     """One application profile tasks are drawn from, and the :class:`Profile` its tasks share.
 
-    Each number is stored as a plain float by :func:`~petrel.model.plain_number`'s
-    rule.  The profile checks the class, the times, the size and the bound; the
-    entry's ranges are only those of the keys a profile lacks, ``weight`` and
-    ``bound_factor``.
+    Each field declares its entry key and kind once (see ``_entry``), in file order.
+    The name is a str, and each number is stored as a plain float by
+    :func:`~petrel.model.plain_number`'s rule.  The profile checks the class, the
+    times, the size and the bound; the entry's ranges are only those of the
+    keyword-only keys a profile lacks, ``weight`` and ``bound_factor``.
     """
 
-    name: str
-    task_class: TaskClass
-    base_service_ms: float
-    mobile_ms: float
-    cloud_ms: float
-    data_bytes: float
-    bound_factor: float | None = None
-    weight: float = 1.0
+    name: str = _entry(str)
+    task_class: TaskClass = _entry(TaskClass, "class")
+    base_service_ms: float = _entry(float)
+    mobile_ms: float = _entry(float)
+    cloud_ms: float = _entry(float)
+    data_bytes: float = _entry(float)
+    weight: float = _entry(float, default=1.0, kw_only=True)
+    bound_factor: float | None = _entry(float, default=None, kw_only=True)
     profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for key in _NUMBER_FIELDS:
-            value = getattr(self, key)
-            if value is not None or key != "bound_factor":
-                number = plain_number(value)
-                if number is None:
-                    raise ValueError(f"benchmark {self.name}: {key}: expected float, got {value!r}")
-                object.__setattr__(self, key, number)
+        for key, name, kind in _ENTRY_LAYOUT:
+            value = getattr(self, name)
+            if kind is TaskClass or value is None and key == "bound_factor":
+                continue  # the profile checks the class
+            stored = plain_number(value) if kind is float else value
+            if not isinstance(stored, kind):
+                where = "benchmark" if key == "name" else f"benchmark {self.name}:"
+                raise ValueError(f"{where} {key}: expected {kind.__name__}, got {shown(value)}")
+            object.__setattr__(self, name, stored)
         if self.bound_factor is not None:
             check_range(self.bound_factor, f"benchmark {self.name}: bound_factor")
         check_range(self.weight, f"benchmark {self.name}: weight", "> 0")
@@ -80,8 +92,10 @@ class Benchmark:
         object.__setattr__(self, "profile", profile)
 
 
-# a catalog entry's number fields, in file order
-_NUMBER_FIELDS = ("base_service_ms", "mobile_ms", "cloud_ms", "data_bytes", "weight", "bound_factor")
+# a catalog entry's layout, in file order: (key, field, kind), as each field declares it;
+# an entry may leave out a key whose field has a default, and a None is left out
+_ENTRY_LAYOUT = tuple((f.metadata["key"] or f.name, f.name, f.metadata["kind"])
+                      for f in fields(Benchmark) if f.init)
 
 
 def default_catalog() -> list[Benchmark]:
@@ -102,18 +116,13 @@ def default_catalog() -> list[Benchmark]:
     ]
 
 
-def generate_arrivals(arrival_rate: float, count: int, seed: int,
-                      time_unit_ms: float = 1000.0) -> list[float]:
-    """Strictly increasing Poisson arrival timestamps.
-
-    Interarrival gaps are i.i.d. exponential with mean
-    ``time_unit_ms / arrival_rate``.
-    """
+def generate_arrivals(arrival_rate: float, count: int, seed: int) -> list[float]:
+    """Strictly increasing Poisson arrival times in ms, at ``arrival_rate`` tasks per
+    second: the gaps are i.i.d. exponential with mean ``MS_PER_SECOND / arrival_rate``."""
     check_range(arrival_rate, "arrival_rate", "> 0")
-    check_range(time_unit_ms, "time_unit_ms", "> 0")
     check_range(count, "count", ">= 0")
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(time_unit_ms / arrival_rate, size=count)
+    gaps = rng.exponential(MS_PER_SECOND / arrival_rate, size=count)
     arrivals: list[float] = []
     t = 0.0
     for gap in gaps:
@@ -173,13 +182,12 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
     from .config import ConfigError  # config imports this module
 
     arrivals = generate_arrivals(config.arrival_rate, config.task_count,
-                                 derive_seed(seed, "arrivals"), config.time_unit_ms)
+                                 derive_seed(seed, "arrivals"))
     if not arrivals:
         return []
     if not isfinite(arrivals[-1]):  # arrivals never decrease, so the last one overflows first
         raise ConfigError.at("arrival_rate", f"the arrival times of {config.task_count} tasks"
-                             " overflow the float range; raise arrival_rate or lower"
-                             " time_unit_ms")
+                             " overflow the float range; raise arrival_rate")
     weights = np.asarray([b.weight for b in config.catalog], dtype=float)
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
         total = weights.sum()
@@ -198,18 +206,8 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
             for i, (arrival, pick, daemon) in enumerate(zip(arrivals, picks, daemons))]
 
 
-TRACE_COLUMNS = (
-    "task_id",
-    "arrival_ms",
-    "daemon_id",
-    "benchmark",
-    "class",
-    "base_service_ms",
-    "mobile_ms",
-    "cloud_ms",
-    "data_bytes",
-    "bound_ms",
-)
+TRACE_COLUMNS = ("task_id", "arrival_ms", "daemon_id", "benchmark", "class",
+                 *(column for _, column, _ in _PROFILE_COLUMNS))
 
 
 def format_number(x: float) -> str:
@@ -239,13 +237,9 @@ def save_trace(trace: Sequence[Task], path) -> None:
             profile = t.profile
             tail = tails.get(id(profile))
             if tail is None:
-                bound = profile.latency_bound
+                values = (getattr(profile, name) for name, _, _ in _PROFILE_COLUMNS)
                 render((profile.benchmark, profile.task_class.value,
-                        format_number(profile.base_service_time),
-                        format_number(profile.mobile_exec_time),
-                        format_number(profile.cloud_exec_time),
-                        format_number(profile.data_volume),
-                        "" if bound is None else format_number(bound)))
+                        *("" if v is None else format_number(v) for v in values)))
                 tail = tails[id(profile)] = buf.getvalue()
                 rendered.append(profile)
                 buf.seek(0)

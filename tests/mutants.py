@@ -314,9 +314,21 @@ MUTANTS = (
            ("tests/test_model.py::TestTaskValidation::test_a_profile_takes_only_a_task_class",
             W + "TestBenchmark::test_a_class_token_is_no_task_class")),
     Mutant("a catalog number is kept as given", WORKLOAD,
-           "                object.__setattr__(self, key, number)\n",
+           "            object.__setattr__(self, name, stored)\n",
            "",
            (W + "TestBenchmark::test_each_number_is_stored_as_a_plain_float",)),
+    Mutant("a benchmark takes any name", WORKLOAD,
+           'if kind is TaskClass or value is None and key == "bound_factor":',
+           'if kind is not float or value is None and key == "bound_factor":',
+           (W + "TestBenchmark::test_the_name_is_a_str",)),
+    Mutant("the class key is dropped from task_class", WORKLOAD,
+           'task_class: TaskClass = _entry(TaskClass, "class")',
+           "task_class: TaskClass = _entry(TaskClass)",
+           ("tests/test_config.py::TestLayoutPins::test_save_config_bytes",)),
+    Mutant("the trace columns are the profile's attribute names", WORKLOAD,
+           "*(column for _, column, _ in _PROFILE_COLUMNS))",
+           "*(name for name, _, _ in _PROFILE_COLUMNS))",
+           (W + "TestLoadErrors::test_the_columns_are_the_documented_header",)),
     Mutant("rtt_to's scalar test goes back to (int, float)", MODEL,
            "if isinstance(self.remote_rtt, Real):",
            "if isinstance(self.remote_rtt, (int, float)):",

@@ -24,7 +24,7 @@ from petrel.metrics import summarize
 from petrel.model import cloud_times, speedup
 from petrel.schedulers import Delay, SCHEDULER_NAMES, make_scheduler
 from petrel.seeding import derive_seed, new_rng
-from petrel.workload import generate_arrivals, generate_trace
+from petrel.workload import MS_PER_SECOND, generate_arrivals, generate_trace
 from replay_oracle import ReplayOracle
 from sampling_reference import sample_two
 from test_schedulers import DECISION_TABLE, daa_decides
@@ -360,7 +360,7 @@ def test_criterion_9_mg1_mean_wait_matches_pollaczek_khinchine(capsys):
         services = [b.base_service_ms for b in config.catalog]
         mean_s = sum(w * x for w, x in zip(weights, services)) / sum(weights)
         mean_s2 = sum(w * x * x for w, x in zip(weights, services)) / sum(weights)
-        lam = config.arrival_rate / config.time_unit_ms / config.cloudlet_count  # per ms per cloudlet
+        lam = config.arrival_rate / MS_PER_SECOND / config.cloudlet_count  # per ms per cloudlet
         rho = lam * mean_s
         expected = lam * mean_s2 / (2 * (1 - rho))
         assert (round(rho, 4), round(expected)) == (0.4928, 27_589)

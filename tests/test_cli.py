@@ -690,7 +690,9 @@ def _write(tmp_path, name, text):
 
 
 # a finite mean gap whose running sum over 200 tasks still overflows the float range
-OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-7, time_unit_ms: 1.0e+300, task_count: 200}\n"
+OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-305, task_count: 200}\n"
+# past Python's default limit of 4,300 digits for reading an int from text
+LONG_INT = "1" * 4400
 ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
 # a finite arrival whose completion on any cloudlet overflows the float range
 HUGE = TRACE_HEADER + "0,1.7e308,0,x,sensitive,1e308,1e308,800,2000,\n"
@@ -783,6 +785,16 @@ ERROR_PATHS = [
     error_path("removed-config-key", 2, "error: scheduler.max_delays: unknown key\n",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "scheduler: {max_delays: 1000}\n")]),
+    error_path("removed-time-unit-key", 2, "error: trace.time_unit_ms: unknown key\n",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", "trace: {time_unit_ms: 1000}\n")]),
+    error_path("config-int-too-long-to-read", 2,
+               "error: {dir}/c.yaml: cannot read a value: Exceeds the limit",
+               lambda d: ["generate", "--config",
+                          _write(d, "c.yaml", f"trace: {{task_count: {LONG_INT}}}\n")]),
+    error_path("config-impossible-date", 2,
+               "error: {dir}/c.yaml: cannot read a value: month must be in 1..12\n",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", "seed: 2001-13-01\n")]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),
@@ -805,8 +817,9 @@ ERROR_PATHS = [
                lambda d: ["run", "--scheduler", "daa", "--config", _write(d, "c.yaml", "7\n")]),
     error_path("infinite-mean-arrival-gap", 2, "error: trace.arrival_rate:",
                lambda d: ["generate", "--config", _write(
-                   d, "c.yaml", "trace: {arrival_rate: 1.0e-310, time_unit_ms: 1.0e+300}\n")]),
-    error_path("generate-overflowing-arrivals", 2, "error: trace.arrival_rate:",
+                   d, "c.yaml", "trace: {arrival_rate: 1.0e-310}\n")]),
+    error_path("generate-overflowing-arrivals", 2, "error: trace.arrival_rate: the arrival times"
+               " of 200 tasks overflow the float range; raise arrival_rate\n",
                lambda d: ["generate", "--config", _write(d, "c.yaml", OVERFLOWING_ARRIVALS)]),
     error_path("run-overflowing-arrivals", 2, "error: trace.arrival_rate:",
                lambda d: ["run", "--scheduler", "daa", "--config",
@@ -846,7 +859,8 @@ class TestEveryErrorPath:
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["run"], ["run", "--scheduler", "fifo"],
-                                      ["compare", "--format", "xml"], ["simulate"]])
+                                      ["compare", "--format", "xml"], ["simulate"],
+                                      ["generate", "--paper-defaults"]])
     def test_usage_errors_exit_2_without_a_traceback(self, argv):
         proc = run_cli_subprocess(argv)
         assert proc.returncode == 2
@@ -895,21 +909,17 @@ class TestNonFiniteConfig:
         assert str(caught.value) == f"trace.arrival_rate: {message}"
 
 
-class TestPaperDefaults:
-    def test_overrides_the_config_file(self, tmp_path, capsys):
-        tiny = tmp_path / "tiny.yaml"
-        save_config(EdgeCloudConfig(cloudlet_count=2, task_count=5), tiny)
-        out = tmp_path / "out"
-        main([
-            "generate", "--config", str(tiny), "--paper-defaults",
-            "--out", str(out), "--seed", "1",
-        ])
+class TestWithoutAConfig:
+    def test_the_defaults_are_the_reference_setup(self, tmp_path, capsys):
+        main(["generate", "--out", str(tmp_path / "out"), "--seed", "1"])
         assert "200 tasks" in capsys.readouterr().out
 
     def test_flag_overrides_still_apply(self, tmp_path, capsys):
         out = tmp_path / "out"
-        main(["generate", "--paper-defaults", "--tasks", "12", "--out", str(out), "--seed", "1"])
+        main(["generate", "--tasks", "12", "--lambda", "4", "--out", str(out), "--seed", "1"])
         assert "12 tasks" in capsys.readouterr().out
+        want = generate_trace(EdgeCloudConfig(task_count=12, arrival_rate=4.0), 1)
+        assert load_trace(out / "trace.csv") == want
 
 
 class TestCollectorPause:

@@ -105,7 +105,6 @@ class TestValidation:
          "network.cloudlet_bandwidth_bytes_per_ms"),
         (lambda v: dict(cloud_bandwidth_bytes_per_ms=v), "network.cloud_bandwidth_bytes_per_ms"),
         (lambda v: dict(arrival_rate=v), "trace.arrival_rate"),
-        (lambda v: dict(time_unit_ms=v), "trace.time_unit_ms"),
         (lambda v: dict(delay_quantum_ms=v), "scheduler.delay_quantum_ms"),
         (lambda v: dict(probe_latency_ms=v), "scheduler.probe_latency_ms"),
     ])
@@ -113,12 +112,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
             EdgeCloudConfig(**overrides(bad))
 
-    @pytest.mark.parametrize("rate, unit", [(1e-310, 1e300), (5e-324, 1000.0)])
-    def test_mean_arrival_gap_must_be_finite(self, rate, unit):
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    def test_mean_arrival_gap_must_be_finite(self, rate):
         with pytest.raises(ConfigError) as caught:
-            EdgeCloudConfig(arrival_rate=rate, time_unit_ms=unit)
-        assert str(caught.value) == ("trace.arrival_rate: the mean arrival gap"
-                                     " time_unit_ms / arrival_rate must be finite")
+            EdgeCloudConfig(arrival_rate=rate)
+        assert str(caught.value) == ("trace.arrival_rate: the mean arrival gap,"
+                                     " 1000 ms / arrival_rate, must be finite")
+        assert EdgeCloudConfig(arrival_rate=1e-305).arrival_rate == 1e-305
 
     def test_explicit_vm_counts_must_match_the_count(self):
         with pytest.raises(ConfigError, match="cloudlets.vm_counts"):
@@ -155,7 +155,6 @@ class TestValidation:
          "network.cloud_bandwidth_bytes_per_ms: must be > 0"),
         (dict(task_count=-1), "trace.task_count: must be >= 0"),
         (dict(arrival_rate=0.0), "trace.arrival_rate: must be > 0"),
-        (dict(time_unit_ms=0.0), "trace.time_unit_ms: must be > 0"),
         (dict(delay_quantum_ms=0.0), "scheduler.delay_quantum_ms: must be > 0"),
         (dict(probe_latency_ms=-0.5), "scheduler.probe_latency_ms: must be >= 0"),
     ])
@@ -194,6 +193,9 @@ class TestValidation:
         (dict(speed_factors=(10**400,) * 10), {"cloudlets": {"speed_factors": [10**400] * 10}}),
         (dict(remote_rtt_range_ms=(1, 10**400)),
          {"network": {"remote_rtt_range_ms": [1, 10**400]}}),
+        # nor one too long to print, past Python's default limit of 4,300 digits for str()
+        (dict(arrival_rate=10**5000), {"trace": {"arrival_rate": 10**5000}}),
+        (dict(cloud_rtt_ms=-10**5000), {"network": {"cloud_rtt_ms": -10**5000}}),
     ])
     def test_a_number_key_takes_no_other_type_as_a_file_would(self, overrides, data):
         with pytest.raises(ConfigError) as from_file:
@@ -348,7 +350,7 @@ class TestMappingErrors:
 INT_KEYS = ("seed", "cloudlets.count", "trace.task_count")
 FLOAT_KEYS = (
     "network.daemon_rtt_ms", "network.cloud_rtt_ms", "network.cloudlet_bandwidth_bytes_per_ms",
-    "network.cloud_bandwidth_bytes_per_ms", "trace.arrival_rate", "trace.time_unit_ms",
+    "network.cloud_bandwidth_bytes_per_ms", "trace.arrival_rate",
     "scheduler.delay_quantum_ms", "scheduler.probe_latency_ms",
 )
 PAIR_KEYS = {"cloudlets.vm_count_range": "int", "cloudlets.speed_factor_range": "float",
@@ -357,6 +359,8 @@ LIST_KEYS = {"cloudlets.vm_counts": "int", "cloudlets.speed_factors": "float"}
 ENTRY = {"name": "x", "class": "sensitive", "base_service_ms": 1.0, "mobile_ms": 1.0,
          "cloud_ms": 1.0, "data_bytes": 0.0}
 INF = float("inf")
+LONG = 10**5000  # past Python's default limit of 4,300 digits for str()
+LONG_SHOWN = "an int of 16610 bits"
 QUANTUM_MESSAGE = ("catalog: the default delay quantum, the mean base_service_ms / 40, must be"
                    " finite and > 0; set scheduler.delay_quantum_ms")
 
@@ -413,6 +417,12 @@ def single_fault_cases():
     yield {"catalog": [ENTRY, ENTRY]}, "catalog: benchmark names must be unique"
     yield [1], "<root>: expected a mapping, got list"
     yield {"cloudlets.count": 3}, "cloudlets.count: unknown key"
+    yield {"trace": {"time_unit_ms": 1000.0}}, "trace.time_unit_ms: unknown key"  # removed
+    # an int too long to print is shown by its size
+    for path, value in (("trace.arrival_rate", LONG), ("network.cloud_rtt_ms", -LONG)):
+        yield nested(path, value), f"{path}: expected float, got {LONG_SHOWN}"
+    yield with_entry(name=LONG), f"catalog[0].name: expected str, got {LONG_SHOWN}"
+    yield with_entry(weight=-LONG), f"catalog[0].weight: expected float, got {LONG_SHOWN}"
     for key in ("base_service_ms", "mobile_ms", "cloud_ms", "weight"):
         yield with_entry(**{key: 0.0}), f"catalog[0]: benchmark x: {key} must be > 0"
     yield with_entry(data_bytes=-1.0), "catalog[0]: benchmark x: data_bytes must be >= 0"
@@ -437,13 +447,13 @@ class TestLayoutPins:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("config, digest", [
-        (EdgeCloudConfig(), "d4d6716490c02523e3bb9b516d3c3af28ab599f0eb8058fbbf3a070075bc08bf"),
+        (EdgeCloudConfig(), "14765e8888166aca0c1e4d0c828ebfe35bbdf64399afc27d2dfd6670b2cf5838"),
         (EdgeCloudConfig(
             cloudlet_count=4, vm_counts=(2, 1, 3, 2), speed_factors=(1.0, 2.0, 0.5, 1.5),
             delay_quantum_ms=12.0,
             catalog=(Benchmark("only", TaskClass.LATENCY_TOLERANT, 500.0, 2500.0, 400.0,
                                12_000.0, bound_factor=3.0, weight=2.0),)),
-         "3d72421ecfe1b409e8c1af34bc62248fd23ba9430e83ae8a4b0edb36f47fd0a9"),
+         "23fe98b04cbd6f504653ad44629dbf53b274ea1d1d66a3eb116a442fe65d3462"),
     ])
     def test_save_config_bytes(self, tmp_path, config, digest):
         path = tmp_path / "config.yaml"
@@ -524,6 +534,20 @@ class TestFiles:
         path.write_text("trace: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("trace: {task_count: " + "1" * 4400 + "}\n", "Exceeds the limit (4300"
+                     " digits) for integer string conversion: value has 4400 digits",
+                     id="long-int"),
+        pytest.param("seed: 2001-13-01\n", "month must be in 1..12", id="impossible-date"),
+    ])
+    def test_a_value_python_cannot_build_is_one_line(self, tmp_path, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value).startswith(f"{path}: cannot read a value: {message}")
+        assert "\n" not in str(caught.value)
 
     @pytest.mark.parametrize("text, message", [
         pytest.param("a: [\n", "line 2: invalid YAML: expected the node content, but found"

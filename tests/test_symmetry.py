@@ -33,12 +33,13 @@ def config_at(rate, latency):
 
 
 def scaled(config, k):
-    """``config`` with every time input times ``k``: the time unit, the RTTs, the
-    probe latency, and each entry's times and data size (a transfer takes data /
-    bandwidth).  The delay quantum and the bounds follow from the entries."""
+    """``config`` with every time input times ``k``: the mean arrival gap (the rate
+    over ``k``), the RTTs, the probe latency, and each entry's times and data size (a
+    transfer takes data / bandwidth).  The delay quantum and the bounds follow from
+    the entries."""
     low, high = config.remote_rtt_range_ms
     return config.override(
-        time_unit_ms=config.time_unit_ms * k,
+        arrival_rate=config.arrival_rate / k,
         daemon_rtt_ms=config.daemon_rtt_ms * k,
         remote_rtt_range_ms=(low * k, high * k),
         cloud_rtt_ms=config.cloud_rtt_ms * k,

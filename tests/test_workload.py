@@ -7,7 +7,7 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,10 +55,11 @@ class TestArrivals:
         mean_gap = arrivals[-1] / len(arrivals)
         assert mean_gap == pytest.approx(500.0, rel=0.03)
 
-    def test_time_unit_rescales_the_clock(self):
-        fast = generate_arrivals(1.0, 1000, seed=3, time_unit_ms=10.0)
-        slow = generate_arrivals(1.0, 1000, seed=3, time_unit_ms=1000.0)
+    def test_the_rate_is_tasks_per_second(self):
+        fast = generate_arrivals(100.0, 1000, seed=3)
+        slow = generate_arrivals(1.0, 1000, seed=3)
         assert fast == pytest.approx([t / 100.0 for t in slow], rel=1e-12)
+        assert generate_arrivals(1.0, 1, seed=3) == [np.random.default_rng(3).exponential(1000.0)]
 
     def test_reproducible_and_seed_sensitive(self):
         assert generate_arrivals(1.0, 100, seed=7) == generate_arrivals(1.0, 100, seed=7)
@@ -67,21 +68,17 @@ class TestArrivals:
     def test_zero_count(self):
         assert generate_arrivals(1.0, 0, seed=1) == []
 
-    @pytest.mark.parametrize("rate, count, time_unit_ms, message", [
-        (0.0, 10, 1000.0, "arrival_rate must be > 0"),
-        (-1.0, 10, 1000.0, "arrival_rate must be > 0"),
-        (math.inf, 3, 1000.0, "arrival_rate must be finite"),
-        (math.nan, 3, 1000.0, "arrival_rate must be finite"),
-        (1.0, 3, 0.0, "time_unit_ms must be > 0"),
-        (1.0, 3, -5.0, "time_unit_ms must be > 0"),
-        (1.0, 3, math.inf, "time_unit_ms must be finite"),
-        (1.0, 3, math.nan, "time_unit_ms must be finite"),
-        (1.0, -1, 1000.0, "count must be >= 0"),
-        (1.0, math.inf, 1000.0, "count must be finite"),
+    @pytest.mark.parametrize("rate, count, message", [
+        (0.0, 10, "arrival_rate must be > 0"),
+        (-1.0, 10, "arrival_rate must be > 0"),
+        (math.inf, 3, "arrival_rate must be finite"),
+        (math.nan, 3, "arrival_rate must be finite"),
+        (1.0, -1, "count must be >= 0"),
+        (1.0, math.inf, "count must be finite"),
     ])
-    def test_rejects_bad_arguments(self, rate, count, time_unit_ms, message):
+    def test_rejects_bad_arguments(self, rate, count, message):
         with pytest.raises(ValueError) as caught:
-            generate_arrivals(rate, count, seed=1, time_unit_ms=time_unit_ms)
+            generate_arrivals(rate, count, seed=1)
         assert str(caught.value) == message  # the shared range rule's message
 
 
@@ -141,17 +138,18 @@ class TestTraceGeneration:
         assert generate_trace(config(task_count=0), SEED) == []
 
     def test_arrivals_that_overflow_are_a_config_error(self):
-        overflowing = config(task_count=200, arrival_rate=1.0e-7, time_unit_ms=1.0e300)
+        overflowing = config(task_count=200, arrival_rate=1.0e-305)
         with pytest.raises(ConfigError) as caught:
             generate_trace(overflowing, SEED)
-        assert str(caught.value).startswith("trace.arrival_rate: the arrival times of 200 tasks")
+        assert str(caught.value) == ("trace.arrival_rate: the arrival times of 200 tasks"
+                                     " overflow the float range; raise arrival_rate")
 
     def test_reads_the_trace_fields_of_the_config(self):
-        c = config(task_count=42, arrival_rate=1.5, time_unit_ms=10.0,
+        c = config(task_count=42, arrival_rate=1.5,
                    catalog=tuple(default_catalog()[1:3]), cloudlet_count=2)
         trace = generate_trace(c, 9)
         assert [t.arrival_time for t in trace] == generate_arrivals(
-            1.5, 42, derive_seed(9, "arrivals"), time_unit_ms=10.0)
+            1.5, 42, derive_seed(9, "arrivals"))
         assert {t.profile.benchmark for t in trace} == {"pool", "pingpong"}
         assert {t.daemon_id for t in trace} == {0, 1}
 
@@ -193,8 +191,7 @@ class TestTraceGeneration:
 
 def reference_trace(c, seed):
     """The per-task draw loop with ``rng.choice(k, p=weights)`` and ``rng.integers``."""
-    arrivals = generate_arrivals(c.arrival_rate, c.task_count, derive_seed(seed, "arrivals"),
-                                 c.time_unit_ms)
+    arrivals = generate_arrivals(c.arrival_rate, c.task_count, derive_seed(seed, "arrivals"))
     rng = new_rng(seed, "mix")
     weights = np.asarray([b.weight for b in c.catalog], dtype=float)
     p = weights / weights.sum()
@@ -298,6 +295,31 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"^benchmark x: {field}: expected float,"
                                              f" got {re.escape(repr(bad))}$"):
             Benchmark(**values)
+
+    @pytest.mark.parametrize("name", [5, None, b"x", TaskClass.LATENCY_SENSITIVE])
+    def test_the_name_is_a_str(self, name):
+        with pytest.raises(ValueError, match=f"^benchmark name: expected str,"
+                                             f" got {re.escape(repr(name))}$"):
+            Benchmark(name, TaskClass.LATENCY_SENSITIVE, 1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["name", "task_class", "base_service_ms", "weight"])
+    def test_an_int_too_long_to_print_is_named_by_its_field(self, field):
+        values = dict(name="x", task_class=TaskClass.LATENCY_SENSITIVE, base_service_ms=1.0,
+                      mobile_ms=1.0, cloud_ms=1.0, data_bytes=0.0)
+        values[field] = 10**5000  # past Python's default limit of 4,300 digits for str()
+        message = {"name": "benchmark name: expected str, got",
+                   "task_class": "benchmark x: class must be a TaskClass, got"}.get(
+                       field, f"benchmark x: {field}: expected float, got")
+        with pytest.raises(ValueError) as caught:
+            Benchmark(**values)
+        assert str(caught.value) == f"{message} an int of 16610 bits"
+
+    def test_the_fields_are_in_file_order_and_the_last_two_keyword_only(self):
+        assert [f.name for f in fields(Benchmark) if f.init] == [
+            "name", "task_class", "base_service_ms", "mobile_ms", "cloud_ms", "data_bytes",
+            "weight", "bound_factor"]
+        with pytest.raises(TypeError):
+            Benchmark("x", TaskClass.LATENCY_TOLERANT, 1.0, 1.0, 1.0, 0.0, 4.0)
 
     @pytest.mark.parametrize("number", [2, np.int64(2), np.float64(2.0)])
     def test_each_number_is_stored_as_a_plain_float(self, number, tmp_path):
@@ -546,6 +568,12 @@ class TestLoadErrors:
         path.write_text("")
         with pytest.raises(TraceFormatError, match="missing header"):
             load_trace(path)
+
+    def test_the_columns_are_the_documented_header(self, tmp_path):
+        assert ",".join(TRACE_COLUMNS) == HEADER
+        path = tmp_path / "trace.csv"
+        save_trace(generate_trace(config(task_count=1), SEED), path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == HEADER
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(TraceFormatError, match="line 1"):
