@@ -429,6 +429,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     finally:
         if collecting:
             gc.enable()

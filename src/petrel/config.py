@@ -56,7 +56,7 @@ class EdgeCloudConfig:
     or entry is stored as a plain int or float, a pair or list as a tuple."""
 
     seed: int = _key("seed", DEFAULT_SEED, int)
-    cloudlet_count: int = _key("cloudlets.count", 10, int, ">= 1")
+    cloudlet_count: int = _key("cloudlets.count", 10, int, ">= 1 and <= 2**63 - 1")
     vm_count_range: tuple[int, int] = _key("cloudlets.vm_count_range", (1, 10), int, ">= 1", "pair")
     speed_factor_range: tuple[float, float] = _key(
         "cloudlets.speed_factor_range", (1.0, 1.0), float, "> 0", "pair")
@@ -73,7 +73,7 @@ class EdgeCloudConfig:
     cloud_bandwidth_bytes_per_ms: float = _key(
         "network.cloud_bandwidth_bytes_per_ms", 800.0, float, "> 0")
 
-    task_count: int = _key("trace.task_count", 200, int, ">= 0")
+    task_count: int = _key("trace.task_count", 200, int, ">= 0 and <= 2**63 - 1")
     arrival_rate: float = _key("trace.arrival_rate", 1.0, float, "> 0")  # tasks per second
 
     delay_quantum_ms: float | None = _key("scheduler.delay_quantum_ms", None, float, "> 0")

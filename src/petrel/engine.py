@@ -5,14 +5,14 @@ wake-ups, the only moments a decision is made.  One loop makes every
 decision: each turn takes the next arrival from the sorted trace, or the
 heap's earliest wake-up if it comes strictly before that arrival (so at
 an equal time the arrival goes first), asks the policy, and applies the
-decision in the same turn.  A wake-up carries its task's trace index and
-the delays the task has taken, and every decision is logged once, with
-what prompted it.  :class:`Simulation` owns every cloudlet's
-VM state: one ready time per VM in a min heap.  Committing a task
-replaces the earliest VM's ready time, starting the task at
-``max(now, ready)``.  A task's completion is fixed at commit, so
-completions are recorded, not queued as events.  Communication is
-charged to the task's completion, not to VM occupancy.
+decision in the same turn.  A wake-up carries its task's trace index,
+the delays the task has taken and the cost row looked up at its arrival,
+and every decision is logged once, with what prompted it.
+:class:`Simulation` owns every cloudlet's VM state: one ready time per
+VM in a min heap.  Committing a task replaces the earliest VM's ready
+time, starting the task at ``max(now, ready)``.  A task's completion is
+fixed at commit, so completions are recorded, not queued as events.
+Communication is charged to the task's completion, not to VM occupancy.
 
 Reads of cloudlets other than the task's daemon come from one run-wide
 commit log: each commit logs its cloudlet's new earliest ready time, and
@@ -108,9 +108,11 @@ class ClusterView:
     """Read-only probe interface the engine hands to a policy.
 
     A policy reads ``now``, ``daemon_id`` and ``cloudlet_ids`` and calls
-    three read methods: :meth:`probe` for one cloudlet's expected
-    completion, :meth:`least_completion` for the first of several ids whose
-    expected completion is least, and :meth:`daemon_completion_if_delayed`.
+    four read methods: :meth:`probe` for one cloudlet's expected
+    completion, :meth:`has_idle_vm` for its idle flag alone,
+    :meth:`least_completion` for the first of several ids whose expected
+    completion is least, and :meth:`daemon_completion_if_delayed`.  A
+    wake-up carries the cost row the run looked up at the task's arrival.
     The daemon's ready time is its live heap head in ``sim.heaps``.  Reads
     of non-daemon cloudlets come from ``sim.stale_ready``, which the run
     folds before each decision: per cloudlet, the earliest ready time
@@ -141,6 +143,14 @@ class ClusterView:
         exec_time, comm = self._costs[cloudlet_id]
         start = ready if ready > now else now
         return tuple.__new__(ProbeResult, (cloudlet_id, start + exec_time + comm, ready <= now))
+
+    def has_idle_vm(self, cloudlet_id: int) -> bool:
+        """:meth:`probe`'s ``has_idle_vm``, read as it reads it, without pricing the task."""
+        if cloudlet_id == self.daemon_id:
+            ready = self._heaps[cloudlet_id][0]
+        else:
+            ready = self._stale_ready[cloudlet_id]
+        return ready <= self.now
 
     def least_completion(self, cloudlet_ids: Sequence[int]) -> int:
         """The first id in the non-empty ``cloudlet_ids`` whose expected completion,
@@ -237,10 +247,10 @@ class Simulation:
         count = len(trace)
         records: list = [None] * count  # TaskRecords by trace index
         decisions: list[DecisionEntry] = []
-        # (time, sequence, trace index, delays taken); the sequence keeps tied
-        # wake-ups in push order, and a wake-up goes first only when it is
-        # strictly earlier than the next arrival
-        wakeups: list[tuple[float, int, int, int]] = []
+        # (time, sequence, trace index, delays taken, cost row); the unique sequence keeps
+        # tied wake-ups in push order and comparisons off the row; a wake-up goes first
+        # only when it is strictly earlier than the next arrival
+        wakeups: list[tuple[float, int, int, int, object]] = []
         sequence = arrived = 0
         decide = self.scheduler.decide
         view = ClusterView(self, trace[0], 0.0) if trace else None  # positioned per decision
@@ -253,12 +263,13 @@ class Simulation:
         # wake-up), so no task is decided after it was placed
         while True:
             if wakeups and (arrived == count or wakeups[0][0] < trace[arrived].arrival_time):
-                now, _, index, delays = heappop(wakeups)
+                now, _, index, delays, costs = heappop(wakeups)
                 task = trace[index]
                 kind = DELAY_EXPIRED
             elif arrived < count:
                 task = trace[arrived]
                 now, index, delays, kind = task.arrival_time, arrived, 0, ARRIVAL
+                costs = cost_row(task.daemon_id, task.profile)
                 arrived += 1
             else:
                 break
@@ -267,7 +278,7 @@ class Simulation:
             # skipped while no logged commit has reached the horizon
             view.now = now
             view.daemon_id = daemon_id
-            view._costs = costs = cost_row(daemon_id, profile)
+            view._costs = costs
             horizon = now - latency if now > latency else 0.0
             if log and log[0][0] <= horizon:
                 fold(horizon)
@@ -296,7 +307,7 @@ class Simulation:
                     raise SimulationError(
                         f"task {task_id}: a delay of {decision.duration} ms at {now} ms must end"
                         f" strictly after now and before the deadline {deadline} ms")
-                heappush(wakeups, (wake, sequence, index, delays + 1))
+                heappush(wakeups, (wake, sequence, index, delays + 1, costs))
                 sequence += 1
                 continue
             else:

@@ -17,8 +17,9 @@ from numbers import Integral, Real
 from operator import ge, gt
 from typing import Mapping, NamedTuple, Union
 
-# each lower bound a value may declare, as a config key spells it; None is no bound
-_BOUNDS = {"> 0": (gt, 0), ">= 0": (ge, 0), ">= 1": (ge, 1), None: (ge, -inf)}
+# each range a value may declare, as a config key spells it: (lower test, low, exclusive high)
+_BOUNDS = {"> 0": (gt, 0, inf), ">= 0": (ge, 0, inf), ">= 1": (ge, 1, inf), None: (ge, -inf, inf),
+           ">= 0 and <= 2**63 - 1": (ge, 0, 2**63), ">= 1 and <= 2**63 - 1": (ge, 1, 2**63)}  # int64
 # the numbers an int or float takes, bool aside
 _NUMBERS = {int: Integral, float: Real}
 
@@ -44,8 +45,8 @@ def shown(value) -> str:
 
 def in_range(value, bound: str | None = None) -> bool:
     """Whether ``value`` is finite and meets ``bound``; an int too large for a float is finite."""
-    above, low = _BOUNDS[bound]
-    return -inf < value < inf and above(value, low)
+    above, low, high = _BOUNDS[bound]
+    return -inf < value < high and above(value, low)
 
 
 def check_range(value, name: str, bound: str | None = None) -> None:

@@ -137,14 +137,14 @@ class DaaScheduler:
         already overrun their bound.
         """
         daemon_id = view.daemon_id
-        if view.probe(daemon_id).has_idle_vm:
+        if view.has_idle_vm(daemon_id):
             return _assign(daemon_id)
         pair = self._sample_pair(view)
         if task.profile.task_class is TaskClass.LATENCY_SENSITIVE:
             # the first least wins: the daemon on a tie, then the lower id
             return _assign(view.least_completion((daemon_id, *pair)))
         candidate = view.least_completion(pair)
-        if view.probe(candidate).has_idle_vm:
+        if view.has_idle_vm(candidate):
             return _assign(candidate)
         if view.daemon_completion_if_delayed(self.delay_quantum) >= task.deadline:
             return _assign(daemon_id)  # waiting would overrun the bound: settle on the daemon

@@ -57,6 +57,7 @@ MIN_ACROSS_VMS = E + "TestProbeStaleness::test_stale_reads_take_the_min_across_v
 LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
                  "test_each_log_entry_is_its_cloudlets_live_earliest_ready_time")
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
+IDLE_FLAG = E + "TestProbeMatchesTheModel::test_has_idle_vm_is_the_probes_flag_fresh_and_stale"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
 NUMBER_KEYS = ("tests/test_config.py::TestValidation::"
@@ -93,6 +94,18 @@ MUTANTS = (
            "                         and c in self._daemon.net.remote_rtt]\n",
            (E + "TestProbeMatchesTheModel::"
                 "test_a_missing_redirect_rtt_raises_at_every_use_of_that_pair",)),
+    Mutant("has_idle_vm reads the live heap for a peer", ENGINE,
+           "            ready = self._stale_ready[cloudlet_id]\n        return ready <= self.now\n",
+           "            ready = self._heaps[cloudlet_id][0]\n        return ready <= self.now\n",
+           (IDLE_FLAG, REPLAY)),
+    Mutant("has_idle_vm takes a VM ready at now as busy", ENGINE,
+           "return ready <= self.now",
+           "return ready < self.now",
+           (IDLE_FLAG, REPLAY)),
+    Mutant("a wake-up reuses the last arrival's cost row", ENGINE,
+           "now, _, index, delays, costs = heappop(wakeups)",
+           "now, _, index, delays, _ = heappop(wakeups)",
+           (E + "TestSimulationRuns::test_one_view_is_moved_through_the_run", REPLAY)),
     Mutant("the run's horizon ignores probe_latency", ENGINE,
            "horizon = now - latency if now > latency else 0.0",
            "horizon = now",
@@ -112,8 +125,8 @@ MUTANTS = (
            (E + "TestProbeStaleness::"
                 "test_a_run_folds_a_commit_that_lands_on_a_later_decisions_horizon",)),
     Mutant("tied wake-ups pop in trace order", ENGINE,
-           "heappush(wakeups, (wake, sequence, index, delays + 1))",
-           "heappush(wakeups, (wake, index, index, delays + 1))",
+           "heappush(wakeups, (wake, sequence, index, delays + 1, costs))",
+           "heappush(wakeups, (wake, index, index, delays + 1, costs))",
            (E + "TestReplayAgreement",)),
     Mutant("a delay may end at the deadline", ENGINE,
            "if not now < wake < deadline:",
@@ -233,8 +246,8 @@ MUTANTS = (
            "",
            ("tests/test_config.py::TestFiles::test_keys_beside_a_merge_key_override_it",)),
     Mutant("a strict bound is checked as >=", MODEL,
-           '"> 0": (gt, 0)',
-           '"> 0": (ge, 0)',
+           '"> 0": (gt, 0, inf)',
+           '"> 0": (ge, 0, inf)',
            (BOUNDS, "tests/test_model.py::TestCloudletValidation::test_rejects_out_of_range_values",
             W + "TestLoadErrors::test_nonpositive_service_time")),
     Mutant("the pair check drops low <= high", CONFIG,
@@ -255,10 +268,15 @@ MUTANTS = (
             ERROR_PATH + "[invalid-yaml-syntax]", ERROR_PATH + "[invalid-yaml-python-tag]",
             ERROR_PATH + "[invalid-yaml-unhashable-key]")),
     Mutant("a cloudlet takes a non-finite speed", MODEL,
-           "return -inf < value < inf and above(value, low)",
+           "return -inf < value < high and above(value, low)",
            "return above(value, low)",
            ("tests/test_model.py::TestCloudletValidation::"
             "test_rejects_non_finite_speed_and_non_int_vm_count",)),
+    Mutant("a count past int64 is accepted", MODEL,
+           "return -inf < value < high and above(value, low)",
+           "return -inf < value < inf and above(value, low)",
+           (BOUNDS, ERROR_PATH + "[trace.task_count-past-int64]",
+            ERROR_PATH + "[cloudlets.count-past-int64]")),
     Mutant("load_trace skips the column bound", WORKLOAD,
            "if bound is not None and not in_range(value, bound):",
            "if False:",

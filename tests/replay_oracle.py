@@ -108,6 +108,9 @@ class _OracleView:
             has_idle_vm=ready <= self.now,
         )
 
+    def has_idle_vm(self, cloudlet_id: int) -> bool:
+        return self.probe(cloudlet_id).has_idle_vm
+
     def least_completion(self, cloudlet_ids):
         # the first strict minimum over this view's own probes
         best_id = best = None

@@ -667,6 +667,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cloudlets.count:")
 
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"
+                     " and data type float64"),
+         "out of memory: Unable to allocate 745. GiB for an array with shape (100000000000,)"
+         " and data type float64\n"),
+        (MemoryError(), "out of memory: an allocation failed\n"),
+    ], ids=["numpy", "bare"])
+    def test_running_out_of_memory_is_one_line_and_exit_1(self, monkeypatch, capsys, tmp_path,
+                                                          raised, line):
+        def generate_trace(config, seed):
+            raise raised
+
+        monkeypatch.setattr(petrel.cli, "generate_trace", generate_trace)
+        code = main(["generate", "--tasks", "5", "--trace", str(tmp_path / "t.csv")])
+        assert (code, capsys.readouterr().err) == (1, line)
+
     def test_single_cloudlet_deterministic_policies_still_run(self, tmp_path, capsys):
         lone = tmp_path / "lone.yaml"
         save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
@@ -795,6 +811,10 @@ ERROR_PATHS = [
     error_path("config-impossible-date", 2,
                "error: {dir}/c.yaml: cannot read a value: month must be in 1..12\n",
                lambda d: ["generate", "--config", _write(d, "c.yaml", "seed: 2001-13-01\n")]),
+    *(error_path(f"{key}-past-int64", 2, f"error: {key}: must be {low} and <= 2**63 - 1\n",
+                 lambda d, key=key: ["generate", "--config", _write(
+                     d, "c.yaml", "{}: {{{}: {}}}\n".format(*key.split("."), 10**30))])
+      for key, low in (("trace.task_count", ">= 0"), ("cloudlets.count", ">= 1"))),
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),

@@ -130,7 +130,7 @@ class TestValidation:
             EdgeCloudConfig(catalog=(bench, bench))
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(cloudlet_count=0), "cloudlets.count: must be >= 1"),
+        (dict(cloudlet_count=0), "cloudlets.count: must be >= 1 and <= 2**63 - 1"),
         (dict(vm_count_range=(0, 5)), "cloudlets.vm_count_range: needs 1 <= low <= high"),
         (dict(vm_count_range=(3, 2)), "cloudlets.vm_count_range: needs 1 <= low <= high"),
         (dict(speed_factor_range=(0.0, 1.0)),
@@ -153,10 +153,13 @@ class TestValidation:
          "network.cloudlet_bandwidth_bytes_per_ms: must be > 0"),
         (dict(cloud_bandwidth_bytes_per_ms=0.0),
          "network.cloud_bandwidth_bytes_per_ms: must be > 0"),
-        (dict(task_count=-1), "trace.task_count: must be >= 0"),
+        (dict(task_count=-1), "trace.task_count: must be >= 0 and <= 2**63 - 1"),
         (dict(arrival_rate=0.0), "trace.arrival_rate: must be > 0"),
         (dict(delay_quantum_ms=0.0), "scheduler.delay_quantum_ms: must be > 0"),
         (dict(probe_latency_ms=-0.5), "scheduler.probe_latency_ms: must be >= 0"),
+        # a count numpy cannot size an array by
+        (dict(cloudlet_count=2**63), "cloudlets.count: must be >= 1 and <= 2**63 - 1"),
+        (dict(task_count=10**30), "trace.task_count: must be >= 0 and <= 2**63 - 1"),
     ])
     def test_each_bound_names_its_rule(self, overrides, message):
         with pytest.raises(ConfigError) as caught:
@@ -169,6 +172,8 @@ class TestValidation:
             daemon_rtt_ms=0.0, remote_rtt_range_ms=(0.0, 0.0), cloud_rtt_ms=0.0, task_count=0,
             delay_quantum_ms=5e-324, probe_latency_ms=0.0)
         assert (config.vm_counts, config.task_count) == ((1,), 0)
+        top = EdgeCloudConfig(cloudlet_count=2**63 - 1, task_count=2**63 - 1)
+        assert (top.cloudlet_count, top.task_count) == (2**63 - 1, 2**63 - 1)
 
     @pytest.mark.parametrize("overrides, data", [
         (dict(cloudlet_count=2.5), {"cloudlets": {"count": 2.5}}),

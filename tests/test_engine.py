@@ -319,11 +319,14 @@ class TestSimulationRuns:
                                      " after now and before the deadline 1000000000000.0 ms")
 
     def test_one_view_is_moved_through_the_run(self):
+        # task 2 arrives between task 1's delay and its wake-up, which reads task 1's own row
         topo = small_topology(vms=1, count=2, speed=1.0)
         trace = [
             make_task(task_id=0, daemon_id=0, arrival_time=0.0, data_volume=0.0),
             make_task(task_id=1, daemon_id=1, arrival_time=5.0, data_volume=0.0,
                       task_class="tolerant", latency_bound=1e12),
+            make_task(task_id=2, daemon_id=0, arrival_time=8.0, data_volume=0.0,
+                      base_service_time=3000.0),
         ]
         seen = []
 
@@ -331,7 +334,7 @@ class TestSimulationRuns:
             name = "watching"
 
             def __init__(self):
-                self._decisions = iter([Assign(0), Delay(7.0), Assign(1)])
+                self._decisions = iter([Assign(0), Delay(7.0), AssignCloud(), Assign(1)])
 
             def decide(self, task, view):
                 # the moved view answers as a view built for this decision would
@@ -341,9 +344,11 @@ class TestSimulationRuns:
                 return next(self._decisions)
 
         sim = Simulation(topo, Watching(), probe_latency=3.0)
-        sim.run(trace)
-        assert [entry[1:] for entry in seen] == [(0.0, 0, 0), (5.0, 1, 1), (12.0, 1, 1)]
-        assert seen[0][0] is seen[1][0] is seen[2][0]
+        records = sim.run(trace).records
+        assert [entry[1:] for entry in seen] == [(0.0, 0, 0), (5.0, 1, 1), (8.0, 0, 2),
+                                                 (12.0, 1, 1)]
+        assert all(entry[0] is seen[0][0] for entry in seen)
+        assert records[1].service_time == 1000.0
 
     def test_delays_are_taken_until_one_would_reach_the_deadline(self):
         # wake-ups at 10, 20, 30 and 40 are before the deadline 45; one at 50 is not
@@ -557,6 +562,8 @@ class TestTraceValidation:
         view = ClusterView(sim, make_task(daemon_id=0), now=500.0)
         with pytest.raises(KeyError):
             view.probe(99)
+        with pytest.raises(KeyError):
+            view.has_idle_vm(99)
 
     @pytest.mark.parametrize("decision", [None, "park it"])
     def test_rejects_foreign_decision_objects(self, decision):
@@ -856,6 +863,23 @@ class TestReplayAgreement:
         assert_matches_the_oracle(result, replay)
 
 
+class TestPoliciesReadNoProbe:
+    """``probe`` is the custom-policy API: no built-in policy calls it."""
+
+    @pytest.mark.parametrize("latency", [0.0, 300.0])
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_a_run_never_calls_probe(self, name, latency, monkeypatch):
+        def probe(view, cloudlet_id):
+            raise AssertionError(f"probe({cloudlet_id}) was called")
+
+        monkeypatch.setattr(ClusterView, "probe", probe)
+        policy = make_scheduler(name, rng=np.random.default_rng(2024), delay_quantum=200.0)
+        result = Simulation(small_topology(vms=2, count=3), policy,
+                            probe_latency=latency).run(busy_mixed_trace(40))
+        if name == "daa":  # a delay follows a read of the candidate's idle VM
+            assert any(e.kind == DELAY_EXPIRED for e in result.decisions)
+
+
 class TestSimulateEntryPoint:
     def test_accepts_policy_names_and_instances(self):
         config = EdgeCloudConfig(cloudlet_count=3, probe_latency_ms=0.0)
@@ -1139,6 +1163,18 @@ class TestProbeMatchesTheModel:
         exec_time, comm = placement_times(task.profile, daemon, daemon)
         ready = earliest_ready(sim, daemon.id)
         assert view.daemon_completion_if_delayed(250.0) == max(now + 250.0, ready) + exec_time + comm
+
+    @given(probe_setups())
+    def test_has_idle_vm_is_the_probes_flag_fresh_and_stale(self, setup):
+        topo, latency, loads, task, lag = setup
+        sim = Simulation(topo, DaemonOnlyScheduler(), probe_latency=latency)
+        now = 0.0
+        for cloudlet_id, step, exec_time in loads:
+            now += step
+            sim.commit(cloudlet_id, now, exec_time)
+        view = view_at(sim, task, now + lag)
+        for cloudlet_id in topo.ids:
+            assert view.has_idle_vm(cloudlet_id) is view.probe(cloudlet_id).has_idle_vm
 
     def test_an_all_infinite_scan_returns_its_first_id(self):
         # exec is base_service_time / speed_factor, and 1e308 / 0.5 overflows everywhere

@@ -181,6 +181,9 @@ class StubView:
     def probe(self, cloudlet_id):
         return self._probes[cloudlet_id]
 
+    def has_idle_vm(self, cloudlet_id):
+        return self.probe(cloudlet_id).has_idle_vm
+
     def least_completion(self, cloudlet_ids):
         best_id = best = None
         for c in cloudlet_ids:
@@ -350,7 +353,8 @@ class TestDaaScheduler:
 
 
 class RecordingView(StubView):
-    """A stub view that logs the cloudlets probed and the orders scanned, in order."""
+    """A stub view that logs the cloudlets probed and the orders scanned, in order;
+    ``has_idle_vm`` reads through ``probe``, so its reads are logged as probes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
