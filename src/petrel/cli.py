@@ -1,8 +1,9 @@
 """Command-line front end: trace generation, single runs, and sweeps.
 
 Exit codes are a stable contract: 0 on success, 1 when a run fails at
-runtime, 2 for usage or config mistakes.  All randomness flows from one
-base seed (flag, then ``PETREL_SEED``, then the config file); sweep
+runtime, 2 for usage or config mistakes.  A command's settings come only
+from its flags and its config file, a flag winning.  All randomness flows
+from one base seed (``--seed``, else the config's ``seed``); sweep
 cells derive their own sub-seeds from it, so a sweep is reproducible
 regardless of which cells run or in what order.
 """
@@ -242,8 +243,11 @@ def comparison_table(rows) -> str:
 
 
 def _load_cli_config(args) -> EdgeCloudConfig:
+    """The config file, or the defaults, with each given flag in place of its key."""
     config = EdgeCloudConfig() if args.config is None else load_config(args.config)
     overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if args.tasks is not None:
         overrides["task_count"] = args.tasks
     # compare takes a list of rates, swept by run_comparison
@@ -252,39 +256,24 @@ def _load_cli_config(args) -> EdgeCloudConfig:
     return config.override(**overrides)
 
 
-def _resolve_seed(args, config: EdgeCloudConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PETREL_SEED")
-    if env is not None and env != "":
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"PETREL_SEED must be an integer, got {env!r}") from None
-    return config.seed
-
-
 def cmd_generate(args) -> int:
     config = _load_cli_config(args)
-    seed = _resolve_seed(args, config)
-    trace = generate_trace(config, seed)
-    if args.trace is not None:
-        out_path = args.trace
-        parent = os.path.dirname(out_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    else:
-        os.makedirs(args.out, exist_ok=True)
-        out_path = os.path.join(args.out, "trace.csv")
-    save_trace(trace, out_path)
-    print(f"wrote {len(trace)} tasks to {out_path} (seed {seed})")
+    trace = generate_trace(config, config.seed)
+    parent = os.path.dirname(args.trace)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    save_trace(trace, args.trace)
+    print(f"wrote {len(trace)} tasks to {args.trace} (seed {config.seed})")
     return 0
 
 
 def cmd_run(args) -> int:
+    if args.trace is not None and (args.tasks is not None or args.arrival_rate is not None):
+        # the trace file fixes its tasks and their arrivals
+        raise ConfigError("run --trace takes no --tasks or --lambda")
     config = _load_cli_config(args)
     _check_policy_fits(config, args.scheduler)
-    seed = _resolve_seed(args, config)
+    seed = config.seed
     if args.trace is not None:
         trace = load_trace(args.trace)
         if not trace:
@@ -341,7 +330,6 @@ def _split_list(values, cast):
 
 def cmd_compare(args) -> int:
     config = _load_cli_config(args)
-    seed = _resolve_seed(args, config)
     schedulers = _split_list(args.scheduler, str) if args.scheduler else list(SCHEDULER_NAMES)
     try:
         lambdas = _split_list(args.arrival_rate, float) if args.arrival_rate else [1.0, 2.0]
@@ -349,7 +337,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("--lambda expects numbers") from None
     replicates = _parse_seed_range(args.seeds)
 
-    rows = run_comparison(config, schedulers, lambdas, replicates, seed)
+    rows = run_comparison(config, schedulers, lambdas, replicates, config.seed)
 
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, f"comparison.{_SUFFIXES[args.format]}")
@@ -373,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, scheduler_list: bool) -> None:
         p.add_argument("--config", metavar="PATH", help="YAML config file")
         p.add_argument("--seed", type=int, metavar="INT",
-                       help="base seed (falls back to PETREL_SEED, then the config)")
+                       help="base seed (default: the config's seed)")
         p.add_argument("--tasks", type=int, metavar="INT", help="tasks per trace")
         if scheduler_list:
             p.add_argument("--lambda", dest="arrival_rate", action="append", metavar="REAL",
@@ -384,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a task trace")
     common(gen, scheduler_list=False)
-    gen.add_argument("--trace", metavar="PATH", help="output trace path")
-    gen.add_argument("--out", metavar="DIR", default=".",
-                     help="output directory when --trace is not given")
+    gen.add_argument("--trace", metavar="PATH", default="./trace.csv",
+                     help="output trace path (default: %(default)s)")
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="simulate one scheduler over one trace")

@@ -18,8 +18,10 @@ from operator import ge, gt
 from typing import Mapping, NamedTuple, Union
 
 # each range a value may declare, as a config key spells it: (lower test, low, exclusive high)
+# the two counts stop where numpy still tries to allocate their arrays, of at most 2**63 - 1
+# bytes: 8 * n of float64 arrivals for n tasks, 8 * n * (n - 1) of RTT draws for n cloudlets
 _BOUNDS = {"> 0": (gt, 0, inf), ">= 0": (ge, 0, inf), ">= 1": (ge, 1, inf), None: (ge, -inf, inf),
-           ">= 0 and <= 2**63 - 1": (ge, 0, 2**63), ">= 1 and <= 2**63 - 1": (ge, 1, 2**63)}  # int64
+           ">= 0 and <= 2**60 - 1": (ge, 0, 2**60), ">= 1 and <= 2**30": (ge, 1, 2**30 + 1)}
 # the numbers an int or float takes, bool aside
 _NUMBERS = {int: Integral, float: Real}
 

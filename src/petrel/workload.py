@@ -156,12 +156,10 @@ def _mix(config: EdgeCloudConfig, seed: int, cdf: list[float]) -> tuple[list[int
     ``integers(0, k)`` is Lemire's method on a 32-bit half: the low half of
     a fresh word, then the buffered high half, so two tasks take the words
     ``[u0, halves, u1]``.  A rejected Lemire draw would take another half
-    and shift the rest, so it falls back to the loop, as does a k above
-    ``2**32``, which numpy draws from whole words.
+    and shift the rest, so it falls back to the loop.  The config bounds k
+    by ``2**30``, so a half always holds a draw.
     """
     n, k = config.task_count, config.cloudlet_count
-    if k > 2**32:
-        return _mix_by_loop(config, seed, cdf)
     raw = new_rng(seed, "mix").bit_generator.random_raw
     if k == 1:  # integers(0, 1) draws nothing
         words, daemons = raw(n), [0] * n

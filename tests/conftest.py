@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
@@ -11,8 +10,3 @@ settings.register_profile(
 settings.register_profile("mutants", settings.get_profile("petrel"),
                           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 settings.load_profile("petrel")
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("PETREL_SEED", raising=False)

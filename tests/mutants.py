@@ -272,11 +272,21 @@ MUTANTS = (
            "return above(value, low)",
            ("tests/test_model.py::TestCloudletValidation::"
             "test_rejects_non_finite_speed_and_non_int_vm_count",)),
-    Mutant("a count past int64 is accepted", MODEL,
+    Mutant("a count past its upper bound is accepted", MODEL,
            "return -inf < value < high and above(value, low)",
            "return -inf < value < inf and above(value, low)",
            (BOUNDS, ERROR_PATH + "[trace.task_count-past-int64]",
             ERROR_PATH + "[cloudlets.count-past-int64]")),
+    # each count's edge: numpy refuses 8 * 2**60 bytes of arrivals, and a run would ask
+    # for 8 * n * (n - 1) bytes of RTTs, so the cloudlet mutant is checked by generate only
+    Mutant("a task count of 2**60 is accepted", MODEL,
+           '">= 0 and <= 2**60 - 1": (ge, 0, 2**60)',
+           '">= 0 and <= 2**60 - 1": (ge, 0, 2**60 + 1)',
+           (BOUNDS, ERROR_PATH + "[trace.task_count-past-numpy-limit]")),
+    Mutant("a cloudlet count of 2**30 + 1 is accepted", MODEL,
+           '">= 1 and <= 2**30": (ge, 1, 2**30 + 1)',
+           '">= 1 and <= 2**30": (ge, 1, 2**30 + 2)',
+           (BOUNDS, ERROR_PATH + "[cloudlets.count-past-numpy-limit]")),
     Mutant("load_trace skips the column bound", WORKLOAD,
            "if bound is not None and not in_range(value, bound):",
            "if False:",
@@ -310,6 +320,11 @@ MUTANTS = (
            'check_range(arrival_rate, "arrival_rate", "> 0")',
            'check_range(arrival_rate, "arrival_rate")',
            (W + "TestArrivals::test_rejects_bad_arguments",)),
+    Mutant("the config seed beats --seed", CLI,
+           'overrides["seed"] = args.seed',
+           "pass",
+           (C + "TestSeedPrecedence::test_flag_beats_the_config",
+            C + "TestGenerate::test_writes_a_loadable_trace")),
     Mutant("JSON lines drop the non-finite spelling", CLI,
            "return format_number(value) if isinstance(value, float) and not isfinite(value)"
            " else value",

@@ -49,10 +49,10 @@ def read_strict_json_lines(path):
 
 class TestGenerate:
     def test_writes_a_loadable_trace(self, tmp_path, small_config, capsys):
-        out = tmp_path / "out"
-        code = main(["generate", "--config", small_config, "--out", str(out), "--seed", "5"])
+        out = tmp_path / "t.csv"
+        code = main(["generate", "--config", small_config, "--trace", str(out), "--seed", "5"])
         assert code == 0
-        trace = load_trace(out / "trace.csv")
+        trace = load_trace(out)
         assert len(trace) == 20
         message = capsys.readouterr().out
         assert "20 tasks" in message
@@ -65,9 +65,9 @@ class TestGenerate:
         assert len(load_trace(target)) == 20
 
     def test_task_count_flag_overrides_the_config(self, tmp_path, small_config):
-        out = tmp_path / "out"
-        main(["generate", "--config", small_config, "--out", str(out), "--tasks", "7"])
-        assert len(load_trace(out / "trace.csv")) == 7
+        out = tmp_path / "t.csv"
+        main(["generate", "--config", small_config, "--trace", str(out), "--tasks", "7"])
+        assert len(load_trace(out)) == 7
 
     def test_same_seed_same_bytes(self, tmp_path, small_config):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -546,43 +546,36 @@ class TestCsvAndJsonLinesAgree:
 
 
 class TestSeedPrecedence:
-    def test_env_seed_used_when_no_flag(self, tmp_path, small_config, capsys, monkeypatch):
-        monkeypatch.setenv("PETREL_SEED", "321")
-        out = tmp_path / "out"
-        main(["generate", "--config", small_config, "--out", str(out)])
-        assert "(seed 321)" in capsys.readouterr().out
+    """The base seed is ``--seed``, else the config's ``seed``, and nothing else."""
 
-    def test_flag_beats_env(self, tmp_path, small_config, capsys, monkeypatch):
-        monkeypatch.setenv("PETREL_SEED", "321")
-        out = tmp_path / "out"
-        main(["generate", "--config", small_config, "--out", str(out), "--seed", "5"])
+    def test_flag_beats_the_config(self, tmp_path, small_config, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        main(["generate", "--config", small_config, "--trace", str(a), "--seed", "5"])
         assert "(seed 5)" in capsys.readouterr().out
+        main(["generate", "--config", small_config, "--trace", str(b)])
+        assert a.read_bytes() != b.read_bytes()
 
     def test_config_seed_is_the_last_resort(self, tmp_path, capsys):
         config_path = tmp_path / "c.yaml"
         save_config(EdgeCloudConfig(cloudlet_count=2, task_count=5, seed=777), config_path)
-        out = tmp_path / "out"
-        main(["generate", "--config", str(config_path), "--out", str(out)])
+        main(["generate", "--config", str(config_path), "--trace", str(tmp_path / "t.csv")])
         assert "(seed 777)" in capsys.readouterr().out
 
-    def test_env_seed_must_be_an_integer(self, tmp_path, small_config, monkeypatch):
-        monkeypatch.setenv("PETREL_SEED", "soon")
-        code = main(["generate", "--config", small_config, "--out", str(tmp_path)])
-        assert code == 2
-
-    def test_env_and_flag_agree_byte_for_byte(self, tmp_path, small_config, monkeypatch):
+    def test_an_exported_petrel_seed_is_ignored(self, tmp_path, small_config, capsys,
+                                                monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["generate", "--config", small_config, "--trace", str(a), "--seed", "44"])
-        monkeypatch.setenv("PETREL_SEED", "44")
+        main(["generate", "--config", small_config, "--trace", str(a)])
+        monkeypatch.setenv("PETREL_SEED", "321")
         main(["generate", "--config", small_config, "--trace", str(b)])
         assert a.read_bytes() == b.read_bytes()
+        assert capsys.readouterr().out.count("(seed 1234)") == 2
 
 
-def run_cli_subprocess(args, extra_env=None):
+def run_cli_subprocess(args, extra_env=None, preexec_fn=None):
     src = os.path.dirname(os.path.dirname(petrel.__file__))
     env = dict(os.environ, PYTHONPATH=src, **(extra_env or {}))
     return subprocess.run([sys.executable, "-m", "petrel.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 class TestTraceFilesAreUtf8:
@@ -630,7 +623,7 @@ class TestExitCodes:
     def test_bad_config_is_usage(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("cloudlets:\n  count: -3\n")
-        code = main(["generate", "--config", str(bad), "--out", str(tmp_path)])
+        code = main(["generate", "--config", str(bad), "--trace", str(tmp_path / "t.csv")])
         assert code == 2
 
     def test_trace_naming_unknown_daemons_fails_at_runtime(self, tmp_path, small_config):
@@ -683,6 +676,23 @@ class TestExitCodes:
         code = main(["generate", "--tasks", "5", "--trace", str(tmp_path / "t.csv")])
         assert (code, capsys.readouterr().err) == (1, line)
 
+    def test_the_largest_task_count_runs_out_of_memory_in_one_line(self, tmp_path):
+        # numpy asks for 8 * (2**60 - 1) bytes and gets a MemoryError; the child runs under
+        # a 2 GiB address-space limit, so a build that did start filling memory stops early
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        config_path = _write(tmp_path, "c.yaml", f"trace: {{task_count: {2**60 - 1}}}\n")
+        proc = run_cli_subprocess(["generate", "--config", config_path,
+                                   "--trace", str(tmp_path / "t.csv")], preexec_fn=limit_memory)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("out of memory: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_single_cloudlet_deterministic_policies_still_run(self, tmp_path, capsys):
         lone = tmp_path / "lone.yaml"
         save_config(EdgeCloudConfig(cloudlet_count=1, task_count=5), lone)
@@ -710,6 +720,9 @@ OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-305, task_count: 200}\n"
 # past Python's default limit of 4,300 digits for reading an int from text
 LONG_INT = "1" * 4400
 ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
+# each count key and its range
+COUNT_BOUNDS = (("trace.task_count", ">= 0 and <= 2**60 - 1"),
+                ("cloudlets.count", ">= 1 and <= 2**30"))
 # a finite arrival whose completion on any cloudlet overflows the float range
 HUGE = TRACE_HEADER + "0,1.7e308,0,x,sensitive,1e308,1e308,800,2000,\n"
 OVERFLOW = "simulation failed: task 0: completion time overflows the float range"
@@ -737,12 +750,17 @@ CATALOG_COMMANDS = (
 )
 
 
-def error_path(case, code, prefix, argv, env=None):
+def error_path(case, code, prefix, argv):
     """One CLI failure: ``argv(tmp_dir)`` must exit ``code`` with one stderr line.
 
     ``prefix`` starts that line; ``{dir}`` in it stands for the scratch directory.
     """
-    return pytest.param(code, prefix, argv, env or {}, id=case)
+    return pytest.param(code, prefix, argv, id=case)
+
+
+def _count_file(d, key, count):
+    """A config file that sets ``key``, a dotted path, to ``count``."""
+    return _write(d, "c.yaml", "{}: {{{}: {}}}\n".format(*key.split("."), count))
 
 
 ERROR_PATHS = [
@@ -811,10 +829,16 @@ ERROR_PATHS = [
     error_path("config-impossible-date", 2,
                "error: {dir}/c.yaml: cannot read a value: month must be in 1..12\n",
                lambda d: ["generate", "--config", _write(d, "c.yaml", "seed: 2001-13-01\n")]),
-    *(error_path(f"{key}-past-int64", 2, f"error: {key}: must be {low} and <= 2**63 - 1\n",
-                 lambda d, key=key: ["generate", "--config", _write(
-                     d, "c.yaml", "{}: {{{}: {}}}\n".format(*key.split("."), 10**30))])
-      for key, low in (("trace.task_count", ">= 0"), ("cloudlets.count", ">= 1"))),
+    *(error_path(f"{key}-past-int64", 2, f"error: {key}: must be {bound}\n",
+                 lambda d, key=key: ["generate", "--config", _count_file(d, key, 10**30)])
+      for key, bound in COUNT_BOUNDS),
+    # the first counts whose arrays numpy refuses to size
+    error_path("trace.task_count-past-numpy-limit", 2,
+               "error: trace.task_count: must be >= 0 and <= 2**60 - 1\n",
+               lambda d: ["generate", "--config", _count_file(d, "trace.task_count", 2**60)]),
+    error_path("cloudlets.count-past-numpy-limit", 2,
+               "error: cloudlets.count: must be >= 1 and <= 2**30\n",
+               lambda d: ["generate", "--config", _count_file(d, "cloudlets.count", 2**30 + 1)]),
     error_path("bad-config-value", 2, "error: cloudlets.count:",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "cloudlets:\n  count: -3\n")]),
@@ -864,15 +888,20 @@ ERROR_PATHS = [
                lambda d: ["compare", "--scheduler", ",", "--seeds", "1"]),
     error_path("unknown-compare-scheduler", 2, "error: unknown scheduler",
                lambda d: ["compare", "--scheduler", "random", "--seeds", "1"]),
-    error_path("bad-env-seed", 2, "error: PETREL_SEED",
-               lambda d: ["generate", "--tasks", "1"], env={"PETREL_SEED": "abc"}),
+    *(error_path(f"run-trace-with-{flag[2:]}", 2, "error: run --trace takes no --tasks or --lambda\n",
+                 lambda d, flag=flag: ["run", "--scheduler", "daemon-only", "--trace", _write(
+                     d, "t.csv", TRACE_HEADER + "0,1,0,x,sensitive,1,1,1,0,\n"), flag, "5"])
+      for flag in ("--tasks", "--lambda")),
 ]
 
 
 class TestEveryErrorPath:
-    @pytest.mark.parametrize("code, prefix, argv, env", ERROR_PATHS)
-    def test_one_line_and_the_documented_exit_code(self, tmp_path, code, prefix, argv, env):
-        proc = run_cli_subprocess(argv(tmp_path) + ["--out", str(tmp_path / "out")], env)
+    @pytest.mark.parametrize("code, prefix, argv", ERROR_PATHS)
+    def test_one_line_and_the_documented_exit_code(self, tmp_path, code, prefix, argv):
+        args = argv(tmp_path)
+        out = (["--trace", str(tmp_path / "out.csv")] if args[0] == "generate"
+               else ["--out", str(tmp_path / "out")])
+        proc = run_cli_subprocess(args + out)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(prefix.format(dir=tmp_path))
@@ -880,7 +909,7 @@ class TestEveryErrorPath:
 
     @pytest.mark.parametrize("argv", [["run"], ["run", "--scheduler", "fifo"],
                                       ["compare", "--format", "xml"], ["simulate"],
-                                      ["generate", "--paper-defaults"]])
+                                      ["generate", "--paper-defaults"], ["generate", "--out", "x"]])
     def test_usage_errors_exit_2_without_a_traceback(self, argv):
         proc = run_cli_subprocess(argv)
         assert proc.returncode == 2
@@ -931,15 +960,15 @@ class TestNonFiniteConfig:
 
 class TestWithoutAConfig:
     def test_the_defaults_are_the_reference_setup(self, tmp_path, capsys):
-        main(["generate", "--out", str(tmp_path / "out"), "--seed", "1"])
+        main(["generate", "--trace", str(tmp_path / "t.csv"), "--seed", "1"])
         assert "200 tasks" in capsys.readouterr().out
 
     def test_flag_overrides_still_apply(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["generate", "--tasks", "12", "--lambda", "4", "--out", str(out), "--seed", "1"])
+        out = tmp_path / "t.csv"
+        main(["generate", "--tasks", "12", "--lambda", "4", "--trace", str(out), "--seed", "1"])
         assert "12 tasks" in capsys.readouterr().out
         want = generate_trace(EdgeCloudConfig(task_count=12, arrival_rate=4.0), 1)
-        assert load_trace(out / "trace.csv") == want
+        assert load_trace(out) == want
 
 
 class TestCollectorPause:
