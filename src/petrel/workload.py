@@ -13,7 +13,9 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import islice, repeat
 from math import inf, isfinite, nextafter
+from operator import le
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -125,8 +127,8 @@ def generate_arrivals(arrival_rate: float, count: int, seed: int) -> list[float]
     gaps = rng.exponential(MS_PER_SECOND / arrival_rate, size=count)
     arrivals: list[float] = []
     t = 0.0
-    for gap in gaps:
-        t = t + float(gap)
+    for gap in gaps.tolist():
+        t = t + gap
         # exponential draws can underflow to 0; keep arrivals strictly increasing
         if arrivals and t <= arrivals[-1]:
             t = nextafter(arrivals[-1], float("inf"))
@@ -206,6 +208,7 @@ def generate_trace(config: EdgeCloudConfig, seed: int) -> list[Task]:
 
 TRACE_COLUMNS = ("task_id", "arrival_ms", "daemon_id", "benchmark", "class",
                  *(column for _, column, _ in _PROFILE_COLUMNS))
+_HEADER = ",".join(TRACE_COLUMNS)
 
 
 def format_number(x: float) -> str:
@@ -230,7 +233,7 @@ def save_trace(trace: Sequence[Task], path) -> None:
     tails: dict[int, str] = {}
     rendered: list[Profile] = []  # holds each keyed profile, so no other object takes its id
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.write(_HEADER + "\r\n")
         for t in trace:
             profile = t.profile
             tail = tails.get(id(profile))
@@ -270,23 +273,91 @@ def _raise_first_fault(row_num: int, row: list[str], seen_ids: set[int], last_ar
     _parse_field(row_num, "daemon_id", row[2], int)
 
 
+def _profile_fields(row_num: int, key: Sequence[str]) -> list:
+    """The ``Profile`` arguments of a profile's seven raw fields, each checked in column order."""
+    name, token, *raws = key
+    try:
+        task_class = TaskClass.from_token(token)
+    except ValueError:
+        raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
+                               f" or 'tolerant', got {token!r}") from None
+    # the profile's own bounds; only bound_ms, which has none, may be empty
+    return [name, task_class, *(None if raw == "" and bound is None
+                                else _parse_field(row_num, column, raw, bound=bound)
+                                for (_, column, bound), raw in zip(_PROFILE_COLUMNS, raws))]
+
+
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
-    Errors carry the offending field's name and the file line its row
-    starts on (a quoted field may span lines); a file that is not UTF-8,
-    or a field over csv's size limit, is named too.  Rows that spell a
-    profile alike share one :class:`Profile`, keyed on its seven raw
-    fields.  Only a faulty row is parsed again, to name its first fault,
-    and tasks skip ``Task``'s arrival checks, which are made here.
+    The file is read once.  A file as ``save_trace`` writes one with plain
+    names is parsed in one pass; every other file, and every faulty one, is
+    parsed by the csv row loop.  Errors carry the offending field's name and
+    the file line its row starts on (a quoted field may span lines); a file
+    that is not UTF-8, or a field over csv's size limit, is named too.  Rows
+    that spell a profile alike share one :class:`Profile`, and tasks skip
+    ``Task``'s arrival checks, which are made here.
     """
+    tasks = _load_plain(path)
+    return _load_rows(path, tasks) if isinstance(tasks, str) else tasks
+
+
+def _load_plain(path) -> list[Task] | str:
+    """The tasks of a plain trace file, parsed in one pass, or if in doubt its text.
+
+    A plain file holds no ``"`` for csv to strip and no NUL, which csv refuses
+    before Python 3.11; it ends every line alike, starts with the exact header
+    and has no line past csv's field size limit.  Its task columns are then
+    converted and checked in bulk, and the text and the lines are freed before
+    the tasks are built.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # decoded whole, before any row is read
+        raise TraceFormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
+                               f" ({exc.reason})") from None
+    newline = "\r\n" if "\r" in text else "\n"
+    lines = text.split(newline)
+    breaks = len(lines) - 1  # a lone \r or \n would end a row in csv but not here
+    if ('"' in text or "\0" in text or text.count("\n") != breaks
+            or text.count("\r") not in (0, breaks) or lines[0] != _HEADER
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return text
+    del text
+    try:  # a row of fewer than four fields, a value that does not convert or a failed check
+        ids, arrivals, daemons, tails = zip(*[line.split(",", 3)
+                                              for line in islice(lines, 1, None) if line])
+        ids, arrivals = list(map(int, ids)), list(map(float, arrivals))
+        daemons = list(map(int, daemons))
+        # arrivals from 0 up, never decreasing, so the last is finite if any is not
+        if not (arrivals[0] >= 0 and arrivals[-1] < inf and all(map(le, arrivals, arrivals[1:]))
+                and len(set(ids)) == len(ids)):
+            raise ValueError
+        profiles = {}
+        for tail in dict.fromkeys(tails):
+            key = tail.split(",")
+            if len(key) != len(TRACE_COLUMNS) - 3:
+                raise ValueError
+            profiles[tail] = Profile(*_profile_fields(0, key))  # its message is not shown
+    except ValueError:
+        return newline.join(lines)
+    del lines
+    tasks = zip(ids, arrivals, daemons, map(profiles.__getitem__, tails))
+    return list(map(tuple.__new__, repeat(Task), tasks))
+
+
+def _load_rows(path, text: str) -> list[Task]:
+    """Parse the text of the trace file ``path`` row by row through ``csv.reader``,
+    keying profiles on their seven raw fields; only a faulty row is parsed again,
+    to name its first fault."""
     tasks: list[Task] = []
     seen_ids: set[int] = set()
     append, add_id, new = tasks.append, seen_ids.add, tuple.__new__
     last_arrival = -inf
     profiles: dict[tuple[str, ...], Profile] = {}
     width = len(TRACE_COLUMNS)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(text, newline="") as fh:  # splits lines as the file read with newline=""
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -317,31 +388,19 @@ def load_trace(path) -> list[Task]:
                 key = tuple(row[3:])
                 profile = profiles.get(key)
                 if profile is None:
-                    name, token, *raws = key
-                    try:
-                        task_class = TaskClass.from_token(token)
-                    except ValueError:
-                        raise TraceFormatError(f"line {row_num}: field 'class' must be 'sensitive'"
-                                               f" or 'tolerant', got {token!r}") from None
-                    # the profile's own bounds; only bound_ms, which has none, may be empty
-                    values = [None if raw == "" and bound is None
-                              else _parse_field(row_num, column, raw, bound=bound)
-                              for (_, column, bound), raw in zip(_PROFILE_COLUMNS, raws)]
+                    values = _profile_fields(row_num, key)
                 # after the field checks, the task's own: its arrival, then a new profile
                 if arrival < 0:
                     raise TraceFormatError(
                         f"line {row_num}: task {task_id}: arrival_time must be >= 0")
                 if profile is None:
                     try:
-                        profile = profiles[key] = Profile(name, task_class, *values)
+                        profile = profiles[key] = Profile(*values)
                     except ValueError as exc:
                         raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
                 add_id(task_id)
                 last_arrival = arrival
                 append(new(Task, (task_id, arrival, daemon_id, profile)))
-        except UnicodeDecodeError as exc:  # the text layer decodes ahead of csv, so no line
-            raise TraceFormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
-                                   f" ({exc.reason})") from None
         except csv.Error as exc:  # such as a field over csv's size limit
             raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return tasks

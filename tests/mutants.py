@@ -57,6 +57,8 @@ MIN_ACROSS_VMS = E + "TestProbeStaleness::test_stale_reads_take_the_min_across_v
 LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
                  "test_each_log_entry_is_its_cloudlets_live_earliest_ready_time")
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
+EDIT = W + "TestOnePassRead::test_each_edit_loads_as_the_row_loop_loads_it"
+ONE_PASS = W + "TestOnePassRead::test_the_one_pass_read_matches_the_row_loop"
 IDLE_FLAG = E + "TestProbeMatchesTheModel::test_has_idle_vm_is_the_probes_flag_fresh_and_stale"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
@@ -292,6 +294,43 @@ MUTANTS = (
            "if False:",
            (W + "TestLoadErrorMessages::test_message",
             W + "TestProfileAndLoaderAgree::test_one_value")),
+    Mutant("the one-pass read skips the backwards-arrival check", WORKLOAD,
+           "arrivals[-1] < inf and all(map(le, arrivals, arrivals[1:]))",
+           "arrivals[-1] < inf",
+           (EDIT + "[a-backwards-arrival]", ONE_PASS + "[set_arrival]")),
+    Mutant("the one-pass read accepts a negative first arrival", WORKLOAD,
+           "arrivals[0] >= 0 and ",
+           "",
+           (EDIT + "[a-negative-first-arrival]", ONE_PASS + "[set_arrival]")),
+    Mutant("the one-pass read accepts an infinite last arrival", WORKLOAD,
+           "arrivals[-1] < inf and ",
+           "",
+           (EDIT + "[an-infinite-last-arrival]", ONE_PASS + "[set_arrival]")),
+    Mutant("the one-pass read accepts a repeated id", WORKLOAD,
+           "\n                and len(set(ids)) == len(ids)",
+           "",
+           (EDIT + "[a-repeated-id]", ONE_PASS + "[repeat_id]")),
+    Mutant("the one-pass read accepts a lone \\n in a \\r\\n file", WORKLOAD,
+           ' or text.count("\\n") != breaks',
+           "",
+           (EDIT + "[a-lone-lf-after-an-arrival]", ONE_PASS + "[break_row]")),
+    Mutant("the one-pass read accepts a lone \\r in a \\r\\n file", WORKLOAD,
+           'text.count("\\r") not in (0, breaks)',
+           "False",
+           (EDIT + "[a-lone-cr-after-an-arrival]", ONE_PASS + "[break_row]")),
+    Mutant("the one-pass read takes a quoted name as it is spelled", WORKLOAD,
+           """('"' in text or "\\0" in text""",
+           """("\\0" in text""",
+           (EDIT + "[a-quoted-name]", ONE_PASS + "[quote_field]")),
+    Mutant("the one-pass read ignores csv's field size limit", WORKLOAD,
+           " or max(map(len, lines)) > csv.field_size_limit()",
+           "",
+           (W + "TestOnePassRead::test_the_field_size_limit_is_read_at_each_call",
+            W + "TestOnePassRead::test_a_line_past_the_field_size_limit_takes_the_row_loop")),
+    Mutant("the one-pass read takes a profile of six or eight fields", WORKLOAD,
+           "            if len(key) != len(TRACE_COLUMNS) - 3:\n                raise ValueError\n",
+           "",
+           (EDIT + "[a-field-too-many]", EDIT + "[a-field-too-few]", ONE_PASS + "[field_count]")),
     Mutant("the number-kind check is removed", MODEL,
            "isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)",
            "True",

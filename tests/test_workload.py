@@ -405,6 +405,8 @@ class TestRoundTrip:
         save_trace(trace, path)
         assert load_trace(path) == trace
         assert path.read_bytes() == csv_writer_trace(trace)
+        # a quoted name sends the file through the csv row loop
+        assert isinstance(workload._load_plain(path), str) == (b'"' in path.read_bytes())
 
 
 def csv_writer_trace(trace):
@@ -835,3 +837,315 @@ class TestLoadErrorMessages:
         tasks = load_trace(write_lines(tmp_path, HEADER, GOOD_ROW, NEXT_ROW, TOLERANT_ROW
                                        .replace("0,100", "2,200", 1)))
         assert [(t.id, t.arrival_time) for t in tasks] == [(0, 100.0), (1, 200.0), (2, 200.0)]
+
+
+def load_both(path):
+    """What ``load_trace`` and the csv row loop, called directly on the file's
+    text, each make of ``path``: the tasks' repr and, for each task, the first
+    task that shares its profile object, or the error message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    results = []
+    for load in (load_trace, lambda path: workload._load_rows(path, text)):
+        try:
+            tasks = load(path)
+        except TraceFormatError as exc:
+            results.append(str(exc))
+        else:
+            first = {}
+            shared = [first.setdefault(id(t.profile), i) for i, t in enumerate(tasks)]
+            results.append((repr(tasks), shared))
+    return results
+
+
+def lines_of(text):
+    newline = "\r\n" if "\r\n" in text else "\n"
+    return newline, text.split(newline)
+
+
+def rows_of(draw, lines):
+    """Two indexes of lines after the header, most often the first or the last row."""
+    last = max(len(lines) - 1 - (lines[-1] == ""), 0)
+    rows = st.integers(min(1, last), last)
+    return [draw(st.sampled_from([min(1, last), last]) | rows) for _ in range(2)]
+
+
+def edit_row(draw, text, edit):
+    """``text`` with one row replaced by ``edit(draw, fields, other)``'s fields, where
+    ``other`` is the fields of another row."""
+    newline, lines = lines_of(text)
+    i, k = rows_of(draw, lines)
+    lines[i] = ",".join(edit(draw, lines[i].split(","), lines[k].split(",")))
+    return newline.join(lines)
+
+
+def insert(draw, text):
+    """A quote, NUL, comma, BOM or line break anywhere."""
+    at = draw(st.integers(0, len(text)))
+    extra = draw(st.sampled_from(['"', "\0", ",", "\ufeff", "\r", "\n", "\r\n"]))
+    return text[:at] + extra + text[at:]
+
+
+def break_row(draw, text):
+    """A lone \\r or \\n at the start or end of a field: csv ends the row
+    there, but ``int`` and ``float`` would strip it from the field."""
+    def edit(draw, fields, other):
+        j = draw(st.integers(0, len(fields) - 1))
+        brk = draw(st.sampled_from(["\r", "\n"]))
+        fields[j] = brk + fields[j] if draw(st.booleans()) else fields[j] + brk
+        return fields
+    return edit_row(draw, text, edit)
+
+
+def field_count(draw, text):
+    """A row with one field more or, by a dropped comma, one fewer."""
+    def edit(draw, fields, other):
+        j = draw(st.integers(0, len(fields) - 1))
+        if draw(st.booleans()):
+            fields[j:j + 2] = ["".join(fields[j:j + 2])]
+        else:
+            fields.insert(j, "")
+        return fields
+    return edit_row(draw, text, edit)
+
+
+def quote_field(draw, text):
+    """A field of a row quoted, which csv unquotes; most often the name."""
+    def edit(draw, fields, other):
+        j = draw(st.sampled_from([3, 3, 1, 4]) | st.integers(0, len(fields) - 1))
+        if j < len(fields):
+            fields[j] = f'"{fields[j]}"'
+        return fields
+    return edit_row(draw, text, edit)
+
+
+# values for a field: faulty, edge and other spellings, each class token, and a name
+FIELD_VALUES = ["", "x", "-1", "0", "-0", "1.5", "inf", "nan", "1e999", "00", "+1", " 1",
+                "1_0", "sensitive", "tolerant", "urgent", "face"]
+
+
+def set_field(draw, text):
+    """One field of a row set to a value of ``FIELD_VALUES``."""
+    def edit(draw, fields, other):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_VALUES))
+        return fields
+    return edit_row(draw, text, edit)
+
+
+def repeat_id(draw, text):
+    """A row's id set to that of another row."""
+    def edit(draw, fields, other):
+        fields[0] = other[0]
+        return fields
+    return edit_row(draw, text, edit)
+
+
+def set_arrival(draw, text):
+    """A row's arrival set to one that is negative or not finite, or to that of
+    another row, which may send it backwards."""
+    def edit(draw, fields, other):
+        if len(fields) > 1:
+            bad = st.sampled_from(["-1", "-1e-300", "-0", "inf", "nan", "1e999"])
+            fields[1] = draw(st.just(other[1]) | bad if len(other) > 1 else bad)
+        return fields
+    return edit_row(draw, text, edit)
+
+
+def move_line(draw, text):
+    """Two lines swapped, a line repeated or dropped, or a blank line added."""
+    newline, lines = lines_of(text)
+    i, k = rows_of(draw, lines)
+    how = draw(st.sampled_from(["swap", "repeat", "drop", "blank"]))
+    if how == "swap":
+        lines[i], lines[k] = lines[k], lines[i]
+    elif how == "repeat":
+        lines.insert(k, lines[i])
+    elif how == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, "")
+    return newline.join(lines)
+
+
+def line_endings(draw, text):
+    """Every line break as \\n, or one break in the other style."""
+    if draw(st.booleans()):
+        return text.replace("\r\n", "\n")
+    newline, lines = lines_of(text)
+    if len(lines) < 2:
+        return text
+    k = draw(st.integers(1, len(lines) - 1))
+    other = "\n" if newline == "\r\n" else "\r\n"
+    return newline.join(lines[:k]) + other + newline.join(lines[k:])
+
+
+MUTATIONS = (insert, break_row, field_count, quote_field, set_field, repeat_id, set_arrival,
+             move_line, line_endings)
+
+
+@st.composite
+def saved_trace_texts(draw):
+    """The text ``save_trace`` writes of a generated trace, whose names need no
+    quoting, or of tasks drawn from near-colliding profiles."""
+    if draw(st.sampled_from(["generated", "drawn"])) == "generated":
+        c = config(task_count=draw(st.integers(1, 40)), cloudlet_count=draw(st.integers(1, 5)),
+                   arrival_rate=draw(st.sampled_from([0.5, 3.7, 1000.0])))
+        trace = generate_trace(c, draw(st.integers(0, 2**32 - 1)))
+    else:
+        trace = sorted(draw(profile_traces()), key=lambda t: t.arrival_time)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        save_trace(trace, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+
+
+def six_lines():
+    """The header and six rows of a saved trace, without line breaks; the
+    first row is a sensitive task's, and the last arrival is the largest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        save_trace(generate_trace(config(task_count=6), SEED), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read().split("\r\n")[:-1]
+
+
+def set_cell(lines, row, column, value):
+    """``lines`` with field ``column`` of line ``row`` set to ``value``, or to
+    ``value(field)`` if it is callable."""
+    fields = lines[row].split(",")
+    fields[column] = value(fields[column]) if callable(value) else value
+    lines[row] = ",".join(fields)
+    return lines
+
+
+def crlf(lines):
+    return "".join(line + "\r\n" for line in lines)
+
+
+# edits of six_lines() -> the file's text; each fault the one-pass read must leave to the
+# row loop, and files both read alike
+PLAIN_FILE_EDITS = {
+    "as-saved": crlf,
+    "lf-line-endings": lambda ls: "\n".join(ls) + "\n",
+    "no-final-line-break": lambda ls: "\r\n".join(ls),
+    "blank-lines": lambda ls: crlf(ls[:3] + ["", ""] + ls[3:] + [""]),
+    "one-lf-in-a-crlf-file": lambda ls: crlf(ls[:3]) + "\n".join(ls[3:]) + "\n",
+    "one-crlf-in-an-lf-file": lambda ls: "\n".join(ls[:3]) + "\r\n" + "\n".join(ls[3:]) + "\n",
+    "a-lone-lf-after-an-arrival": lambda ls: crlf(set_cell(ls, 1, 1, lambda f: f + "\n")),
+    "a-lone-lf-before-a-data-size": lambda ls: crlf(set_cell(ls, 1, 8, lambda f: "\n" + f)),
+    "a-lone-cr-after-an-arrival": lambda ls: crlf(set_cell(ls, 1, 1, lambda f: f + "\r")),
+    "a-lone-cr-in-an-lf-file": lambda ls: "\n".join(set_cell(ls, 1, 1, lambda f: f + "\r")),
+    "a-quoted-name": lambda ls: crlf(set_cell(ls, 1, 3, lambda f: f'"{f}"')),
+    "a-quote-inside-a-name": lambda ls: crlf(set_cell(ls, 1, 3, 'fa"ce')),
+    "a-nul-in-a-name": lambda ls: crlf(set_cell(ls, 1, 3, "fa\0ce")),
+    "a-bom": lambda ls: "\ufeff" + crlf(ls),
+    "a-repeated-id": lambda ls: crlf(set_cell(ls, 3, 0, "0")),
+    "a-backwards-arrival": lambda ls: crlf(ls[:2] + [ls[3], ls[2]] + ls[4:]),
+    "a-negative-first-arrival": lambda ls: crlf(set_cell(ls, 1, 1, "-1")),
+    "a-negative-zero-first-arrival": lambda ls: crlf(set_cell(ls, 1, 1, "-0")),
+    "an-infinite-last-arrival": lambda ls: crlf(set_cell(ls, 6, 1, "inf")),
+    "an-overflowing-last-arrival": lambda ls: crlf(set_cell(ls, 6, 1, "1e999")),
+    "a-nan-arrival": lambda ls: crlf(set_cell(ls, 3, 1, "nan")),
+    "an-id-that-is-no-int": lambda ls: crlf(set_cell(ls, 2, 0, "1.0")),
+    "a-daemon-that-is-no-int": lambda ls: crlf(set_cell(ls, 2, 2, "x")),
+    "a-field-too-many": lambda ls: crlf(ls[:1] + [ls[1] + ","] + ls[2:]),
+    "a-field-too-few": lambda ls: crlf(ls[:1] + [ls[1].rsplit(",", 1)[0]] + ls[2:]),
+    "a-short-row": lambda ls: crlf(ls[:2] + ["1,2"] + ls[3:]),
+    "a-bad-class": lambda ls: crlf(set_cell(ls, 1, 4, "urgent")),
+    "a-bad-profile-value": lambda ls: crlf(set_cell(ls, 1, 6, "0")),
+    "a-sensitive-task-with-a-bound": lambda ls: crlf(set_cell(ls, 1, 9, "4000")),
+}
+
+
+class TestOnePassRead:
+    """A plain file is read in one pass; the csv row loop reads every other file
+    and names every fault, so both must make the same of any file."""
+
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.__name__)
+    @given(text=saved_trace_texts(), data=st.data())
+    def test_the_one_pass_read_matches_the_row_loop(self, mutation, text, data):
+        if data.draw(st.booleans()):
+            text = text.replace("\r\n", "\n")
+        text = mutation(data.draw, text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            fast, loop = load_both(path)
+        assert fast == loop
+
+    @given(text=saved_trace_texts(), data=st.data())
+    def test_a_line_past_the_field_size_limit_takes_the_row_loop(self, text, data):
+        """The limit is read at call time; a field past it fails in the row loop."""
+        longest = max(map(len, text.splitlines()))
+        limit = data.draw(st.sampled_from([longest - 1, longest]) | st.integers(1, longest + 1))
+        old_limit = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                csv.field_size_limit(limit)
+                fast, loop = load_both(path)
+            finally:
+                csv.field_size_limit(old_limit)
+        assert fast == loop
+
+    @pytest.mark.parametrize("edit", sorted(PLAIN_FILE_EDITS))
+    def test_each_edit_loads_as_the_row_loop_loads_it(self, tmp_path, edit):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(PLAIN_FILE_EDITS[edit](six_lines()).encode())
+        fast, loop = load_both(path)
+        assert fast == loop
+
+    def test_the_field_size_limit_is_read_at_each_call(self, tmp_path):
+        lines = six_lines()
+        path = tmp_path / "trace.csv"
+        path.write_text(crlf(lines), newline="", encoding="utf-8")
+        widest = max(len(field) for line in lines for field in line.split(","))
+        old_limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(widest)  # every field fits, but no line does
+            assert load_trace(path) == generate_trace(config(task_count=6), SEED)
+            csv.field_size_limit(widest - 1)
+            with pytest.raises(TraceFormatError, match=rf"larger than field limit \({widest - 1}\)"):
+                load_trace(path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    def test_a_saved_trace_takes_the_one_pass_read(self, tmp_path, monkeypatch, newline):
+        trace = generate_trace(config(task_count=300), SEED)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
+
+        def no_reader(*args):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        loaded = load_trace(path)
+        assert loaded == trace
+        shared = {t.profile.benchmark: t.profile for t in loaded}
+        assert all(t.profile is shared[t.profile.benchmark] for t in loaded)
+
+    @pytest.mark.parametrize("edit", ["as-saved", "a-quoted-name", "a-backwards-arrival"])
+    def test_a_file_is_opened_once_so_a_pipe_can_be_read(self, tmp_path, monkeypatch, edit):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(PLAIN_FILE_EDITS[edit](six_lines()).encode())
+        opened = []
+
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(workload, "open", counted_open, raising=False)
+        fast, loop = load_both(path)
+        assert fast == loop
+        assert opened == [path]
+
+    def test_a_header_only_file_loads_no_tasks(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace([], path)
+        assert load_trace(path) == []
