@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import os
 import sys
 from math import fsum, isfinite, isqrt, nan
@@ -125,6 +124,8 @@ def write_table(path, fmt: str, columns, rows) -> None:
     is left out.  JSON lines holds every field and spells a non-finite float as CSV does."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt != "csv":
+            import json  # only JSON lines need it, so a CSV command never loads it
+
             fh.writelines(json.dumps(_json_value(row), sort_keys=True, allow_nan=False) + "\n"
                           for row in rows)
             return

@@ -13,10 +13,9 @@ factors, then the remote RTT for every ordered cloudlet pair.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from math import inf, isfinite
 from typing import Any, Mapping
-
-import yaml
 
 from .model import Cloudlet, EdgeCloud, NetworkParams, in_range, plain_number, shown
 from .seeding import new_rng
@@ -297,33 +296,43 @@ def from_mapping(data: Mapping[str, Any] | None) -> EdgeCloudConfig:
     return config
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.safe_load``'s loader, except that a key repeated in one mapping
-    is an error rather than a silent override.  A key written beside a merge
-    key (``<<``) may still override what the merge brings in, as YAML allows."""
+@cache
+def _unique_key_loader():
+    """The loader class ``load_config`` reads with, built on its first call, so that
+    PyYAML is imported only when a config file is read or written."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        entries = list(node.value) if isinstance(node, yaml.MappingNode) else []
-        mapping = super().construct_mapping(node, deep=deep)  # merges, checks hashability
-        seen = set()
-        for key_node, _ in entries:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=deep)  # built above, so cached
-            if key in seen:
-                mark = key_node.start_mark
-                raise ConfigError(f"{mark.name}: line {mark.line + 1}: repeated key {key!r}")
-            seen.add(key)
-        return mapping
+    class _UniqueKeyLoader(yaml.SafeLoader):
+        """``yaml.safe_load``'s loader, except that a key repeated in one mapping
+        is an error rather than a silent override.  A key written beside a merge
+        key (``<<``) may still override what the merge brings in, as YAML allows."""
+
+        def construct_mapping(self, node, deep=False):
+            entries = list(node.value) if isinstance(node, yaml.MappingNode) else []
+            mapping = super().construct_mapping(node, deep=deep)  # merges, checks hashability
+            seen = set()
+            for key_node, _ in entries:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)  # built above, so cached
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name}: line {mark.line + 1}: repeated key {key!r}")
+                seen.add(key)
+            return mapping
+
+    return _UniqueKeyLoader
 
 
 def load_config(path) -> EdgeCloudConfig:
     """Parse a YAML config file; an empty file yields the defaults, and a
     key repeated in one mapping is an error.  A YAML fault is one line,
     naming the file line where PyYAML found it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_UniqueKeyLoader)
+            data = yaml.load(fh, Loader=_unique_key_loader())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
@@ -342,5 +351,7 @@ def load_config(path) -> EdgeCloudConfig:
 
 
 def save_config(config: EdgeCloudConfig, path) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(to_mapping(config), fh, sort_keys=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
@@ -347,6 +348,23 @@ def _load_plain(path) -> list[Task] | str:
     return list(map(tuple.__new__, repeat(Task), tasks))
 
 
+# where a file read with newline="" ends a line: str.splitlines would also end one at
+# \x0c, \x85, \u2028 and others
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
+def _lines(text: str, size: int = 1 << 16):
+    """The lines of ``text``, each with its ending, as a file read with newline="" yields
+    them.  They are read from chunks of about ``size`` characters cut at line ends, so
+    only a chunk, not the whole text, is copied into a buffer at a time."""
+    start = 0
+    while start < len(text):
+        end = _LINE_END.search(text, start + size)
+        end = end.end() if end else len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
+
+
 def _load_rows(path, text: str) -> list[Task]:
     """Parse the text of the trace file ``path`` row by row through ``csv.reader``,
     keying profiles on their seven raw fields; only a faulty row is parsed again,
@@ -357,50 +375,49 @@ def _load_rows(path, text: str) -> list[Task]:
     last_arrival = -inf
     profiles: dict[tuple[str, ...], Profile] = {}
     width = len(TRACE_COLUMNS)
-    with io.StringIO(text, newline="") as fh:  # splits lines as the file read with newline=""
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise TraceFormatError("line 1: empty trace file (missing header)")
-            if tuple(header) != TRACE_COLUMNS:
+    reader = csv.reader(_lines(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise TraceFormatError("line 1: empty trace file (missing header)")
+        if tuple(header) != TRACE_COLUMNS:
+            raise TraceFormatError(
+                f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
+        line = reader.line_num
+        for row in reader:
+            # the row starts after the last one's end; a quoted field may span lines
+            row_num, line = line + 1, reader.line_num
+            if not row:
+                continue
+            # each field is checked once, in column order, and the first fault
+            # raises; the profile columns are checked only for a new spelling
+            if len(row) != width:
                 raise TraceFormatError(
-                    f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
-            line = reader.line_num
-            for row in reader:
-                # the row starts after the last one's end; a quoted field may span lines
-                row_num, line = line + 1, reader.line_num
-                if not row:
-                    continue
-                # each field is checked once, in column order, and the first fault
-                # raises; the profile columns are checked only for a new spelling
-                if len(row) != width:
-                    raise TraceFormatError(
-                        f"line {row_num}: expected {width} fields, got {len(row)}")
+                    f"line {row_num}: expected {width} fields, got {len(row)}")
+            try:
+                task_id, arrival, daemon_id = int(row[0]), float(row[1]), int(row[2])
+                fault = (not isfinite(arrival) or task_id in seen_ids
+                         or arrival < last_arrival)
+            except ValueError:
+                fault = True
+            if fault:
+                _raise_first_fault(row_num, row, seen_ids, last_arrival)
+            key = tuple(row[3:])
+            profile = profiles.get(key)
+            if profile is None:
+                values = _profile_fields(row_num, key)
+            # after the field checks, the task's own: its arrival, then a new profile
+            if arrival < 0:
+                raise TraceFormatError(
+                    f"line {row_num}: task {task_id}: arrival_time must be >= 0")
+            if profile is None:
                 try:
-                    task_id, arrival, daemon_id = int(row[0]), float(row[1]), int(row[2])
-                    fault = (not isfinite(arrival) or task_id in seen_ids
-                             or arrival < last_arrival)
-                except ValueError:
-                    fault = True
-                if fault:
-                    _raise_first_fault(row_num, row, seen_ids, last_arrival)
-                key = tuple(row[3:])
-                profile = profiles.get(key)
-                if profile is None:
-                    values = _profile_fields(row_num, key)
-                # after the field checks, the task's own: its arrival, then a new profile
-                if arrival < 0:
-                    raise TraceFormatError(
-                        f"line {row_num}: task {task_id}: arrival_time must be >= 0")
-                if profile is None:
-                    try:
-                        profile = profiles[key] = Profile(*values)
-                    except ValueError as exc:
-                        raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
-                add_id(task_id)
-                last_arrival = arrival
-                append(new(Task, (task_id, arrival, daemon_id, profile)))
-        except csv.Error as exc:  # such as a field over csv's size limit
-            raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                    profile = profiles[key] = Profile(*values)
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
+            add_id(task_id)
+            last_arrival = arrival
+            append(new(Task, (task_id, arrival, daemon_id, profile)))
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return tasks

@@ -59,6 +59,11 @@ LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 EDIT = W + "TestOnePassRead::test_each_edit_loads_as_the_row_loop_loads_it"
 ONE_PASS = W + "TestOnePassRead::test_the_one_pass_read_matches_the_row_loop"
+SPLIT = (W + "TestOnePassRead::"
+             "test_the_row_loop_splits_lines_as_a_file_read_without_newline_translation")
+SPLIT_ANY = (W + "TestOnePassRead::"
+                 "test_the_row_loop_splits_any_text_as_a_file_read_without_newline_translation")
+ON_DEMAND = C + "TestImportsOnDemand::"
 IDLE_FLAG = E + "TestProbeMatchesTheModel::test_has_idle_vm_is_the_probes_flag_fresh_and_stale"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
 BOUNDS = "tests/test_config.py::TestValidation::test_each_bound_names_its_rule"
@@ -227,7 +232,8 @@ MUTANTS = (
     Mutant("the loader drops its inline arrival isfinite test", WORKLOAD,
            "fault = (not isfinite(arrival) or task_id in seen_ids",
            "fault = (task_id in seen_ids",
-           (W + "TestLoadErrors::test_non_finite_values_name_the_column",)),
+           (W + "TestLoadErrors::test_non_finite_values_name_the_column",
+            W + "TestLoadErrorMessages::test_message[cached profile, non-finite arrival]")),
     Mutant("the loader counts rows instead of lines", WORKLOAD,
            "row_num, line = line + 1, reader.line_num",
            "row_num = line = line + 1",
@@ -239,14 +245,25 @@ MUTANTS = (
            (C + "TestRecordsFile::test_bytes_equal_csv_writer",
             "tests/test_goldens.py::test_run_outputs_match_goldens")),
     Mutant("a repeated YAML key is accepted", CONFIG,
-           "data = yaml.load(fh, Loader=_UniqueKeyLoader)",
+           "data = yaml.load(fh, Loader=_unique_key_loader())",
            "data = yaml.safe_load(fh)",
            ("tests/test_config.py::TestFiles::test_a_repeated_key_names_its_line",
             ERROR_PATH + "[repeated-config-key]")),
     Mutant("a merge key is checked as a key", CONFIG,
-           '            if key_node.tag == "tag:yaml.org,2002:merge":\n                continue\n',
+           '                if key_node.tag == "tag:yaml.org,2002:merge":\n'
+           "                    continue\n",
            "",
            ("tests/test_config.py::TestFiles::test_keys_beside_a_merge_key_override_it",)),
+    Mutant("PyYAML is imported with petrel.config", CONFIG,
+           "from typing import Any, Mapping\n\n",
+           "from typing import Any, Mapping\n\nimport yaml\n\n",
+           (ON_DEMAND + "test_importing_petrel_loads_neither",
+            ON_DEMAND + "test_csv_commands_load_neither")),
+    Mutant("json is imported with petrel.cli", CLI,
+           "import gc\nimport os\n",
+           "import gc\nimport json\nimport os\n",
+           (ON_DEMAND + "test_importing_petrel_loads_neither",
+            ON_DEMAND + "test_csv_commands_load_neither")),
     Mutant("a strict bound is checked as >=", MODEL,
            '"> 0": (gt, 0, inf)',
            '"> 0": (ge, 0, inf)',
@@ -331,6 +348,18 @@ MUTANTS = (
            "            if len(key) != len(TRACE_COLUMNS) - 3:\n                raise ValueError\n",
            "",
            (EDIT + "[a-field-too-many]", EDIT + "[a-field-too-few]", ONE_PASS + "[field_count]")),
+    Mutant("a chunk of the row loop's text may end between \\r and \\n", WORKLOAD,
+           '_LINE_END = re.compile(r"\\r\\n?|\\n")',
+           '_LINE_END = re.compile(r"\\r|\\n")',
+           (SPLIT_ANY,)),
+    Mutant("a chunk of the row loop's text ends at its size", WORKLOAD,
+           "end = end.end() if end else len(text)",
+           "end = min(start + size, len(text))",
+           (SPLIT_ANY,)),
+    Mutant("the row loop splits lines as str.splitlines does", WORKLOAD,
+           'yield from io.StringIO(text[start:end], newline="")',
+           "yield from text[start:end].splitlines(keepends=True)",
+           (SPLIT + "[a-next-line-in-a-name]", EDIT + "[a-next-line-in-a-name]", SPLIT_ANY)),
     Mutant("the number-kind check is removed", MODEL,
            "isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)",
            "True",
@@ -413,19 +442,26 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  ".benchmarks", "_work")
 
 
-def run_tests(root: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
-    """pytest's exit code for ``tests`` in the copy at ``root``, and the ids that failed."""
+def run_tests(root: Path, tests: tuple[str, ...]) -> tuple[int, list[str]]:
+    """pytest's exit code for ``tests`` in the copy at ``root``, and its lines that name a
+    failed test, each without its first word ``FAILED``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
                "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests]
     proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
-    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    failed = [line[len("FAILED "):] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
     return proc.returncode, failed
 
 
-def fails(test: str, failed: set[str]) -> bool:
-    """Whether ``test``, a file, class, function or parametrized id, has a failed test."""
-    return any(f == test or f.startswith((f"{test}::", f"{test}[")) for f in failed)
+def fails(test: str, failed: list[str]) -> bool:
+    """Whether ``test``, a file, class, function or parametrized id, has a failed test.
+
+    ``failed`` holds pytest's ``FAILED <id> - <message>`` lines without their first
+    word.  An id may hold spaces, and even " - ", so ``test`` is matched against the
+    start of each line and must be followed by its end, "::", "[" or " - "."""
+    return any(line.startswith(test) and (line == test or line[len(test):].startswith(
+        ("::", "[", " - "))) for line in failed)
 
 
 def main(argv: list[str]) -> int:

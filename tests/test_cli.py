@@ -578,6 +578,55 @@ def run_cli_subprocess(args, extra_env=None, preexec_fn=None):
                           capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
+# runs each argument as a command in one fresh interpreter, then names which of the
+# modules only a config file or JSON lines need that it has loaded
+IMPORT_PROBE = """
+import sys
+import petrel, petrel.cli
+for argv in sys.argv[1:]:
+    assert petrel.cli.main(argv.split()) == 0, argv
+print("loaded:", *sorted({"yaml", "json"} & set(sys.modules)))
+"""
+
+
+class TestImportsOnDemand:
+    """PyYAML is imported only to read or write a config file, and json only to
+    write JSON lines, so a command that needs neither does not pay for them."""
+
+    def loaded(self, tmp_path, *commands):
+        save_config(EdgeCloudConfig(cloudlet_count=3, task_count=20), tmp_path / "c.yaml")
+        src = os.path.dirname(os.path.dirname(petrel.__file__))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *commands], cwd=tmp_path,
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        (line,) = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+        return line.split()[1:]
+
+    def test_importing_petrel_loads_neither(self, tmp_path):
+        assert self.loaded(tmp_path) == []
+
+    def test_csv_commands_load_neither(self, tmp_path):
+        assert self.loaded(tmp_path, "generate --tasks 20 --trace t.csv",
+                           "run --trace t.csv --scheduler daa --out r1",
+                           "run --tasks 20 --lambda 4 --scheduler greedy --out r2",
+                           "compare --tasks 10 --seeds 1..2 --lambda 1,2 --out c") == []
+
+    @pytest.mark.parametrize("command", [
+        "generate --config c.yaml --trace t.csv",
+        "run --config c.yaml --scheduler daemon-only --out r",
+        "compare --config c.yaml --seeds 1..2 --scheduler daa --out c",
+    ])
+    def test_a_config_file_loads_yaml(self, tmp_path, command):
+        assert self.loaded(tmp_path, command) == ["yaml"]
+
+    @pytest.mark.parametrize("command", [
+        "run --tasks 20 --scheduler daa --format json-lines --out r",
+        "compare --tasks 10 --seeds 1..2 --scheduler daa --format json-lines --out c",
+    ])
+    def test_json_lines_load_json(self, tmp_path, command):
+        assert self.loaded(tmp_path, command) == ["json"]
+
+
 class TestTraceFilesAreUtf8:
     """Trace files are UTF-8 whatever the locale, as the other output files are."""
 

@@ -8,6 +8,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1055,7 +1056,36 @@ PLAIN_FILE_EDITS = {
     "a-bad-class": lambda ls: crlf(set_cell(ls, 1, 4, "urgent")),
     "a-bad-profile-value": lambda ls: crlf(set_cell(ls, 1, 6, "0")),
     "a-sensitive-task-with-a-bound": lambda ls: crlf(set_cell(ls, 1, 9, "4000")),
+    # str.splitlines breaks a line at each of these, but a file read with newline="" does not
+    "a-form-feed-in-a-name": lambda ls: crlf(set_cell(ls, 1, 3, "fa\x0cce")),
+    "a-next-line-in-a-name": lambda ls: crlf(set_cell(ls, 1, 3, "fa\x85ce")),
+    "a-line-separator-in-a-name": lambda ls: crlf(set_cell(ls, 1, 3, "fa\u2028ce")),
+    "the-other-splitlines-breaks-in-a-quoted-name": lambda ls: crlf(
+        set_cell(ls, 1, 3, '"a\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029b"')),
+    "a-lone-cr-in-a-quoted-name": lambda ls: crlf(set_cell(ls, 1, 3, '"fa\rce"')),
+    "a-lone-cr-outside-quotes-in-a-quoted-file": lambda ls: crlf(
+        set_cell(set_cell(ls, 1, 3, '"face"'), 2, 1, lambda f: f + "\r")),
 }
+
+# every character str.splitlines breaks a line at, and text to put between them
+SPLITLINES_TEXT = st.text(st.sampled_from("\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029a,\""))
+
+
+def lines_fed_to_csv(text):
+    """The lines the row loop hands ``csv.reader`` for a trace file's ``text``."""
+    fed = []
+    reader = csv.reader
+
+    def recording(lines):
+        fed.extend(lines)
+        return reader(fed)
+
+    with mock.patch.object(csv, "reader", recording):
+        try:
+            workload._load_rows("trace.csv", text)
+        except TraceFormatError:
+            pass
+    return fed
 
 
 class TestOnePassRead:
@@ -1144,6 +1174,18 @@ class TestOnePassRead:
         fast, loop = load_both(path)
         assert fast == loop
         assert opened == [path]
+
+    @pytest.mark.parametrize("edit", sorted(PLAIN_FILE_EDITS))
+    def test_the_row_loop_splits_lines_as_a_file_read_without_newline_translation(self, edit):
+        text = PLAIN_FILE_EDITS[edit](six_lines())
+        assert lines_fed_to_csv(text) == io.StringIO(text, newline="").readlines()
+
+    @given(text=SPLITLINES_TEXT | saved_trace_texts().map(lambda t: t.replace("face", "f\x85e")),
+           size=st.integers(1, 80))
+    def test_the_row_loop_splits_any_text_as_a_file_read_without_newline_translation(
+            self, text, size):
+        """In chunks of any size, too: a chunk ends only where a line does."""
+        assert list(workload._lines(text, size)) == io.StringIO(text, newline="").readlines()
 
     def test_a_header_only_file_loads_no_tasks(self, tmp_path):
         path = tmp_path / "trace.csv"
