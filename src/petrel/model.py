@@ -74,6 +74,16 @@ class TaskClass(Enum):
 
 
 _TASK_CLASS_BY_TOKEN = {member.value: member for member in TaskClass}
+# what a benchmark name never holds, so a trace row is its fields joined by commas, on one line
+_NOT_IN_NAMES = frozenset(',"\r\n')
+
+
+def check_name(value) -> None:
+    """The one name rule: a benchmark name is a str with no ``,``, ``"``, CR or LF."""
+    if not isinstance(value, str):
+        raise ValueError(f"benchmark name: expected str, got {shown(value)}")
+    if not _NOT_IN_NAMES.isdisjoint(value):
+        raise ValueError(f"benchmark name: expected no ',', '\"', CR or LF, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +96,9 @@ class Profile:
     arrival, required for tolerant tasks and forbidden for sensitive
     ones.  Each catalog entry builds its profile once and a trace shares
     it across that entry's tasks, so the values are checked once, in
-    column order, against the bounds ``_PROFILE_COLUMNS`` declares.  A
-    message names a value by its trace column.
+    column order: the name by :func:`check_name`, then the class and the
+    bounds ``_PROFILE_COLUMNS`` declares.  A message names a value by its
+    trace column.
     """
 
     benchmark: str
@@ -99,6 +110,7 @@ class Profile:
     latency_bound: float | None = None
 
     def __post_init__(self) -> None:
+        check_name(self.benchmark)
         if not isinstance(self.task_class, TaskClass):
             raise ValueError(f"class must be a TaskClass, got {shown(self.task_class)}")
         for name, column, bound in _PROFILE_COLUMNS:

@@ -4,14 +4,12 @@ A trace is a list of tasks sorted by arrival time.  Arrivals follow a
 Poisson process over the whole edge-cloud; each task picks a benchmark
 from the catalog by weight and a daemon cloudlet uniformly at random.
 Traces serialize to a plain CSV with a fixed column order so runs are
-diffable and reproducible byte for byte.
+diffable and reproducible byte for byte.  No field is ever quoted, since
+a benchmark name holds no comma, quote, CR or LF (``model.check_name``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
@@ -21,8 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import (_PROFILE_COLUMNS, Profile, Task, TaskClass, check_range, in_range,
-                    plain_number, shown)
+from .model import (_PROFILE_COLUMNS, Profile, Task, TaskClass, check_name, check_range,
+                    in_range, plain_number, shown)
 from .seeding import derive_seed, new_rng
 
 if TYPE_CHECKING:  # config imports this module for Benchmark
@@ -47,7 +45,8 @@ class Benchmark:
     """One application profile tasks are drawn from, and the :class:`Profile` its tasks share.
 
     Each field declares its entry key and kind once (see ``_entry``), in file order.
-    The name is a str, and each number is stored as a plain float by
+    The name follows :func:`~petrel.model.check_name`, checked first so that every
+    later message may show it, and each number is stored as a plain float by
     :func:`~petrel.model.plain_number`'s rule.  The profile checks the class, the
     times, the size and the bound; the entry's ranges are only those of the
     keyword-only keys a profile lacks, ``weight`` and ``bound_factor``.
@@ -64,14 +63,15 @@ class Benchmark:
     profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_name(self.name)
         for key, name, kind in _ENTRY_LAYOUT:
             value = getattr(self, name)
-            if kind is TaskClass or value is None and key == "bound_factor":
-                continue  # the profile checks the class
-            stored = plain_number(value) if kind is float else value
-            if not isinstance(stored, kind):
-                where = "benchmark" if key == "name" else f"benchmark {self.name}:"
-                raise ValueError(f"{where} {key}: expected {kind.__name__}, got {shown(value)}")
+            if kind is not float or value is None and key == "bound_factor":
+                continue  # the name is checked above, and the profile checks the class
+            stored = plain_number(value)
+            if stored is None:
+                raise ValueError(f"benchmark {self.name}: {key}: expected float,"
+                                 f" got {shown(value)}")
             object.__setattr__(self, name, stored)
         if self.bound_factor is not None:
             check_range(self.bound_factor, f"benchmark {self.name}: bound_factor")
@@ -222,15 +222,13 @@ def format_number(x: float) -> str:
 
 
 def save_trace(trace: Sequence[Task], path) -> None:
-    """Write a trace CSV in the fixed column order.
+    """Write a trace CSV in the fixed column order, one ``\\r\\n``-ended line per task.
 
-    The last seven columns are the task's profile, so each profile object
-    is rendered once, by ``csv.writer`` (a benchmark name is free text and
-    may need quoting), and reused.  Profiles are keyed by identity, which
-    costs no hashing of their values.
+    No field needs quoting (a name holds no ``,``, ``"``, CR or LF), so a row
+    is its fields joined by commas.  The last seven columns are the task's
+    profile, so each profile object is rendered once and reused.  Profiles
+    are keyed by identity, which costs no hashing of their values.
     """
-    buf = io.StringIO(newline="")
-    render = csv.writer(buf).writerow
     tails: dict[int, str] = {}
     rendered: list[Profile] = []  # holds each keyed profile, so no other object takes its id
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -240,13 +238,10 @@ def save_trace(trace: Sequence[Task], path) -> None:
             tail = tails.get(id(profile))
             if tail is None:
                 values = (getattr(profile, name) for name, _, _ in _PROFILE_COLUMNS)
-                render((profile.benchmark, profile.task_class.value,
-                        *("" if v is None else format_number(v) for v in values)))
-                tail = tails[id(profile)] = buf.getvalue()
+                tail = tails[id(profile)] = ",".join((
+                    profile.benchmark, profile.task_class.value,
+                    *("" if v is None else format_number(v) for v in values))) + "\r\n"
                 rendered.append(profile)
-                buf.seek(0)
-                buf.truncate()
-            # id, arrival and daemon are numbers: csv.writer never quotes them
             fh.write(f"{t.id},{format_number(t.arrival_time)},{t.daemon_id},{tail}")
 
 
@@ -291,26 +286,16 @@ def _profile_fields(row_num: int, key: Sequence[str]) -> list:
 def load_trace(path) -> list[Task]:
     """Read a trace CSV back; validates ordering, ids, and field ranges.
 
-    The file is read once.  A file as ``save_trace`` writes one with plain
-    names is parsed in one pass; every other file, and every faulty one, is
-    parsed by the csv row loop.  Errors carry the offending field's name and
-    the file line its row starts on (a quoted field may span lines); a file
-    that is not UTF-8, or a field over csv's size limit, is named too.  Rows
-    that spell a profile alike share one :class:`Profile`, and tasks skip
-    ``Task``'s arrival checks, which are made here.
-    """
-    tasks = _load_plain(path)
-    return _load_rows(path, tasks) if isinstance(tasks, str) else tasks
-
-
-def _load_plain(path) -> list[Task] | str:
-    """The tasks of a plain trace file, parsed in one pass, or if in doubt its text.
-
-    A plain file holds no ``"`` for csv to strip and no NUL, which csv refuses
-    before Python 3.11; it ends every line alike, starts with the exact header
-    and has no line past csv's field size limit.  Its task columns are then
-    converted and checked in bulk, and the text and the lines are freed before
-    the tasks are built.
+    The file is read once, as UTF-8, and split into lines: a line ends at
+    ``\\n``, with or without one ``\\r`` just before it.  A file as
+    ``save_trace`` writes one, which ends every line alike and starts with
+    the exact header, is parsed in one pass: its task columns are
+    converted and checked in bulk, and the text and the lines are freed
+    before the tasks are built.  Every other file, and every faulty one,
+    is parsed by the row loop over the same lines, which names the first
+    fault by its field and line; a file that is not UTF-8 is named too.
+    Rows that spell a profile alike share one :class:`Profile`, and tasks
+    skip ``Task``'s arrival checks, which are made here.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -320,11 +305,12 @@ def _load_plain(path) -> list[Task] | str:
                                f" ({exc.reason})") from None
     newline = "\r\n" if "\r" in text else "\n"
     lines = text.split(newline)
-    breaks = len(lines) - 1  # a lone \r or \n would end a row in csv but not here
-    if ('"' in text or "\0" in text or text.count("\n") != breaks
-            or text.count("\r") not in (0, breaks) or lines[0] != _HEADER
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return text
+    breaks = len(lines) - 1  # a lone \r or \n is left to the row loop
+    if (text.count("\n") != breaks or text.count("\r") not in (0, breaks)
+            or lines[0] != _HEADER):
+        lines = text.replace("\r\n", "\n").split("\n")
+        del text
+        return _load_rows(lines)
     del text
     try:  # a row of fewer than four fields, a value that does not convert or a failed check
         ids, arrivals, daemons, tails = zip(*[line.split(",", 3)
@@ -342,82 +328,59 @@ def _load_plain(path) -> list[Task] | str:
                 raise ValueError
             profiles[tail] = Profile(*_profile_fields(0, key))  # its message is not shown
     except ValueError:
-        return newline.join(lines)
+        return _load_rows(lines)  # every line ends alike, so these are the line rule's lines
     del lines
     tasks = zip(ids, arrivals, daemons, map(profiles.__getitem__, tails))
     return list(map(tuple.__new__, repeat(Task), tasks))
 
 
-# where a file read with newline="" ends a line: str.splitlines would also end one at
-# \x0c, \x85, \u2028 and others
-_LINE_END = re.compile(r"\r\n?|\n")
-
-
-def _lines(text: str, size: int = 1 << 16):
-    """The lines of ``text``, each with its ending, as a file read with newline="" yields
-    them.  They are read from chunks of about ``size`` characters cut at line ends, so
-    only a chunk, not the whole text, is copied into a buffer at a time."""
-    start = 0
-    while start < len(text):
-        end = _LINE_END.search(text, start + size)
-        end = end.end() if end else len(text)
-        yield from io.StringIO(text[start:end], newline="")
-        start = end
-
-
-def _load_rows(path, text: str) -> list[Task]:
-    """Parse the text of the trace file ``path`` row by row through ``csv.reader``,
-    keying profiles on their seven raw fields; only a faulty row is parsed again,
-    to name its first fault."""
+def _load_rows(lines: list[str]) -> list[Task]:
+    """Parse a trace file's lines, each without its line end, one by one, keying
+    profiles on their seven raw fields; only a faulty row is parsed again, to name
+    its first fault."""
+    if lines == [""]:
+        raise TraceFormatError("line 1: empty trace file (missing header)")
     tasks: list[Task] = []
     seen_ids: set[int] = set()
     append, add_id, new = tasks.append, seen_ids.add, tuple.__new__
     last_arrival = -inf
     profiles: dict[tuple[str, ...], Profile] = {}
     width = len(TRACE_COLUMNS)
-    reader = csv.reader(_lines(text))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise TraceFormatError("line 1: empty trace file (missing header)")
-        if tuple(header) != TRACE_COLUMNS:
-            raise TraceFormatError(
-                f"line 1: bad header {header!r}, expected {list(TRACE_COLUMNS)}")
-        line = reader.line_num
-        for row in reader:
-            # the row starts after the last one's end; a quoted field may span lines
-            row_num, line = line + 1, reader.line_num
-            if not row:
-                continue
-            # each field is checked once, in column order, and the first fault
-            # raises; the profile columns are checked only for a new spelling
-            if len(row) != width:
-                raise TraceFormatError(
-                    f"line {row_num}: expected {width} fields, got {len(row)}")
+    for row_num, line in enumerate(lines, 1):
+        if "\r" in line:  # a \r just before a \n was taken off with it
+            raise TraceFormatError(f"line {row_num}: a '\\r' that is not followed by '\\n'")
+        if row_num == 1:
+            if line != _HEADER:
+                raise TraceFormatError(f"line 1: bad header {line.split(',') if line else []!r},"
+                                       f" expected {list(TRACE_COLUMNS)}")
+            continue
+        if not line:
+            continue
+        row = line.split(",")
+        # each field is checked once, in column order, and the first fault
+        # raises; the profile columns are checked only for a new spelling
+        if len(row) != width:
+            raise TraceFormatError(f"line {row_num}: expected {width} fields, got {len(row)}")
+        try:
+            task_id, arrival, daemon_id = int(row[0]), float(row[1]), int(row[2])
+            fault = not isfinite(arrival) or task_id in seen_ids or arrival < last_arrival
+        except ValueError:
+            fault = True
+        if fault:
+            _raise_first_fault(row_num, row, seen_ids, last_arrival)
+        key = tuple(row[3:])
+        profile = profiles.get(key)
+        if profile is None:
+            values = _profile_fields(row_num, key)
+        # after the field checks, the task's own: its arrival, then a new profile
+        if arrival < 0:
+            raise TraceFormatError(f"line {row_num}: task {task_id}: arrival_time must be >= 0")
+        if profile is None:
             try:
-                task_id, arrival, daemon_id = int(row[0]), float(row[1]), int(row[2])
-                fault = (not isfinite(arrival) or task_id in seen_ids
-                         or arrival < last_arrival)
-            except ValueError:
-                fault = True
-            if fault:
-                _raise_first_fault(row_num, row, seen_ids, last_arrival)
-            key = tuple(row[3:])
-            profile = profiles.get(key)
-            if profile is None:
-                values = _profile_fields(row_num, key)
-            # after the field checks, the task's own: its arrival, then a new profile
-            if arrival < 0:
-                raise TraceFormatError(
-                    f"line {row_num}: task {task_id}: arrival_time must be >= 0")
-            if profile is None:
-                try:
-                    profile = profiles[key] = Profile(*values)
-                except ValueError as exc:
-                    raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
-            add_id(task_id)
-            last_arrival = arrival
-            append(new(Task, (task_id, arrival, daemon_id, profile)))
-    except csv.Error as exc:  # such as a field over csv's size limit
-        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                profile = profiles[key] = Profile(*values)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {row_num}: task {task_id}: {exc}") from None
+        add_id(task_id)
+        last_arrival = arrival
+        append(new(Task, (task_id, arrival, daemon_id, profile)))
     return tasks

@@ -59,10 +59,8 @@ LOG_ENTRY = (E + "TestStaleReadsMatchFullHistory::"
 PAIR = S + "TestSamplerOnScriptedWords::test_pair_matches_the_reference"
 EDIT = W + "TestOnePassRead::test_each_edit_loads_as_the_row_loop_loads_it"
 ONE_PASS = W + "TestOnePassRead::test_the_one_pass_read_matches_the_row_loop"
-SPLIT = (W + "TestOnePassRead::"
-             "test_the_row_loop_splits_lines_as_a_file_read_without_newline_translation")
-SPLIT_ANY = (W + "TestOnePassRead::"
-                 "test_the_row_loop_splits_any_text_as_a_file_read_without_newline_translation")
+REFUSED = W + "TestOnePassRead::test_each_refused_edit_names_its_line"
+MESSAGE = W + "TestLoadErrorMessages::test_message"
 ON_DEMAND = C + "TestImportsOnDemand::"
 IDLE_FLAG = E + "TestProbeMatchesTheModel::test_has_idle_vm_is_the_probes_flag_fresh_and_stale"
 COMPARATOR = S + "TestDecisionsMatchThePairComparator"
@@ -230,15 +228,26 @@ MUTANTS = (
            "                remote[i][j] = next(rtts)\n",
            ("tests/test_goldens.py::test_run_outputs_match_goldens",)),
     Mutant("the loader drops its inline arrival isfinite test", WORKLOAD,
-           "fault = (not isfinite(arrival) or task_id in seen_ids",
-           "fault = (task_id in seen_ids",
+           "fault = not isfinite(arrival) or task_id in seen_ids",
+           "fault = task_id in seen_ids",
            (W + "TestLoadErrors::test_non_finite_values_name_the_column",
-            W + "TestLoadErrorMessages::test_message[cached profile, non-finite arrival]")),
-    Mutant("the loader counts rows instead of lines", WORKLOAD,
-           "row_num, line = line + 1, reader.line_num",
-           "row_num = line = line + 1",
-           (W + "TestLoadErrorMessages::test_a_fault_names_the_file_line_its_row_starts_on",
-            ERROR_PATH + "[trace-row-after-quoted-line-breaks]")),
+            MESSAGE + "[cached profile, non-finite arrival]")),
+    Mutant("the row loop counts rows instead of lines", WORKLOAD,
+           "enumerate(lines, 1)",
+           "enumerate(filter(None, lines), 1)",
+           (MESSAGE + "[blank lines still count]", ERROR_PATH + "[trace-row-after-blank-lines]")),
+    Mutant("the row loop accepts a lone \\r", WORKLOAD,
+           'if "\\r" in line:',
+           "if False:",
+           (REFUSED + "[a-lone-cr-after-an-arrival]", REFUSED + "[a-lone-cr-before-a-daemon]",
+            MESSAGE + "[a lone CR at a field's edge]", ERROR_PATH + "[lone-cr-in-a-trace]")),
+    Mutant("the name rule admits a comma", MODEL,
+           """_NOT_IN_NAMES = frozenset(',"\\r\\n')""",
+           """_NOT_IN_NAMES = frozenset('"\\r\\n')""",
+           ("tests/test_model.py::TestTaskValidation::"
+            "test_a_name_is_a_str_with_no_comma_quote_cr_or_lf[comma]",
+            W + "TestRoundTrip::test_names_that_need_quoting_are_refused",
+            ERROR_PATH + "[catalog-name-with-comma]")),
     Mutant("the writer reuses the cells of a task that queued", CLI,
            "if start_time == assign_time:",
            "if start_time != assign_time:",
@@ -328,38 +337,17 @@ MUTANTS = (
            "",
            (EDIT + "[a-repeated-id]", ONE_PASS + "[repeat_id]")),
     Mutant("the one-pass read accepts a lone \\n in a \\r\\n file", WORKLOAD,
-           ' or text.count("\\n") != breaks',
+           'text.count("\\n") != breaks or ',
            "",
            (EDIT + "[a-lone-lf-after-an-arrival]", ONE_PASS + "[break_row]")),
     Mutant("the one-pass read accepts a lone \\r in a \\r\\n file", WORKLOAD,
            'text.count("\\r") not in (0, breaks)',
            "False",
            (EDIT + "[a-lone-cr-after-an-arrival]", ONE_PASS + "[break_row]")),
-    Mutant("the one-pass read takes a quoted name as it is spelled", WORKLOAD,
-           """('"' in text or "\\0" in text""",
-           """("\\0" in text""",
-           (EDIT + "[a-quoted-name]", ONE_PASS + "[quote_field]")),
-    Mutant("the one-pass read ignores csv's field size limit", WORKLOAD,
-           " or max(map(len, lines)) > csv.field_size_limit()",
-           "",
-           (W + "TestOnePassRead::test_the_field_size_limit_is_read_at_each_call",
-            W + "TestOnePassRead::test_a_line_past_the_field_size_limit_takes_the_row_loop")),
     Mutant("the one-pass read takes a profile of six or eight fields", WORKLOAD,
            "            if len(key) != len(TRACE_COLUMNS) - 3:\n                raise ValueError\n",
            "",
            (EDIT + "[a-field-too-many]", EDIT + "[a-field-too-few]", ONE_PASS + "[field_count]")),
-    Mutant("a chunk of the row loop's text may end between \\r and \\n", WORKLOAD,
-           '_LINE_END = re.compile(r"\\r\\n?|\\n")',
-           '_LINE_END = re.compile(r"\\r|\\n")',
-           (SPLIT_ANY,)),
-    Mutant("a chunk of the row loop's text ends at its size", WORKLOAD,
-           "end = end.end() if end else len(text)",
-           "end = min(start + size, len(text))",
-           (SPLIT_ANY,)),
-    Mutant("the row loop splits lines as str.splitlines does", WORKLOAD,
-           'yield from io.StringIO(text[start:end], newline="")',
-           "yield from text[start:end].splitlines(keepends=True)",
-           (SPLIT + "[a-next-line-in-a-name]", EDIT + "[a-next-line-in-a-name]", SPLIT_ANY)),
     Mutant("the number-kind check is removed", MODEL,
            "isinstance(value, _NUMBERS[kind]) and not isinstance(value, bool)",
            "True",
@@ -418,10 +406,11 @@ MUTANTS = (
            "            object.__setattr__(self, name, stored)\n",
            "",
            (W + "TestBenchmark::test_each_number_is_stored_as_a_plain_float",)),
-    Mutant("a benchmark takes any name", WORKLOAD,
-           'if kind is TaskClass or value is None and key == "bound_factor":',
-           'if kind is not float or value is None and key == "bound_factor":',
-           (W + "TestBenchmark::test_the_name_is_a_str",)),
+    Mutant("a benchmark checks its name last", WORKLOAD,
+           "        check_name(self.name)\n",
+           "",
+           (W + "TestBenchmark::test_the_name_is_a_str",
+            W + "TestBenchmark::test_the_name_holds_no_comma_quote_cr_or_lf")),
     Mutant("the class key is dropped from task_class", WORKLOAD,
            'task_class: TaskClass = _entry(TaskClass, "class")',
            "task_class: TaskClass = _entry(TaskClass)",

@@ -13,6 +13,7 @@ import sys
 import tempfile
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -110,6 +111,31 @@ class TestRun:
         ])
         assert code == 0
         assert (out / "records.csv").exists()
+
+    def test_a_trace_with_a_long_plain_name_runs(self, tmp_path):
+        # no field has a size limit: a 200,000-character name loads as any other
+        name = "x" * 200_000
+        trace = tmp_path / "wide.csv"
+        trace.write_text(TRACE_HEADER + f"0,1,0,{name},sensitive,1,1,1,0,\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--trace", str(trace), "--scheduler", "daa", "--out", str(out)]) == 0
+        assert len(read_csv(out / "records.csv")) == 2
+        assert load_trace(trace)[0].profile.benchmark == name
+
+    @pytest.mark.parametrize("name", [5, "a,b", 'a"b', "a\rb", "a\nb"],
+                             ids=["int", "comma", "quote", "cr", "lf"])
+    def test_a_catalog_name_outside_the_name_rule_exits_2(self, tmp_path, capsys, name):
+        entry = {"name": name, "class": "sensitive", "base_service_ms": 1.0,
+                 "mobile_ms": 1.0, "cloud_ms": 1.0, "data_bytes": 0.0}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({"catalog": [entry | {"name": "x"}, entry]}),
+                        encoding="utf-8")
+        code = main(["generate", "--config", str(path), "--trace", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: catalog[1]")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, small_config):
         outs = []
@@ -766,6 +792,9 @@ def _write(tmp_path, name, text):
 
 # a finite mean gap whose running sum over 200 tasks still overflows the float range
 OVERFLOWING_ARRIVALS = "trace: {arrival_rate: 1.0e-305, task_count: 200}\n"
+# a catalog entry whose name holds a comma, which no trace field may hold
+COMMA_NAME = ('catalog:\n  - {name: "a,b", class: sensitive, base_service_ms: 1, mobile_ms: 1,'
+              " cloud_ms: 1, data_bytes: 0}\n")
 # past Python's default limit of 4,300 digits for reading an int from text
 LONG_INT = "1" * 4400
 ZERO_TURNAROUND = "simulation failed: task 0: turnaround rounds to 0"
@@ -828,11 +857,19 @@ ERROR_PATHS = [
     error_path("non-finite-trace-field", 2, "error: line 2: field 'arrival_ms'",
                lambda d: ["run", "--scheduler", "daa", "--trace",
                           _write(d, "nan.csv", TRACE_HEADER + "0,nan,0,x,sensitive,1,1,1,0,\n")]),
-    error_path("trace-row-after-quoted-line-breaks", 2,
-               "error: line 6: field 'arrival_ms' is not a valid float: 'x'\n",
+    error_path("quoted-trace-name", 2, "error: line 3: task 1: benchmark name: expected no"
+               """ ',', '"', CR or LF, got '"a"'\n""",
                lambda d: ["run", "--scheduler", "daa", "--trace", _write(
-                   d, "lines.csv", TRACE_HEADER + '0,1,0,"a\r\nb",sensitive,1,1,1,0,\n'
-                   '1,2,0,"a\r\nb",sensitive,1,1,1,0,\n2,x,0,x,sensitive,1,1,1,0,\n')]),
+                   d, "quoted.csv", TRACE_HEADER + '0,1,0,a,sensitive,1,1,1,0,\n'
+                   '1,2,0,"a",sensitive,1,1,1,0,\n')]),
+    error_path("trace-row-after-blank-lines", 2,
+               "error: line 5: field 'arrival_ms' is not a valid float: 'x'\n",
+               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
+                   d, "blank.csv", TRACE_HEADER + "0,1,0,a,sensitive,1,1,1,0,\n\r\n\n"
+                   "2,x,0,x,sensitive,1,1,1,0,\n")]),
+    error_path("lone-cr-in-a-trace", 2, "error: line 2: a '\\r' that is not followed by '\\n'\n",
+               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
+                   d, "cr.csv", TRACE_HEADER + "0,1\r,0,a,sensitive,1,1,1,0,\n")]),
     error_path("unknown-trace-class", 2, "error: line 2: field 'class'",
                lambda d: ["run", "--scheduler", "daa", "--trace",
                           _write(d, "cls.csv", TRACE_HEADER + "0,1,0,x,urgent,1,1,1,0,\n")]),
@@ -856,15 +893,14 @@ ERROR_PATHS = [
                lambda d: ["run", "--scheduler", "daa", "--trace", _write(
                    d, "latin1.csv",
                    (TRACE_HEADER + "0,1,0,caf\xe9,sensitive,1,1,1,0,\n").encode("latin-1"))]),
-    error_path("oversized-trace-field", 2,
-               "error: {dir}/wide.csv: line 2: field larger than field limit (131072)\n",
-               lambda d: ["run", "--scheduler", "daa", "--trace", _write(
-                   d, "wide.csv", TRACE_HEADER + f'0,1,0,"{"x" * 131_073}",sensitive,1,1,1,0,\n')]),
     error_path("non-utf8-config", 2, "error: {dir}/c.yaml: not UTF-8 text: byte 0xe9",
                lambda d: ["generate", "--config", _write(
                    d, "c.yaml", "# caf\xe9\ntrace: {task_count: 5}\n".encode("latin-1"))]),
     error_path("missing-config", 2, "error: cannot read config",
                lambda d: ["run", "--scheduler", "daa", "--config", str(d / "absent.yaml")]),
+    error_path("catalog-name-with-comma", 2, "error: catalog[0]: benchmark name: expected no"
+               """ ',', '"', CR or LF, got 'a,b'\n""",
+               lambda d: ["generate", "--config", _write(d, "c.yaml", COMMA_NAME)]),
     error_path("removed-config-key", 2, "error: scheduler.max_delays: unknown key\n",
                lambda d: ["generate", "--config",
                           _write(d, "c.yaml", "scheduler: {max_delays: 1000}\n")]),

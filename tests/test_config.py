@@ -346,6 +346,20 @@ class TestMappingErrors:
         with pytest.raises(ConfigError, match=r"catalog\[0\].nope"):
             from_mapping({"catalog": [entry]})
 
+    @pytest.mark.parametrize("name, message", [
+        (5, "catalog[1].name: expected str, got 5"),
+        ("a,b", "catalog[1]: benchmark name: expected no ',', '\"', CR or LF, got 'a,b'"),
+        ('a"b', "catalog[1]: benchmark name: expected no ',', '\"', CR or LF, got 'a\"b'"),
+        ("a\rb", "catalog[1]: benchmark name: expected no ',', '\"', CR or LF, got 'a\\rb'"),
+        ("a\nb", "catalog[1]: benchmark name: expected no ',', '\"', CR or LF, got 'a\\nb'")],
+        ids=["int", "comma", "quote", "cr", "lf"])
+    def test_a_catalog_name_follows_the_name_rule(self, name, message):
+        entry = {"name": name, "class": "sensitive", "base_service_ms": 1.0,
+                 "mobile_ms": 1.0, "cloud_ms": 1.0, "data_bytes": 0.0}
+        with pytest.raises(ConfigError) as caught:
+            from_mapping({"catalog": [entry | {"name": "x"}, entry]})
+        assert str(caught.value) == message
+
     def test_catalog_entry_missing_key(self):
         with pytest.raises(ConfigError, match=r"catalog\[0\]"):
             from_mapping({"catalog": [{"name": "x"}]})

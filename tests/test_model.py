@@ -220,6 +220,23 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=f"^class must be a TaskClass, got {task_class!r}$"):
             Profile("x", task_class, 1000.0, 5000.0, 800.0, 0.0)
 
+    @pytest.mark.parametrize("name, message", [
+        (5, "expected str, got 5"), (None, "expected str, got None"),
+        ("a,b", "expected no ',', '\"', CR or LF, got 'a,b'"),
+        ('a"b', "expected no ',', '\"', CR or LF, got 'a\"b'"),
+        ("a\rb", "expected no ',', '\"', CR or LF, got 'a\\rb'"),
+        ("a\nb", "expected no ',', '\"', CR or LF, got 'a\\nb'")],
+        ids=["int", "none", "comma", "quote", "cr", "lf"])
+    def test_a_name_is_a_str_with_no_comma_quote_cr_or_lf(self, name, message):
+        # a name written as 5 would load back as '5', and the four characters need quoting
+        with pytest.raises(ValueError) as caught:
+            Profile(name, TaskClass.LATENCY_SENSITIVE, 1.0, 2.0, 1.0, 0.0)
+        assert str(caught.value) == f"benchmark name: {message}"
+
+    def test_the_name_is_checked_first(self):
+        with pytest.raises(ValueError, match="^benchmark name: "):
+            Profile("a,b", "sensitive", -1.0, 2.0, 1.0, 0.0)
+
     @pytest.mark.parametrize("token", ["urgent", "", "Sensitive", None, ["tolerant"]])
     def test_unknown_class_tokens_name_the_choices(self, token):
         with pytest.raises(ValueError, match="unknown task class .*'sensitive' or 'tolerant'"):
